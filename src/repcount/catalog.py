@@ -4,9 +4,10 @@ Covers the four exceptional groups over their home primes (G12 at p=3, G24
 at p=2, G29 and G31 at p=5), the monomial groups G(m,s,n), and the rank-one
 sphere case G(m,1,1).  The quadratic constants in the exceptional generator
 matrices are realized exactly at any requested precision via Hensel lifting
-and Teichmüller representatives, so a group can always be rebuilt at a
-higher precision; fractional entries (1/2, 1/sqrt(-2)) become modular
-inverses, which is legal because 2 is a unit at the relevant odd primes.
+and Teichmüller representatives, so a group's generator words can be
+re-evaluated at any higher precision; fractional entries (1/2, 1/sqrt(-2))
+become modular inverses, which is legal because 2 is a unit at the relevant
+odd primes.
 """
 
 from __future__ import annotations

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from typing import Optional
 
 from . import catalog, counting, formulas, grassmannian, oracle
 from .catalog import GroupSpec, parse_spec
@@ -26,7 +24,7 @@ from .errors import (
     SpecInvalid,
 )
 from .linalg import parse_matrix_text, smith_valuations
-from .modp import SATURATED, Modulus
+from .modp import SATURATED
 
 EXIT_OK = 0
 EXIT_DIVERGENCE = 1
@@ -44,37 +42,21 @@ class _Config:
         self.closure_cap = args.closure_cap
         self.oracle_cap = args.oracle_cap
         self.precision_ceiling = args.precision_ceiling
-        self.threads = _resolve_threads(args.threads)
         self.fmt = getattr(args, "format", "text")
         self.timing = not getattr(args, "no_timing", False)
         self.per_element = getattr(args, "per_element", False)
         self._groups = {}
 
-    def group(self, spec: GroupSpec, k: int):
-        """Build (and cache) the group at a precision covering k."""
-        m_exp = max(k, spec.min_modulus_exponent())
-        key = (spec.label(), m_exp)
-        if key not in self._groups:
-            self._groups[key] = catalog.build(
-                spec, Modulus(spec.p, m_exp), cap=self.closure_cap
-            )
-        return self._groups[key]
+    def group(self, spec: GroupSpec):
+        """Build (and cache) the group, closed once at its default precision.
 
-
-def _resolve_threads(flag_value: Optional[int]) -> int:
-    env = os.environ.get("REPCOUNT_THREADS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise SpecInvalid(f"REPCOUNT_THREADS must be an integer, got {env!r}") from None
-    elif flag_value is not None:
-        value = flag_value
-    else:
-        value = 1
-    if value < 0:
-        raise SpecInvalid(f"thread count must be >= 0, got {value}")
-    return value if value > 0 else (os.cpu_count() or 1)
+        Every k is served by this one closure: counting lifts class
+        representatives (or the whole store) by their generator words.
+        """
+        label = spec.label()
+        if label not in self._groups:
+            self._groups[label] = catalog.build(spec, cap=self.closure_cap)
+        return self._groups[label]
 
 
 def _emit(report: counting.CountReport, cfg: _Config) -> None:
@@ -130,11 +112,9 @@ def run_count(spec: GroupSpec, k: int, method: str, cfg: _Config) -> counting.Co
                                     elapsed=time.perf_counter() - start)
     if not spec.buildable:
         raise SpecInvalid(f"{spec.label()} supports only closed-form methods")
-    group = cfg.group(spec, k)
+    group = cfg.group(spec)
     if method == "burnside":
-        return counting.count_burnside_full(
-            group, k, per_element=cfg.per_element, threads=cfg.threads
-        )
+        return counting.count_burnside_full(group, k, per_element=cfg.per_element)
     if method == "classes":
         return counting.count_burnside_classes(group, k, ceiling=cfg.precision_ceiling)
     if method == "formula":
@@ -172,7 +152,7 @@ def cmd_census(args) -> int:
     spec = _spec_from_args(args)
     if not spec.buildable:
         raise SpecInvalid(f"{spec.label()} has no build path, so no census")
-    group = cfg.group(spec, 1)
+    group = cfg.group(spec)
     rows = counting.torsion_census(group, ceiling=cfg.precision_ceiling)
     if cfg.fmt == "json":
         payload = {
@@ -214,7 +194,7 @@ def cmd_classes(args) -> int:
     spec = _spec_from_args(args)
     if not spec.buildable:
         raise SpecInvalid(f"{spec.label()} has no build path, so no class table")
-    group = cfg.group(spec, 1)
+    group = cfg.group(spec)
     records = group.conjugacy_classes()
     if cfg.fmt == "json":
         payload = {
@@ -360,8 +340,6 @@ def _add_common(parser) -> None:
     parser.add_argument("--oracle-cap", type=int, default=oracle.DEFAULT_POINT_CAP)
     parser.add_argument("--precision-ceiling", type=int,
                         default=counting.DEFAULT_PRECISION_CEILING)
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads; REPCOUNT_THREADS overrides; 0 = all")
 
 
 def _add_group_args(parser) -> None:

@@ -16,9 +16,10 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .catalog import ExponentList
 from .errors import NonIntegralCount, PrecisionCeiling, PrecisionTooLow
@@ -86,16 +87,17 @@ class CountReport:
 
 
 def _check_precision(group: FiniteMatrixGroup, k: int) -> None:
-    need = max(k, group.modulus.threshold)
-    if group.modulus.M < need:
+    if group.modulus.M < group.modulus.threshold:
         raise PrecisionTooLow(
-            f"group at {group.modulus} cannot count at k={k} (need M >= {need})"
+            f"group at {group.modulus} is below the faithfulness threshold "
+            f"M >= {group.modulus.threshold}, cannot count at k={k}"
         )
 
 
 def _diff_rows_mod(group: FiniteMatrixGroup, index: int, k: int) -> tuple:
+    """w - I mod p^k for element ``index``, evaluated at precision k."""
     pk = group.modulus.p ** k
-    rows = group.element_rows(index)
+    rows = group.element_rows_at(index, k)
     return tuple(
         tuple((x - (1 if i == j else 0)) % pk for j, x in enumerate(row))
         for i, row in enumerate(rows)
@@ -106,23 +108,24 @@ def count_burnside_full(
     group: FiniteMatrixGroup,
     k: int,
     per_element: bool = False,
-    threads: int = 1,
 ) -> CountReport:
     """Exact orbit count via Burnside: average of |Ker(w - I mod p^k)| over W.
 
     Fixed-point counts come straight from Smith valuations at precision k.
     The default evaluates one kernel per conjugacy class (the count is a
     class function); ``per_element=True`` sums over every single element
-    instead, which is the slow mutually-validating path.
+    instead, which is the slow mutually-validating path.  Any k is reachable:
+    above the group's precision the representatives, or for ``per_element``
+    the whole store, are lifted by their generator words.
     """
     _check_precision(group, k)
     start = time.perf_counter()
     p = group.modulus.p
     breakdown = None
     if per_element:
-        def kernel_at(i: int) -> int:
-            return kernel_size_raw(_diff_rows_mod(group, i, k), p, k)
-        total = _parallel_sum(range(group.order), kernel_at, threads)
+        store = group.store_at(k)
+        diffs = (store - np.eye(group.dim, dtype=store.dtype)) % p ** k
+        total = sum(kernel_size_raw(d.tolist(), p, k) for d in diffs)
     else:
         breakdown = []
         total = 0
@@ -141,17 +144,6 @@ def count_burnside_full(
         breakdown=breakdown,
         elapsed=time.perf_counter() - start,
     )
-
-
-def _parallel_sum(indices, fn, threads: int) -> int:
-    """Order-independent integer sum, optionally chunked over worker threads."""
-    items = list(indices)
-    if threads <= 1 or len(items) < 256:
-        return sum(fn(i) for i in items)
-    chunks = [items[j::threads] for j in range(threads)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        partials = pool.map(lambda ch: sum(fn(i) for i in ch), chunks)
-        return sum(partials)
 
 
 def resolve_torsion(

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import NonIntegralResult, SpecInvalid
+from .modp import is_prime
 
 
 def theorem_a(exponents: Iterable[int], p: int, k: int) -> int:
@@ -22,7 +23,11 @@ def theorem_a(exponents: Iterable[int], p: int, k: int) -> int:
     """
     if k < 1:
         raise SpecInvalid(f"k must be >= 1, got {k}")
+    if not is_prime(p):
+        raise SpecInvalid(f"p={p} is not prime")
     exps = list(exponents)
+    if any(m < 0 for m in exps):
+        raise SpecInvalid(f"exponents must be >= 0, got {exps}")
     num = math.prod(m + p ** k for m in exps)
     den = math.prod(m + 1 for m in exps)
     if num % den != 0:

@@ -1,10 +1,11 @@
 """Finite matrix groups over Z/p^M: closure, conjugacy classes, ranks.
 
-Groups are closed once and then immutable.  Elements live in a single dense
-store (a numpy int64 array when entry products cannot overflow, otherwise
-plain Python integers) indexed by canonical byte keys; every element also
-carries a word in the generators, which is what allows re-evaluating a given
-element at a higher precision without re-closing the whole group.
+Groups are closed once, at one precision, and then immutable.  Elements live
+in one numpy (N, l, l) store indexed by canonical byte keys; its dtype is
+int64 when matmul entry sums cannot overflow and object (Python integers)
+otherwise, and both dtypes share every code path.  Every element also carries
+a word in the generators, so one element, or the whole store, can be
+re-evaluated at any higher precision without re-closing the group.
 """
 
 from __future__ import annotations
@@ -34,9 +35,26 @@ DEFAULT_CLOSURE_CAP = 10 ** 8
 GeneratorFactory = Callable[[Modulus], list]
 
 
-def _numpy_safe(modulus: Modulus, dim: int) -> bool:
+def _store_dtype(modulus: Modulus, dim: int):
     # Entry products accumulate to at most dim * (p^M - 1)^2 in a matmul.
-    return dim * (modulus.pM - 1) ** 2 < 2 ** 63
+    return np.int64 if dim * (modulus.pM - 1) ** 2 < 2 ** 63 else object
+
+
+def _keys(batch: np.ndarray, pM: int):
+    """Canonical byte key of each matrix in an (n, l, l) batch, in order.
+
+    Entries are fixed-width big-endian, row-major, so byte order agrees with
+    entrywise numeric order whatever the width.  This is the only code that
+    depends on the store dtype.
+    """
+    if batch.dtype == object:
+        width = ((pM - 1).bit_length() + 7) // 8
+        blob = b"".join(int(x).to_bytes(width, "big") for x in batch.flat)
+    else:
+        width = 8
+        blob = batch.astype(">u8").tobytes()
+    step = width * batch.shape[1] * batch.shape[2]
+    return (blob[t * step:(t + 1) * step] for t in range(batch.shape[0]))
 
 
 @dataclass
@@ -68,16 +86,12 @@ class ConjugacyClassRecord:
 class FiniteMatrixGroup:
     """A finite group of invertible l x l matrices over Z/p^M."""
 
-    def __init__(self, modulus, dim, generators, rows, words, keys,
+    def __init__(self, modulus, dim, generators, store, words, keys,
                  generator_factory=None, name=None):
         self.modulus = modulus
         self.dim = dim
         self.generators = tuple(generators)
-        self._rows = rows          # list of tuple-of-tuples (python path) or None
-        self._arr = None           # numpy (N, l, l) store (numpy path) or None
-        if isinstance(rows, np.ndarray):
-            self._arr = rows
-            self._rows = None
+        self._arr = store          # (N, l, l) array of dtype _store_dtype(modulus, dim)
         self._words = words        # words[i] = (parent index, generator index)
         self._keys = keys          # canonical byte key -> element index
         self._key_list = list(keys.keys())
@@ -96,9 +110,7 @@ class FiniteMatrixGroup:
         return self.order
 
     def element_rows(self, i: int) -> tuple:
-        if self._arr is not None:
-            return tuple(tuple(int(x) for x in row) for row in self._arr[i])
-        return self._rows[i]
+        return tuple(map(tuple, self._arr[i].tolist()))
 
     def element(self, i: int) -> SquareMatrix:
         return SquareMatrix(self.element_rows(i), self.modulus)
@@ -108,10 +120,7 @@ class FiniteMatrixGroup:
         return (self.element(i) for i in range(self.order))
 
     def _encode_rows(self, rows) -> bytes:
-        if self._arr is not None:
-            return np.asarray(rows, dtype=np.int64).astype(">u8").tobytes()
-        width = ((self.modulus.pM - 1).bit_length() + 7) // 8
-        return b"".join(int(x).to_bytes(width, "big") for r in rows for x in r)
+        return next(_keys(np.array([rows], dtype=self._arr.dtype), self.modulus.pM))
 
     def find(self, mat: SquareMatrix) -> int:
         """Index of a matrix in the element store; KeyError if absent."""
@@ -135,26 +144,60 @@ class FiniteMatrixGroup:
 
     # -- precision changes -------------------------------------------------
 
+    def generators_at(self, n: int) -> list:
+        """The generators mod p^n.
+
+        At or below the group's precision these are the stored generators
+        reduced; above it they come from the generator factory.
+        """
+        if n <= self.modulus.M:
+            return [g.reduce(n) for g in self.generators]
+        if self.generator_factory is None:
+            raise PrecisionTooLow(
+                f"group built at {self.modulus} has no generator factory to reach M={n}"
+            )
+        return self.generator_factory(Modulus(self.modulus.p, n))
+
     def element_rows_at(self, i: int, target_M: int) -> tuple:
         """Element i re-expressed mod p^target_M.
 
         Reduction is entrywise; raising precision re-evaluates the element's
         generator word, which requires a generator factory.
         """
-        p = self.modulus.p
         if target_M <= self.modulus.M:
-            pn = p ** target_M
+            pn = self.modulus.p ** target_M
             return tuple(tuple(x % pn for x in row) for row in self.element_rows(i))
-        if self.generator_factory is None:
-            raise PrecisionTooLow(
-                f"group built at {self.modulus} has no generator factory to reach M={target_M}"
-            )
-        target = Modulus(p, target_M)
-        gens = [g.rows for g in self.generator_factory(target)]
+        target = Modulus(self.modulus.p, target_M)
+        gens = [g.rows for g in self.generators_at(target_M)]
         acc = SquareMatrix.identity(self.dim, target).rows
         for gi in self.word(i):
             acc = mat_mul_raw(acc, gens[gi], target.pM)
         return acc
+
+    def store_at(self, n: int) -> np.ndarray:
+        """Every element mod p^n, as an (N, l, l) array in store order.
+
+        Reduction is entrywise.  Above the group's precision each BFS level
+        is one batched product of its parents' lifts with the generators at
+        p^n, read off the stored words, so nothing is hashed or re-closed.
+        """
+        target = Modulus(self.modulus.p, n)
+        dtype = _store_dtype(target, self.dim)
+        if n <= self.modulus.M:
+            return (self._arr % target.pM).astype(dtype, copy=False)
+        gens = np.array([g.rows for g in self.generators_at(n)], dtype=dtype)
+        parent = np.array([w[0] for w in self._words])
+        gen = np.array([w[1] for w in self._words])
+        out = np.empty(self._arr.shape, dtype=dtype)
+        out[0] = np.eye(self.dim, dtype=dtype)
+        lo = 1
+        while lo < self.order:
+            # a level is contiguous and ends at the first element whose parent is in it
+            later = np.flatnonzero(parent[lo:] >= lo)
+            hi = lo + int(later[0]) if later.size else self.order
+            out[lo:hi] = out[parent[lo:hi]] @ gens[gen[lo:hi]] % target.pM
+            lo = hi
+        return out
 
     def reduce_modulus(self, n: int) -> "FiniteMatrixGroup":
         """Entrywise reduction mod p^n; the element count must survive."""
@@ -163,31 +206,15 @@ class FiniteMatrixGroup:
         if n == self.modulus.M:
             return self
         target = Modulus(self.modulus.p, n)
-        gens = [SquareMatrix.from_rows(g.rows, target) for g in self.generators]
-        if self._arr is not None:
-            arr = self._arr % target.pM
-            keys = {}
-            for i in range(arr.shape[0]):
-                k = arr[i].astype(">u8").tobytes()
-                if k in keys:
-                    raise UnfaithfulReduction(
-                        f"elements collide mod {target.p}^{n} (order would drop)"
-                    )
-                keys[k] = i
-            store = arr
-        else:
-            width = ((target.pM - 1).bit_length() + 7) // 8
-            store = []
-            keys = {}
-            for i in range(self.order):
-                rows = tuple(tuple(x % target.pM for x in r) for r in self._rows[i])
-                k = b"".join(x.to_bytes(width, "big") for r in rows for x in r)
-                if k in keys:
-                    raise UnfaithfulReduction(
-                        f"elements collide mod {target.p}^{n} (order would drop)"
-                    )
-                keys[k] = i
-                store.append(rows)
+        gens = self.generators_at(n)
+        store = self.store_at(n)
+        keys = {}
+        for i, key in enumerate(_keys(store, target.pM)):
+            if key in keys:
+                raise UnfaithfulReduction(
+                    f"elements collide mod {target.p}^{n} (order would drop)"
+                )
+            keys[key] = i
         return FiniteMatrixGroup(
             target, self.dim, gens, store, self._words, keys,
             generator_factory=self.generator_factory, name=self.name,
@@ -234,10 +261,7 @@ class FiniteMatrixGroup:
         """
         if self._classes is not None:
             return self._classes
-        if self._arr is not None:
-            members_per_class, class_of = self._classes_numpy()
-        else:
-            members_per_class, class_of = self._classes_python()
+        members_per_class, class_of = self._partition()
         records = []
         ident_rows = SquareMatrix.identity(self.dim, self.modulus).rows
         pM = self.modulus.pM
@@ -290,11 +314,11 @@ class FiniteMatrixGroup:
             pairs.append((g, ginv))
         return pairs
 
-    def _classes_numpy(self):
+    def _partition(self):
         pM = self.modulus.pM
         arr = self._arr
         pairs = [
-            (np.array(g.rows, dtype=np.int64), np.array(gi.rows, dtype=np.int64))
+            (np.array(g.rows, dtype=arr.dtype), np.array(gi.rows, dtype=arr.dtype))
             for g, gi in self._conjugation_pairs()
         ]
         n = self.order
@@ -312,38 +336,8 @@ class FiniteMatrixGroup:
                 nxt = []
                 for g, ginv in pairs:
                     conj = (ginv @ batch % pM) @ g % pM
-                    blob = conj.astype(">u8").tobytes()
-                    w = 8 * self.dim * self.dim
-                    for t in range(len(frontier)):
-                        j = self._keys[blob[t * w:(t + 1) * w]]
-                        if class_of[j] < 0:
-                            class_of[j] = cid
-                            members.append(j)
-                            nxt.append(j)
-                frontier = nxt
-            classes.append(members)
-        return classes, class_of
-
-    def _classes_python(self):
-        pM = self.modulus.pM
-        pairs = [(g.rows, gi.rows) for g, gi in self._conjugation_pairs()]
-        n = self.order
-        class_of = [-1] * n
-        classes = []
-        for start in range(n):
-            if class_of[start] >= 0:
-                continue
-            cid = len(classes)
-            members = [start]
-            class_of[start] = cid
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for i in frontier:
-                    x = self._rows[i]
-                    for g, ginv in pairs:
-                        conj = mat_mul_raw(mat_mul_raw(ginv, x, pM), g, pM)
-                        j = self._keys[self._encode_rows(conj)]
+                    for key in _keys(conj, pM):
+                        j = self._keys[key]
                         if class_of[j] < 0:
                             class_of[j] = cid
                             members.append(j)
@@ -393,7 +387,9 @@ def close(
 
     Elements are discovered by right-multiplying the frontier by each
     generator in the listed order, which fixes a deterministic insertion
-    order.  Raises CapExceeded once more than ``cap`` elements appear.
+    order.  Each BFS level is one contiguous block of the store whose
+    parents all lie in the previous level, which ``store_at`` relies on.
+    Raises CapExceeded once more than ``cap`` elements appear.
     """
     if not generators:
         raise ValueError("at least one generator is required")
@@ -402,68 +398,29 @@ def close(
     for g in generators:
         if g.modulus != modulus or g.dim != dim:
             raise ValueError("generators must share a modulus and dimension")
-    if _numpy_safe(modulus, dim):
-        return _close_numpy(generators, modulus, dim, cap, generator_factory, name)
-    return _close_python(generators, modulus, dim, cap, generator_factory, name)
-
-
-def _close_numpy(generators, modulus, dim, cap, factory, name):
+    dtype = _store_dtype(modulus, dim)
     pM = modulus.pM
-    gen_arrs = [np.array(g.rows, dtype=np.int64) for g in generators]
-    ident = np.eye(dim, dtype=np.int64)
-    rows = [ident]
-    keys = {ident.astype(">u8").tobytes(): 0}
+    gen_arrs = [np.array(g.rows, dtype=dtype) for g in generators]
+    ident = np.eye(dim, dtype=dtype)[None]
+    keys = {next(_keys(ident, pM)): 0}
     words = [(-1, -1)]
-    frontier = [0]
-    w = 8 * dim * dim
-    while frontier:
-        batch = np.stack([rows[i] for i in frontier])
-        nxt = []
+    levels = [ident]
+    batch = ident
+    while len(batch):
+        lo = len(words) - len(batch)
+        fresh = []
         for gi, g in enumerate(gen_arrs):
             prod = batch @ g % pM
-            blob = prod.astype(">u8").tobytes()
-            for t, src in enumerate(frontier):
-                k = blob[t * w:(t + 1) * w]
-                if k not in keys:
-                    keys[k] = len(rows)
-                    words.append((src, gi))
-                    rows.append(prod[t])
-                    nxt.append(len(rows) - 1)
-                    if len(rows) > cap:
+            new = []
+            for t, key in enumerate(_keys(prod, pM)):
+                if key not in keys:
+                    keys[key] = len(words)
+                    words.append((lo + t, gi))
+                    new.append(t)
+                    if len(words) > cap:
                         raise CapExceeded(f"closure exceeded cap {cap}")
-        frontier = nxt
-    arr = np.stack(rows)
-    gens = [SquareMatrix.from_rows([[int(x) for x in r] for r in g], modulus) for g in gen_arrs]
-    return FiniteMatrixGroup(modulus, dim, gens, arr, words, keys,
-                             generator_factory=factory, name=name)
-
-
-def _close_python(generators, modulus, dim, cap, factory, name):
-    pM = modulus.pM
-    width = ((pM - 1).bit_length() + 7) // 8
-
-    def key(rows):
-        return b"".join(x.to_bytes(width, "big") for r in rows for x in r)
-
-    gen_rows = [g.rows for g in generators]
-    ident = SquareMatrix.identity(dim, modulus).rows
-    rows = [ident]
-    keys = {key(ident): 0}
-    words = [(-1, -1)]
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for gi, g in enumerate(gen_rows):
-                prod = mat_mul_raw(rows[i], g, pM)
-                k = key(prod)
-                if k not in keys:
-                    keys[k] = len(rows)
-                    words.append((i, gi))
-                    rows.append(prod)
-                    nxt.append(len(rows) - 1)
-                    if len(rows) > cap:
-                        raise CapExceeded(f"closure exceeded cap {cap}")
-        frontier = nxt
-    return FiniteMatrixGroup(modulus, dim, list(generators), rows, words, keys,
-                             generator_factory=factory, name=name)
+            fresh.append(prod[new])
+        batch = np.concatenate(fresh)
+        levels.append(batch)
+    return FiniteMatrixGroup(modulus, dim, list(generators), np.concatenate(levels),
+                             words, keys, generator_factory=generator_factory, name=name)

@@ -67,7 +67,7 @@ def orbit_count_bruteforce(group: FiniteMatrixGroup, n: int,
     """
     space = PointSpace(group.modulus.p, n, group.dim, cap)
     pn = space.radix
-    gens = [np.array(g.reduce(n).rows, dtype=np.int64) for g in group.generators]
+    gens = [np.array(g.rows, dtype=np.int64) for g in group.generators_at(n)]
     visited = np.zeros(space.size, dtype=bool)
     orbits = 0
     pointer = 0

@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from repcount import catalog
 from repcount.cli import main
 
 
@@ -250,21 +253,45 @@ def test_output_determinism(capsys):
     assert out1 == out2
 
 
-def test_threads_env_does_not_change_output(capsys, monkeypatch):
-    args = ("count", "--group", "g12", "--k", "2", "--method", "burnside",
-            "--per-element", "--format", "json", "--no-timing")
-    monkeypatch.delenv("REPCOUNT_THREADS", raising=False)
-    _, out1, _ = run(capsys, *args)
-    monkeypatch.setenv("REPCOUNT_THREADS", "4")
-    _, out2, _ = run(capsys, *args)
-    monkeypatch.setenv("REPCOUNT_THREADS", "0")
-    _, out3, _ = run(capsys, *args)
-    assert out1 == out2 == out3
-
-
-def test_threads_env_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("REPCOUNT_THREADS", "many")
-    code, _, err = run(capsys, "count", "--group", "g12", "--k", "1",
-                       "--method", "classes")
+@pytest.mark.parametrize("exponents,p", [("-1", "5"), ("1,4", "4")])
+def test_formula_exponents_bad_input_is_a_spec_error(capsys, exponents, p):
+    code, _, err = run(capsys, "formula", f"--exponents={exponents}", "--p", p,
+                       "--k", "1")
     assert code == 2
     assert json.loads(err)["error"] == "SpecInvalid"
+
+
+def test_crosscheck_builds_one_group(capsys, monkeypatch):
+    # g12 closes at M = 3; k = 4 is reached by lifting, not by a rebuild
+    calls = []
+    real_build = catalog.build
+
+    def counting_build(*args, **kwargs):
+        calls.append(args)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(catalog, "build", counting_build)
+    code, out, _ = run(capsys, "crosscheck", "--group", "g12", "--kmax", "4",
+                       "--format", "json", "--no-timing")
+    assert code == 0 and json.loads(out)["pass"]
+    assert len(calls) == 1
+
+
+def test_breakdown_reps_above_closure_precision_match_class_table(capsys):
+    _, out, _ = run(capsys, "classes", "--group", "g24", "--format", "json")
+    table = [c["rep"] for c in json.loads(out)["classes"]]
+    for method in ("classes", "burnside"):
+        _, out, _ = run(capsys, "count", "--group", "g24", "--k", "9", "--method",
+                        method, "--format", "json", "--no-timing")
+        assert [c["rep"] for c in json.loads(out)["classes"]] == table
+
+
+@pytest.mark.parametrize("spec", ["family2a:m=4,s=2,n=3,p=1297", "sphere:m=2,p=1451"])
+def test_crosscheck_large_prime(capsys, spec):
+    # these close in the object-dtype store; the oracle cap keeps the flood
+    # fill to k = 1 (the sphere's 1451^2 points at k = 2 take minutes)
+    code, out, _ = run(capsys, "crosscheck", "--group", spec, "--kmax", "2",
+                       "--oracle-cap", "2000000", "--format", "json", "--no-timing")
+    payload = json.loads(out)
+    assert code == 0 and payload["pass"]
+    assert len(payload["checks"][1]["counts"]) >= 3

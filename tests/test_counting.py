@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from repcount.catalog import ExponentList, GroupSpec, build, exponents
+from repcount.catalog import ExponentList, GroupSpec, build, exponents, generators
 from repcount.counting import (
     CountReport,
     count_burnside_classes,
@@ -21,6 +21,7 @@ from repcount.counting import (
     torsion_classes,
 )
 from repcount.errors import PrecisionTooLow
+from repcount.formulas import theorem_c
 from repcount.groups import close
 from repcount.linalg import SquareMatrix, kernel_size, smith_valuations
 from repcount.modp import Modulus
@@ -47,19 +48,32 @@ def test_burnside_full_g12(g12):
 
 
 def test_burnside_full_per_element_matches_classwise(g12, g24, g29):
-    for group, k in [(g12, 2), (g24, 3), (g29, 1)]:
+    # k = M + 1 lifts the whole store by its words
+    for group, k in [(g12, 2), (g24, 3), (g29, 1),
+                     (g12, g12.modulus.M + 1), (g24, g24.modulus.M + 1)]:
         assert (count_burnside_full(group, k, per_element=True).count
                 == count_burnside_full(group, k).count)
 
 
-def test_burnside_full_threads_do_not_change_result(g24):
-    base = count_burnside_full(g24, 2, per_element=True, threads=1).count
-    assert count_burnside_full(g24, 2, per_element=True, threads=4).count == base
-
-
-def test_burnside_precision_error(g12):
+def test_burnside_precision_error():
+    # without a generator factory nothing can be lifted past the closure's M
+    g = close(generators(GroupSpec("g12"), Modulus(3, 3)), name="g12")
+    assert count_burnside_full(g, 3).count == EXPECTED["g12"][3]
     with pytest.raises(PrecisionTooLow):
-        count_burnside_full(g12, g12.modulus.M + 1)
+        count_burnside_full(g, 4)
+    with pytest.raises(PrecisionTooLow):
+        count_burnside_full(g, 4, per_element=True)
+
+
+@pytest.mark.parametrize("name,k", [("g12", 24), ("g24", 35), ("g29", 16), ("g31", 14)])
+def test_counts_far_above_closure_precision(exceptional_groups, name, k):
+    # one closure at the default precision serves every k
+    group = exceptional_groups[name]
+    assert k > group.modulus.M
+    want = theorem_c(name, k)
+    assert count_burnside_classes(group, k).count == want
+    assert count_formula_general(group, exponents(GroupSpec(name)), k).count == want
+    assert count_burnside_full(group, k).count == want
 
 
 def test_classes_counts(g12, g29, g31):

@@ -1,7 +1,9 @@
 """Group closure, conjugacy classes, fixed-space ranks, modulus changes."""
 
+import numpy as np
 import pytest
 
+from repcount.catalog import build, parse_spec
 from repcount.errors import (
     CapExceeded,
     PrecisionTooLow,
@@ -167,3 +169,41 @@ def test_find_and_contains(g12):
     assert e in g12
     stranger = SquareMatrix.from_rows([[2, 0], [0, 2]], g12.modulus)
     assert stranger not in g12
+
+
+def test_store_lift_matches_reclosed_store(g12, g24):
+    # lifting by words gives exactly the store a closure at p^n would give
+    for group in (g12, g24):
+        n = group.modulus.M + 2
+        high = build(parse_spec(group.name), Modulus(group.modulus.p, n))
+        assert np.array_equal(group.store_at(n), high.store_at(n))
+        assert np.array_equal(high.store_at(group.modulus.M),
+                              group.store_at(group.modulus.M))
+
+
+def test_generators_at(g12):
+    M = g12.modulus.M
+    assert [g.rows for g in g12.generators_at(M)] == [g.rows for g in g12.generators]
+    low = g12.generators_at(M - 1)
+    assert all(g.modulus.M == M - 1 for g in low)
+    high = g12.generators_at(M + 1)
+    assert [g.reduce(M).rows for g in high] == [g.rows for g in g12.generators]
+
+
+@pytest.mark.parametrize("spec,small", [
+    ("family2a:m=4,s=2,n=3,p=1297", "family2a:m=4,s=2,n=3,p=5"),
+    ("sphere:m=2,p=1451", "sphere:m=2,p=3"),
+])
+def test_object_dtype_store(spec, small):
+    # p^M is too large for int64 matmuls, so entries are Python integers;
+    # the same group over a small prime closes in the int64 store
+    g = build(parse_spec(spec))
+    store = g.store_at(g.modulus.M)
+    assert store.dtype == object
+    assert all(g.find(g.element(i)) == i for i in range(g.order))
+    lifted = g.store_at(g.modulus.M + 1)
+    assert np.array_equal(lifted % g.modulus.pM, store)
+    h = build(parse_spec(small))
+    assert h.store_at(h.modulus.M).dtype == np.int64
+    assert sorted((r.class_size, r.rank) for r in g.conjugacy_classes()) == \
+           sorted((r.class_size, r.rank) for r in h.conjugacy_classes())

@@ -21,6 +21,9 @@ def test_trivial_group_orbit_count():
 def test_orbit_count_g12(g12):
     assert orbit_count_bruteforce(g12, 1) == 2
     assert orbit_count_bruteforce(g12, 2) == 5
+    # above the closure's precision the generators come from the factory
+    assert g12.modulus.M == 3
+    assert orbit_count_bruteforce(g12, 4) == count_burnside_full(g12, 4).count
 
 
 def test_orbit_count_matches_burnside_small(g24):
