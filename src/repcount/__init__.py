@@ -13,7 +13,6 @@ from .counting import (
     count_burnside_classes,
     count_burnside_full,
     count_formula_general,
-    resolve_torsion,
     solomon_sum,
     torsion_census,
     torsion_classes,
@@ -75,7 +74,6 @@ __all__ = [
     "orbit_count_bruteforce",
     "parse_spec",
     "rank_fixed_space",
-    "resolve_torsion",
     "smith_valuations",
     "solomon_sum",
     "sphere_count",

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NotFactorable, SpecInvalid
+from .errors import InvariantViolation, NotFactorable, SpecInvalid
 from .groups import FiniteMatrixGroup, close
 from .linalg import SquareMatrix
 from .modp import Modulus, hensel_lift, invert, is_prime, mth_root_of_unity, teichmuller
@@ -103,19 +103,18 @@ class GroupSpec:
         return self.m
 
     def min_modulus_exponent(self) -> int:
-        """Smallest working precision that resolves ranks and torsion.
+        """Default precision M0 at which the group is closed.
 
-        Covers the faithfulness threshold, two extra digits for torsion
-        separation, and enough headroom for trace-averaged ranks (p^M must
-        exceed max-element-order times the rank; anything missed here is
-        recovered by the on-demand lift in rank_of).
+        M0 is above the faithfulness threshold and mostly leaves headroom for
+        trace-averaged ranks (p^M must exceed element order times the rank;
+        a rank it misses is recovered by lifting in ``rank_of``).  Torsion
+        needs nothing from it: each class reads its torsion at
+        max(M0, v_p(d) + 1).  The values stay fixed because the canonical
+        class representatives and the Smith diagonals of the ``classes``
+        table are read at M0.  Every buildable non-exceptional spec has an
+        odd p, so its M0 is 3.
         """
-        base = {"g12": 3, "g24": 6, "g29": 3, "g31": 3}.get(self.kind)
-        if base is not None:
-            return base
-        p = self.p
-        threshold = 2 if p == 2 else 1
-        return max(threshold + 2, 3)
+        return {"g12": 3, "g24": 6, "g29": 3, "g31": 3}.get(self.kind, 3)
 
     def label(self) -> str:
         if self.kind in EXCEPTIONAL or self.kind in FORMULA_ONLY:
@@ -283,9 +282,10 @@ def build(spec: GroupSpec, working_modulus: Optional[Modulus] = None,
     group = close(gens, cap=cap,
                   generator_factory=lambda mod: generators(spec, mod),
                   name=spec.label())
-    assert group.order == spec.expected_order, (
-        f"{spec.label()} closed to {group.order}, expected {spec.expected_order}"
-    )
+    if group.order != spec.expected_order:
+        raise InvariantViolation(
+            f"{spec.label()} closed to {group.order}, expected {spec.expected_order}"
+        )
     return group
 
 

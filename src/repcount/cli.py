@@ -1,8 +1,10 @@
 """Command-line frontend: build groups, count orbits, cross-check methods.
 
 Exit codes: 0 success, 1 cross-check divergence, 2 invalid spec or parse
-error, 3 cap or precision error.  Errors are reported as one JSON object on
-stderr.  With --no-timing, identical flags produce byte-identical output.
+error, 3 cap or precision error, 4 internal error (any other RepcountError,
+such as a broken invariant or a non-integral count).  Errors are reported as
+one JSON object on stderr.  With --no-timing, identical flags produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from .catalog import GroupSpec, parse_spec
 from .errors import (
     CapExceeded,
     NonIntegralResult,
-    PrecisionCeiling,
     PrecisionTooLow,
     RepcountError,
     SpaceTooLarge,
@@ -30,8 +31,9 @@ EXIT_OK = 0
 EXIT_DIVERGENCE = 1
 EXIT_SPEC = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
-_CAP_ERRORS = (CapExceeded, PrecisionTooLow, PrecisionCeiling, SpaceTooLarge)
+_CAP_ERRORS = (CapExceeded, PrecisionTooLow, SpaceTooLarge)
 
 GROUP_METHODS = ("burnside", "classes", "formula", "oracle")
 ALL_METHODS = GROUP_METHODS + ("theoremA", "theoremB", "theoremC", "domain")
@@ -41,7 +43,6 @@ class _Config:
     def __init__(self, args):
         self.closure_cap = args.closure_cap
         self.oracle_cap = args.oracle_cap
-        self.precision_ceiling = args.precision_ceiling
         self.fmt = getattr(args, "format", "text")
         self.timing = not getattr(args, "no_timing", False)
         self.per_element = getattr(args, "per_element", False)
@@ -116,11 +117,9 @@ def run_count(spec: GroupSpec, k: int, method: str, cfg: _Config) -> counting.Co
     if method == "burnside":
         return counting.count_burnside_full(group, k, per_element=cfg.per_element)
     if method == "classes":
-        return counting.count_burnside_classes(group, k, ceiling=cfg.precision_ceiling)
+        return counting.count_burnside_classes(group, k)
     if method == "formula":
-        return counting.count_formula_general(
-            group, catalog.exponents(spec), k, ceiling=cfg.precision_ceiling
-        )
+        return counting.count_formula_general(group, catalog.exponents(spec), k)
     if method == "oracle":
         start = time.perf_counter()
         value = oracle.orbit_count_bruteforce(group, k, cap=cfg.oracle_cap)
@@ -131,6 +130,8 @@ def run_count(spec: GroupSpec, k: int, method: str, cfg: _Config) -> counting.Co
 
 def cmd_count(args) -> int:
     cfg = _Config(args)
+    if cfg.per_element and args.method != "burnside":
+        raise SpecInvalid(f"--per-element applies to --method burnside, not {args.method}")
     spec = _spec_from_args(args)
     report = run_count(spec, args.k, args.method, cfg)
     _emit(report, cfg)
@@ -153,7 +154,7 @@ def cmd_census(args) -> int:
     if not spec.buildable:
         raise SpecInvalid(f"{spec.label()} has no build path, so no census")
     group = cfg.group(spec)
-    rows = counting.torsion_census(group, ceiling=cfg.precision_ceiling)
+    rows = counting.torsion_census(group)
     if cfg.fmt == "json":
         payload = {
             "group": spec.label(),
@@ -161,29 +162,27 @@ def cmd_census(args) -> int:
             "order": group.order,
             "classes": [
                 {
-                    "rep": row.record.rep_index,
-                    "size": row.record.class_size,
-                    "centralizer": row.record.centralizer_order,
-                    "rank": row.rank,
-                    "torsion_order": row.torsion_order,
+                    "rep": rec.rep_index,
+                    "size": rec.class_size,
+                    "centralizer": rec.centralizer_order,
+                    "rank": rec.rank,
+                    "torsion_order": rec.torsion_order,
                 }
-                for row in rows
+                for rec in rows
             ],
         }
         print(json.dumps(payload))
     elif cfg.fmt == "csv":
         print("rep,size,centralizer,rank,torsion_order")
-        for row in rows:
-            rec = row.record
+        for rec in rows:
             print(f"{rec.rep_index},{rec.class_size},{rec.centralizer_order},"
-                  f"{row.rank},{row.torsion_order}")
+                  f"{rec.rank},{rec.torsion_order}")
     else:
         print(f"group {spec.label()}  order {group.order}  classes {len(rows)}")
         print(f"{'rep':>8} {'size':>8} {'centralizer':>12} {'rank':>5} {'|A_w|':>8}")
-        for row in rows:
-            rec = row.record
+        for rec in rows:
             print(f"{rec.rep_index:>8} {rec.class_size:>8} "
-                  f"{rec.centralizer_order:>12} {row.rank:>5} {row.torsion_order:>8}")
+                  f"{rec.centralizer_order:>12} {rec.rank:>5} {rec.torsion_order:>8}")
         torsion = [r for r in rows if r.torsion_order > 1]
         print(f"torsion classes: {len(torsion)}")
     return EXIT_OK
@@ -338,8 +337,6 @@ def _add_common(parser) -> None:
                         help="omit elapsed times for byte-identical output")
     parser.add_argument("--closure-cap", type=int, default=10 ** 8)
     parser.add_argument("--oracle-cap", type=int, default=oracle.DEFAULT_POINT_CAP)
-    parser.add_argument("--precision-ceiling", type=int,
-                        default=counting.DEFAULT_PRECISION_CEILING)
 
 
 def _add_group_args(parser) -> None:
@@ -411,6 +408,9 @@ def main(argv=None) -> int:
     except _CAP_ERRORS as exc:
         _report_error(exc)
         return EXIT_CAP
+    except RepcountError as exc:
+        _report_error(exc)
+        return EXIT_INTERNAL
 
 
 def _report_error(exc: RepcountError) -> None:

@@ -4,11 +4,11 @@ All engines count orbits of a finite matrix group W acting on (Z/p^k)^l and
 must agree exactly; they differ in what they sum.  ``count_burnside_full``
 computes fixed-point counts directly from Smith forms at precision k;
 ``count_burnside_classes`` decomposes each count as p^(k*rank) times the
-torsion contribution, with the torsion resolved adaptively at whatever
-precision separates it from the free part; ``count_formula_general``
-replaces the torsion-free bulk with the exponent product and only sums
-corrections over the torsion classes.  Counts are arbitrary-precision ints
-throughout.
+torsion contribution, both read off the complete class records (the torsion
+at precision max(M, v_p(d) + 1) for an element of order d, which always
+separates it from the free part); ``count_formula_general`` replaces the
+torsion-free bulk with the exponent product and only sums corrections over
+the torsion classes.  Counts are arbitrary-precision ints throughout.
 """
 
 from __future__ import annotations
@@ -22,12 +22,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .catalog import ExponentList
-from .errors import NonIntegralCount, PrecisionCeiling, PrecisionTooLow
-from .groups import ConjugacyClassRecord, FiniteMatrixGroup
-from .linalg import kernel_size_raw, smith_valuations_raw
-from .modp import SATURATED
-
-DEFAULT_PRECISION_CEILING = 16
+from .errors import InvariantViolation, NonIntegralCount, PrecisionTooLow
+from .groups import FiniteMatrixGroup
+from .linalg import kernel_size_raw
+from .modp import int_valuation
 
 
 @dataclass
@@ -43,11 +41,15 @@ class CountReport:
     elapsed: Optional[float] = None
 
     def __post_init__(self):
-        assert self.count >= 1
+        if self.count < 1:
+            raise InvariantViolation(f"orbit count {self.count} is below 1")
         if self.breakdown is not None:
             total = sum(size * fixed for _, size, fixed in self.breakdown)
             order = sum(size for _, size, _ in self.breakdown)
-            assert total == order * self.count
+            if total != order * self.count:
+                raise InvariantViolation(
+                    f"breakdown sums to {total}, not |W| * count = {order * self.count}"
+                )
 
     def to_json_dict(self, include_timing: bool = True) -> dict:
         out = {
@@ -94,16 +96,6 @@ def _check_precision(group: FiniteMatrixGroup, k: int) -> None:
         )
 
 
-def _diff_rows_mod(group: FiniteMatrixGroup, index: int, k: int) -> tuple:
-    """w - I mod p^k for element ``index``, evaluated at precision k."""
-    pk = group.modulus.p ** k
-    rows = group.element_rows_at(index, k)
-    return tuple(
-        tuple((x - (1 if i == j else 0)) % pk for j, x in enumerate(row))
-        for i, row in enumerate(rows)
-    )
-
-
 def count_burnside_full(
     group: FiniteMatrixGroup,
     k: int,
@@ -130,7 +122,7 @@ def count_burnside_full(
         breakdown = []
         total = 0
         for rec in group.conjugacy_classes():
-            fixed = kernel_size_raw(_diff_rows_mod(group, rec.rep_index, k), p, k)
+            fixed = kernel_size_raw(group.diff_rows_at(rec.rep_index, k), p, k)
             breakdown.append((rec.rep_index, rec.class_size, fixed))
             total += rec.class_size * fixed
     if total % group.order != 0:
@@ -146,51 +138,12 @@ def count_burnside_full(
     )
 
 
-def resolve_torsion(
-    group: FiniteMatrixGroup,
-    record: ConjugacyClassRecord,
-    ceiling: int = DEFAULT_PRECISION_CEILING,
-) -> tuple:
-    """Valuations of the torsion part of Coker(w - I), raising precision as needed.
-
-    At a precision that separates torsion from the free kernel part, the
-    count of saturated Smith valuations of w - I equals the fixed-space rank
-    and the remaining positive valuations are exactly the torsion.  Starts
-    at threshold + 2 and walks up until that happens.
-    """
-    if record.torsion_vals is not None:
-        return record.torsion_vals
-    p = group.modulus.p
-    m = group.modulus.threshold + 2
-    while m <= ceiling:
-        pm = p ** m
-        rows = group.element_rows_at(record.rep_index, m)
-        diff = tuple(
-            tuple((x - (1 if i == j else 0)) % pm for j, x in enumerate(row))
-            for i, row in enumerate(rows)
-        )
-        vals = smith_valuations_raw(diff, p, m)
-        if sum(1 for e in vals if e is SATURATED) == record.rank:
-            record.torsion_vals = tuple(
-                e for e in vals if e is not SATURATED and e > 0
-            )
-            return record.torsion_vals
-        m += 1
-    raise PrecisionCeiling(
-        f"torsion of class at index {record.rep_index} unresolved below M={ceiling}"
-    )
-
-
 def torsion_contribution(p: int, torsion_vals: Sequence[int], k: int) -> int:
     """|A/p^k A| for A with the given cyclic-factor valuations."""
     return p ** sum(min(e, k) for e in torsion_vals)
 
 
-def count_burnside_classes(
-    group: FiniteMatrixGroup,
-    k: int,
-    ceiling: int = DEFAULT_PRECISION_CEILING,
-) -> CountReport:
+def count_burnside_classes(group: FiniteMatrixGroup, k: int) -> CountReport:
     """Classwise Burnside count with fixed points split as rank times torsion."""
     _check_precision(group, k)
     start = time.perf_counter()
@@ -198,8 +151,7 @@ def count_burnside_classes(
     total = 0
     breakdown = []
     for rec in group.conjugacy_classes():
-        tors = resolve_torsion(group, rec, ceiling)
-        fixed = p ** (k * rec.rank) * torsion_contribution(p, tors, k)
+        fixed = p ** (k * rec.rank) * torsion_contribution(p, rec.torsion_vals, k)
         breakdown.append((rec.rep_index, rec.class_size, fixed))
         total += rec.class_size * fixed
     if total % group.order != 0:
@@ -215,47 +167,26 @@ def count_burnside_classes(
     )
 
 
-@dataclass
-class CensusRow:
-    """One conjugacy class annotated with rank and torsion order."""
-
-    record: ConjugacyClassRecord
-    rank: int
-    torsion_order: int
-
-
-def torsion_census(
-    group: FiniteMatrixGroup,
-    ceiling: int = DEFAULT_PRECISION_CEILING,
-) -> list:
-    """Annotate every class with |A_w|; rows with |A_w| > 1 drive the corrections.
+def torsion_census(group: FiniteMatrixGroup) -> list:
+    """Every class record; those with |A_w| > 1 drive the corrections.
 
     Postcondition: every |A_w| divides the p-part of |W|.
     """
     p = group.modulus.p
-    p_part = p ** _p_adic_valuation(group.order, p)
-    rows = []
-    for rec in group.conjugacy_classes():
-        tors = resolve_torsion(group, rec, ceiling)
-        a_order = p ** sum(tors)
-        assert p_part % a_order == 0, (
-            f"|A_w| = {a_order} does not divide the p-part {p_part} of |W|"
-        )
-        rows.append(CensusRow(record=rec, rank=rec.rank, torsion_order=a_order))
-    return rows
+    p_part = p ** int_valuation(group.order, p)
+    records = group.conjugacy_classes()
+    for rec in records:
+        if p_part % rec.torsion_order != 0:
+            raise InvariantViolation(
+                f"|A_w| = {rec.torsion_order} of class at index {rec.rep_index} "
+                f"does not divide the p-part {p_part} of |W|"
+            )
+    return list(records)
 
 
-def torsion_classes(group: FiniteMatrixGroup, ceiling: int = DEFAULT_PRECISION_CEILING) -> list:
-    """The census rows with nontrivial torsion."""
-    return [row for row in torsion_census(group, ceiling) if row.torsion_order > 1]
-
-
-def _p_adic_valuation(n: int, p: int) -> int:
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
+def torsion_classes(group: FiniteMatrixGroup) -> list:
+    """The class records with nontrivial torsion."""
+    return [rec for rec in torsion_census(group) if rec.torsion_order > 1]
 
 
 def solomon_sum(group: FiniteMatrixGroup, k: int) -> int:
@@ -270,7 +201,6 @@ def count_formula_general(
     group: FiniteMatrixGroup,
     exps: ExponentList,
     k: int,
-    ceiling: int = DEFAULT_PRECISION_CEILING,
 ) -> CountReport:
     """Exponent-product count plus torsion-class corrections.
 
@@ -281,8 +211,7 @@ def count_formula_general(
     start = time.perf_counter()
     p = group.modulus.p
     total = math.prod(m + p ** k for m in exps)
-    for row in torsion_classes(group, ceiling):
-        rec = row.record
+    for rec in torsion_classes(group):
         t_k = torsion_contribution(p, rec.torsion_vals, k)
         total += rec.class_size * p ** (k * rec.rank) * (t_k - 1)
     if total % group.order != 0:

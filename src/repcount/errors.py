@@ -65,8 +65,8 @@ class NonIntegralResult(RepcountError):
     """A closed-form evaluation did not come out integral."""
 
 
-class PrecisionCeiling(RepcountError):
-    """Torsion resolution hit the configured precision bound without stabilizing."""
+class InvariantViolation(RepcountError):
+    """A structural invariant of a group, class table or count failed (internal error)."""
 
 
 class SpaceTooLarge(RepcountError):

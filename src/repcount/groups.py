@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     CapExceeded,
+    InvariantViolation,
     NonIntegralRank,
     PrecisionTooLow,
     UnfaithfulReduction,
@@ -27,7 +28,7 @@ from .linalg import (
     mat_mul_raw,
     smith_valuations_raw,
 )
-from .modp import Modulus
+from .modp import SATURATED, Modulus, int_valuation
 
 DEFAULT_CLOSURE_CAP = 10 ** 8
 
@@ -57,14 +58,14 @@ def _keys(batch: np.ndarray, pM: int):
     return (blob[t * step:(t + 1) * step] for t in range(batch.shape[0]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConjugacyClassRecord:
     """One conjugacy class with its fixed-space data.
 
-    ``torsion_vals`` holds the valuations of the finite part of the cokernel
-    of (w - I); it is None while the group's own precision cannot separate
-    those valuations from the free part, in which case the counting layer
-    re-resolves at higher precision.
+    ``smith_vals`` are the Smith valuations of (w - I) at the group's
+    precision.  ``torsion_vals`` are the valuations of the finite part of
+    Coker(w - I), read at a precision that always separates them from the
+    free part (see ``FiniteMatrixGroup.conjugacy_classes``).
     """
 
     rep_index: int
@@ -74,13 +75,12 @@ class ConjugacyClassRecord:
     element_order: int
     rank: int
     smith_vals: SmithValuations
-    torsion_vals: Optional[tuple]
+    torsion_vals: tuple
 
-    def torsion_order(self) -> Optional[int]:
-        if self.torsion_vals is None:
-            return None
-        p = self.representative.modulus.p
-        return p ** sum(self.torsion_vals)
+    @property
+    def torsion_order(self) -> int:
+        """|A_w|, the order of the torsion of Coker(w - I)."""
+        return self.representative.modulus.p ** sum(self.torsion_vals)
 
 
 class FiniteMatrixGroup:
@@ -129,9 +129,6 @@ class FiniteMatrixGroup:
     def __contains__(self, mat: SquareMatrix) -> bool:
         return self._encode_rows(mat.rows) in self._keys
 
-    def key_of(self, i: int) -> bytes:
-        return self._key_list[i]
-
     def word(self, i: int) -> list:
         """Generator indices whose left-to-right product is element i."""
         out = []
@@ -173,6 +170,14 @@ class FiniteMatrixGroup:
         for gi in self.word(i):
             acc = mat_mul_raw(acc, gens[gi], target.pM)
         return acc
+
+    def diff_rows_at(self, i: int, m: int) -> tuple:
+        """w - I mod p^m for element i, evaluated at precision m."""
+        pm = self.modulus.p ** m
+        return tuple(
+            tuple((x - (r == c)) % pm for c, x in enumerate(row))
+            for r, row in enumerate(self.element_rows_at(i, m))
+        )
 
     def store_at(self, n: int) -> np.ndarray:
         """Every element mod p^n, as an (N, l, l) array in store order.
@@ -238,12 +243,14 @@ class FiniteMatrixGroup:
             acc = mat_mul_raw(acc, base, pM)
             d += 1
             if d > self.order:
-                raise AssertionError("element order exceeds group order")
+                raise InvariantViolation(f"element {i} has order above |W|={self.order}")
         return d, trace_sum % pM
 
     def rank_of(self, i: int) -> int:
         """Fixed-space rank of element i, lifting precision when needed."""
-        d, trace_sum = self._order_and_trace_sum(i)
+        return self._rank(i, *self._order_and_trace_sum(i))
+
+    def _rank(self, i: int, d: int, trace_sum: int) -> int:
         p, M = self.modulus.p, self.modulus.M
         if p ** M > d * self.dim:
             return _rank_from_trace_sum(trace_sum, d, self.dim, p ** M)
@@ -258,27 +265,38 @@ class FiniteMatrixGroup:
 
         Orbit BFS under conjugation by the generators; the representative is
         the byte-lexicographically smallest member.  Cached after first call.
+
+        The torsion of Coker(w - I) is killed by the order d of w: the norm
+        1 + w + ... + w^(d-1) kills the image of w - I and maps the cokernel
+        into the torsion-free fixed lattice.  So every torsion valuation is
+        at most v_p(d), and at precision m = max(M, v_p(d) + 1) the Smith
+        valuations of w - I are ``rank`` saturated ones, zeros and exactly the
+        torsion valuations.  Above M the representative is lifted by its word.
         """
         if self._classes is not None:
             return self._classes
         members_per_class, class_of = self._partition()
         records = []
-        ident_rows = SquareMatrix.identity(self.dim, self.modulus).rows
-        pM = self.modulus.pM
+        p, M = self.modulus.p, self.modulus.M
         for members in members_per_class:
             rep = min(members, key=lambda j: self._key_list[j])
             size = len(members)
             if self.order % size != 0:
-                raise AssertionError("class size does not divide group order")
-            d, _ = self._order_and_trace_sum(rep)
-            rank = self.rank_of(rep)
-            diff = tuple(
-                tuple((x - y) % pM for x, y in zip(r1, r2))
-                for r1, r2 in zip(self.element_rows(rep), ident_rows)
-            )
-            vals = smith_valuations_raw(diff, self.modulus.p, self.modulus.M)
+                raise InvariantViolation(
+                    f"class of element {rep} has size {size}, not dividing |W|={self.order}"
+                )
+            d, trace_sum = self._order_and_trace_sum(rep)
+            rank = self._rank(rep, d, trace_sum)
+            vals = smith_valuations_raw(self.diff_rows_at(rep, M), p, M)
             sv = SmithValuations(tuple(vals), self.modulus)
-            torsion = sv.finite_positive() if sv.saturated_count() == rank else None
+            m = max(M, int_valuation(d, p) + 1)
+            if m > M:
+                vals = smith_valuations_raw(self.diff_rows_at(rep, m), p, m)
+            if sum(1 for e in vals if e is SATURATED) != rank:
+                raise InvariantViolation(
+                    f"element {rep} of order {d}: Smith form mod {p}^{m} does not "
+                    f"separate its torsion from its rank-{rank} fixed space"
+                )
             records.append(
                 ConjugacyClassRecord(
                     rep_index=rep,
@@ -288,10 +306,11 @@ class FiniteMatrixGroup:
                     element_order=d,
                     rank=rank,
                     smith_vals=sv,
-                    torsion_vals=torsion,
+                    torsion_vals=tuple(e for e in vals if e is not SATURATED and e > 0),
                 )
             )
-        assert sum(r.class_size for r in records) == self.order
+        if sum(r.class_size for r in records) != self.order:
+            raise InvariantViolation(f"class sizes do not sum to |W|={self.order}")
         self._classes = records
         self._class_of = class_of
         return records

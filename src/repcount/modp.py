@@ -114,20 +114,20 @@ class Residue:
         return f"{self.value} (mod {self.modulus.p}^{self.modulus.M})"
 
 
-def valuation_int(value: int, p: int, M: int) -> Optional[int]:
-    """p-adic valuation of a canonical representative, SATURATED once it reaches M."""
-    if value % p ** M == 0:
-        return SATURATED
+def int_valuation(n: int, p: int) -> int:
+    """Largest e with p^e | n, for a nonzero integer n."""
     e = 0
-    while value % p == 0:
-        value //= p
+    while n % p == 0:
+        n //= p
         e += 1
     return e
 
 
 def valuation(x: Residue) -> Optional[int]:
     """Largest e with p^e | x, or SATURATED when that exceeds the precision."""
-    return valuation_int(x.value, x.modulus.p, x.modulus.M)
+    if x.value % x.modulus.pM == 0:
+        return SATURATED
+    return int_valuation(x.value, x.modulus.p)
 
 
 def invert(x: Residue) -> Residue:

@@ -110,7 +110,7 @@ def test_acceptance_05_torsion_censuses(exceptional_groups):
     for name, group in exceptional_groups.items():
         rows = torsion_classes(group)
         got = sorted(
-            (r.record.class_size, r.torsion_order, r.record.centralizer_order)
+            (r.class_size, r.torsion_order, r.centralizer_order)
             for r in rows
         )
         assert got == sorted(expected[name]), name

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from repcount import catalog
+from repcount import catalog, counting
 from repcount.cli import main
+from repcount.errors import NonIntegralCount
 
 
 def run(capsys, *argv):
@@ -295,3 +296,30 @@ def test_crosscheck_large_prime(capsys, spec):
     payload = json.loads(out)
     assert code == 0 and payload["pass"]
     assert len(payload["checks"][1]["counts"]) >= 3
+
+
+@pytest.mark.parametrize("method", ["classes", "formula"])
+def test_per_element_requires_burnside(capsys, method):
+    code, out, err = run(capsys, "count", "--group", "g12", "--k", "2", "--method",
+                         method, "--per-element")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "SpecInvalid"
+
+
+def test_precision_ceiling_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--group", "g12", "--k", "1", "--precision-ceiling", "16"])
+    assert exc.value.code == 2
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    # an internal invariant failure must not read as exit 1 ("divergence")
+    def broken(group, k):
+        raise NonIntegralCount(f"class sum not divisible by |W|={group.order}")
+
+    monkeypatch.setattr(counting, "count_burnside_classes", broken)
+    code, out, err = run(capsys, "count", "--group", "g12", "--k", "1",
+                         "--method", "classes")
+    assert code == 4 and out == ""
+    assert json.loads(err) == {"error": "NonIntegralCount",
+                               "message": "class sum not divisible by |W|=48"}

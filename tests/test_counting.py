@@ -15,12 +15,11 @@ from repcount.counting import (
     count_burnside_classes,
     count_burnside_full,
     count_formula_general,
-    resolve_torsion,
     solomon_sum,
     torsion_census,
     torsion_classes,
 )
-from repcount.errors import PrecisionTooLow
+from repcount.errors import InvariantViolation, PrecisionTooLow
 from repcount.formulas import theorem_c
 from repcount.groups import close
 from repcount.linalg import SquareMatrix, kernel_size, smith_valuations
@@ -95,7 +94,7 @@ def test_three_way_agreement(exceptional_groups):
 def test_resolve_torsion_g29(g29):
     # exactly one class carries torsion; it is a single factor of valuation 1
     recs = g29.conjugacy_classes()
-    tors = [rec for rec in recs if resolve_torsion(g29, rec)]
+    tors = [rec for rec in recs if rec.torsion_vals]
     assert len(tors) == 1
     assert tors[0].torsion_vals == (1,)
     assert tors[0].class_size == 384
@@ -106,7 +105,7 @@ def test_resolve_torsion_identity(g24):
     recs = g24.conjugacy_classes()
     ident = [rec for rec in recs if rec.class_size == 1 and rec.rank == 3]
     assert len(ident) == 1
-    assert resolve_torsion(g24, ident[0]) == ()
+    assert ident[0].torsion_vals == ()
 
 
 def test_g24_table_of_smith_diagonals(g24):
@@ -149,7 +148,7 @@ def test_torsion_census_exact(exceptional_groups):
     for name, group in exceptional_groups.items():
         rows = torsion_classes(group)
         got = sorted(
-            (r.record.class_size, r.torsion_order, r.record.centralizer_order)
+            (r.class_size, r.torsion_order, r.centralizer_order)
             for r in rows
         )
         assert got == sorted(expected[name]), name
@@ -158,7 +157,7 @@ def test_torsion_census_exact(exceptional_groups):
 def test_census_covers_every_class(g24):
     rows = torsion_census(g24)
     assert len(rows) == len(g24.conjugacy_classes())
-    assert sum(r.record.class_size for r in rows) == g24.order
+    assert sum(r.class_size for r in rows) == g24.order
 
 
 def test_formula_general_g31(g31):
@@ -190,7 +189,7 @@ def test_formula_general_rational_form(g24):
         for m in exps:
             total *= Fraction(m + p ** k, m + 1)
         for rec in g24.conjugacy_classes():
-            tors = resolve_torsion(g24, rec)
+            tors = rec.torsion_vals
             if not tors:
                 continue
             t_k = p ** sum(min(e, k) for e in tors)
@@ -256,5 +255,5 @@ def test_report_serialization(g12):
 
 
 def test_report_invariant_checked():
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantViolation):
         CountReport("x", 3, 1, "burnside", 2, breakdown=[(0, 4, 3)])

@@ -10,8 +10,8 @@ from repcount.errors import (
     UnfaithfulReduction,
 )
 from repcount.groups import close, rank_fixed_space
-from repcount.linalg import SquareMatrix
-from repcount.modp import SATURATED, Modulus
+from repcount.linalg import SquareMatrix, smith_valuations_raw
+from repcount.modp import SATURATED, Modulus, int_valuation
 
 
 def mat(rows, p, M):
@@ -126,11 +126,10 @@ def test_rank_fixed_space_precision_error():
 
 
 def test_rank_matches_smith_rank(g24):
-    # With torsion fully separated at the working precision, the saturated
-    # count of the Smith form is exactly the fixed-space rank.
+    # At M0 = 6 every torsion of g24 is separated from the free part, so the
+    # saturated count of the Smith form is exactly the fixed-space rank.
     for rec in g24.conjugacy_classes():
-        if rec.torsion_vals is not None:
-            assert rec.smith_vals.saturated_count() == rec.rank
+        assert rec.smith_vals.saturated_count() == rec.rank
         units = sum(1 for e in rec.smith_vals.vals
                     if e is not SATURATED and e == 0)
         tors = len(rec.smith_vals.finite_positive())
@@ -207,3 +206,18 @@ def test_object_dtype_store(spec, small):
     assert h.store_at(h.modulus.M).dtype == np.int64
     assert sorted((r.class_size, r.rank) for r in g.conjugacy_classes()) == \
            sorted((r.class_size, r.rank) for r in h.conjugacy_classes())
+
+
+def test_torsion_read_at_precision_derived_from_element_order(exceptional_groups):
+    # The torsion of Coker(w - I) is killed by the order d of w, so each
+    # valuation is at most v_p(d); an independent lift well above the derived
+    # precision v_p(d) + 1 must find the same torsion.
+    groups = list(exceptional_groups.values())
+    groups.append(build(parse_spec("family2a:m=4,s=1,n=5,p=5")))
+    for group in groups:
+        p = group.modulus.p
+        for rec in group.conjugacy_classes():
+            v = int_valuation(rec.element_order, p)
+            assert max(rec.torsion_vals, default=0) <= v
+            vals = smith_valuations_raw(group.diff_rows_at(rec.rep_index, v + 4), p, v + 4)
+            assert rec.torsion_vals == tuple(e for e in vals if e is not SATURATED and e > 0)

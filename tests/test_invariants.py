@@ -2,18 +2,21 @@
 low-precision adaptive paths, and broader property sweeps."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import repcount
 from repcount.catalog import GroupSpec, build, exponents, monomial_generators
 from repcount.counting import (
     count_burnside_full,
-    resolve_torsion,
     solomon_sum,
     torsion_classes,
 )
-from repcount.errors import CapExceeded, PrecisionCeiling
+from repcount.errors import CapExceeded
 from repcount.formulas import theorem_a
 from repcount.grassmannian import enumerate_distinguished, theorem_b
 from repcount.groups import close
@@ -70,7 +73,7 @@ def test_record_invariant_all_groups(exceptional_groups):
         for rec in group.conjugacy_classes():
             units = sum(1 for e in rec.smith_vals.vals
                         if e is not SATURATED and e == 0)
-            tors = len(resolve_torsion(group, rec))
+            tors = len(rec.torsion_vals)
             assert rec.rank + tors + units == group.dim
             assert rec.class_size * rec.centralizer_order == group.order
 
@@ -97,21 +100,19 @@ def test_solomon_identity_monomial_groups():
             assert solomon_sum(group, k) == rhs
 
 
-def test_low_precision_build_resolves_torsion_by_lifting():
+def test_low_precision_build_resolves_torsion_by_lifting(g24):
+    # at 2^2 the |A| = 4 class is not separated by the group's own precision
     g = build(GroupSpec("g24"), Modulus(2, 2))
     assert g.order == 336
-    unresolved = [rec for rec in g.conjugacy_classes() if rec.torsion_vals is None]
-    assert len(unresolved) == 1  # the |A| = 4 class needs more than two digits
     rows = torsion_classes(g)
-    got = sorted((r.record.class_size, r.torsion_order) for r in rows)
+    got = sorted((r.class_size, r.torsion_order) for r in rows)
     assert got == [(1, 8), (21, 2), (42, 4), (56, 2)]
 
+    def triples(group):
+        return sorted((r.class_size, r.rank, r.torsion_vals)
+                      for r in group.conjugacy_classes())
 
-def test_precision_ceiling_error():
-    g = build(GroupSpec("g24"), Modulus(2, 2))
-    rec = [r for r in g.conjugacy_classes() if r.torsion_vals is None][0]
-    with pytest.raises(PrecisionCeiling):
-        resolve_torsion(g, rec, ceiling=3)
+    assert triples(g) == triples(g24)
 
 
 def test_low_precision_counts_agree(g24):
@@ -202,3 +203,35 @@ def test_high_precision_build_counts():
     assert g.order == 7680
     assert count_burnside_classes(g, 4).count == theorem_c("x29", 4)
     assert count_burnside_full(g, 4).count == theorem_c("x29", 4)
+
+
+_BROKEN_INVARIANTS = """
+from repcount import catalog
+from repcount.counting import CountReport
+from repcount.errors import InvariantViolation
+
+def wrong_order(spec):
+    return 47
+
+cases = [
+    lambda: CountReport("g", 3, 1, "x", 0),
+    lambda: CountReport("g", 3, 1, "x", 5, breakdown=[(0, 1, 7)]),
+    lambda: catalog.build(catalog.parse_spec("g12")),
+]
+catalog.GroupSpec.expected_order = property(wrong_order)
+for n, case in enumerate(cases):
+    try:
+        case()
+    except InvariantViolation:
+        continue
+    raise SystemExit(f"case {n} accepted")
+"""
+
+
+def test_invariants_are_typed_errors_under_python_O():
+    # assert statements vanish under -O; the typed checks must not
+    src = os.path.dirname(os.path.dirname(repcount.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_INVARIANTS],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
