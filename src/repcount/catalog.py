@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvariantViolation, NotFactorable, SpecInvalid
-from .groups import FiniteMatrixGroup, close
+from .groups import DEFAULT_CLOSURE_CAP, FiniteMatrixGroup, close
 from .linalg import SquareMatrix
 from .modp import Modulus, hensel_lift, invert, is_prime, mth_root_of_unity, teichmuller
 
@@ -106,13 +106,12 @@ class GroupSpec:
         """Default precision M0 at which the group is closed.
 
         M0 is above the faithfulness threshold and mostly leaves headroom for
-        trace-averaged ranks (p^M must exceed element order times the rank;
-        a rank it misses is recovered by lifting in ``rank_of``).  Torsion
-        needs nothing from it: each class reads its torsion at
-        max(M0, v_p(d) + 1).  The values stay fixed because the canonical
-        class representatives and the Smith diagonals of the ``classes``
-        table are read at M0.  Every buildable non-exceptional spec has an
-        odd p, so its M0 is 3.
+        trace-averaged ranks: a class of element order d is read once, at
+        the least m >= M0 with p^m > d * l, which also separates its torsion,
+        so a class that M0 misses costs one lift of its representative.  The
+        values stay fixed because the canonical class representatives and
+        the Smith diagonals of the ``classes`` table are read at M0.  Every
+        buildable non-exceptional spec has an odd p, so its M0 is 3.
         """
         return {"g12": 3, "g24": 6, "g29": 3, "g31": 3}.get(self.kind, 3)
 
@@ -153,6 +152,8 @@ def parse_spec(text: str) -> GroupSpec:
         key = key.strip()
         if key not in allowed:
             raise SpecInvalid(f"unknown parameter {key!r} in {text!r}")
+        if key in params:
+            raise SpecInvalid(f"parameter {key!r} given twice in {text!r}")
         try:
             params[key] = int(val)
         except ValueError:
@@ -169,7 +170,8 @@ def _g12_generators(modulus: Modulus) -> list:
     omega = hensel_lift([3, 4, 4], 0, 1, modulus)  # 4x^2 + 4x + 3
     sqrt_m2 = modulus.residue(2 * omega.value + 1)
     omega_bar = -(modulus.residue(1) + omega)
-    assert omega_bar.value % 3 == 2
+    if omega_bar.value % 3 != 2:
+        raise InvariantViolation(f"omega_bar = {omega_bar} is not 2 mod 3")
     half = invert(modulus.residue(2))
     inv_sqrt = invert(sqrt_m2)
     mk = lambda rows: SquareMatrix.from_rows(rows, modulus)
@@ -184,7 +186,8 @@ def _g12_generators(modulus: Modulus) -> list:
 def _g24_generators(modulus: Modulus) -> list:
     alpha = hensel_lift([2, -1, 1], 3, 3, modulus)  # x^2 - x + 2, root = 3 mod 8
     alpha_bar = modulus.residue(1 - alpha.value)
-    assert alpha_bar.value % min(8, modulus.pM) == 6 % min(8, modulus.pM)
+    if alpha_bar.value % min(8, modulus.pM) != 6 % min(8, modulus.pM):
+        raise InvariantViolation(f"alpha_bar = {alpha_bar} is not 6 mod 8")
     mk = lambda rows: SquareMatrix.from_rows(rows, modulus)
     return [
         mk([[-1, -alpha_bar.value, 1], [0, 1, 0], [0, 0, 1]]),
@@ -267,7 +270,7 @@ def generators(spec: GroupSpec, modulus: Modulus) -> list:
 
 
 def build(spec: GroupSpec, working_modulus: Optional[Modulus] = None,
-          cap: int = 10 ** 8) -> FiniteMatrixGroup:
+          cap: int = DEFAULT_CLOSURE_CAP) -> FiniteMatrixGroup:
     """Close the group for a spec at the given (or default) precision."""
     if not spec.buildable:
         raise SpecInvalid(f"{spec.label()} has no build path (no published matrices)")

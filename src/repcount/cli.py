@@ -24,6 +24,7 @@ from .errors import (
     SpaceTooLarge,
     SpecInvalid,
 )
+from .groups import DEFAULT_CLOSURE_CAP
 from .linalg import parse_matrix_text, smith_valuations
 from .modp import SATURATED
 
@@ -41,9 +42,9 @@ ALL_METHODS = GROUP_METHODS + ("theoremA", "theoremB", "theoremC", "domain")
 
 class _Config:
     def __init__(self, args):
-        self.closure_cap = args.closure_cap
-        self.oracle_cap = args.oracle_cap
-        self.fmt = getattr(args, "format", "text")
+        self.closure_cap = getattr(args, "closure_cap", None)
+        self.oracle_cap = getattr(args, "oracle_cap", None)
+        self.fmt = args.format
         self.timing = not getattr(args, "no_timing", False)
         self.per_element = getattr(args, "per_element", False)
         self._groups = {}
@@ -142,8 +143,13 @@ def _spec_from_args(args) -> GroupSpec:
     if getattr(args, "group", None):
         return parse_spec(args.group)
     if getattr(args, "m", None):
-        if args.n and args.n > 1:
-            return GroupSpec("family2a", m=args.m, s=args.s or 1, n=args.n, p=args.p)
+        s = 1 if args.s is None else args.s
+        n = 1 if args.n is None else args.n
+        if n >= 2:
+            return GroupSpec("family2a", m=args.m, s=s, n=n, p=args.p)
+        if (s, n) != (1, 1):
+            raise SpecInvalid(f"--s {s} --n {n}: G(m,s,n) needs n >= 2, and the "
+                              "flags without --n name the sphere G(m,1,1)")
         return GroupSpec("sphere", m=args.m, p=args.p)
     raise SpecInvalid("no group given: pass --group or the --m/--s/--n/--p flags")
 
@@ -331,11 +337,13 @@ def cmd_formula(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser) -> None:
-    parser.add_argument("--format", choices=("json", "csv", "text"), default="text")
+def _add_output(parser, formats=("json", "csv", "text")) -> None:
+    parser.add_argument("--format", choices=formats, default="text")
     parser.add_argument("--no-timing", action="store_true",
                         help="omit elapsed times for byte-identical output")
-    parser.add_argument("--closure-cap", type=int, default=10 ** 8)
+
+
+def _add_oracle_cap(parser) -> None:
     parser.add_argument("--oracle-cap", type=int, default=oracle.DEFAULT_POINT_CAP)
 
 
@@ -345,6 +353,7 @@ def _add_group_args(parser) -> None:
     parser.add_argument("--s", type=int)
     parser.add_argument("--n", type=int)
     parser.add_argument("--p", type=int)
+    parser.add_argument("--closure-cap", type=int, default=DEFAULT_CLOSURE_CAP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,28 +369,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--method", choices=ALL_METHODS, default="classes")
     p_count.add_argument("--per-element", action="store_true",
                          help="sum the Burnside method over every element")
-    _add_common(p_count)
+    _add_output(p_count)
+    _add_oracle_cap(p_count)
     p_count.set_defaults(func=cmd_count)
 
     p_census = sub.add_parser("census", help="per-class rank and torsion table")
     _add_group_args(p_census)
-    _add_common(p_census)
+    _add_output(p_census)
     p_census.set_defaults(func=cmd_census)
 
     p_classes = sub.add_parser("classes", help="conjugacy class table")
     _add_group_args(p_classes)
-    _add_common(p_classes)
+    _add_output(p_classes)
     p_classes.set_defaults(func=cmd_classes)
 
     p_cross = sub.add_parser("crosscheck", help="run all applicable methods and compare")
     _add_group_args(p_cross)
     p_cross.add_argument("--kmax", type=int, required=True)
-    _add_common(p_cross)
+    _add_output(p_cross, formats=("json", "text"))
+    _add_oracle_cap(p_cross)
     p_cross.set_defaults(func=cmd_crosscheck)
 
     p_snf = sub.add_parser("snf", help="Smith valuations of a matrix file")
     p_snf.add_argument("file")
-    _add_common(p_snf)
+    _add_output(p_snf, formats=("json", "text"))
     p_snf.set_defaults(func=cmd_snf)
 
     p_formula = sub.add_parser("formula", help="evaluate a closed form")
@@ -389,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_formula.add_argument("--exponents", help="comma-separated exponent list")
     p_formula.add_argument("--p", type=int)
     p_formula.add_argument("--k", type=int, required=True)
-    _add_common(p_formula)
+    _add_output(p_formula)
     p_formula.set_defaults(func=cmd_formula)
 
     return parser

@@ -38,11 +38,7 @@ class PrecisionTooLow(RepcountError):
 
 
 class CapExceeded(RepcountError):
-    """Group closure exceeded the configured element cap."""
-
-
-class UnfaithfulReduction(RepcountError):
-    """Reducing the modulus collapsed distinct group elements."""
+    """A group closure or a search exceeded its configured cap."""
 
 
 class NonIntegralRank(RepcountError):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Optional
 
-from .errors import SpaceTooLarge, SpecInvalid
+from .errors import InvariantViolation, SpaceTooLarge, SpecInvalid
 from .modp import Modulus, is_prime, mth_root_of_unity
 
 #: Orbit tables are materialized only up to this many points.
@@ -103,7 +103,8 @@ def build_orbits(m: int, s: int, p: int, k: int, root: Optional[int] = None) -> 
             elems.append(y)
             y = y * c % pk
         elems.sort()
-        assert len(elems) == m
+        if len(elems) != m:
+            raise InvariantViolation(f"orbit of {x} under c has {len(elems)} points, not m={m}")
         k_minima = []
         sub_seen = set()
         for e in elems:
@@ -117,11 +118,17 @@ def build_orbits(m: int, s: int, p: int, k: int, root: Optional[int] = None) -> 
                 y = y * cs % pk
             k_minima.append(min(sub))
         k_minima.sort()
-        assert len(k_minima) == s
+        if len(k_minima) != s:
+            raise InvariantViolation(
+                f"orbit of {x} splits into {len(k_minima)} c^s-orbits, not s={s}"
+            )
         nonzero.append(HOrbit(minimum=elems[0], elements=tuple(elems),
                               k_orbit_minima=tuple(k_minima)))
     nonzero.sort(key=lambda o: o.minimum)
-    assert len(nonzero) == (pk - 1) // m
+    if len(nonzero) != (pk - 1) // m:
+        raise InvariantViolation(
+            f"{len(nonzero)} nonzero orbits, not (p^k - 1)/m = {(pk - 1) // m}"
+        )
     return OrbitStructure(p=p, k=k, m=m, s=s, c=c, orbits=(zero_orbit, *nonzero))
 
 

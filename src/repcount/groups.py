@@ -15,20 +15,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    CapExceeded,
-    InvariantViolation,
-    NonIntegralRank,
-    PrecisionTooLow,
-    UnfaithfulReduction,
-)
+from .errors import CapExceeded, InvariantViolation, NonIntegralRank, PrecisionTooLow
 from .linalg import (
     SmithValuations,
     SquareMatrix,
     mat_mul_raw,
     smith_valuations_raw,
 )
-from .modp import SATURATED, Modulus, int_valuation
+from .modp import SATURATED, Modulus
 
 DEFAULT_CLOSURE_CAP = 10 ** 8
 
@@ -173,11 +167,7 @@ class FiniteMatrixGroup:
 
     def diff_rows_at(self, i: int, m: int) -> tuple:
         """w - I mod p^m for element i, evaluated at precision m."""
-        pm = self.modulus.p ** m
-        return tuple(
-            tuple((x - (r == c)) % pm for c, x in enumerate(row))
-            for r, row in enumerate(self.element_rows_at(i, m))
-        )
+        return _minus_identity(self.element_rows_at(i, m), self.modulus.p ** m)
 
     def store_at(self, n: int) -> np.ndarray:
         """Every element mod p^n, as an (N, l, l) array in store order.
@@ -204,61 +194,10 @@ class FiniteMatrixGroup:
             lo = hi
         return out
 
-    def reduce_modulus(self, n: int) -> "FiniteMatrixGroup":
-        """Entrywise reduction mod p^n; the element count must survive."""
-        if n > self.modulus.M:
-            raise PrecisionTooLow(f"cannot reduce {self.modulus} to exponent {n}")
-        if n == self.modulus.M:
-            return self
-        target = Modulus(self.modulus.p, n)
-        gens = self.generators_at(n)
-        store = self.store_at(n)
-        keys = {}
-        for i, key in enumerate(_keys(store, target.pM)):
-            if key in keys:
-                raise UnfaithfulReduction(
-                    f"elements collide mod {target.p}^{n} (order would drop)"
-                )
-            keys[key] = i
-        return FiniteMatrixGroup(
-            target, self.dim, gens, store, self._words, keys,
-            generator_factory=self.generator_factory, name=self.name,
-        )
-
     # -- orders, ranks, classes ---------------------------------------------
 
     def element_order(self, i: int) -> int:
-        return self._order_and_trace_sum(i)[0]
-
-    def _order_and_trace_sum(self, i: int):
-        """Order d of element i and sum of traces of its first d powers mod p^M."""
-        pM = self.modulus.pM
-        ident = SquareMatrix.identity(self.dim, self.modulus).rows
-        base = self.element_rows(i)
-        acc = base
-        trace_sum = self.dim  # trace of w^0
-        d = 1
-        while acc != ident:
-            trace_sum += sum(acc[j][j] for j in range(self.dim))
-            acc = mat_mul_raw(acc, base, pM)
-            d += 1
-            if d > self.order:
-                raise InvariantViolation(f"element {i} has order above |W|={self.order}")
-        return d, trace_sum % pM
-
-    def rank_of(self, i: int) -> int:
-        """Fixed-space rank of element i, lifting precision when needed."""
-        return self._rank(i, *self._order_and_trace_sum(i))
-
-    def _rank(self, i: int, d: int, trace_sum: int) -> int:
-        p, M = self.modulus.p, self.modulus.M
-        if p ** M > d * self.dim:
-            return _rank_from_trace_sum(trace_sum, d, self.dim, p ** M)
-        lift_M = M
-        while p ** lift_M <= d * self.dim:
-            lift_M += 1
-        rows = self.element_rows_at(i, lift_M)
-        return rank_fixed_space(SquareMatrix(rows, Modulus(p, lift_M)), d)
+        return _order_and_trace_sum(self.element_rows(i), self.modulus.pM, self.order)[0]
 
     def conjugacy_classes(self) -> list:
         """Partition into conjugacy classes with fixed-space annotations.
@@ -266,12 +205,16 @@ class FiniteMatrixGroup:
         Orbit BFS under conjugation by the generators; the representative is
         the byte-lexicographically smallest member.  Cached after first call.
 
-        The torsion of Coker(w - I) is killed by the order d of w: the norm
-        1 + w + ... + w^(d-1) kills the image of w - I and maps the cokernel
-        into the torsion-free fixed lattice.  So every torsion valuation is
-        at most v_p(d), and at precision m = max(M, v_p(d) + 1) the Smith
-        valuations of w - I are ``rank`` saturated ones, zeros and exactly the
-        torsion valuations.  Above M the representative is lifted by its word.
+        Each class is read once, at the least m >= M with p^m > d*l, where d
+        is the order of the representative w.  There the trace average over
+        <w> recovers the integer rank.  The torsion of Coker(w - I) is killed
+        by d: the norm 1 + w + ... + w^(d-1) kills the image of w - I and
+        maps the cokernel into the torsion-free fixed lattice.  So every
+        torsion valuation is at most v_p(d) < m (as d*l >= p^v_p(d)), and the
+        one Smith form of w - I mod p^m is ``rank`` saturated valuations,
+        zeros and exactly the torsion valuations.  Reduced mod p^M it is the
+        Smith form at the group's precision: valuations of M or more become
+        saturated.  Above M the representative is lifted once, by its word.
         """
         if self._classes is not None:
             return self._classes
@@ -285,18 +228,22 @@ class FiniteMatrixGroup:
                 raise InvariantViolation(
                     f"class of element {rep} has size {size}, not dividing |W|={self.order}"
                 )
-            d, trace_sum = self._order_and_trace_sum(rep)
-            rank = self._rank(rep, d, trace_sum)
-            vals = smith_valuations_raw(self.diff_rows_at(rep, M), p, M)
-            sv = SmithValuations(tuple(vals), self.modulus)
-            m = max(M, int_valuation(d, p) + 1)
+            rows = self.element_rows(rep)
+            d, trace_sum = _order_and_trace_sum(rows, self.modulus.pM, self.order)
+            m = M
+            while p ** m <= d * self.dim:
+                m += 1
             if m > M:
-                vals = smith_valuations_raw(self.diff_rows_at(rep, m), p, m)
+                rows = self.element_rows_at(rep, m)
+                _, trace_sum = _order_and_trace_sum(rows, p ** m, d)
+            rank = _rank_from_trace_sum(trace_sum, d, self.dim, p ** m)
+            vals = smith_valuations_raw(_minus_identity(rows, p ** m), p, m)
             if sum(1 for e in vals if e is SATURATED) != rank:
                 raise InvariantViolation(
                     f"element {rep} of order {d}: Smith form mod {p}^{m} does not "
                     f"separate its torsion from its rank-{rank} fixed space"
                 )
+            at_M = tuple(SATURATED if e is SATURATED or e >= M else e for e in vals)
             records.append(
                 ConjugacyClassRecord(
                     rep_index=rep,
@@ -305,7 +252,7 @@ class FiniteMatrixGroup:
                     centralizer_order=self.order // size,
                     element_order=d,
                     rank=rank,
-                    smith_vals=sv,
+                    smith_vals=SmithValuations(at_M, self.modulus),
                     torsion_vals=tuple(e for e in vals if e is not SATURATED and e > 0),
                 )
             )
@@ -324,13 +271,8 @@ class FiniteMatrixGroup:
         """(g, g^-1) for each generator; inverses by powering to order-1."""
         pairs = []
         for g in self.generators:
-            d = 1
-            acc = g
-            while not acc.is_identity():
-                acc = acc @ g
-                d += 1
-            ginv = SquareMatrix.identity(self.dim, self.modulus) if d == 1 else g ** (d - 1)
-            pairs.append((g, ginv))
+            d, _ = _order_and_trace_sum(g.rows, self.modulus.pM, self.order)
+            pairs.append((g, g ** (d - 1)))
         return pairs
 
     def _partition(self):
@@ -366,6 +308,31 @@ class FiniteMatrixGroup:
         return classes, class_of
 
 
+def _minus_identity(rows, pm: int) -> tuple:
+    return tuple(
+        tuple((x - (r == c)) % pm for c, x in enumerate(row)) for r, row in enumerate(rows)
+    )
+
+
+def _order_and_trace_sum(rows, pm: int, bound: int):
+    """Order d of a matrix mod pm and the sum of the traces of its first d powers, mod pm.
+
+    Raises InvariantViolation when the order exceeds ``bound``.
+    """
+    dim = len(rows)
+    ident = tuple(tuple(int(r == c) for c in range(dim)) for r in range(dim))
+    acc = rows
+    trace_sum = dim  # trace of w^0
+    d = 1
+    while acc != ident:
+        trace_sum += sum(acc[j][j] for j in range(dim))
+        acc = mat_mul_raw(acc, rows, pm)
+        d += 1
+        if d > bound:
+            raise InvariantViolation(f"matrix has order above {bound}")
+    return d, trace_sum % pm
+
+
 def _rank_from_trace_sum(trace_sum: int, d: int, dim: int, pM: int) -> int:
     # trace_sum is d * rank as an element of Z/p^M; with p^M > d*dim the
     # canonical representative recovers the integer exactly.
@@ -381,19 +348,15 @@ def rank_fixed_space(w: SquareMatrix, d: int) -> int:
 
     The sum of traces of w^j for j = 0..d-1 equals d times the fixed-space
     rank, so the rank is read off the canonical representative.  Requires
-    p^M > d*l so that the integer is recoverable.
+    p^M > d*l so that the integer is recoverable, and w^d = I.
     """
     pM = w.modulus.pM
     if pM <= d * w.dim:
         raise PrecisionTooLow(f"need p^M > {d * w.dim}, have {pM}")
-    acc = SquareMatrix.identity(w.dim, w.modulus)
-    trace_sum = 0
-    for _ in range(d):
-        trace_sum = (trace_sum + acc.trace()) % pM
-        acc = acc @ w
-    if not acc.is_identity():
-        raise ValueError(f"element order does not divide d={d}")
-    return _rank_from_trace_sum(trace_sum, d, w.dim, pM)
+    order, trace_sum = _order_and_trace_sum(w.rows, pM, d)
+    if d % order != 0:
+        raise InvariantViolation(f"element order {order} does not divide d={d}")
+    return _rank_from_trace_sum(trace_sum, order, w.dim, pM)
 
 
 def close(

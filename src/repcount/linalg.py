@@ -92,17 +92,6 @@ class SquareMatrix:
         m = Modulus(self.modulus.p, n)
         return SquareMatrix(tuple(tuple(x % m.pM for x in r) for r in self.rows), m)
 
-    def encode(self) -> bytes:
-        """Canonical byte form: fixed-width big-endian entries, row-major.
-
-        Byte-lexicographic order on encodings agrees with entrywise numeric
-        order, which fixes the canonical representative of a conjugacy class.
-        """
-        width = ((self.modulus.pM - 1).bit_length() + 7) // 8
-        return b"".join(
-            x.to_bytes(width, "big") for row in self.rows for x in row
-        )
-
     def is_identity(self) -> bool:
         return all(
             self.rows[i][j] == (1 if i == j else 0)

@@ -11,7 +11,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import (
+    CapExceeded,
     DivisibleByP,
+    InvariantViolation,
     ModulusMismatch,
     NotARoot,
     NotASimpleRoot,
@@ -170,9 +172,11 @@ def hensel_lift(coeffs: Sequence[int], r0: int, base_level: int, target: Modulus
         if fr == 0:
             break
         r = (r - fr * pow(_poly_eval(deriv, r, pM), -1, pM)) % pM
-    assert _poly_eval(coeffs, r, pM) == 0
+    if _poly_eval(coeffs, r, pM) != 0:
+        raise InvariantViolation(f"Newton iteration left f({r}) != 0 mod {p}^{M}")
     # the base congruence is only visible up to the working precision
-    assert (r - r0) % p ** min(base_level, M) == 0
+    if (r - r0) % p ** min(base_level, M) != 0:
+        raise InvariantViolation(f"lifted root {r} left the class of {r0} mod {p}^{base_level}")
     return Residue(r, target)
 
 
@@ -210,7 +214,7 @@ def smallest_primitive_root(p: int) -> int:
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
             return g
-    raise AssertionError(f"no primitive root mod {p}")
+    raise OrderUnavailable(f"no primitive root mod {p}")
 
 
 def mth_root_of_unity(m: int, target: Modulus) -> Residue:
@@ -238,5 +242,5 @@ def multiplicative_order(x: Residue, bound: int = 10 ** 6) -> int:
         acc = acc * x.value % x.modulus.pM
         n += 1
         if n > bound:
-            raise AssertionError("order exceeds bound")
+            raise CapExceeded(f"order of {x} exceeds bound {bound}")
     return n

@@ -79,9 +79,11 @@ def test_g12_generated_by_its_reflections(g12):
         if rec.element_order == 2 and rec.rank == g12.dim - 1
     ]
     assert reflections
+    records = g12.conjugacy_classes()
     regenerated = close(
         [g12.element(i) for i in range(g12.order)
-         if g12.element_order(i) > 1 and g12.rank_of(i) == g12.dim - 1]
+         if records[g12.class_of(i)].element_order > 1
+         and records[g12.class_of(i)].rank == g12.dim - 1]
     )
     assert regenerated.order == g12.order
 

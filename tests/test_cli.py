@@ -48,6 +48,41 @@ def test_count_flag_shorthand(capsys):
     assert json.loads(out)["count"] == "6"
 
 
+@pytest.mark.parametrize("flags", [
+    ["--m", "4", "--s", "3", "--p", "5"],   # 3 does not divide 4; n absent
+    ["--m", "4", "--s", "2", "--p", "5"],   # G(4,2,1) is not the sphere
+    ["--m", "4", "--s", "2", "--n", "1", "--p", "5"],
+    ["--m", "4", "--s", "0", "--n", "2", "--p", "5"],
+])
+def test_count_flags_are_not_rewritten(capsys, flags):
+    code, out, err = run(capsys, "count", *flags, "--k", "1", "--method", "theoremB")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "SpecInvalid"
+
+
+def test_duplicate_spec_key_is_a_spec_error(capsys):
+    code, out, err = run(capsys, "count", "--group", "family2a:m=3,s=1,n=2,p=7,p=13",
+                         "--k", "1", "--method", "theoremB")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "SpecInvalid"
+
+
+@pytest.mark.parametrize("argv", [
+    ["snf", "mat.txt", "--closure-cap", "5"],
+    ["snf", "mat.txt", "--oracle-cap", "5"],
+    ["snf", "mat.txt", "--format", "csv"],
+    ["formula", "--name", "x12", "--k", "1", "--closure-cap", "5"],
+    ["formula", "--name", "x12", "--k", "1", "--oracle-cap", "5"],
+    ["census", "--group", "g12", "--oracle-cap", "5"],
+    ["classes", "--group", "g12", "--oracle-cap", "5"],
+    ["crosscheck", "--group", "g12", "--kmax", "1", "--format", "csv"],
+])
+def test_knobs_that_change_nothing_are_gone(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_count_oracle(capsys):
     code, out, _ = run(capsys, "count", "--group", "g12", "--k", "1",
                        "--method", "oracle", "--format", "json", "--no-timing")

@@ -3,14 +3,11 @@
 import numpy as np
 import pytest
 
+from repcount import groups
 from repcount.catalog import build, parse_spec
-from repcount.errors import (
-    CapExceeded,
-    PrecisionTooLow,
-    UnfaithfulReduction,
-)
+from repcount.errors import CapExceeded, InvariantViolation, PrecisionTooLow
 from repcount.groups import close, rank_fixed_space
-from repcount.linalg import SquareMatrix, smith_valuations_raw
+from repcount.linalg import SmithValuations, SquareMatrix, smith_valuations_raw
 from repcount.modp import SATURATED, Modulus, int_valuation
 
 
@@ -77,6 +74,7 @@ def test_conjugacy_classes_s3():
     assert sum(r.class_size for r in recs) == 6
     for r in recs:
         assert r.class_size * r.centralizer_order == g.order
+        assert g.element_order(r.rep_index) == r.element_order
 
 
 def test_conjugacy_closed_under_generators():
@@ -136,20 +134,19 @@ def test_rank_matches_smith_rank(g24):
         assert rec.rank + tors + units == g24.dim
 
 
-def test_reduce_modulus_identity_precision(g29):
-    assert g29.reduce_modulus(g29.modulus.M) is g29
+def test_rank_fixed_space_order_must_divide_d():
+    cyc = mat([[0, 0, 1], [1, 0, 0], [0, 1, 0]], 7, 2)  # order 3
+    with pytest.raises(InvariantViolation):
+        rank_fixed_space(cyc, 2)
+    with pytest.raises(InvariantViolation):
+        rank_fixed_space(cyc, 4)
+    assert rank_fixed_space(cyc, 6) == 1
 
 
-def test_reduce_modulus_preserves_order(g29, g24):
-    assert g29.reduce_modulus(1).order == 7680
-    assert g24.reduce_modulus(2).order == 336
-
-
-def test_reduce_modulus_unfaithful():
-    g = close([mat([[1, 2], [0, 1]], 2, 2)])  # order 2, trivial mod 2
-    assert g.order == 2
-    with pytest.raises(UnfaithfulReduction):
-        g.reduce_modulus(1)
+def test_reduce_modulus_preserves_order():
+    # closing at the lowest faithful precision keeps every element distinct
+    assert build(parse_spec("g29"), Modulus(5, 1)).order == 7680
+    assert build(parse_spec("g24"), Modulus(2, 2)).order == 336
 
 
 def test_element_rows_at_lifts_via_words(g12):
@@ -208,16 +205,63 @@ def test_object_dtype_store(spec, small):
            sorted((r.class_size, r.rank) for r in h.conjugacy_classes())
 
 
+@pytest.mark.parametrize("spec,modulus", [
+    ("g12", None), ("g24", None), ("g24", Modulus(2, 2)), ("g29", Modulus(5, 1)),
+])
+def test_one_smith_form_and_at_most_one_lift_per_class(monkeypatch, spec, modulus):
+    group = build(parse_spec(spec), modulus)
+    smith_calls, lifts = [], []
+    smith = groups.smith_valuations_raw
+    rows_at = groups.FiniteMatrixGroup.element_rows_at
+
+    def counting_smith(rows, p, M):
+        smith_calls.append(M)
+        return smith(rows, p, M)
+
+    def counting_rows_at(self, i, target_M):
+        if target_M > self.modulus.M:
+            lifts.append(i)
+        return rows_at(self, i, target_M)
+
+    monkeypatch.setattr(groups, "smith_valuations_raw", counting_smith)
+    monkeypatch.setattr(groups.FiniteMatrixGroup, "element_rows_at", counting_rows_at)
+    records = group.conjugacy_classes()
+    assert len(smith_calls) == len(records)
+    assert len(lifts) == len(set(lifts))
+    p, M = group.modulus.p, group.modulus.M
+    # a class is lifted exactly when p^M does not exceed its order times l
+    assert set(lifts) == {r.rep_index for r in records if p ** M <= r.element_order * group.dim}
+    if modulus is not None:
+        assert lifts
+
+
+def test_close_without_factory_raises_exactly_when_a_class_needs_a_lift():
+    # g24 at 2^3: classes of order d with d*3 >= 8 need m > 3
+    low = build(parse_spec("g24"), Modulus(2, 3))
+    bare = close(low.generators)
+    with pytest.raises(PrecisionTooLow):
+        bare.conjugacy_classes()
+    # at M0 no class needs a lift, so the bare closure classes fine
+    g24 = build(parse_spec("g24"))
+    bare = close(g24.generators)
+    assert [(r.rank, r.torsion_vals, r.smith_vals) for r in bare.conjugacy_classes()] == \
+           [(r.rank, r.torsion_vals, r.smith_vals) for r in g24.conjugacy_classes()]
+
+
 def test_torsion_read_at_precision_derived_from_element_order(exceptional_groups):
     # The torsion of Coker(w - I) is killed by the order d of w, so each
     # valuation is at most v_p(d); an independent lift well above the derived
-    # precision v_p(d) + 1 must find the same torsion.
-    groups = list(exceptional_groups.values())
-    groups.append(build(parse_spec("family2a:m=4,s=1,n=5,p=5")))
-    for group in groups:
-        p = group.modulus.p
+    # precision v_p(d) + 1 must find the same torsion.  The Smith form at M
+    # that the record derives from its one read must equal a direct read at M.
+    cases = list(exceptional_groups.values())
+    cases.append(build(parse_spec("g24"), Modulus(2, 2)))
+    cases.append(build(parse_spec("family2a:m=4,s=1,n=5,p=5")))
+    for group in cases:
+        p, M = group.modulus.p, group.modulus.M
         for rec in group.conjugacy_classes():
             v = int_valuation(rec.element_order, p)
             assert max(rec.torsion_vals, default=0) <= v
             vals = smith_valuations_raw(group.diff_rows_at(rec.rep_index, v + 4), p, v + 4)
             assert rec.torsion_vals == tuple(e for e in vals if e is not SATURATED and e > 0)
+            direct = smith_valuations_raw(group.diff_rows_at(rec.rep_index, M), p, M)
+            assert rec.smith_vals == SmithValuations(tuple(direct), group.modulus)

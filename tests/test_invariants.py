@@ -208,7 +208,8 @@ def test_high_precision_build_counts():
 _BROKEN_INVARIANTS = """
 from repcount import catalog
 from repcount.counting import CountReport
-from repcount.errors import InvariantViolation
+from repcount.errors import CapExceeded, InvariantViolation, OrderUnavailable
+from repcount.modp import Modulus, multiplicative_order, smallest_primitive_root
 
 def wrong_order(spec):
     return 47
@@ -218,11 +219,15 @@ cases = [
     lambda: CountReport("g", 3, 1, "x", 5, breakdown=[(0, 1, 7)]),
     lambda: catalog.build(catalog.parse_spec("g12")),
 ]
+typed = [
+    (CapExceeded, lambda: multiplicative_order(Modulus(7, 1).residue(3), bound=2)),
+    (OrderUnavailable, lambda: smallest_primitive_root(1)),
+]
 catalog.GroupSpec.expected_order = property(wrong_order)
-for n, case in enumerate(cases):
+for n, (error, case) in enumerate([(InvariantViolation, c) for c in cases] + typed):
     try:
         case()
-    except InvariantViolation:
+    except error:
         continue
     raise SystemExit(f"case {n} accepted")
 """

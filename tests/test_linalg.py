@@ -216,10 +216,3 @@ def test_parse_matrix_text():
         parse_matrix_text("")
     with pytest.raises(ValueError):
         parse_matrix_text("2 4 2 2\n1 -1\n0 1\n")
-
-
-def test_encode_orders_lexicographically():
-    m = Modulus(5, 3)
-    a = mat([[0, 1], [3, 4]], 5, 3)
-    b = mat([[0, 2], [0, 0]], 5, 3)
-    assert (a.encode() < b.encode()) == (a.rows < b.rows)

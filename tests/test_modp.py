@@ -8,6 +8,7 @@ not depend on the Newton iteration they certify.
 import pytest
 
 from repcount.errors import (
+    CapExceeded,
     DivisibleByP,
     ModulusMismatch,
     NotARoot,
@@ -149,6 +150,8 @@ def test_smallest_primitive_root():
     assert smallest_primitive_root(5) == 2
     assert smallest_primitive_root(7) == 3
     assert smallest_primitive_root(41) == 6
+    with pytest.raises(OrderUnavailable):
+        smallest_primitive_root(1)
 
 
 def test_mth_root_examples():
@@ -170,6 +173,12 @@ def test_mth_root_exact_order(p, M):
     for d in divisors:
         b = mth_root_of_unity(d, m)
         assert multiplicative_order(b) == d
+
+
+def test_multiplicative_order_bound_is_a_cap():
+    assert multiplicative_order(Modulus(7, 1).residue(3)) == 6
+    with pytest.raises(CapExceeded):
+        multiplicative_order(Modulus(7, 1).residue(3), bound=2)
 
 
 def test_residue_reduce():
