@@ -141,6 +141,10 @@ def cmd_count(args) -> int:
 
 def _spec_from_args(args) -> GroupSpec:
     if getattr(args, "group", None):
+        dropped = [f"--{f}" for f in ("m", "s", "n", "p") if getattr(args, f) is not None]
+        if dropped:
+            raise SpecInvalid(f"--group names the whole group and cannot be combined "
+                              f"with {' '.join(dropped)}")
         return parse_spec(args.group)
     if getattr(args, "m", None):
         s = 1 if args.s is None else args.s
@@ -316,6 +320,9 @@ def cmd_formula(args) -> int:
     cfg = _Config(args)
     start = time.perf_counter()
     if args.name:
+        if args.p is not None or args.exponents is not None:
+            raise SpecInvalid(f"--name {args.name} fixes the polynomial and its prime "
+                              "and cannot be combined with --p or --exponents")
         value = formulas.theorem_c(args.name, args.k)
         spec = parse_spec(args.name)
         report = counting.CountReport(spec.label(), spec.p, args.k, "closed-form",

@@ -2,7 +2,10 @@
 
 All engines count orbits of a finite matrix group W acting on (Z/p^k)^l and
 must agree exactly; they differ in what they sum.  ``count_burnside_full``
-computes fixed-point counts directly from Smith forms at precision k;
+computes fixed-point counts directly from Smith forms of w - I at precision
+k, all read by the batched Smith engine: one batch of the class
+representatives, or, per element, the whole store in fixed chunks, a sum
+that does not use the class partition at all;
 ``count_burnside_classes`` decomposes each count as p^(k*rank) times the
 torsion contribution, both read off the complete class records (the torsion
 at precision max(M, v_p(d) + 1) for an element of order d, which always
@@ -24,8 +27,12 @@ import numpy as np
 from .catalog import ExponentList
 from .errors import InvariantViolation, NonIntegralCount, PrecisionTooLow
 from .groups import FiniteMatrixGroup
-from .linalg import kernel_size_raw
+from .linalg import smith_valuations_batch
 from .modp import int_valuation
+
+#: Elements per batched Smith elimination in per-element Burnside; bounds
+#: the temporaries of the elimination, not the store itself.
+BURNSIDE_CHUNK = 4096
 
 
 @dataclass
@@ -103,12 +110,14 @@ def count_burnside_full(
 ) -> CountReport:
     """Exact orbit count via Burnside: average of |Ker(w - I mod p^k)| over W.
 
-    Fixed-point counts come straight from Smith valuations at precision k.
-    The default evaluates one kernel per conjugacy class (the count is a
-    class function); ``per_element=True`` sums over every single element
-    instead, which is the slow mutually-validating path.  Any k is reachable:
-    above the group's precision the representatives, or for ``per_element``
-    the whole store, are lifted by their generator words.
+    Fixed-point counts come straight from Smith valuations of w - I at
+    precision k, |Ker| = p^(sum of min(e, k)), all read by the batched Smith
+    engine.  The default evaluates one kernel per conjugacy class (the count
+    is a class function); ``per_element=True`` sums over every single
+    element instead, independently of the class partition, walking the
+    store in chunks of ``BURNSIDE_CHUNK`` elements to bound memory.  Any k
+    is reachable: above the group's precision the representatives, or for
+    ``per_element`` the whole store, are lifted by their generator words.
     """
     _check_precision(group, k)
     start = time.perf_counter()
@@ -116,13 +125,21 @@ def count_burnside_full(
     breakdown = None
     if per_element:
         store = group.store_at(k)
-        diffs = (store - np.eye(group.dim, dtype=store.dtype)) % p ** k
-        total = sum(kernel_size_raw(d.tolist(), p, k) for d in diffs)
+        ident = np.eye(group.dim, dtype=store.dtype)
+        hist = np.zeros(group.dim * k + 1, dtype=np.int64)
+        for lo in range(0, group.order, BURNSIDE_CHUNK):
+            vals = smith_valuations_batch(store[lo:lo + BURNSIDE_CHUNK] - ident, p, k)
+            hist += np.bincount(vals.sum(axis=1), minlength=hist.size)
+        total = sum(c * p ** e for e, c in enumerate(hist.tolist()))
     else:
+        records = group.conjugacy_classes()
+        vals = smith_valuations_batch(
+            np.array([group.diff_rows_at(rec.rep_index, k) for rec in records], dtype=object),
+            p, k)
         breakdown = []
         total = 0
-        for rec in group.conjugacy_classes():
-            fixed = kernel_size_raw(group.diff_rows_at(rec.rep_index, k), p, k)
+        for rec, e in zip(records, vals.sum(axis=1).tolist()):
+            fixed = p ** e
             breakdown.append((rec.rep_index, rec.class_size, fixed))
             total += rec.class_size * fixed
     if total % group.order != 0:

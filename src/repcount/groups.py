@@ -19,6 +19,7 @@ from .errors import CapExceeded, InvariantViolation, NonIntegralRank, PrecisionT
 from .linalg import (
     SmithValuations,
     SquareMatrix,
+    exact_dtype,
     mat_mul_raw,
     smith_valuations_raw,
 )
@@ -28,11 +29,6 @@ DEFAULT_CLOSURE_CAP = 10 ** 8
 
 #: Generators at a requested precision, for re-evaluating element words.
 GeneratorFactory = Callable[[Modulus], list]
-
-
-def _store_dtype(modulus: Modulus, dim: int):
-    # Entry products accumulate to at most dim * (p^M - 1)^2 in a matmul.
-    return np.int64 if dim * (modulus.pM - 1) ** 2 < 2 ** 63 else object
 
 
 def _keys(batch: np.ndarray, pM: int):
@@ -85,7 +81,7 @@ class FiniteMatrixGroup:
         self.modulus = modulus
         self.dim = dim
         self.generators = tuple(generators)
-        self._arr = store          # (N, l, l) array of dtype _store_dtype(modulus, dim)
+        self._arr = store          # (N, l, l) array of dtype exact_dtype(modulus.pM, dim)
         self._words = words        # words[i] = (parent index, generator index)
         self._keys = keys          # canonical byte key -> element index
         self._key_list = list(keys.keys())
@@ -177,7 +173,7 @@ class FiniteMatrixGroup:
         p^n, read off the stored words, so nothing is hashed or re-closed.
         """
         target = Modulus(self.modulus.p, n)
-        dtype = _store_dtype(target, self.dim)
+        dtype = exact_dtype(target.pM, self.dim)
         if n <= self.modulus.M:
             return (self._arr % target.pM).astype(dtype, copy=False)
         gens = np.array([g.rows for g in self.generators_at(n)], dtype=dtype)
@@ -380,7 +376,7 @@ def close(
     for g in generators:
         if g.modulus != modulus or g.dim != dim:
             raise ValueError("generators must share a modulus and dimension")
-    dtype = _store_dtype(modulus, dim)
+    dtype = exact_dtype(modulus.pM, dim)
     pM = modulus.pM
     gen_arrs = [np.array(g.rows, dtype=dtype) for g in generators]
     ident = np.eye(dim, dtype=dtype)[None]

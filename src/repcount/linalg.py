@@ -2,14 +2,23 @@
 
 Matrices are small (dimension <= 8 in every case this package handles), so
 everything is dense and exact.  The module-level functions that end in
-``_raw`` work on plain lists of ints and back the hot loops elsewhere; the
-``SquareMatrix`` wrappers give the typed, modulus-checked surface.
+``_raw`` work on plain lists of ints; the ``SquareMatrix`` wrappers give the
+typed, modulus-checked surface.
+
+There are two Smith engines.  ``smith_valuations_raw`` eliminates one
+matrix in pure Python: it is the reference, and it backs ``snf``,
+``kernel_size`` and the one Smith form per conjugacy class that
+``FiniteMatrixGroup.conjugacy_classes`` reads.  ``smith_valuations_batch``
+eliminates a whole (N, l, l) numpy batch at once and backs every Burnside
+fixed-point count, classwise and per-element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import DimensionMismatch, ModulusMismatch, PrecisionTooLow
 from .modp import SATURATED, Modulus, Residue
@@ -196,23 +205,79 @@ def smith_valuations_raw(rows: Sequence[Sequence[int]], p: int, M: int) -> list:
     return out
 
 
+def exact_dtype(pM: int, dim: int):
+    """numpy dtype for exact arithmetic on l x l matrices mod pM.
+
+    int64 when a matmul entry sum, at most dim * (pM - 1)^2, stays below
+    2^63; object (Python integers) otherwise.
+    """
+    return np.int64 if dim * (pM - 1) ** 2 < 2 ** 63 else object
+
+
+def smith_valuations_batch(a, p: int, M: int) -> np.ndarray:
+    """Smith-form valuations of every matrix in an (N, l, l) batch over Z/p^M.
+
+    ``a`` holds integer entries (numpy int64 or object), read mod p^M.
+    Returns an (N, l) int64 array whose row t is the non-decreasing
+    valuation list of matrix t, with M standing for saturated; matrix by
+    matrix it equals ``smith_valuations_raw``, the reference.  Each step
+    works on every matrix at once: the valuations of the remaining minor
+    (zero reads M), a pivot of minimal valuation e per matrix (``argmin``),
+    then row elimination only.  Every other row i becomes
+    u*row_i - (a_ij / p^e)*pivot_row, where u is the pivot's unit part;
+    scaling a row by a unit is invertible over Z/p^M, so no inverse is
+    needed.  The column operations would change only the pivot row, so they
+    are skipped, and the pivot row and column are dropped.  The entries
+    use ``exact_dtype``: the products formed here are below (p^M - 1)^2.
+    """
+    pM = p ** M
+    dim = a.shape[-1]
+    b = np.asarray(a, dtype=exact_dtype(pM, dim)) % pM
+    n = b.shape[0]
+    # Python-int powers: p ** ndarray would overflow int64 for large p^M
+    pows = np.array([p ** e for e in range(M + 1)], dtype=b.dtype)
+    out = np.empty((n, dim), dtype=np.int64)
+    idx = np.arange(n)
+    for s in range(dim):
+        r = dim - s
+        vals = np.zeros(b.shape, dtype=np.int64)
+        for e in range(1, M + 1):
+            divisible = b % pows[e] == 0
+            if not divisible.any():
+                break
+            vals += divisible
+        bi, bj = np.divmod(vals.reshape(n, r * r).argmin(axis=1), r)
+        e = vals[idx, bi, bj]
+        out[:, s] = e
+        pe = pows[e]
+        unit = b[idx, bi, bj] // pe
+        q = b[idx, :, bj] // pe[:, None]
+        pivot_row = b[idx, bi]
+        b = (unit[:, None, None] * b - q[:, :, None] * pivot_row[:, None, :]) % pM
+        # drop the pivot row and column: row (column) 0 takes their place
+        b[idx, bi] = b[:, 0].copy()
+        b = b[:, 1:]
+        b[idx, :, bj] = b[:, :, 0].copy()
+        b = b[:, :, 1:]
+    return out
+
+
 def smith_valuations(a: SquareMatrix) -> SmithValuations:
     """Smith normal form of a, reported as sorted valuations."""
     vals = smith_valuations_raw(a.rows, a.modulus.p, a.modulus.M)
     return SmithValuations(tuple(vals), a.modulus)
 
 
-def kernel_size_raw(rows: Sequence[Sequence[int]], p: int, n: int) -> int:
-    """|Ker(A mod p^n)| = prod p^min(e_i, n) over the Smith valuations mod p^n."""
-    vals = smith_valuations_raw(rows, p, n)
-    return p ** sum(n if e is SATURATED else e for e in vals)
-
-
 def kernel_size(a: SquareMatrix, n: int) -> int:
-    """Exact number of vectors v in (Z/p^n)^l with A v = 0."""
+    """Exact number of vectors v in (Z/p^n)^l with A v = 0.
+
+    |Ker(A mod p^n)| = prod p^min(e_i, n) over the Smith valuations mod p^n.
+    """
     if n > a.modulus.M:
         raise PrecisionTooLow(f"need precision {n}, matrix has {a.modulus.M}")
-    return kernel_size_raw(a.rows, a.modulus.p, n)
+    p = a.modulus.p
+    vals = smith_valuations_raw(a.rows, p, n)
+    return p ** sum(n if e is SATURATED else e for e in vals)
 
 
 def determinant_raw(rows: Sequence[Sequence[int]], pM: int) -> int:

@@ -60,6 +60,17 @@ def test_count_flags_are_not_rewritten(capsys, flags):
     assert json.loads(err)["error"] == "SpecInvalid"
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--group", "g12", "--m", "4", "--p", "5", "--k", "1", "--method", "theoremC"],
+    ["formula", "--name", "x12", "--p", "7", "--k", "1"],
+    ["formula", "--name", "x12", "--exponents", "1,4", "--p", "11", "--k", "1"],
+])
+def test_flags_a_named_group_would_drop_are_spec_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "SpecInvalid"
+
+
 def test_duplicate_spec_key_is_a_spec_error(capsys):
     code, out, err = run(capsys, "count", "--group", "family2a:m=3,s=1,n=2,p=7,p=13",
                          "--k", "1", "--method", "theoremB")

@@ -9,8 +9,9 @@ import json
 
 import pytest
 
-from repcount.catalog import ExponentList, GroupSpec, build, exponents, generators
+from repcount.catalog import ExponentList, GroupSpec, build, exponents, generators, parse_spec
 from repcount.counting import (
+    BURNSIDE_CHUNK,
     CountReport,
     count_burnside_classes,
     count_burnside_full,
@@ -21,6 +22,7 @@ from repcount.counting import (
 )
 from repcount.errors import InvariantViolation, PrecisionTooLow
 from repcount.formulas import theorem_c
+from repcount.grassmannian import theorem_b
 from repcount.groups import close
 from repcount.linalg import SquareMatrix, kernel_size, smith_valuations
 from repcount.modp import Modulus
@@ -52,6 +54,25 @@ def test_burnside_full_per_element_matches_classwise(g12, g24, g29):
                      (g12, g12.modulus.M + 1), (g24, g24.modulus.M + 1)]:
         assert (count_burnside_full(group, k, per_element=True).count
                 == count_burnside_full(group, k).count)
+
+
+@pytest.mark.parametrize("spec,k", [("sphere:m=2,p=1451", 7),
+                                    ("family2a:m=4,s=2,n=3,p=1297", 3)])
+def test_per_element_burnside_on_object_stores(spec, k):
+    parsed = parse_spec(spec)
+    g = build(parsed)
+    assert g.store_at(k).dtype == object
+    want = theorem_b(parsed.m, parsed.s or 1, parsed.n or 1, parsed.p, k)
+    assert count_burnside_full(g, k, per_element=True).count == want
+    assert count_burnside_full(g, k).count == want
+
+
+def test_per_element_burnside_across_chunk_boundary(g31):
+    # 46080 = 11 * 4096 + 1024: full chunks and a short last one
+    assert g31.order > BURNSIDE_CHUNK and g31.order % BURNSIDE_CHUNK != 0
+    want = theorem_c("g31", 2)
+    assert count_burnside_full(g31, 2, per_element=True).count == want
+    assert count_burnside_full(g31, 2).count == want
 
 
 def test_burnside_precision_error():

@@ -5,7 +5,11 @@ and theorem_b must both equal the Burnside count of the monomial group,
 and a materialized fundamental domain must hit every orbit exactly once.
 """
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repcount.catalog import GroupSpec, build
 from repcount.counting import count_burnside_full
@@ -16,7 +20,7 @@ from repcount.grassmannian import (
     sphere_count,
     theorem_b,
 )
-from repcount.modp import Modulus, mth_root_of_unity
+from repcount.modp import Modulus, is_prime, mth_root_of_unity
 
 
 def test_build_orbits_small():
@@ -126,6 +130,39 @@ def test_three_way_agreement(m, s, n, p):
         enum, _ = enumerate_distinguished(m, s, n, p, k)
         group_count = count_burnside_full(g, k).count
         assert closed == enum == group_count, (m, s, n, p, k)
+
+
+def _admissible_tuples(max_order=5000, max_points=2 ** 20):
+    # every G(m,s,n) the spec grammar accepts, with |W| and the point space
+    # (Z/p^k)^n small enough to close the group and enumerate the domain
+    out = {}
+    for n in range(2, 5):
+        for m in range(3, 51):
+            for s in (d for d in range(1, m + 1) if m % d == 0):
+                if (n == 2 and s == m) or m ** n * math.factorial(n) // s > max_order:
+                    continue
+                for p in range(m + 1, int(max_points ** (1 / n)) + 1, m):
+                    if not is_prime(p):
+                        continue
+                    k = 1
+                    while p ** (k * n) <= max_points:
+                        out.setdefault(n, []).append((m, s, n, p, k))
+                        k += 1
+    return out
+
+
+ADMISSIBLE = _admissible_tuples()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(ADMISSIBLE)).flatmap(lambda n: st.sampled_from(ADMISSIBLE[n])))
+def test_random_admissible_tuples_four_way(case):
+    m, s, n, p, k = case
+    g = build(GroupSpec("family2a", m=m, s=s, n=n, p=p))
+    closed = theorem_b(m, s, n, p, k)
+    assert enumerate_distinguished(m, s, n, p, k)[0] == closed
+    assert count_burnside_full(g, k).count == closed
+    assert count_burnside_full(g, k, per_element=True).count == closed
 
 
 def test_primitive_root_independence():

@@ -1,0 +1,48 @@
+"""Randomised differential test of the batched Smith engine against the scalar one.
+
+``smith_valuations_batch`` eliminates a whole batch at once with its own
+pivoting and row operations; matrix by matrix it must give exactly the
+valuations of the reference ``smith_valuations_raw``, with M standing for
+saturated.  Batches mix zero rows, unit rows and rows scaled by powers of p,
+so pivots of every valuation and fully saturated minors occur.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repcount.linalg import exact_dtype, smith_valuations_batch, smith_valuations_raw
+from repcount.modp import SATURATED
+
+
+@st.composite
+def batches(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 1451]))
+    M = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 5))
+    pM = p ** M
+    unit = st.builds(lambda u, x: u + p * x, st.integers(1, p - 1), st.integers(0, pM // p))
+    scaled = st.builds(lambda x, s: x * p ** s % pM, st.integers(0, pM - 1), st.integers(1, M))
+    row = st.one_of(
+        st.just([0] * n),
+        st.lists(unit, min_size=n, max_size=n),
+        st.lists(st.one_of(unit, scaled), min_size=n, max_size=n),
+        st.lists(scaled, min_size=n, max_size=n),
+    )
+    matrix = st.lists(row, min_size=n, max_size=n)
+    return p, M, draw(st.lists(matrix, min_size=1, max_size=40))
+
+
+# p^7 > 2^63: object entries, and a pivot whose p-power no int64 can hold
+@example((1451, 8, [[[0, 2 * 1451 ** 7], [1451 ** 7, 3 * 1451 ** 7]], [[0, 0], [0, 0]],
+                    [[1, 1451 ** 7], [5, 4]]]))
+@settings(max_examples=200, deadline=None)
+@given(batches())
+def test_batch_matches_scalar_smith(case):
+    p, M, mats = case
+    dim = len(mats[0])
+    got = smith_valuations_batch(np.array(mats, dtype=exact_dtype(p ** M, dim)), p, M)
+    assert got.shape == (len(mats), dim)
+    for mat, vals in zip(mats, got.tolist()):
+        want = [M if e is SATURATED else e for e in smith_valuations_raw(mat, p, M)]
+        assert vals == want
