@@ -21,24 +21,8 @@ from .errors import RepcountError
 from .formulas import theorem_a, theorem_c, x24_piecewise_check
 from .grassmannian import build_orbits, enumerate_distinguished, sphere_count, theorem_b
 from .groups import ConjugacyClassRecord, FiniteMatrixGroup, close, rank_fixed_space
-from .linalg import (
-    SmithValuations,
-    SquareMatrix,
-    determinant,
-    kernel_size,
-    multiply,
-    smith_valuations,
-)
-from .modp import (
-    SATURATED,
-    Modulus,
-    Residue,
-    hensel_lift,
-    invert,
-    mth_root_of_unity,
-    teichmuller,
-    valuation,
-)
+from .linalg import SmithValuations, SquareMatrix, kernel_size, smith_valuations
+from .modp import SATURATED, Modulus, hensel_lift, invert, mth_root_of_unity, teichmuller
 from .oracle import fixed_points_bruteforce, orbit_count_bruteforce
 
 __version__ = "0.1.0"
@@ -52,7 +36,6 @@ __all__ = [
     "GroupSpec",
     "Modulus",
     "RepcountError",
-    "Residue",
     "SmithValuations",
     "SquareMatrix",
     "build",
@@ -62,7 +45,6 @@ __all__ = [
     "count_burnside_full",
     "count_formula_general",
     "derive_exponents",
-    "determinant",
     "enumerate_distinguished",
     "exponents",
     "fixed_points_bruteforce",
@@ -70,7 +52,6 @@ __all__ = [
     "invert",
     "kernel_size",
     "mth_root_of_unity",
-    "multiply",
     "orbit_count_bruteforce",
     "parse_spec",
     "rank_fixed_space",
@@ -83,6 +64,5 @@ __all__ = [
     "theorem_c",
     "torsion_census",
     "torsion_classes",
-    "valuation",
     "x24_piecewise_check",
 ]

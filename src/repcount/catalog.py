@@ -168,39 +168,36 @@ def _g12_generators(modulus: Modulus) -> list:
     # omega is the root of (2x+1)^2 = -2 that is divisible by 3; the square
     # root of -2 is tied to it as 2*omega + 1 so the two constants agree.
     omega = hensel_lift([3, 4, 4], 0, 1, modulus)  # 4x^2 + 4x + 3
-    sqrt_m2 = modulus.residue(2 * omega.value + 1)
-    omega_bar = -(modulus.residue(1) + omega)
-    if omega_bar.value % 3 != 2:
+    omega_bar = (-1 - omega) % modulus.pM
+    if omega_bar % 3 != 2:
         raise InvariantViolation(f"omega_bar = {omega_bar} is not 2 mod 3")
-    half = invert(modulus.residue(2))
-    inv_sqrt = invert(sqrt_m2)
+    half = invert(2, modulus)
+    inv_sqrt = invert(2 * omega + 1, modulus)
     mk = lambda rows: SquareMatrix.from_rows(rows, modulus)
     return [
         mk([[0, 1], [-1, 0]]),
-        mk([[-inv_sqrt.value, inv_sqrt.value], [inv_sqrt.value, inv_sqrt.value]]),
-        mk([[omega.value, half.value], [-half.value, omega_bar.value]]),
+        mk([[-inv_sqrt, inv_sqrt], [inv_sqrt, inv_sqrt]]),
+        mk([[omega, half], [-half, omega_bar]]),
         mk([[0, 1], [1, 0]]),
     ]
 
 
 def _g24_generators(modulus: Modulus) -> list:
     alpha = hensel_lift([2, -1, 1], 3, 3, modulus)  # x^2 - x + 2, root = 3 mod 8
-    alpha_bar = modulus.residue(1 - alpha.value)
-    if alpha_bar.value % min(8, modulus.pM) != 6 % min(8, modulus.pM):
+    alpha_bar = (1 - alpha) % modulus.pM
+    if alpha_bar % min(8, modulus.pM) != 6 % min(8, modulus.pM):
         raise InvariantViolation(f"alpha_bar = {alpha_bar} is not 6 mod 8")
     mk = lambda rows: SquareMatrix.from_rows(rows, modulus)
     return [
-        mk([[-1, -alpha_bar.value, 1], [0, 1, 0], [0, 0, 1]]),
-        mk([[1, 0, 0], [-alpha.value, -1, 1], [0, 0, 1]]),
+        mk([[-1, -alpha_bar, 1], [0, 1, 0], [0, 0, 1]]),
+        mk([[1, 0, 0], [-alpha, -1, 1], [0, 0, 1]]),
         mk([[1, 0, 0], [0, 1, 0], [1, 1, -1]]),
     ]
 
 
 def _g29_generators(modulus: Modulus) -> list:
-    omega = teichmuller(2, modulus)  # order-4 unit, = 2 mod 5
-    half = invert(modulus.residue(2))
-    h = half.value
-    w = omega.value
+    w = teichmuller(2, modulus)  # order-4 unit, = 2 mod 5
+    h = invert(2, modulus)
     mk = lambda rows: SquareMatrix.from_rows(rows, modulus)
     return [
         mk([[h, -h, -h, -h], [-h, h, -h, -h], [-h, -h, h, -h], [-h, -h, -h, h]]),
@@ -231,7 +228,7 @@ def monomial_generators(m: int, s: int, n: int, modulus: Modulus) -> list:
         raise SpecInvalid(f"need n >= 1, got n={n}")
     _check_prime_congruence(modulus.p, m)
     b = mth_root_of_unity(m, modulus)
-    binv = invert(b)
+    binv = invert(b, modulus)
 
     def diag(entries):
         return SquareMatrix.from_rows(
@@ -243,10 +240,10 @@ def monomial_generators(m: int, s: int, n: int, modulus: Modulus) -> list:
         perm = [[1 if (j == (i + 1 if r == i else i if r == i + 1 else r)) else 0
                  for j in range(n)] for r in range(n)]
         gens.append(SquareMatrix.from_rows(perm, modulus))
-    gens.append(diag([pow(b.value, s, modulus.pM)] + [1] * (n - 1)))
+    gens.append(diag([pow(b, s, modulus.pM)] + [1] * (n - 1)))
     for i in range(n - 1):
         entries = [1] * n
-        entries[i], entries[i + 1] = b.value, binv.value
+        entries[i], entries[i + 1] = b, binv
         gens.append(diag(entries))
     return gens
 

@@ -146,7 +146,7 @@ def _spec_from_args(args) -> GroupSpec:
             raise SpecInvalid(f"--group names the whole group and cannot be combined "
                               f"with {' '.join(dropped)}")
         return parse_spec(args.group)
-    if getattr(args, "m", None):
+    if getattr(args, "m", None) is not None:
         s = 1 if args.s is None else args.s
         n = 1 if args.n is None else args.n
         if n >= 2:
@@ -414,6 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact counts can run to any number of digits
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -7,11 +7,12 @@ k, all read by the batched Smith engine: one batch of the class
 representatives, or, per element, the whole store in fixed chunks, a sum
 that does not use the class partition at all;
 ``count_burnside_classes`` decomposes each count as p^(k*rank) times the
-torsion contribution, both read off the complete class records (the torsion
-at precision max(M, v_p(d) + 1) for an element of order d, which always
-separates it from the free part); ``count_formula_general`` replaces the
-torsion-free bulk with the exponent product and only sums corrections over
-the torsion classes.  Counts are arbitrary-precision ints throughout.
+torsion contribution, both read off the complete class records (each
+class is read once, at the least m >= M with p^m > d*l for its element
+order d, where the torsion always separates from the free part);
+``count_formula_general`` replaces the torsion-free bulk with the exponent
+product and only sums corrections over the torsion classes.  Counts are
+arbitrary-precision ints throughout.
 """
 
 from __future__ import annotations

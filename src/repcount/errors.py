@@ -29,10 +29,6 @@ class DimensionMismatch(RepcountError):
     """Matrix operands have different dimensions."""
 
 
-class ModulusMismatch(RepcountError):
-    """Operands live over different moduli."""
-
-
 class PrecisionTooLow(RepcountError):
     """The working precision M is insufficient for the requested operation."""
 

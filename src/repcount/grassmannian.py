@@ -83,7 +83,7 @@ def build_orbits(m: int, s: int, p: int, k: int, root: Optional[int] = None) -> 
     if pk > MAX_TABLE_POINTS:
         raise SpaceTooLarge(f"orbit table with {pk} points exceeds {MAX_TABLE_POINTS}")
     if root is None:
-        c = mth_root_of_unity(m, Modulus(p, k)).value
+        c = mth_root_of_unity(m, Modulus(p, k))
     else:
         c = root % pk
         if _order_mod(c, pk, m) != m:

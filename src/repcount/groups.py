@@ -1,11 +1,12 @@
 """Finite matrix groups over Z/p^M: closure, conjugacy classes, ranks.
 
 Groups are closed once, at one precision, and then immutable.  Elements live
-in one numpy (N, l, l) store indexed by canonical byte keys; its dtype is
-int64 when matmul entry sums cannot overflow and object (Python integers)
-otherwise, and both dtypes share every code path.  Every element also carries
-a word in the generators, so one element, or the whole store, can be
-re-evaluated at any higher precision without re-closing the group.
+in one numpy (N, l, l) store indexed by canonical byte keys, and the
+generators in one (g, l, l) array; the dtype is int64 when matmul entry sums
+cannot overflow and object (Python integers) otherwise, and both dtypes
+share every code path.  Every element also carries a word in the
+generators, so one element, or the whole store, can be re-evaluated at any
+higher precision without re-closing the group.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .modp import SATURATED, Modulus
 
 DEFAULT_CLOSURE_CAP = 10 ** 8
 
-#: Generators at a requested precision, for re-evaluating element words.
+#: Generator matrices at a requested precision, for re-evaluating element words.
 GeneratorFactory = Callable[[Modulus], list]
 
 
@@ -80,7 +81,7 @@ class FiniteMatrixGroup:
                  generator_factory=None, name=None):
         self.modulus = modulus
         self.dim = dim
-        self.generators = tuple(generators)
+        self.generators = generators  # (g, l, l) array, the store's dtype
         self._arr = store          # (N, l, l) array of dtype exact_dtype(modulus.pM, dim)
         self._words = words        # words[i] = (parent index, generator index)
         self._keys = keys          # canonical byte key -> element index
@@ -105,10 +106,6 @@ class FiniteMatrixGroup:
     def element(self, i: int) -> SquareMatrix:
         return SquareMatrix(self.element_rows(i), self.modulus)
 
-    def elements(self):
-        """All elements in insertion order."""
-        return (self.element(i) for i in range(self.order))
-
     def _encode_rows(self, rows) -> bytes:
         return next(_keys(np.array([rows], dtype=self._arr.dtype), self.modulus.pM))
 
@@ -131,19 +128,22 @@ class FiniteMatrixGroup:
 
     # -- precision changes -------------------------------------------------
 
-    def generators_at(self, n: int) -> list:
-        """The generators mod p^n.
+    def generators_at(self, n: int) -> np.ndarray:
+        """The generators mod p^n, as a (g, l, l) array of dtype exact_dtype(p^n, l).
 
         At or below the group's precision these are the stored generators
         reduced; above it they come from the generator factory.
         """
+        pn = self.modulus.p ** n
+        dtype = exact_dtype(pn, self.dim)
         if n <= self.modulus.M:
-            return [g.reduce(n) for g in self.generators]
+            return (self.generators % pn).astype(dtype, copy=False)
         if self.generator_factory is None:
             raise PrecisionTooLow(
                 f"group built at {self.modulus} has no generator factory to reach M={n}"
             )
-        return self.generator_factory(Modulus(self.modulus.p, n))
+        gens = self.generator_factory(Modulus(self.modulus.p, n))
+        return np.array([g.rows for g in gens], dtype=dtype)
 
     def element_rows_at(self, i: int, target_M: int) -> tuple:
         """Element i re-expressed mod p^target_M.
@@ -151,15 +151,14 @@ class FiniteMatrixGroup:
         Reduction is entrywise; raising precision re-evaluates the element's
         generator word, which requires a generator factory.
         """
+        pn = self.modulus.p ** target_M
         if target_M <= self.modulus.M:
-            pn = self.modulus.p ** target_M
             return tuple(tuple(x % pn for x in row) for row in self.element_rows(i))
-        target = Modulus(self.modulus.p, target_M)
-        gens = [g.rows for g in self.generators_at(target_M)]
-        acc = SquareMatrix.identity(self.dim, target).rows
+        gens = self.generators_at(target_M)
+        acc = np.eye(self.dim, dtype=gens.dtype)
         for gi in self.word(i):
-            acc = mat_mul_raw(acc, gens[gi], target.pM)
-        return acc
+            acc = acc @ gens[gi] % pn
+        return tuple(map(tuple, acc.tolist()))
 
     def diff_rows_at(self, i: int, m: int) -> tuple:
         """w - I mod p^m for element i, evaluated at precision m."""
@@ -172,11 +171,11 @@ class FiniteMatrixGroup:
         is one batched product of its parents' lifts with the generators at
         p^n, read off the stored words, so nothing is hashed or re-closed.
         """
-        target = Modulus(self.modulus.p, n)
-        dtype = exact_dtype(target.pM, self.dim)
+        pn = self.modulus.p ** n
+        dtype = exact_dtype(pn, self.dim)
         if n <= self.modulus.M:
-            return (self._arr % target.pM).astype(dtype, copy=False)
-        gens = np.array([g.rows for g in self.generators_at(n)], dtype=dtype)
+            return (self._arr % pn).astype(dtype, copy=False)
+        gens = self.generators_at(n)
         parent = np.array([w[0] for w in self._words])
         gen = np.array([w[1] for w in self._words])
         out = np.empty(self._arr.shape, dtype=dtype)
@@ -186,7 +185,7 @@ class FiniteMatrixGroup:
             # a level is contiguous and ends at the first element whose parent is in it
             later = np.flatnonzero(parent[lo:] >= lo)
             hi = lo + int(later[0]) if later.size else self.order
-            out[lo:hi] = out[parent[lo:hi]] @ gens[gen[lo:hi]] % target.pM
+            out[lo:hi] = out[parent[lo:hi]] @ gens[gen[lo:hi]] % pn
             lo = hi
         return out
 
@@ -264,20 +263,25 @@ class FiniteMatrixGroup:
         return self._class_of[i]
 
     def _conjugation_pairs(self):
-        """(g, g^-1) for each generator; inverses by powering to order-1."""
+        """(g, g^-1) for each generator array; inverses by powering to order-1."""
+        pM = self.modulus.pM
+        ident = np.eye(self.dim, dtype=self.generators.dtype)
         pairs = []
         for g in self.generators:
-            d, _ = _order_and_trace_sum(g.rows, self.modulus.pM, self.order)
-            pairs.append((g, g ** (d - 1)))
+            inv, acc = ident, g
+            for _ in range(self.order):
+                if np.array_equal(acc, ident):
+                    break
+                inv, acc = acc, acc @ g % pM
+            else:
+                raise InvariantViolation(f"generator has order above {self.order}")
+            pairs.append((g, inv))
         return pairs
 
     def _partition(self):
         pM = self.modulus.pM
         arr = self._arr
-        pairs = [
-            (np.array(g.rows, dtype=arr.dtype), np.array(gi.rows, dtype=arr.dtype))
-            for g, gi in self._conjugation_pairs()
-        ]
+        pairs = self._conjugation_pairs()
         n = self.order
         class_of = [-1] * n
         classes = []
@@ -378,7 +382,7 @@ def close(
             raise ValueError("generators must share a modulus and dimension")
     dtype = exact_dtype(modulus.pM, dim)
     pM = modulus.pM
-    gen_arrs = [np.array(g.rows, dtype=dtype) for g in generators]
+    gen_arrs = np.array([g.rows for g in generators], dtype=dtype)
     ident = np.eye(dim, dtype=dtype)[None]
     keys = {next(_keys(ident, pM)): 0}
     words = [(-1, -1)]
@@ -400,5 +404,5 @@ def close(
             fresh.append(prod[new])
         batch = np.concatenate(fresh)
         levels.append(batch)
-    return FiniteMatrixGroup(modulus, dim, list(generators), np.concatenate(levels),
+    return FiniteMatrixGroup(modulus, dim, gen_arrs, np.concatenate(levels),
                              words, keys, generator_factory=generator_factory, name=name)

@@ -1,9 +1,12 @@
-"""Dense exact linear algebra over Z/p^M: products, determinants, Smith form.
+"""Dense exact linear algebra over Z/p^M: products and Smith forms.
 
-Matrices are small (dimension <= 8 in every case this package handles), so
-everything is dense and exact.  The module-level functions that end in
-``_raw`` work on plain lists of ints; the ``SquareMatrix`` wrappers give the
-typed, modulus-checked surface.
+A matrix is one value: rows of canonical ints in [0, p^M), kept as a tuple
+of tuples, or as an (N, l, l) numpy batch of them (int64, or object when
+``exact_dtype`` says int64 could overflow).  ``SquareMatrix`` pairs the
+rows with their modulus and does no arithmetic: products are
+``mat_mul_raw`` on rows or numpy matmul on batches, reduced mod p^M by the
+caller.  Matrices are small (dimension <= 8 in every case this package
+handles), so everything is dense and exact.
 
 There are two Smith engines.  ``smith_valuations_raw`` eliminates one
 matrix in pure Python: it is the reference, and it backs ``snf``,
@@ -20,16 +23,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, ModulusMismatch, PrecisionTooLow
-from .modp import SATURATED, Modulus, Residue
+from .errors import DimensionMismatch, PrecisionTooLow
+from .modp import SATURATED, Modulus
 
 
 @dataclass(frozen=True)
 class SquareMatrix:
-    """An l x l matrix of residues sharing one modulus.
+    """An l x l matrix over Z/p^M: its rows of canonical ints and its modulus.
 
-    Entries are canonical representatives stored row-major as a tuple of
-    tuples; instances are immutable and hashable.
+    Rows are a tuple of tuples, so instances are immutable and hashable.
     """
 
     rows: tuple
@@ -53,72 +55,12 @@ class SquareMatrix:
     def dim(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> Residue:
-        return Residue(self.rows[i][j], self.modulus)
-
-    def _check(self, other: "SquareMatrix") -> None:
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"{self.dim} vs {other.dim}")
-        if self.modulus != other.modulus:
-            raise ModulusMismatch(f"{self.modulus} vs {other.modulus}")
-
-    def __matmul__(self, other: "SquareMatrix") -> "SquareMatrix":
-        self._check(other)
-        return SquareMatrix(
-            mat_mul_raw(self.rows, other.rows, self.modulus.pM), self.modulus
-        )
-
-    def __sub__(self, other: "SquareMatrix") -> "SquareMatrix":
-        self._check(other)
-        pM = self.modulus.pM
-        return SquareMatrix(
-            tuple(
-                tuple((a - b) % pM for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-            self.modulus,
-        )
-
-    def __pow__(self, n: int) -> "SquareMatrix":
-        if n < 0:
-            raise ValueError("negative matrix powers are not supported")
-        acc = SquareMatrix.identity(self.dim, self.modulus)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc @ base
-            base = base @ base if n > 1 else base
-            n >>= 1
-        return acc
-
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.dim)) % self.modulus.pM
-
-    def reduce(self, n: int) -> "SquareMatrix":
-        """Entrywise image in Z/p^n for n <= M."""
-        if n > self.modulus.M:
-            raise PrecisionTooLow(f"cannot reduce precision {self.modulus.M} to {n}")
-        m = Modulus(self.modulus.p, n)
-        return SquareMatrix(tuple(tuple(x % m.pM for x in r) for r in self.rows), m)
-
-    def is_identity(self) -> bool:
-        return all(
-            self.rows[i][j] == (1 if i == j else 0)
-            for i in range(self.dim)
-            for j in range(self.dim)
-        )
-
 
 def mat_mul_raw(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], pM: int) -> tuple:
     bt = list(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) % pM for col in bt) for row in a
     )
-
-
-def multiply(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
-    """Exact product mod p^M."""
-    return a @ b
 
 
 @dataclass(frozen=True)
@@ -280,39 +222,6 @@ def kernel_size(a: SquareMatrix, n: int) -> int:
     return p ** sum(n if e is SATURATED else e for e in vals)
 
 
-def determinant_raw(rows: Sequence[Sequence[int]], pM: int) -> int:
-    """Determinant mod p^M via fraction-free (Bareiss) elimination over Z.
-
-    The canonical representatives are treated as integers; all divisions in
-    Bareiss elimination are exact, so the result is the true determinant of
-    the lift reduced mod p^M.
-    """
-    a = [list(map(int, row)) for row in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for s in range(n - 1):
-        if a[s][s] == 0:
-            for i in range(s + 1, n):
-                if a[i][s] != 0:
-                    a[s], a[i] = a[i], a[s]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(s + 1, n):
-            for j in range(s + 1, n):
-                a[i][j] = (a[i][j] * a[s][s] - a[i][s] * a[s][j]) // prev
-            a[i][s] = 0
-        prev = a[s][s]
-    return sign * a[n - 1][n - 1] % pM
-
-
-def determinant(a: SquareMatrix) -> Residue:
-    """Exact determinant mod p^M."""
-    return Residue(determinant_raw(a.rows, a.modulus.pM), a.modulus)
-
-
 def parse_matrix_text(text: str) -> SquareMatrix:
     """Parse the plain-text matrix format: header "p M rows cols", then rows.
 
@@ -325,6 +234,8 @@ def parse_matrix_text(text: str) -> SquareMatrix:
     if len(header) != 4:
         raise ValueError('header must be "p M rows cols"')
     p, M, nrows, ncols = (int(tok) for tok in header)
+    if nrows < 1:
+        raise ValueError(f"matrix needs at least one row, got {nrows}")
     if nrows != ncols:
         raise ValueError(f"matrix must be square, got {nrows}x{ncols}")
     if len(lines) - 1 != nrows:

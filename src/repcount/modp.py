@@ -1,20 +1,19 @@
-"""Exact arithmetic in Z/p^M: residues, units, valuations and canonical lifts.
+"""Exact arithmetic in Z/p^M: units, valuations and canonical lifts.
 
-Everything here is plain integer arithmetic on canonical representatives in
-[0, p^M).  Residues are immutable and operations are pure, so values can be
-shared freely across threads.
+Everything here is plain integer arithmetic: an element of Z/p^M is its
+canonical representative, an int in [0, p^M), and every function returns
+one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import (
     CapExceeded,
     DivisibleByP,
     InvariantViolation,
-    ModulusMismatch,
     NotARoot,
     NotASimpleRoot,
     NotAUnit,
@@ -63,57 +62,8 @@ class Modulus:
         """Precision below which distinct roots of unity can collide: 2 for p=2, else 1."""
         return 2 if self.p == 2 else 1
 
-    def residue(self, value: int) -> "Residue":
-        return Residue(value % self.pM, self)
-
     def __repr__(self):
         return f"Modulus({self.p}^{self.M})"
-
-
-@dataclass(frozen=True)
-class Residue:
-    """An element of Z/p^M stored as its canonical representative."""
-
-    value: int
-    modulus: Modulus
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.modulus.pM:
-            object.__setattr__(self, "value", self.value % self.modulus.pM)
-
-    def _check(self, other: "Residue") -> None:
-        if self.modulus != other.modulus:
-            raise ModulusMismatch(f"{self.modulus} vs {other.modulus}")
-
-    def __add__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue((self.value + other.value) % self.modulus.pM, self.modulus)
-
-    def __sub__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue((self.value - other.value) % self.modulus.pM, self.modulus)
-
-    def __mul__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue((self.value * other.value) % self.modulus.pM, self.modulus)
-
-    def __neg__(self) -> "Residue":
-        return Residue(-self.value % self.modulus.pM, self.modulus)
-
-    def __pow__(self, n: int) -> "Residue":
-        if n < 0:
-            return invert(self) ** (-n)
-        return Residue(pow(self.value, n, self.modulus.pM), self.modulus)
-
-    def reduce(self, n: int) -> "Residue":
-        """Image under Z/p^M -> Z/p^n for n <= M."""
-        if n > self.modulus.M:
-            raise ValueError(f"cannot reduce precision {self.modulus.M} to {n}")
-        m = Modulus(self.modulus.p, n)
-        return Residue(self.value % m.pM, m)
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.modulus.p}^{self.modulus.M})"
 
 
 def int_valuation(n: int, p: int) -> int:
@@ -125,18 +75,11 @@ def int_valuation(n: int, p: int) -> int:
     return e
 
 
-def valuation(x: Residue) -> Optional[int]:
-    """Largest e with p^e | x, or SATURATED when that exceeds the precision."""
-    if x.value % x.modulus.pM == 0:
-        return SATURATED
-    return int_valuation(x.value, x.modulus.p)
-
-
-def invert(x: Residue) -> Residue:
+def invert(x: int, modulus: Modulus) -> int:
     """Multiplicative inverse of a unit mod p^M."""
-    if x.value % x.modulus.p == 0:
-        raise NotAUnit(f"{x} is divisible by {x.modulus.p}")
-    return Residue(pow(x.value, -1, x.modulus.pM), x.modulus)
+    if x % modulus.p == 0:
+        raise NotAUnit(f"{x} is divisible by {modulus.p}")
+    return pow(x, -1, modulus.pM)
 
 
 def _poly_eval(coeffs: Sequence[int], x: int, mod: int) -> int:
@@ -150,7 +93,7 @@ def _poly_deriv(coeffs: Sequence[int]) -> list[int]:
     return [i * c for i, c in enumerate(coeffs)][1:]
 
 
-def hensel_lift(coeffs: Sequence[int], r0: int, base_level: int, target: Modulus) -> Residue:
+def hensel_lift(coeffs: Sequence[int], r0: int, base_level: int, target: Modulus) -> int:
     """Newton-lift a simple root of an integer polynomial to precision M.
 
     ``coeffs`` lists coefficients from the constant term upward.  ``r0`` must
@@ -177,10 +120,10 @@ def hensel_lift(coeffs: Sequence[int], r0: int, base_level: int, target: Modulus
     # the base congruence is only visible up to the working precision
     if (r - r0) % p ** min(base_level, M) != 0:
         raise InvariantViolation(f"lifted root {r} left the class of {r0} mod {p}^{base_level}")
-    return Residue(r, target)
+    return r
 
 
-def teichmuller(a: int, target: Modulus) -> Residue:
+def teichmuller(a: int, target: Modulus) -> int:
     """The unique (p-1)-th root of unity congruent to a mod p.
 
     Computed by iterating x -> x^p, which contracts to the fixed point.
@@ -194,7 +137,7 @@ def teichmuller(a: int, target: Modulus) -> Residue:
         if nxt == t:
             break
         t = nxt
-    return Residue(t, target)
+    return t
 
 
 def smallest_primitive_root(p: int) -> int:
@@ -217,7 +160,7 @@ def smallest_primitive_root(p: int) -> int:
     raise OrderUnavailable(f"no primitive root mod {p}")
 
 
-def mth_root_of_unity(m: int, target: Modulus) -> Residue:
+def mth_root_of_unity(m: int, target: Modulus) -> int:
     """A residue of exact multiplicative order m mod p^M, for m | p-1.
 
     Derived from the Teichmüller lift of the smallest primitive root, so the
@@ -227,19 +170,19 @@ def mth_root_of_unity(m: int, target: Modulus) -> Residue:
     if m < 1 or (p - 1) % m != 0:
         raise OrderUnavailable(f"no element of order {m}: {m} does not divide {p}-1")
     if m == 1:
-        return Residue(1 % target.pM, target)
+        return 1 % target.pM
     g = smallest_primitive_root(p)
-    b = teichmuller(g, target) ** ((p - 1) // m)
-    return b
+    return pow(teichmuller(g, target), (p - 1) // m, target.pM)
 
 
-def multiplicative_order(x: Residue, bound: int = 10 ** 6) -> int:
-    """Order of a unit in (Z/p^M)^x by direct powering."""
-    if x.value % x.modulus.p == 0:
-        raise NotAUnit(f"{x} is not a unit")
-    acc, n = x.value, 1
+def multiplicative_order(x: int, modulus: Modulus, bound: int = 10 ** 6) -> int:
+    """Order of a unit x in (Z/p^M)^x by direct powering."""
+    if x % modulus.p == 0:
+        raise NotAUnit(f"{x} is not a unit mod {modulus.p}")
+    x %= modulus.pM
+    acc, n = x, 1
     while acc != 1:
-        acc = acc * x.value % x.modulus.pM
+        acc = acc * x % modulus.pM
         n += 1
         if n > bound:
             raise CapExceeded(f"order of {x} exceeds bound {bound}")

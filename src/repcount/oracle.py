@@ -67,7 +67,7 @@ def orbit_count_bruteforce(group: FiniteMatrixGroup, n: int,
     """
     space = PointSpace(group.modulus.p, n, group.dim, cap)
     pn = space.radix
-    gens = [np.array(g.rows, dtype=np.int64) for g in group.generators_at(n)]
+    gens = group.generators_at(n)
     visited = np.zeros(space.size, dtype=bool)
     orbits = 0
     pointer = 0
@@ -105,7 +105,7 @@ def fixed_points_bruteforce(w: SquareMatrix, n: int,
     """Count v in (Z/p^n)^l with w v = v, by scanning every point."""
     space = PointSpace(w.modulus.p, n, w.dim, cap)
     pn = space.radix
-    mat = np.array(w.reduce(n).rows, dtype=np.int64)
+    mat = np.array([[x % pn for x in row] for row in w.rows], dtype=np.int64)
     total = 0
     for lo in range(0, space.size, _CHUNK):
         idx = np.arange(lo, min(lo + _CHUNK, space.size), dtype=np.int64)

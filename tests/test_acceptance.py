@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from matrix_helpers import generator_matrices, minus_identity, prod
 from repcount.catalog import GroupSpec, build, exponents, parse_spec
 from repcount.counting import (
     count_burnside_classes,
@@ -76,22 +77,24 @@ def test_acceptance_03_theorem_c_reproduction(exceptional_groups):
 
 def test_acceptance_04_g24_table(g24):
     start = time.perf_counter()
-    a, b, c = g24.generators
+    a, b, c = generator_matrices(g24)
     ident = SquareMatrix.identity(3, g24.modulus)
     neg = SquareMatrix.from_rows(
         [[-1 if i == j else 0 for j in range(3)] for i in range(3)], g24.modulus
     )
+    mod = g24.modulus
+    ac, ab = prod(mod, a, c), prod(mod, a, b)
     expected = [
         (ident, (0, 0, 0)), (neg, (2, 2, 2)),
-        (c, (1, 0, 0)), (neg @ c, (1, 2, 0)),
-        (a @ c, (1, 1, 0)), (neg @ a @ c, (1, 1, 2)),
-        (a @ b, (1, 1, 0)), (neg @ a @ b, (1, 1, 4)),
+        (c, (1, 0, 0)), (prod(mod, neg, c), (1, 2, 0)),
+        (ac, (1, 1, 0)), (prod(mod, neg, ac), (1, 1, 2)),
+        (ab, (1, 1, 0)), (prod(mod, neg, ab), (1, 1, 4)),
     ]
     for x, diag in expected:
-        assert smith_valuations(x - ident).diagonal() == diag
+        assert smith_valuations(minus_identity(x, mod)).diagonal() == diag
     recs = g24.conjugacy_classes()
     sizes = [recs[g24.class_of(g24.find(x))].class_size
-             for x in (ident, c, a @ c, a @ b)]
+             for x in (ident, c, ac, ab)]
     assert sizes == [1, 21, 56, 42]
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -204,9 +207,8 @@ def test_acceptance_11_invariant_suites(exceptional_groups):
     # kernel lifting: nontrivial kernels persist down to precision 1
     for name in ("g12", "g24"):
         group = exceptional_groups[name]
-        ident = SquareMatrix.identity(group.dim, group.modulus)
         for i in range(group.order):
-            diff = group.element(i) - ident
+            diff = minus_identity(group.element(i), group.modulus)
             if kernel_size(diff, group.modulus.M) > 1:
                 assert kernel_size(diff, 1) > 1
     # p-Sylow divisibility of every torsion order
@@ -229,7 +231,7 @@ def test_acceptance_11_invariant_suites(exceptional_groups):
         mat = SquareMatrix.from_rows(rows, mod)
         u = SquareMatrix.from_rows(_random_unimodular(l, mod, rng), mod)
         v = SquareMatrix.from_rows(_random_unimodular(l, mod, rng), mod)
-        assert smith_valuations(u @ mat @ v).vals == smith_valuations(mat).vals
+        assert smith_valuations(prod(mod, u, mat, v)).vals == smith_valuations(mat).vals
         trials += 1
     # primitive-root independence of the monomial-family count
     root_cases = 0
@@ -239,7 +241,7 @@ def test_acceptance_11_invariant_suites(exceptional_groups):
         assert pk <= 343
         roots = [c for c in range(1, pk)
                  if pow(c, m, pk) == 1 and all(pow(c, d, pk) != 1 for d in range(1, m))]
-        assert mth_root_of_unity(m, Modulus(p, k)).value in roots
+        assert mth_root_of_unity(m, Modulus(p, k)) in roots
         counts = {enumerate_distinguished(m, s, n, p, k, root=c)[0] for c in roots}
         assert len(counts) == 1
         root_cases += len(roots)

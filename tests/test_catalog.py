@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from matrix_helpers import generator_matrices, order, power, prod
 from repcount.catalog import (
     GroupSpec,
     build,
@@ -27,19 +28,20 @@ def test_exceptional_orders(exceptional_groups):
 
 def test_g24_presentation_relations(g24):
     s1, s2, s3 = g24.generators
-    ident = SquareMatrix.identity(3, g24.modulus)
-    assert (s1 @ s1).rows == ident.rows
-    assert (s2 @ s2).rows == ident.rows
-    assert (s3 @ s3).rows == ident.rows
-    assert ((s2 @ s3 @ s2 @ s1) ** 4).rows == ident.rows
-    assert ((s1 @ s3) ** 3).rows == ident.rows
-    assert ((s2 @ s3) ** 3).rows == ident.rows
-    assert ((s1 @ s2) ** 4).rows == ident.rows
+    mod = g24.modulus
+    ident = SquareMatrix.identity(3, mod)
+    assert prod(mod, s1, s1).rows == ident.rows
+    assert prod(mod, s2, s2).rows == ident.rows
+    assert prod(mod, s3, s3).rows == ident.rows
+    assert power(prod(mod, s2, s3, s2, s1), 4, mod).rows == ident.rows
+    assert power(prod(mod, s1, s3), 3, mod).rows == ident.rows
+    assert power(prod(mod, s2, s3), 3, mod).rows == ident.rows
+    assert power(prod(mod, s1, s2), 4, mod).rows == ident.rows
 
 
 def test_g29_central_element(g29):
     r1, r2, r3, r4 = g29.generators
-    z = (r1 @ r2 @ r3 @ r4) ** 5
+    z = power(prod(g29.modulus, r1, r2, r3, r4), 5, g29.modulus)
     # z must be omega * I for the order-4 unit omega = 2 mod 5
     omega = z.rows[0][0]
     assert omega % 5 == 2
@@ -62,12 +64,8 @@ def test_generators_are_reflections(exceptional_groups):
     # reflections (checked separately below)
     for name in ("g24", "g29", "g31"):
         group = exceptional_groups[name]
-        for g in group.generators:
-            d = 1
-            acc = g
-            while not acc.is_identity():
-                acc = acc @ g
-                d += 1
+        for g in generator_matrices(group):
+            d = order(g, group.modulus)
             assert d == 2
             assert rank_fixed_space(g, d) == group.dim - 1
 

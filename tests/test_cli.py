@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repcount import catalog, counting
+from repcount import catalog, counting, formulas
 from repcount.cli import main
 from repcount.errors import NonIntegralCount
 
@@ -53,11 +53,13 @@ def test_count_flag_shorthand(capsys):
     ["--m", "4", "--s", "2", "--p", "5"],   # G(4,2,1) is not the sphere
     ["--m", "4", "--s", "2", "--n", "1", "--p", "5"],
     ["--m", "4", "--s", "0", "--n", "2", "--p", "5"],
+    ["--m", "0", "--p", "3"],               # m = 0 is given, not absent
 ])
 def test_count_flags_are_not_rewritten(capsys, flags):
     code, out, err = run(capsys, "count", *flags, "--k", "1", "--method", "theoremB")
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "SpecInvalid"
+    assert "no group given" not in json.loads(err)["message"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -270,11 +272,21 @@ def test_snf_zero_and_identity(tmp_path, capsys):
 
 
 def test_snf_parse_error(tmp_path, capsys):
-    f = tmp_path / "bad.txt"
-    f.write_text("2 4 2 3\n1 2 3\n4 5 6\n")
-    code, _, err = run(capsys, "snf", str(f))
-    assert code == 2
-    assert json.loads(err)["error"] == "SpecInvalid"
+    for name, text in [("bad.txt", "2 4 2 3\n1 2 3\n4 5 6\n"), ("empty.txt", "5 2 0 0\n")]:
+        f = tmp_path / name
+        f.write_text(text)
+        code, _, err = run(capsys, "snf", str(f))
+        assert code == 2
+        assert json.loads(err)["error"] == "SpecInvalid"
+
+
+def test_count_with_more_digits_than_the_int_str_limit(capsys):
+    # 4800 * 3 binary digits: about 4335 decimal digits, above CPython's
+    # default int-to-str limit of 4300
+    code, out, _ = run(capsys, "count", "--group", "g24", "--k", "4800",
+                       "--method", "theoremC", "--format", "json", "--no-timing")
+    assert code == 0
+    assert json.loads(out)["count"] == str(formulas.theorem_c("x24", 4800))
 
 
 def test_formula_subcommand(capsys):

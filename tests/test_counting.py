@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from matrix_helpers import generator_matrices, minus_identity, prod
 from repcount.catalog import ExponentList, GroupSpec, build, exponents, generators, parse_spec
 from repcount.counting import (
     BURNSIDE_CHUNK,
@@ -49,9 +50,11 @@ def test_burnside_full_g12(g12):
 
 
 def test_burnside_full_per_element_matches_classwise(g12, g24, g29):
-    # k = M + 1 lifts the whole store by its words
+    # k = M + 1 lifts the whole store by its words; g12 at 3^19 and g29 at
+    # 5^13 are the last int64 precisions, 3^20 and 5^14 the first object ones
     for group, k in [(g12, 2), (g24, 3), (g29, 1),
-                     (g12, g12.modulus.M + 1), (g24, g24.modulus.M + 1)]:
+                     (g12, g12.modulus.M + 1), (g24, g24.modulus.M + 1),
+                     (g12, 19), (g12, 20), (g29, 13), (g29, 14)]:
         assert (count_burnside_full(group, k, per_element=True).count
                 == count_burnside_full(group, k).count)
 
@@ -130,30 +133,32 @@ def test_resolve_torsion_identity(g24):
 
 
 def test_g24_table_of_smith_diagonals(g24):
-    a, b, c = g24.generators
+    a, b, c = generator_matrices(g24)
     ident = SquareMatrix.identity(3, g24.modulus)
     neg = SquareMatrix.from_rows(
         [[-1 if i == j else 0 for j in range(3)] for i in range(3)], g24.modulus
     )
+    mod = g24.modulus
     table = {
         "I": (ident, (0, 0, 0)),
         "-I": (neg, (2, 2, 2)),
         "c": (c, (1, 0, 0)),
-        "-c": (neg @ c, (1, 2, 0)),
-        "ac": (a @ c, (1, 1, 0)),
-        "-ac": (neg @ a @ c, (1, 1, 2)),
-        "ab": (a @ b, (1, 1, 0)),
-        "-ab": (neg @ a @ b, (1, 1, 4)),
+        "-c": (prod(mod, neg, c), (1, 2, 0)),
+        "ac": (prod(mod, a, c), (1, 1, 0)),
+        "-ac": (prod(mod, neg, a, c), (1, 1, 2)),
+        "ab": (prod(mod, a, b), (1, 1, 0)),
+        "-ab": (prod(mod, neg, a, b), (1, 1, 4)),
     }
     for name, (x, diag) in table.items():
-        assert smith_valuations(x - ident).diagonal() == diag, name
+        assert smith_valuations(minus_identity(x, mod)).diagonal() == diag, name
 
 
 def test_g24_class_sizes(g24):
-    s1, s2, s3 = g24.generators
+    s1, s2, s3 = generator_matrices(g24)
     sizes = {}
-    for label, x in [("I", SquareMatrix.identity(3, g24.modulus)),
-                     ("c", s3), ("ac", s1 @ s3), ("ab", s1 @ s2)]:
+    mod = g24.modulus
+    for label, x in [("I", SquareMatrix.identity(3, mod)), ("c", s3),
+                     ("ac", prod(mod, s1, s3)), ("ab", prod(mod, s1, s2))]:
         rec = g24.conjugacy_classes()[g24.class_of(g24.find(x))]
         sizes[label] = rec.class_size
     assert sizes == {"I": 1, "c": 21, "ac": 56, "ab": 42}
@@ -245,9 +250,8 @@ def test_sylow_divisibility(exceptional_groups):
 def test_kernel_lifting_property(g12, g24):
     # A nontrivial kernel at precision n > 1 forces one at precision 1.
     for group in (g12, g24):
-        ident = SquareMatrix.identity(group.dim, group.modulus)
         for i in range(group.order):
-            diff = group.element(i) - ident
+            diff = minus_identity(group.element(i), group.modulus)
             if kernel_size(diff, group.modulus.M) > 1:
                 assert kernel_size(diff, 1) > 1
 

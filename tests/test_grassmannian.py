@@ -76,7 +76,7 @@ def test_domain_is_a_transversal():
     g = build(GroupSpec("family2a", m=4, s=2, n=2, p=5))
     count, tuples = enumerate_distinguished(4, 2, 2, 5, 1, materialize=True)
     pn = 5
-    gens = [np.array(mat.reduce(1).rows, dtype=np.int64) for mat in g.generators]
+    gens = g.generators_at(1)
     seen = set()
     for t in tuples:
         orbit = {t}
@@ -175,7 +175,7 @@ def test_primitive_root_independence():
             if pow(c, m, pk) == 1
             and all(pow(c, d, pk) != 1 for d in range(1, m))
         ]
-        canonical = mth_root_of_unity(m, Modulus(p, k)).value
+        canonical = mth_root_of_unity(m, Modulus(p, k))
         assert canonical in candidates
         counts = {
             enumerate_distinguished(m, s, n, p, k, root=c)[0] for c in candidates

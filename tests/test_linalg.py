@@ -1,4 +1,4 @@
-"""Matrix arithmetic, Smith valuations, kernel sizes, determinants.
+"""Matrix products, Smith valuations, kernel sizes, matrix files.
 
 The independent oracles here are exhaustive: kernels by scanning every
 vector of the point space, determinants by permutation expansion.  Smith
@@ -10,16 +10,16 @@ import random
 
 import pytest
 
-from repcount.errors import DimensionMismatch, ModulusMismatch, PrecisionTooLow
+from matrix_helpers import det_permanent_expansion, prod
+from repcount.errors import DimensionMismatch, PrecisionTooLow
 from repcount.linalg import (
     SquareMatrix,
-    determinant,
     kernel_size,
-    multiply,
+    mat_mul_raw,
     parse_matrix_text,
     smith_valuations,
 )
-from repcount.modp import SATURATED, Modulus
+from repcount.modp import SATURATED, Modulus, int_valuation
 
 
 def mat(rows, p, M):
@@ -35,24 +35,6 @@ def kernel_scan(rows, p, n):
         if all(sum(rows[i][j] * v[j] for j in range(l)) % pn == 0 for i in range(l)):
             count += 1
     return count
-
-
-def det_permanent_expansion(rows, pM):
-    """Oracle: determinant by signed permutation expansion."""
-    l = len(rows)
-    total = 0
-    for perm in itertools.permutations(range(l)):
-        sign = 1
-        seen = list(perm)
-        for i in range(l):
-            for j in range(i + 1, l):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = sign
-        for i in range(l):
-            term *= rows[i][perm[i]]
-        total += term
-    return total % pM
 
 
 def random_unimodular(l, p, M, rng):
@@ -74,31 +56,24 @@ def random_unimodular(l, p, M, rng):
 def test_multiply_identity():
     a = mat([[1, 2], [3, 4]], 5, 2)
     i2 = SquareMatrix.identity(2, a.modulus)
-    assert multiply(a, i2).rows == a.rows
-    assert multiply(i2, a).rows == a.rows
+    assert mat_mul_raw(a.rows, i2.rows, a.modulus.pM) == a.rows
+    assert mat_mul_raw(i2.rows, a.rows, a.modulus.pM) == a.rows
 
 
 def test_multiply_known_product():
     a = mat([[1, 2], [3, 4]], 7, 2)
     b = mat([[0, 1], [1, 0]], 7, 2)
-    assert (a @ b).rows == ((2, 1), (4, 3))
+    assert mat_mul_raw(a.rows, b.rows, a.modulus.pM) == ((2, 1), (4, 3))
 
 
-def test_multiply_mismatch_errors():
-    a = mat([[1, 0], [0, 1]], 5, 2)
-    b = mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 5, 2)
-    c = mat([[1, 0], [0, 1]], 5, 3)
+def test_from_rows_canonical_and_square():
+    # residues enter a matrix as canonical representatives mod p^M
+    a = mat([[-1, 9], [5 + 7, 2 * 5]], 3, 2)
+    assert a.rows == ((8, 0), (3, 1)) and a.dim == 2
     with pytest.raises(DimensionMismatch):
-        a @ b
-    with pytest.raises(ModulusMismatch):
-        a @ c
-
-
-def test_matrix_pow():
-    a = mat([[0, 1], [6, 0]], 7, 2)
-    assert (a ** 2).rows == ((6, 0), (0, 6))
-    assert (a ** 0).rows == SquareMatrix.identity(2, a.modulus).rows
-    assert (a ** 5).rows == ((a ** 4) @ a).rows
+        mat([[1, 0, 0], [0, 1, 0]], 5, 2)
+    with pytest.raises(DimensionMismatch):
+        mat([], 5, 2)
 
 
 def test_smith_zero_matrix():
@@ -174,24 +149,21 @@ def test_smith_unimodular_invariance(p, M, l):
         a = SquareMatrix.from_rows(rows, m)
         u = SquareMatrix.from_rows(random_unimodular(l, p, M, rng), m)
         v = SquareMatrix.from_rows(random_unimodular(l, p, M, rng), m)
-        assert smith_valuations(u @ a @ v).vals == smith_valuations(a).vals
-
-
-def test_determinant_examples():
-    i3 = SquareMatrix.identity(3, Modulus(2, 4))
-    assert determinant(i3).value == 1
-    a = mat([[0, 1], [1, 0]], 5, 2)
-    assert determinant(a).value == 24  # -1
+        assert smith_valuations(prod(m, u, a, v)).vals == smith_valuations(a).vals
 
 
 @pytest.mark.parametrize("p,M,l", [(2, 3, 2), (3, 2, 3), (5, 2, 4)])
 def test_determinant_vs_expansion(p, M, l):
+    # det is a unit times p^(e_1 + ... + e_l): its valuation mod p^M is the
+    # sum of the Smith valuations, saturated from M on
     rng = random.Random(p + M + l)
     m = Modulus(p, M)
     for _ in range(40):
         rows = [[rng.randrange(m.pM) for _ in range(l)] for _ in range(l)]
-        a = SquareMatrix.from_rows(rows, m)
-        assert determinant(a).value == det_permanent_expansion(rows, m.pM)
+        det = det_permanent_expansion(rows, m.pM)
+        vals = smith_valuations(SquareMatrix.from_rows(rows, m)).vals
+        total = M if SATURATED in vals else min(sum(vals), M)
+        assert total == (M if det == 0 else int_valuation(det, p))
 
 
 def test_determinant_unit_iff_trivial_kernel():
@@ -200,7 +172,7 @@ def test_determinant_unit_iff_trivial_kernel():
     for _ in range(40):
         rows = [[rng.randrange(m.pM) for _ in range(3)] for _ in range(3)]
         a = SquareMatrix.from_rows(rows, m)
-        unit = determinant(a).value % 3 != 0
+        unit = det_permanent_expansion(rows, m.pM) % 3 != 0
         trivial = all(kernel_size(a, n) == 1 for n in range(1, 4))
         assert unit == trivial
 
@@ -216,3 +188,5 @@ def test_parse_matrix_text():
         parse_matrix_text("")
     with pytest.raises(ValueError):
         parse_matrix_text("2 4 2 2\n1 -1\n0 1\n")
+    with pytest.raises(ValueError):
+        parse_matrix_text("5 2 0 0\n")

@@ -1,4 +1,4 @@
-"""Residue arithmetic, valuations, Hensel lifting, Teichmüller lifts.
+"""Units, valuations, Hensel lifting, Teichmüller lifts.
 
 Expected values for the lifted constants were frozen from exhaustive root
 scans over the full residue ring (re-run inline where cheap), so they do
@@ -10,22 +10,22 @@ import pytest
 from repcount.errors import (
     CapExceeded,
     DivisibleByP,
-    ModulusMismatch,
     NotARoot,
     NotASimpleRoot,
     NotAUnit,
     OrderUnavailable,
 )
+from repcount.linalg import smith_valuations_raw
 from repcount.modp import (
     SATURATED,
     Modulus,
     hensel_lift,
+    int_valuation,
     invert,
     mth_root_of_unity,
     multiplicative_order,
     smallest_primitive_root,
     teichmuller,
-    valuation,
 )
 
 
@@ -46,40 +46,25 @@ def test_modulus_threshold():
     assert Modulus(5, 1).threshold == 1
 
 
-def test_residue_canonicalizes():
-    m = Modulus(3, 2)
-    assert m.residue(-1).value == 8
-    assert m.residue(9).value == 0
-    assert (m.residue(5) + m.residue(7)).value == 3
-    assert (m.residue(2) * m.residue(5)).value == 1
-    assert (-m.residue(1)).value == 8
-    assert (m.residue(2) ** 3).value == 8
-
-
-def test_mixed_modulus_rejected():
-    a = Modulus(3, 2).residue(1)
-    b = Modulus(3, 3).residue(1)
-    with pytest.raises(ModulusMismatch):
-        a + b
-
-
 def test_valuation_examples():
-    m = Modulus(3, 4)
-    assert valuation(m.residue(0)) is SATURATED
-    assert valuation(m.residue(18)) == 2
-    assert valuation(m.residue(7)) == 0
-    assert valuation(m.residue(27)) == 3
-    assert valuation(Modulus(2, 3).residue(4)) == 2
+    # int_valuation on nonzero ints; a residue's valuation, saturated at 0,
+    # is the Smith form of the 1 x 1 matrix
+    assert smith_valuations_raw([[0]], 3, 4) == [SATURATED]
+    assert smith_valuations_raw([[81]], 3, 4) == [SATURATED]
+    assert int_valuation(18, 3) == 2 and smith_valuations_raw([[18]], 3, 4) == [2]
+    assert int_valuation(7, 3) == 0 and smith_valuations_raw([[7]], 3, 4) == [0]
+    assert int_valuation(27, 3) == 3 and smith_valuations_raw([[27]], 3, 4) == [3]
+    assert int_valuation(4, 2) == 2 and smith_valuations_raw([[4]], 2, 3) == [2]
 
 
 def test_invert_examples():
     m = Modulus(3, 2)
-    assert invert(m.residue(2)).value == 5
-    assert invert(m.residue(1)).value == 1
+    assert invert(2, m) == 5
+    assert invert(1, m) == 1
     with pytest.raises(NotAUnit):
-        invert(m.residue(3))
+        invert(3, m)
     with pytest.raises(NotAUnit):
-        invert(m.residue(0))
+        invert(0, m)
 
 
 @pytest.mark.parametrize("p,M", [(2, 5), (3, 3), (5, 2), (7, 2)])
@@ -88,35 +73,33 @@ def test_invert_all_units(p, M):
     for x in range(m.pM):
         if x % p == 0:
             continue
-        assert (m.residue(x) * invert(m.residue(x))).value == 1
+        assert x * invert(x, m) % m.pM == 1
 
 
 def test_hensel_alpha():
     # x^2 - x + 2 has exactly one root = 3 mod 8 in Z/2^10; scan certifies 91.
     scan = [x for x in range(2 ** 10) if (x * x - x + 2) % 2 ** 10 == 0 and x % 8 == 3]
     assert scan == [91]
-    r = hensel_lift([2, -1, 1], 3, 3, Modulus(2, 10))
-    assert r.value == 91
+    assert hensel_lift([2, -1, 1], 3, 3, Modulus(2, 10)) == 91
 
 
 def test_hensel_omega():
     # (2x+1)^2 + 2 = 0 with x divisible by 3, in Z/3^6; scan certifies 618.
     scan = [x for x in range(3 ** 6) if ((2 * x + 1) ** 2 + 2) % 3 ** 6 == 0 and x % 3 == 0]
     assert scan == [618]
-    r = hensel_lift([3, 4, 4], 0, 1, Modulus(3, 6))
-    assert r.value == 618
+    assert hensel_lift([3, 4, 4], 0, 1, Modulus(3, 6)) == 618
 
 
 def test_hensel_linear():
-    assert hensel_lift([-1, 1], 1, 1, Modulus(5, 4)).value == 1
-    assert hensel_lift([-1, 1], 1, 1, Modulus(2, 7)).value == 1
+    assert hensel_lift([-1, 1], 1, 1, Modulus(5, 4)) == 1
+    assert hensel_lift([-1, 1], 1, 1, Modulus(2, 7)) == 1
 
 
 def test_hensel_relift_consistent():
     for M in range(4, 9):
         low = hensel_lift([2, -1, 1], 3, 3, Modulus(2, M))
         high = hensel_lift([2, -1, 1], 3, 3, Modulus(2, M + 1))
-        assert high.value % 2 ** M == low.value
+        assert high % 2 ** M == low
 
 
 def test_hensel_errors():
@@ -127,9 +110,8 @@ def test_hensel_errors():
 
 
 def test_teichmuller_examples():
-    assert teichmuller(1, Modulus(7, 3)).value == 1
-    t = teichmuller(2, Modulus(5, 4))
-    assert t.value == 182
+    assert teichmuller(1, Modulus(7, 3)) == 1
+    assert teichmuller(2, Modulus(5, 4)) == 182
     assert pow(182, 2, 625) == 624
     assert pow(182, 4, 625) == 1
     with pytest.raises(DivisibleByP):
@@ -141,8 +123,8 @@ def test_teichmuller_is_root_of_unity(p, M):
     m = Modulus(p, M)
     for a in range(1, p):
         t = teichmuller(a, m)
-        assert t.value % p == a
-        assert pow(t.value, p - 1, m.pM) == 1
+        assert t % p == a
+        assert pow(t, p - 1, m.pM) == 1
 
 
 def test_smallest_primitive_root():
@@ -155,13 +137,13 @@ def test_smallest_primitive_root():
 
 
 def test_mth_root_examples():
-    assert mth_root_of_unity(1, Modulus(11, 2)).value == 1
+    assert mth_root_of_unity(1, Modulus(11, 2)) == 1
     b = mth_root_of_unity(4, Modulus(5, 1))
-    assert b.value in (2, 3)  # exhaustively, the only order-4 units mod 5
+    assert b in (2, 3)  # exhaustively, the only order-4 units mod 5
     assert [a for a in range(1, 5) if pow(a, 4, 5) == 1 and pow(a, 2, 5) != 1] == [2, 3]
     c = mth_root_of_unity(3, Modulus(7, 2))
-    assert pow(c.value, 3, 49) == 1 and c.value != 1
-    assert c.value in (18, 30)  # scan of order-3 units mod 49
+    assert pow(c, 3, 49) == 1 and c != 1
+    assert c in (18, 30)  # scan of order-3 units mod 49
     with pytest.raises(OrderUnavailable):
         mth_root_of_unity(3, Modulus(5, 2))
 
@@ -172,18 +154,12 @@ def test_mth_root_exact_order(p, M):
     divisors = [d for d in range(1, p) if (p - 1) % d == 0]
     for d in divisors:
         b = mth_root_of_unity(d, m)
-        assert multiplicative_order(b) == d
+        assert multiplicative_order(b, m) == d
 
 
 def test_multiplicative_order_bound_is_a_cap():
-    assert multiplicative_order(Modulus(7, 1).residue(3)) == 6
+    assert multiplicative_order(3, Modulus(7, 1)) == 6
     with pytest.raises(CapExceeded):
-        multiplicative_order(Modulus(7, 1).residue(3), bound=2)
-
-
-def test_residue_reduce():
-    m = Modulus(3, 4)
-    r = m.residue(47)
-    assert r.reduce(2).value == 47 % 9
-    with pytest.raises(ValueError):
-        r.reduce(5)
+        multiplicative_order(3, Modulus(7, 1), bound=2)
+    with pytest.raises(NotAUnit):
+        multiplicative_order(14, Modulus(7, 2))
