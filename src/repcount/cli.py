@@ -328,7 +328,7 @@ def cmd_formula(args) -> int:
         report = counting.CountReport(spec.label(), spec.p, args.k, "closed-form",
                                       value, elapsed=time.perf_counter() - start)
     elif args.exponents:
-        if not args.p:
+        if args.p is None:
             raise SpecInvalid("--exponents requires --p")
         try:
             exps = [int(tok) for tok in args.exponents.split(",")]

@@ -3,9 +3,10 @@
 All engines count orbits of a finite matrix group W acting on (Z/p^k)^l and
 must agree exactly; they differ in what they sum.  ``count_burnside_full``
 computes fixed-point counts directly from Smith forms of w - I at precision
-k, all read by the batched Smith engine: one batch of the class
-representatives, or, per element, the whole store in fixed chunks, a sum
-that does not use the class partition at all;
+k, all read by the batched Smith engine on the rows that
+``FiniteMatrixGroup.rows_at`` gives at p^k: the class representatives, or,
+per element, the whole store in fixed chunks, a sum that does not use the
+class partition at all;
 ``count_burnside_classes`` decomposes each count as p^(k*rank) times the
 torsion contribution, both read off the complete class records (each
 class is read once, at the least m >= M with p^m > d*l for its element
@@ -115,34 +116,34 @@ def count_burnside_full(
     precision k, |Ker| = p^(sum of min(e, k)), all read by the batched Smith
     engine.  The default evaluates one kernel per conjugacy class (the count
     is a class function); ``per_element=True`` sums over every single
-    element instead, independently of the class partition, walking the
-    store in chunks of ``BURNSIDE_CHUNK`` elements to bound memory.  Any k
-    is reachable: above the group's precision the representatives, or for
-    ``per_element`` the whole store, are lifted by their generator words.
+    element instead, independently of the class partition, in chunks of
+    ``BURNSIDE_CHUNK`` elements to bound the Smith temporaries.  Any k is
+    reachable: ``rows_at`` reads the representatives, or for
+    ``per_element`` the whole store, at p^k, lifting them by their
+    generator words above the group's precision.
     """
     _check_precision(group, k)
     start = time.perf_counter()
     p = group.modulus.p
     breakdown = None
     if per_element:
-        store = group.store_at(k)
-        ident = np.eye(group.dim, dtype=store.dtype)
-        hist = np.zeros(group.dim * k + 1, dtype=np.int64)
-        for lo in range(0, group.order, BURNSIDE_CHUNK):
-            vals = smith_valuations_batch(store[lo:lo + BURNSIDE_CHUNK] - ident, p, k)
-            hist += np.bincount(vals.sum(axis=1), minlength=hist.size)
-        total = sum(c * p ** e for e, c in enumerate(hist.tolist()))
+        idx = np.arange(group.order)
     else:
         records = group.conjugacy_classes()
-        vals = smith_valuations_batch(
-            np.array([group.diff_rows_at(rec.rep_index, k) for rec in records], dtype=object),
-            p, k)
-        breakdown = []
-        total = 0
-        for rec, e in zip(records, vals.sum(axis=1).tolist()):
-            fixed = p ** e
-            breakdown.append((rec.rep_index, rec.class_size, fixed))
-            total += rec.class_size * fixed
+        idx = [rec.rep_index for rec in records]
+    rows = group.rows_at(idx, k)
+    ident = np.eye(group.dim, dtype=rows.dtype)
+    # element t fixes p^exps[t] points: the kernel of w - I mod p^k
+    exps = np.concatenate([
+        smith_valuations_batch(rows[lo:lo + BURNSIDE_CHUNK] - ident, p, k).sum(axis=1)
+        for lo in range(0, len(rows), BURNSIDE_CHUNK)
+    ])
+    if per_element:
+        total = sum(c * p ** e for e, c in enumerate(np.bincount(exps).tolist()))
+    else:
+        breakdown = [(rec.rep_index, rec.class_size, p ** e)
+                     for rec, e in zip(records, exps.tolist())]
+        total = sum(size * fixed for _, size, fixed in breakdown)
     if total % group.order != 0:
         raise NonIntegralCount(f"Burnside sum {total} not divisible by |W|={group.order}")
     return CountReport(

@@ -5,8 +5,10 @@ in one numpy (N, l, l) store indexed by canonical byte keys, and the
 generators in one (g, l, l) array; the dtype is int64 when matmul entry sums
 cannot overflow and object (Python integers) otherwise, and both dtypes
 share every code path.  Every element also carries a word in the
-generators, so one element, or the whole store, can be re-evaluated at any
-higher precision without re-closing the group.
+generators, kept as two int arrays (parent index, generator index), so any
+set of elements can be re-evaluated at a higher precision without
+re-closing the group: ``rows_at`` is the one lift, and ``_powers`` the one
+routine for orders, trace sums and inverses.
 """
 
 from __future__ import annotations
@@ -17,13 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import CapExceeded, InvariantViolation, NonIntegralRank, PrecisionTooLow
-from .linalg import (
-    SmithValuations,
-    SquareMatrix,
-    exact_dtype,
-    mat_mul_raw,
-    smith_valuations_raw,
-)
+from .linalg import SmithValuations, SquareMatrix, exact_dtype, smith_valuations_batch
 from .modp import SATURATED, Modulus
 
 DEFAULT_CLOSURE_CAP = 10 ** 8
@@ -77,13 +73,14 @@ class ConjugacyClassRecord:
 class FiniteMatrixGroup:
     """A finite group of invertible l x l matrices over Z/p^M."""
 
-    def __init__(self, modulus, dim, generators, store, words, keys,
+    def __init__(self, modulus, dim, generators, store, parent, gen, keys,
                  generator_factory=None, name=None):
         self.modulus = modulus
         self.dim = dim
         self.generators = generators  # (g, l, l) array, the store's dtype
         self._arr = store          # (N, l, l) array of dtype exact_dtype(modulus.pM, dim)
-        self._words = words        # words[i] = (parent index, generator index)
+        self._parent = parent      # element i = element parent[i] @ generator gen[i]
+        self._gen = gen
         self._keys = keys          # canonical byte key -> element index
         self._key_list = list(keys.keys())
         self.generator_factory = generator_factory
@@ -120,9 +117,8 @@ class FiniteMatrixGroup:
         """Generator indices whose left-to-right product is element i."""
         out = []
         while i != 0:
-            parent, gi = self._words[i]
-            out.append(gi)
-            i = parent
+            out.append(int(self._gen[i]))
+            i = int(self._parent[i])
         out.reverse()
         return out
 
@@ -145,54 +141,49 @@ class FiniteMatrixGroup:
         gens = self.generator_factory(Modulus(self.modulus.p, n))
         return np.array([g.rows for g in gens], dtype=dtype)
 
-    def element_rows_at(self, i: int, target_M: int) -> tuple:
-        """Element i re-expressed mod p^target_M.
+    def rows_at(self, idx, n: int) -> np.ndarray:
+        """Elements ``idx`` mod p^n, as an (len(idx), l, l) array of dtype exact_dtype(p^n, l).
 
-        Reduction is entrywise; raising precision re-evaluates the element's
-        generator word, which requires a generator factory.
-        """
-        pn = self.modulus.p ** target_M
-        if target_M <= self.modulus.M:
-            return tuple(tuple(x % pn for x in row) for row in self.element_rows(i))
-        gens = self.generators_at(target_M)
-        acc = np.eye(self.dim, dtype=gens.dtype)
-        for gi in self.word(i):
-            acc = acc @ gens[gi] % pn
-        return tuple(map(tuple, acc.tolist()))
-
-    def diff_rows_at(self, i: int, m: int) -> tuple:
-        """w - I mod p^m for element i, evaluated at precision m."""
-        return _minus_identity(self.element_rows_at(i, m), self.modulus.p ** m)
-
-    def store_at(self, n: int) -> np.ndarray:
-        """Every element mod p^n, as an (N, l, l) array in store order.
-
-        Reduction is entrywise.  Above the group's precision each BFS level
-        is one batched product of its parents' lifts with the generators at
-        p^n, read off the stored words, so nothing is hashed or re-closed.
+        At or below the group's precision the stored rows are reduced.  Above
+        it the elements are re-evaluated from their words: the ancestors of
+        ``idx`` in store order, one batched product of their parents' lifts
+        with the generators at p^n per BFS level, so nothing is hashed or
+        re-closed.
         """
         pn = self.modulus.p ** n
         dtype = exact_dtype(pn, self.dim)
+        idx = np.asarray(idx, dtype=np.intp)
         if n <= self.modulus.M:
-            return (self._arr % pn).astype(dtype, copy=False)
+            rows = self._arr[idx]  # a copy, reduced in place
+            rows %= pn
+            return rows.astype(dtype, copy=False)
         gens = self.generators_at(n)
-        parent = np.array([w[0] for w in self._words])
-        gen = np.array([w[1] for w in self._words])
-        out = np.empty(self._arr.shape, dtype=dtype)
+        need = np.zeros(self.order, dtype=bool)
+        front = idx
+        while front.size:
+            need[front] = True
+            front = self._parent[front]
+            front = front[front >= 0]
+            front = front[~need[front]]
+        sel = np.flatnonzero(need)  # closed under parents, so sel[0] == 0
+        pos = np.empty(self.order, dtype=np.intp)
+        pos[sel] = np.arange(sel.size)
+        parent, gen = pos[self._parent[sel]], self._gen[sel]
+        out = np.empty((sel.size, self.dim, self.dim), dtype=dtype)
         out[0] = np.eye(self.dim, dtype=dtype)
         lo = 1
-        while lo < self.order:
+        while lo < sel.size:
             # a level is contiguous and ends at the first element whose parent is in it
             later = np.flatnonzero(parent[lo:] >= lo)
-            hi = lo + int(later[0]) if later.size else self.order
+            hi = lo + int(later[0]) if later.size else sel.size
             out[lo:hi] = out[parent[lo:hi]] @ gens[gen[lo:hi]] % pn
             lo = hi
-        return out
+        return out[pos[idx]]
 
     # -- orders, ranks, classes ---------------------------------------------
 
     def element_order(self, i: int) -> int:
-        return _order_and_trace_sum(self.element_rows(i), self.modulus.pM, self.order)[0]
+        return int(_powers(self._arr[i:i + 1], self.modulus.pM, self.order)[0][0])
 
     def conjugacy_classes(self) -> list:
         """Partition into conjugacy classes with fixed-space annotations.
@@ -209,49 +200,59 @@ class FiniteMatrixGroup:
         one Smith form of w - I mod p^m is ``rank`` saturated valuations,
         zeros and exactly the torsion valuations.  Reduced mod p^M it is the
         Smith form at the group's precision: valuations of M or more become
-        saturated.  Above M the representative is lifted once, by its word.
+        saturated.  One ``_powers`` call at M gives every order and trace
+        sum; the classes that share an m are then read together, by one
+        ``rows_at`` call (which lifts their representatives by their words
+        when m > M) and one batched Smith elimination.
         """
         if self._classes is not None:
             return self._classes
         members_per_class, class_of = self._partition()
-        records = []
-        p, M = self.modulus.p, self.modulus.M
-        for members in members_per_class:
-            rep = min(members, key=lambda j: self._key_list[j])
-            size = len(members)
+        p, M, l = self.modulus.p, self.modulus.M, self.dim
+        reps = [min(members, key=self._key_list.__getitem__) for members in members_per_class]
+        sizes = [len(members) for members in members_per_class]
+        for rep, size in zip(reps, sizes):
             if self.order % size != 0:
                 raise InvariantViolation(
                     f"class of element {rep} has size {size}, not dividing |W|={self.order}"
                 )
-            rows = self.element_rows(rep)
-            d, trace_sum = _order_and_trace_sum(rows, self.modulus.pM, self.order)
+        orders, trace_sums, _ = _powers(self._arr[reps], self.modulus.pM, self.order)
+        orders, trace_sums = orders.tolist(), trace_sums.tolist()
+        read_at = []
+        for d in orders:
             m = M
-            while p ** m <= d * self.dim:
+            while p ** m <= d * l:
                 m += 1
+            read_at.append(m)
+        records = [None] * len(reps)
+        for m in sorted(set(read_at)):
+            sub = [c for c, mc in enumerate(read_at) if mc == m]
+            rows = self.rows_at([reps[c] for c in sub], m)
             if m > M:
-                rows = self.element_rows_at(rep, m)
-                _, trace_sum = _order_and_trace_sum(rows, p ** m, d)
-            rank = _rank_from_trace_sum(trace_sum, d, self.dim, p ** m)
-            vals = smith_valuations_raw(_minus_identity(rows, p ** m), p, m)
-            if sum(1 for e in vals if e is SATURATED) != rank:
-                raise InvariantViolation(
-                    f"element {rep} of order {d}: Smith form mod {p}^{m} does not "
-                    f"separate its torsion from its rank-{rank} fixed space"
-                )
-            at_M = tuple(SATURATED if e is SATURATED or e >= M else e for e in vals)
-            records.append(
-                ConjugacyClassRecord(
+                trace_sums_m = _powers(rows, p ** m, self.order)[1].tolist()
+            else:
+                trace_sums_m = [trace_sums[c] for c in sub]
+            smith = smith_valuations_batch(rows - np.eye(l, dtype=rows.dtype), p, m).tolist()
+            for c, trace_sum, vals in zip(sub, trace_sums_m, smith):
+                rep, d = reps[c], orders[c]
+                rank = _rank_from_trace_sum(trace_sum, d, l, p ** m)
+                if vals.count(m) != rank:
+                    raise InvariantViolation(
+                        f"element {rep} of order {d}: Smith form mod {p}^{m} does not "
+                        f"separate its torsion from its rank-{rank} fixed space"
+                    )
+                records[c] = ConjugacyClassRecord(
                     rep_index=rep,
                     representative=self.element(rep),
-                    class_size=size,
-                    centralizer_order=self.order // size,
+                    class_size=sizes[c],
+                    centralizer_order=self.order // sizes[c],
                     element_order=d,
                     rank=rank,
-                    smith_vals=SmithValuations(at_M, self.modulus),
-                    torsion_vals=tuple(e for e in vals if e is not SATURATED and e > 0),
+                    smith_vals=SmithValuations(
+                        tuple(SATURATED if e >= M else e for e in vals), self.modulus),
+                    torsion_vals=tuple(e for e in vals if 0 < e < m),
                 )
-            )
-        if sum(r.class_size for r in records) != self.order:
+        if sum(sizes) != self.order:
             raise InvariantViolation(f"class sizes do not sum to |W|={self.order}")
         self._classes = records
         self._class_of = class_of
@@ -263,20 +264,9 @@ class FiniteMatrixGroup:
         return self._class_of[i]
 
     def _conjugation_pairs(self):
-        """(g, g^-1) for each generator array; inverses by powering to order-1."""
-        pM = self.modulus.pM
-        ident = np.eye(self.dim, dtype=self.generators.dtype)
-        pairs = []
-        for g in self.generators:
-            inv, acc = ident, g
-            for _ in range(self.order):
-                if np.array_equal(acc, ident):
-                    break
-                inv, acc = acc, acc @ g % pM
-            else:
-                raise InvariantViolation(f"generator has order above {self.order}")
-            pairs.append((g, inv))
-        return pairs
+        """(g, g^-1) for each generator array."""
+        inverses = _powers(self.generators, self.modulus.pM, self.order)[2]
+        return list(zip(self.generators, inverses))
 
     def _partition(self):
         pM = self.modulus.pM
@@ -308,29 +298,34 @@ class FiniteMatrixGroup:
         return classes, class_of
 
 
-def _minus_identity(rows, pm: int) -> tuple:
-    return tuple(
-        tuple((x - (r == c)) % pm for c, x in enumerate(row)) for r, row in enumerate(rows)
-    )
+def _powers(w: np.ndarray, pm: int, bound: int):
+    """Order, trace sum and inverse of each matrix in an (n, l, l) batch mod pm.
 
-
-def _order_and_trace_sum(rows, pm: int, bound: int):
-    """Order d of a matrix mod pm and the sum of the traces of its first d powers, mod pm.
-
-    Raises InvariantViolation when the order exceeds ``bound``.
+    For matrix t of order d: d, the sum of the traces of w^0, ..., w^(d-1)
+    mod pm, and w^(d-1).  Every matrix is powered in one batch until it
+    reaches the identity.  Raises InvariantViolation when an order exceeds
+    ``bound``.
     """
-    dim = len(rows)
-    ident = tuple(tuple(int(r == c) for c in range(dim)) for r in range(dim))
-    acc = rows
-    trace_sum = dim  # trace of w^0
+    n, l = w.shape[0], w.shape[1]
+    ident = np.eye(l, dtype=w.dtype)
+    order = np.zeros(n, dtype=np.int64)
+    trace_sum = np.full(n, l % pm, dtype=w.dtype)  # trace of w^0
+    inverse = np.empty_like(w)
+    live = np.arange(n)
+    prev, acc = np.broadcast_to(ident, w.shape), w
     d = 1
-    while acc != ident:
-        trace_sum += sum(acc[j][j] for j in range(dim))
-        acc = mat_mul_raw(acc, rows, pm)
+    while live.size:
+        done = (acc == ident).all(axis=(1, 2))
+        order[live[done]] = d
+        inverse[live[done]] = prev[done]
+        keep = ~done
+        live, prev = live[keep], acc[keep]
+        trace_sum[live] = (trace_sum[live] + np.trace(prev, axis1=1, axis2=2)) % pm
+        acc = prev @ w[live] % pm
         d += 1
-        if d > bound:
+        if d > bound and live.size:
             raise InvariantViolation(f"matrix has order above {bound}")
-    return d, trace_sum % pm
+    return order, trace_sum, inverse
 
 
 def _rank_from_trace_sum(trace_sum: int, d: int, dim: int, pM: int) -> int:
@@ -353,7 +348,8 @@ def rank_fixed_space(w: SquareMatrix, d: int) -> int:
     pM = w.modulus.pM
     if pM <= d * w.dim:
         raise PrecisionTooLow(f"need p^M > {d * w.dim}, have {pM}")
-    order, trace_sum = _order_and_trace_sum(w.rows, pM, d)
+    orders, trace_sums, _ = _powers(np.array([w.rows], dtype=exact_dtype(pM, w.dim)), pM, d)
+    order, trace_sum = int(orders[0]), int(trace_sums[0])
     if d % order != 0:
         raise InvariantViolation(f"element order {order} does not divide d={d}")
     return _rank_from_trace_sum(trace_sum, order, w.dim, pM)
@@ -370,7 +366,7 @@ def close(
     Elements are discovered by right-multiplying the frontier by each
     generator in the listed order, which fixes a deterministic insertion
     order.  Each BFS level is one contiguous block of the store whose
-    parents all lie in the previous level, which ``store_at`` relies on.
+    parents all lie in the previous level, which ``rows_at`` relies on.
     Raises CapExceeded once more than ``cap`` elements appear.
     """
     if not generators:
@@ -385,24 +381,27 @@ def close(
     gen_arrs = np.array([g.rows for g in generators], dtype=dtype)
     ident = np.eye(dim, dtype=dtype)[None]
     keys = {next(_keys(ident, pM)): 0}
-    words = [(-1, -1)]
+    parent, gen = [np.array([-1])], [np.array([-1])]
     levels = [ident]
     batch = ident
+    lo = 0  # store index of the batch's first element
     while len(batch):
-        lo = len(words) - len(batch)
         fresh = []
         for gi, g in enumerate(gen_arrs):
             prod = batch @ g % pM
             new = []
             for t, key in enumerate(_keys(prod, pM)):
                 if key not in keys:
-                    keys[key] = len(words)
-                    words.append((lo + t, gi))
+                    keys[key] = len(keys)
                     new.append(t)
-                    if len(words) > cap:
+                    if len(keys) > cap:
                         raise CapExceeded(f"closure exceeded cap {cap}")
             fresh.append(prod[new])
+            parent.append(lo + np.array(new, dtype=np.int64))
+            gen.append(np.full(len(new), gi))
+        lo += len(batch)
         batch = np.concatenate(fresh)
         levels.append(batch)
     return FiniteMatrixGroup(modulus, dim, gen_arrs, np.concatenate(levels),
-                             words, keys, generator_factory=generator_factory, name=name)
+                             np.concatenate(parent), np.concatenate(gen), keys,
+                             generator_factory=generator_factory, name=name)

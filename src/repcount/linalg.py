@@ -1,19 +1,17 @@
-"""Dense exact linear algebra over Z/p^M: products and Smith forms.
+"""Dense exact linear algebra over Z/p^M: Smith forms.
 
 A matrix is one value: rows of canonical ints in [0, p^M), kept as a tuple
 of tuples, or as an (N, l, l) numpy batch of them (int64, or object when
 ``exact_dtype`` says int64 could overflow).  ``SquareMatrix`` pairs the
-rows with their modulus and does no arithmetic: products are
-``mat_mul_raw`` on rows or numpy matmul on batches, reduced mod p^M by the
-caller.  Matrices are small (dimension <= 8 in every case this package
-handles), so everything is dense and exact.
+rows with their modulus and does no arithmetic: products are numpy matmul
+on batches, reduced mod p^M by the caller.  Matrices are small (dimension
+<= 8 in every case this package handles), so everything is dense and exact.
 
-There are two Smith engines.  ``smith_valuations_raw`` eliminates one
-matrix in pure Python: it is the reference, and it backs ``snf``,
-``kernel_size`` and the one Smith form per conjugacy class that
-``FiniteMatrixGroup.conjugacy_classes`` reads.  ``smith_valuations_batch``
-eliminates a whole (N, l, l) numpy batch at once and backs every Burnside
-fixed-point count, classwise and per-element.
+``smith_valuations_batch`` is the one Smith engine: it eliminates a whole
+(N, l, l) numpy batch at once and backs ``snf``, ``kernel_size``, the one
+Smith form per conjugacy class and every Burnside fixed-point count.
+A scalar elimination of one matrix in pure Python is kept below only as
+the reference that the tests hold the batched engine to.
 """
 
 from __future__ import annotations
@@ -56,13 +54,6 @@ class SquareMatrix:
         return len(self.rows)
 
 
-def mat_mul_raw(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], pM: int) -> tuple:
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % pM for col in bt) for row in a
-    )
-
-
 @dataclass(frozen=True)
 class SmithValuations:
     """Valuations (e_1 <= ... <= e_l) of the Smith form over Z/p^M.
@@ -98,7 +89,8 @@ def smith_valuations_raw(rows: Sequence[Sequence[int]], p: int, M: int) -> list:
     Repeatedly pick a pivot of minimal valuation (ties broken by lowest
     (row, column)), scale its row to make the pivot exactly p^e, and clear
     its row and column; recurse on the minor.  Because the pivot valuation
-    is globally minimal the output is already non-decreasing.
+    is globally minimal the output is already non-decreasing.  Nothing in
+    the package calls it: it is the reference for the batched engine.
     """
     pM = p ** M
     a = [[x % pM for x in row] for row in rows]
@@ -162,36 +154,43 @@ def smith_valuations_batch(a, p: int, M: int) -> np.ndarray:
     ``a`` holds integer entries (numpy int64 or object), read mod p^M.
     Returns an (N, l) int64 array whose row t is the non-decreasing
     valuation list of matrix t, with M standing for saturated; matrix by
-    matrix it equals ``smith_valuations_raw``, the reference.  Each step
-    works on every matrix at once: the valuations of the remaining minor
-    (zero reads M), a pivot of minimal valuation e per matrix (``argmin``),
-    then row elimination only.  Every other row i becomes
-    u*row_i - (a_ij / p^e)*pivot_row, where u is the pivot's unit part;
-    scaling a row by a unit is invertible over Z/p^M, so no inverse is
-    needed.  The column operations would change only the pivot row, so they
-    are skipped, and the pivot row and column are dropped.  The entries
-    use ``exact_dtype``: the products formed here are below (p^M - 1)^2.
+    matrix it equals the scalar reference above.  Each step works on every
+    matrix at once: the valuations of the remaining minor (zero reads M,
+    and the test for divisibility by p^e stops at the first e that no
+    nonzero entry reaches), a pivot of minimal valuation e per matrix
+    (``argmin``), then row elimination only.  Every other row i
+    becomes u*row_i - (a_ij / p^e)*pivot_row, where u is the pivot's unit
+    part; scaling a row by a unit is invertible over Z/p^M, so no inverse
+    is needed.  The column operations would change only the pivot row, so
+    they are skipped, and the pivot row and column are dropped.  The
+    entries use ``exact_dtype``: the products formed here are below
+    (p^M - 1)^2.
     """
     pM = p ** M
     dim = a.shape[-1]
     b = np.asarray(a, dtype=exact_dtype(pM, dim)) % pM
     n = b.shape[0]
-    # Python-int powers: p ** ndarray would overflow int64 for large p^M
-    pows = np.array([p ** e for e in range(M + 1)], dtype=b.dtype)
+    # Python-int powers p^0, p^1, ... as far as any valuation test reached:
+    # p ** ndarray would overflow int64 for large p^M
+    pows = [1]
     out = np.empty((n, dim), dtype=np.int64)
     idx = np.arange(n)
     for s in range(dim):
         r = dim - s
-        vals = np.zeros(b.shape, dtype=np.int64)
+        live = b != 0
+        vals = np.where(live, 0, M)
         for e in range(1, M + 1):
-            divisible = b % pows[e] == 0
-            if not divisible.any():
+            if e == len(pows):
+                pows.append(pows[-1] * p)
+            live &= b % pows[e] == 0
+            if not live.any():
                 break
-            vals += divisible
+            vals += live
         bi, bj = np.divmod(vals.reshape(n, r * r).argmin(axis=1), r)
         e = vals[idx, bi, bj]
         out[:, s] = e
-        pe = pows[e]
+        # a saturated pivot heads an all-zero minor: any nonzero p^e clears it
+        pe = np.array(pows, dtype=b.dtype)[np.minimum(e, len(pows) - 1)]
         unit = b[idx, bi, bj] // pe
         q = b[idx, :, bj] // pe[:, None]
         pivot_row = b[idx, bi]
@@ -206,20 +205,23 @@ def smith_valuations_batch(a, p: int, M: int) -> np.ndarray:
 
 def smith_valuations(a: SquareMatrix) -> SmithValuations:
     """Smith normal form of a, reported as sorted valuations."""
-    vals = smith_valuations_raw(a.rows, a.modulus.p, a.modulus.M)
-    return SmithValuations(tuple(vals), a.modulus)
+    M = a.modulus.M
+    vals = smith_valuations_batch(np.array([a.rows], dtype=object), a.modulus.p, M)
+    return SmithValuations(tuple(SATURATED if e == M else e for e in vals[0].tolist()),
+                           a.modulus)
 
 
 def kernel_size(a: SquareMatrix, n: int) -> int:
     """Exact number of vectors v in (Z/p^n)^l with A v = 0.
 
-    |Ker(A mod p^n)| = prod p^min(e_i, n) over the Smith valuations mod p^n.
+    |Ker(A mod p^n)| = prod p^min(e_i, n) over the Smith valuations mod p^n,
+    where a saturated valuation reads n.
     """
     if n > a.modulus.M:
         raise PrecisionTooLow(f"need precision {n}, matrix has {a.modulus.M}")
     p = a.modulus.p
-    vals = smith_valuations_raw(a.rows, p, n)
-    return p ** sum(n if e is SATURATED else e for e in vals)
+    rows = np.array([a.rows], dtype=object) % p ** n
+    return p ** int(smith_valuations_batch(rows, p, n).sum())
 
 
 def parse_matrix_text(text: str) -> SquareMatrix:

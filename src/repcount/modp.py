@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import (
-    CapExceeded,
     DivisibleByP,
     InvariantViolation,
     NotARoot,
@@ -174,16 +173,3 @@ def mth_root_of_unity(m: int, target: Modulus) -> int:
     g = smallest_primitive_root(p)
     return pow(teichmuller(g, target), (p - 1) // m, target.pM)
 
-
-def multiplicative_order(x: int, modulus: Modulus, bound: int = 10 ** 6) -> int:
-    """Order of a unit x in (Z/p^M)^x by direct powering."""
-    if x % modulus.p == 0:
-        raise NotAUnit(f"{x} is not a unit mod {modulus.p}")
-    x %= modulus.pM
-    acc, n = x, 1
-    while acc != 1:
-        acc = acc * x % modulus.pM
-        n += 1
-        if n > bound:
-            raise CapExceeded(f"order of {x} exceeds bound {bound}")
-    return n

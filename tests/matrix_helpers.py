@@ -7,7 +7,7 @@ Factors may be a ``SquareMatrix``, a generator array or plain rows.
 
 import itertools
 
-from repcount.linalg import SquareMatrix, mat_mul_raw
+from repcount.linalg import SquareMatrix
 
 
 def rows_of(x):
@@ -16,11 +16,19 @@ def rows_of(x):
     return x.tolist() if hasattr(x, "tolist") else x
 
 
+def mat_mul(a, b, pM: int) -> tuple:
+    """Row-by-column product of two row lists, mod pM, in pure Python."""
+    bt = list(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) % pM for col in bt) for row in a
+    )
+
+
 def prod(modulus, *factors) -> SquareMatrix:
     """The product of the factors, left to right, mod p^M."""
     acc = SquareMatrix.from_rows(rows_of(factors[0]), modulus).rows
     for f in factors[1:]:
-        acc = mat_mul_raw(acc, rows_of(f), modulus.pM)
+        acc = mat_mul(acc, rows_of(f), modulus.pM)
     return SquareMatrix(acc, modulus)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from matrix_helpers import generator_matrices, order, power, prod
+from matrix_helpers import generator_matrices, minus_identity, order, power, prod
 from repcount import groups
 from repcount.catalog import build, parse_spec
 from repcount.errors import CapExceeded, InvariantViolation, PrecisionTooLow
@@ -14,6 +14,11 @@ from repcount.modp import SATURATED, Modulus, int_valuation
 
 def mat(rows, p, M):
     return SquareMatrix.from_rows(rows, Modulus(p, M))
+
+
+def diff_at(group, i, n):
+    """w - I mod p^n for element i, as rows."""
+    return minus_identity(group.rows_at([i], n)[0], Modulus(group.modulus.p, n)).rows
 
 
 def perm_matrices_s3(p, M):
@@ -145,13 +150,14 @@ def test_reduce_modulus_preserves_order():
     assert build(parse_spec("g24"), Modulus(2, 2)).order == 336
 
 
-def test_element_rows_at_lifts_via_words(g12):
-    # Lifting an element beyond the build precision and reducing back
-    # must reproduce the stored matrix.
-    for i in range(0, g12.order, 7):
-        high = g12.element_rows_at(i, g12.modulus.M + 2)
-        pM = g12.modulus.pM
-        reduced = tuple(tuple(x % pM for x in row) for row in high)
+def test_rows_at_lifts_via_words(g12):
+    # Lifting elements beyond the build precision and reducing back
+    # must reproduce the stored matrices.
+    idx = list(range(0, g12.order, 7))
+    high = g12.rows_at(idx, g12.modulus.M + 2)
+    pM = g12.modulus.pM
+    for i, rows in zip(idx, high.tolist()):
+        reduced = tuple(tuple(x % pM for x in row) for row in rows)
         assert reduced == g12.element_rows(i)
 
 
@@ -164,13 +170,18 @@ def test_find_and_contains(g12):
 
 
 def test_store_lift_matches_reclosed_store(g12, g24):
-    # lifting by words gives exactly the store a closure at p^n would give
+    # lifting by words gives exactly the store a closure at p^n would give,
+    # for the whole store and for any subset of it, repeats included
     for group in (g12, g24):
-        n = group.modulus.M + 2
+        M, N = group.modulus.M, group.order
+        n = M + 2
         high = build(parse_spec(group.name), Modulus(group.modulus.p, n))
-        assert np.array_equal(group.store_at(n), high.store_at(n))
-        assert np.array_equal(high.store_at(group.modulus.M),
-                              group.store_at(group.modulus.M))
+        whole = group.rows_at(np.arange(N), n)
+        assert np.array_equal(whole, high.rows_at(np.arange(N), n))
+        assert np.array_equal(high.rows_at(np.arange(N), M), group.rows_at(np.arange(N), M))
+        subset = [N - 1, 0, 5, 5, N // 2]
+        assert np.array_equal(group.rows_at(subset, n), whole[subset])
+        assert np.array_equal(group.rows_at(subset, n), high.rows_at(subset, n))
 
 
 def test_generators_at(g12):
@@ -189,13 +200,13 @@ def test_object_dtype_store(spec, small):
     # p^M is too large for int64 matmuls, so entries are Python integers;
     # the same group over a small prime closes in the int64 store
     g = build(parse_spec(spec))
-    store = g.store_at(g.modulus.M)
+    store = g.rows_at(np.arange(g.order), g.modulus.M)
     assert store.dtype == object
     assert all(g.find(g.element(i)) == i for i in range(g.order))
-    lifted = g.store_at(g.modulus.M + 1)
+    lifted = g.rows_at(np.arange(g.order), g.modulus.M + 1)
     assert np.array_equal(lifted % g.modulus.pM, store)
     h = build(parse_spec(small))
-    assert h.store_at(h.modulus.M).dtype == np.int64
+    assert h.rows_at(np.arange(h.order), h.modulus.M).dtype == np.int64
     assert sorted((r.class_size, r.rank) for r in g.conjugacy_classes()) == \
            sorted((r.class_size, r.rank) for r in h.conjugacy_classes())
 
@@ -205,27 +216,34 @@ def test_object_dtype_store(spec, small):
 ])
 def test_one_smith_form_and_at_most_one_lift_per_class(monkeypatch, spec, modulus):
     group = build(parse_spec(spec), modulus)
-    smith_calls, lifts = [], []
-    smith = groups.smith_valuations_raw
-    rows_at = groups.FiniteMatrixGroup.element_rows_at
+    smith_rows, reads, lifts = [], [], []
+    smith = groups.smith_valuations_batch
+    rows_at = groups.FiniteMatrixGroup.rows_at
 
-    def counting_smith(rows, p, M):
-        smith_calls.append(M)
-        return smith(rows, p, M)
+    def counting_smith(a, p, M):
+        smith_rows.append(len(a))
+        return smith(a, p, M)
 
-    def counting_rows_at(self, i, target_M):
-        if target_M > self.modulus.M:
-            lifts.append(i)
-        return rows_at(self, i, target_M)
+    def counting_rows_at(self, idx, n):
+        reads.extend(idx)
+        if n > self.modulus.M:
+            lifts.extend(idx)
+        return rows_at(self, idx, n)
 
-    monkeypatch.setattr(groups, "smith_valuations_raw", counting_smith)
-    monkeypatch.setattr(groups.FiniteMatrixGroup, "element_rows_at", counting_rows_at)
+    monkeypatch.setattr(groups, "smith_valuations_batch", counting_smith)
+    monkeypatch.setattr(groups.FiniteMatrixGroup, "rows_at", counting_rows_at)
     records = group.conjugacy_classes()
-    assert len(smith_calls) == len(records)
+    p, M, l = group.modulus.p, group.modulus.M, group.dim
+    # every class is read, and sits in exactly one Smith row, of one batch
+    # per read precision: the least m >= M with p^m > d*l
+    assert sum(smith_rows) == len(records)
+    assert sorted(reads) == sorted(r.rep_index for r in records)
+    precisions = {next(m for m in range(M, M + 64) if p ** m > r.element_order * l)
+                  for r in records}
+    assert len(smith_rows) == len(precisions)
     assert len(lifts) == len(set(lifts))
-    p, M = group.modulus.p, group.modulus.M
     # a class is lifted exactly when p^M does not exceed its order times l
-    assert set(lifts) == {r.rep_index for r in records if p ** M <= r.element_order * group.dim}
+    assert set(lifts) == {r.rep_index for r in records if p ** M <= r.element_order * l}
     if modulus is not None:
         assert lifts
 
@@ -256,7 +274,7 @@ def test_torsion_read_at_precision_derived_from_element_order(exceptional_groups
         for rec in group.conjugacy_classes():
             v = int_valuation(rec.element_order, p)
             assert max(rec.torsion_vals, default=0) <= v
-            vals = smith_valuations_raw(group.diff_rows_at(rec.rep_index, v + 4), p, v + 4)
+            vals = smith_valuations_raw(diff_at(group, rec.rep_index, v + 4), p, v + 4)
             assert rec.torsion_vals == tuple(e for e in vals if e is not SATURATED and e > 0)
-            direct = smith_valuations_raw(group.diff_rows_at(rec.rep_index, M), p, M)
+            direct = smith_valuations_raw(diff_at(group, rec.rep_index, M), p, M)
             assert rec.smith_vals == SmithValuations(tuple(direct), group.modulus)

@@ -210,7 +210,8 @@ _BROKEN_INVARIANTS = """
 from repcount import catalog
 from repcount.counting import CountReport
 from repcount.errors import CapExceeded, InvariantViolation, OrderUnavailable
-from repcount.modp import Modulus, multiplicative_order, smallest_primitive_root
+from repcount.groups import close
+from repcount.modp import Modulus, smallest_primitive_root
 
 def wrong_order(spec):
     return 47
@@ -221,7 +222,8 @@ cases = [
     lambda: catalog.build(catalog.parse_spec("g12")),
 ]
 typed = [
-    (CapExceeded, lambda: multiplicative_order(3, Modulus(7, 1), bound=2)),
+    (CapExceeded, lambda: close(catalog.generators(catalog.parse_spec("g12"), Modulus(3, 3)),
+                                cap=2)),
     (OrderUnavailable, lambda: smallest_primitive_root(1)),
 ]
 catalog.GroupSpec.expected_order = property(wrong_order)

@@ -8,7 +8,6 @@ not depend on the Newton iteration they certify.
 import pytest
 
 from repcount.errors import (
-    CapExceeded,
     DivisibleByP,
     NotARoot,
     NotASimpleRoot,
@@ -23,7 +22,6 @@ from repcount.modp import (
     int_valuation,
     invert,
     mth_root_of_unity,
-    multiplicative_order,
     smallest_primitive_root,
     teichmuller,
 )
@@ -154,12 +152,5 @@ def test_mth_root_exact_order(p, M):
     divisors = [d for d in range(1, p) if (p - 1) % d == 0]
     for d in divisors:
         b = mth_root_of_unity(d, m)
-        assert multiplicative_order(b, m) == d
+        assert next(e for e in range(1, p) if pow(b, e, m.pM) == 1) == d
 
-
-def test_multiplicative_order_bound_is_a_cap():
-    assert multiplicative_order(3, Modulus(7, 1)) == 6
-    with pytest.raises(CapExceeded):
-        multiplicative_order(3, Modulus(7, 1), bound=2)
-    with pytest.raises(NotAUnit):
-        multiplicative_order(14, Modulus(7, 2))
