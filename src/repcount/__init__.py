@@ -4,7 +4,7 @@ Builds the exceptional groups G12, G24, G29, G31 and the monomial family
 G(m,s,n) from explicit generator matrices, and counts orbits of their
 action on (Z/p^k)^l by several independent methods (full Burnside sums,
 classwise rank/torsion sums, closed forms, fundamental-domain enumeration,
-brute-force flood fill) that must agree exactly.
+brute-force label propagation over the whole space) that must agree exactly.
 """
 
 from .catalog import ExponentList, GroupSpec, build, derive_exponents, exponents, parse_spec

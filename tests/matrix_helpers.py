@@ -1,4 +1,4 @@
-"""Matrix arithmetic for the tests: products, powers, w - I and determinants.
+"""Matrix arithmetic for the tests: products, powers, w - I, determinants, orbits.
 
 The package keeps a matrix as rows of canonical ints and multiplies only
 inside its algorithms, so the tests form the matrices they check here.
@@ -6,8 +6,10 @@ Factors may be a ``SquareMatrix``, a generator array or plain rows.
 """
 
 import itertools
+import math
 
 from repcount.linalg import SquareMatrix
+from repcount.modp import is_prime
 
 
 def rows_of(x):
@@ -77,3 +79,52 @@ def det_permanent_expansion(rows, pM):
             term *= rows[i][perm[i]]
         total += term
     return total % pM
+
+
+def orbit_count_reference(gens, pn: int) -> int:
+    """Oracle: orbits of the group the generators span on (Z/pn)^l.
+
+    Breadth-first search over coordinate tuples, with a Python set of the
+    points seen; shares no code with ``oracle.orbit_count_bruteforce``.
+    """
+    gens = [rows_of(g) for g in gens]
+    seen = set()
+    orbits = 0
+    for start in itertools.product(range(pn), repeat=len(gens[0])):
+        if start in seen:
+            continue
+        orbits += 1
+        seen.add(start)
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for g in gens:
+                    w = tuple(sum(a * x for a, x in zip(row, v)) % pn for row in g)
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+            frontier = nxt
+    return orbits
+
+
+def admissible_tuples(max_order: int, max_points: int) -> dict:
+    """Every (m, s, n, p, k) of a G(m,s,n) the spec grammar accepts, keyed by n.
+
+    |W| is at most max_order and the point space (Z/p^k)^n has at most
+    max_points points, so the group closes and its space is enumerable.
+    """
+    out = {}
+    for n in range(2, 5):
+        for m in range(3, 51):
+            for s in (d for d in range(1, m + 1) if m % d == 0):
+                if (n == 2 and s == m) or m ** n * math.factorial(n) // s > max_order:
+                    continue
+                for p in range(m + 1, int(max_points ** (1 / n)) + 1, m):
+                    if not is_prime(p):
+                        continue
+                    k = 1
+                    while p ** (k * n) <= max_points:
+                        out.setdefault(n, []).append((m, s, n, p, k))
+                        k += 1
+    return out

@@ -350,8 +350,8 @@ def test_breakdown_reps_above_closure_precision_match_class_table(capsys):
 
 @pytest.mark.parametrize("spec", ["family2a:m=4,s=2,n=3,p=1297", "sphere:m=2,p=1451"])
 def test_crosscheck_large_prime(capsys, spec):
-    # these close in the object-dtype store; the oracle cap keeps the flood
-    # fill to k = 1 (the sphere's 1451^2 points at k = 2 take minutes)
+    # these close in the object-dtype store; the oracle cap keeps the oracle
+    # to k = 1 (the sphere's 1451^2 points at k = 2 are tested in test_oracle)
     code, out, _ = run(capsys, "crosscheck", "--group", spec, "--kmax", "2",
                        "--oracle-cap", "2000000", "--format", "json", "--no-timing")
     payload = json.loads(out)

@@ -5,12 +5,11 @@ and theorem_b must both equal the Burnside count of the monomial group,
 and a materialized fundamental domain must hit every orbit exactly once.
 """
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matrix_helpers import admissible_tuples
 from repcount.catalog import GroupSpec, build
 from repcount.counting import count_burnside_full
 from repcount.errors import SpaceTooLarge, SpecInvalid
@@ -20,7 +19,7 @@ from repcount.grassmannian import (
     sphere_count,
     theorem_b,
 )
-from repcount.modp import Modulus, is_prime, mth_root_of_unity
+from repcount.modp import Modulus, mth_root_of_unity
 
 
 def test_build_orbits_small():
@@ -132,26 +131,8 @@ def test_three_way_agreement(m, s, n, p):
         assert closed == enum == group_count, (m, s, n, p, k)
 
 
-def _admissible_tuples(max_order=5000, max_points=2 ** 20):
-    # every G(m,s,n) the spec grammar accepts, with |W| and the point space
-    # (Z/p^k)^n small enough to close the group and enumerate the domain
-    out = {}
-    for n in range(2, 5):
-        for m in range(3, 51):
-            for s in (d for d in range(1, m + 1) if m % d == 0):
-                if (n == 2 and s == m) or m ** n * math.factorial(n) // s > max_order:
-                    continue
-                for p in range(m + 1, int(max_points ** (1 / n)) + 1, m):
-                    if not is_prime(p):
-                        continue
-                    k = 1
-                    while p ** (k * n) <= max_points:
-                        out.setdefault(n, []).append((m, s, n, p, k))
-                        k += 1
-    return out
-
-
-ADMISSIBLE = _admissible_tuples()
+# every G(m,s,n) small enough to close the group and enumerate the domain
+ADMISSIBLE = admissible_tuples(max_order=5000, max_points=2 ** 20)
 
 
 @settings(max_examples=40, deadline=None)
