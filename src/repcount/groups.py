@@ -8,11 +8,15 @@ share every code path.  Every element also carries a word in the
 generators, kept as two int arrays (parent index, generator index), so any
 set of elements can be re-evaluated at a higher precision without
 re-closing the group: ``rows_at`` is the one lift, and ``_powers`` the one
-routine for orders, trace sums and inverses.
+routine for orders, trace sums and inverses.  The closure also keeps its
+right Cayley table, an (N, g) int32 array of store indices; conjugacy
+classes are read from it by integer gathers alone, with no matrix product
+and no key lookup.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -28,21 +32,22 @@ DEFAULT_CLOSURE_CAP = 10 ** 8
 GeneratorFactory = Callable[[Modulus], list]
 
 
-def _keys(batch: np.ndarray, pM: int):
-    """Canonical byte key of each matrix in an (n, l, l) batch, in order.
+def _keys(batch: np.ndarray, pM: int) -> list:
+    """Canonical byte key of each matrix in an (n, l, l) batch, as a list in order.
 
     Entries are fixed-width big-endian, row-major, so byte order agrees with
-    entrywise numeric order whatever the width.  This is the only code that
-    depends on the store dtype.
+    entrywise numeric order whatever the width.  The width follows p^M for
+    both dtypes: the fewest bytes that hold p^M - 1, rounded up to 1, 2, 4
+    or 8 for the int64 store.  Entries must lie in [0, p^M).  This is the
+    only code that depends on the store dtype.
     """
+    width = ((pM - 1).bit_length() + 7) // 8
     if batch.dtype == object:
-        width = ((pM - 1).bit_length() + 7) // 8
         blob = b"".join(int(x).to_bytes(width, "big") for x in batch.flat)
     else:
-        width = 8
-        blob = batch.astype(">u8").tobytes()
-    step = width * batch.shape[1] * batch.shape[2]
-    return (blob[t * step:(t + 1) * step] for t in range(batch.shape[0]))
+        width = next(w for w in (1, 2, 4, 8) if w >= width)
+        blob = batch.astype(f">u{width}").tobytes()
+    return np.frombuffer(blob, dtype=f"V{width * batch.shape[1] * batch.shape[2]}").tolist()
 
 
 @dataclass(frozen=True)
@@ -73,7 +78,7 @@ class ConjugacyClassRecord:
 class FiniteMatrixGroup:
     """A finite group of invertible l x l matrices over Z/p^M."""
 
-    def __init__(self, modulus, dim, generators, store, parent, gen, keys,
+    def __init__(self, modulus, dim, generators, store, parent, gen, right, keys,
                  generator_factory=None, name=None):
         self.modulus = modulus
         self.dim = dim
@@ -81,12 +86,13 @@ class FiniteMatrixGroup:
         self._arr = store          # (N, l, l) array of dtype exact_dtype(modulus.pM, dim)
         self._parent = parent      # element i = element parent[i] @ generator gen[i]
         self._gen = gen
+        self._right = right        # (N, g) int32: element i @ generator j is element right[i, j]
         self._keys = keys          # canonical byte key -> element index
         self._key_list = list(keys.keys())
         self.generator_factory = generator_factory
         self.name = name
         self._classes: Optional[list] = None
-        self._class_of: Optional[list] = None
+        self._class_of: Optional[np.ndarray] = None  # (N,) int32 class index
 
     # -- basic queries ----------------------------------------------------
 
@@ -103,15 +109,22 @@ class FiniteMatrixGroup:
     def element(self, i: int) -> SquareMatrix:
         return SquareMatrix(self.element_rows(i), self.modulus)
 
-    def _encode_rows(self, rows) -> bytes:
-        return next(_keys(np.array([rows], dtype=self._arr.dtype), self.modulus.pM))
-
     def find(self, mat: SquareMatrix) -> int:
-        """Index of a matrix in the element store; KeyError if absent."""
-        return self._keys[self._encode_rows(mat.rows)]
+        """Index of a matrix in the element store; KeyError if absent.
+
+        A matrix over another modulus or of another dimension is absent.
+        """
+        if mat.modulus != self.modulus or mat.dim != self.dim:
+            raise KeyError(f"{mat.dim}x{mat.dim} matrix over {mat.modulus} is not in a "
+                           f"{self.dim}x{self.dim} group over {self.modulus}")
+        return self._keys[_keys(np.array([mat.rows], dtype=self._arr.dtype), self.modulus.pM)[0]]
 
     def __contains__(self, mat: SquareMatrix) -> bool:
-        return self._encode_rows(mat.rows) in self._keys
+        try:
+            self.find(mat)
+        except KeyError:
+            return False
+        return True
 
     def word(self, i: int) -> list:
         """Generator indices whose left-to-right product is element i."""
@@ -171,13 +184,8 @@ class FiniteMatrixGroup:
         parent, gen = pos[self._parent[sel]], self._gen[sel]
         out = np.empty((sel.size, self.dim, self.dim), dtype=dtype)
         out[0] = np.eye(self.dim, dtype=dtype)
-        lo = 1
-        while lo < sel.size:
-            # a level is contiguous and ends at the first element whose parent is in it
-            later = np.flatnonzero(parent[lo:] >= lo)
-            hi = lo + int(later[0]) if later.size else sel.size
+        for lo, hi in _levels(parent):
             out[lo:hi] = out[parent[lo:hi]] @ gens[gen[lo:hi]] % pn
-            lo = hi
         return out[pos[idx]]
 
     # -- orders, ranks, classes ---------------------------------------------
@@ -188,8 +196,11 @@ class FiniteMatrixGroup:
     def conjugacy_classes(self) -> list:
         """Partition into conjugacy classes with fixed-space annotations.
 
-        Orbit BFS under conjugation by the generators; the representative is
-        the byte-lexicographically smallest member.  Cached after first call.
+        Classes are the orbits of the conjugation permutations of the
+        generators, found by label propagation over the right Cayley table
+        (see ``_partition``) and numbered by their least store index; the
+        representative is the byte-lexicographically smallest member.
+        Cached after first call.
 
         Each class is read once, at the least m >= M with p^m > d*l, where d
         is the order of the representative w.  There the trace average over
@@ -207,10 +218,13 @@ class FiniteMatrixGroup:
         """
         if self._classes is not None:
             return self._classes
-        members_per_class, class_of = self._partition()
+        class_of = self._partition()
         p, M, l = self.modulus.p, self.modulus.M, self.dim
-        reps = [min(members, key=self._key_list.__getitem__) for members in members_per_class]
-        sizes = [len(members) for members in members_per_class]
+        members = np.argsort(class_of, kind="stable")
+        sizes = np.bincount(class_of).tolist()
+        bounds = np.cumsum([0] + sizes).tolist()
+        reps = [min(members[lo:hi].tolist(), key=self._key_list.__getitem__)
+                for lo, hi in zip(bounds, bounds[1:])]
         for rep, size in zip(reps, sizes):
             if self.order % size != 0:
                 raise InvariantViolation(
@@ -261,41 +275,46 @@ class FiniteMatrixGroup:
     def class_of(self, i: int) -> int:
         """Index into conjugacy_classes() of the class containing element i."""
         self.conjugacy_classes()
-        return self._class_of[i]
+        return int(self._class_of[i])
 
-    def _conjugation_pairs(self):
-        """(g, g^-1) for each generator array."""
-        inverses = _powers(self.generators, self.modulus.pM, self.order)[2]
-        return list(zip(self.generators, inverses))
+    def _partition(self) -> np.ndarray:
+        """Class index of every element, classes numbered by their least member.
 
-    def _partition(self):
-        pM = self.modulus.pM
-        arr = self._arr
-        pairs = self._conjugation_pairs()
-        n = self.order
-        class_of = [-1] * n
-        classes = []
-        for start in range(n):
-            if class_of[start] >= 0:
-                continue
-            cid = len(classes)
-            members = [start]
-            class_of[start] = cid
-            frontier = [start]
-            while frontier:
-                batch = arr[frontier]
-                nxt = []
-                for g, ginv in pairs:
-                    conj = (ginv @ batch % pM) @ g % pM
-                    for key in _keys(conj, pM):
-                        j = self._keys[key]
-                        if class_of[j] < 0:
-                            class_of[j] = cid
-                            members.append(j)
-                            nxt.append(j)
-                frontier = nxt
-            classes.append(members)
-        return classes, class_of
+        Left multiplication by generator j is read from the words, one BFS
+        level at a time: element i = element parent[i] @ generator gen[i], so
+        g_j @ element i is element right[left[parent[i]], gen[i]].  Undoing
+        right multiplication by g_j then gives the conjugation permutation
+        i -> g_j @ element i @ g_j^-1.  Every element starts labelled by its
+        own index; each sweep, for every permutation, pulls the smaller label
+        from the image to the point and pushes it from the point to the
+        image, then jumps pointers twice.  A label is always a member of its
+        element's class, so once a sweep changes nothing every label is the
+        least store index in its class.
+        """
+        right, parent = self._right, self._parent
+        n, g = right.shape
+        left = np.empty_like(right)
+        left[0] = right[0]
+        for lo, hi in _levels(parent):
+            left[lo:hi] = right[left[parent[lo:hi]], self._gen[lo:hi, None]]
+        index = np.arange(n, dtype=np.int32)
+        undo = np.empty(n, dtype=np.int32)
+        perms = []
+        for j in range(g):
+            undo[right[:, j]] = index
+            perms.append(undo[left[:, j]])
+        label = index.copy()
+        while True:
+            before = label.copy()
+            for conj in perms:
+                np.minimum(label, label[conj], out=label)
+                label[conj] = np.minimum(label[conj], label)
+            label = label[label]
+            label = label[label]
+            if np.array_equal(label, before):
+                break
+        first = np.cumsum(label == index, dtype=np.int32) - 1
+        return first[label]
 
 
 def _powers(w: np.ndarray, pm: int, bound: int):
@@ -366,8 +385,11 @@ def close(
     Elements are discovered by right-multiplying the frontier by each
     generator in the listed order, which fixes a deterministic insertion
     order.  Each BFS level is one contiguous block of the store whose
-    parents all lie in the previous level, which ``rows_at`` relies on.
-    Raises CapExceeded once more than ``cap`` elements appear.
+    parents all lie in the previous level, which ``rows_at`` and
+    ``_partition`` rely on.  The store index of every product is kept as the
+    right Cayley table, 4*g bytes per element; InvariantViolation unless each
+    of its columns is a permutation of the store.  Raises CapExceeded once
+    more than ``cap`` elements appear.
     """
     if not generators:
         raise ValueError("at least one generator is required")
@@ -380,28 +402,57 @@ def close(
     pM = modulus.pM
     gen_arrs = np.array([g.rows for g in generators], dtype=dtype)
     ident = np.eye(dim, dtype=dtype)[None]
-    keys = {next(_keys(ident, pM)): 0}
+    keys = {_keys(ident, pM)[0]: 0}
     parent, gen = [np.array([-1])], [np.array([-1])]
+    products = array("i")  # store index of each product, level by level, generator-major
     levels = [ident]
     batch = ident
-    lo = 0  # store index of the batch's first element
+    bounds = [0]  # store index of each level's first element
     while len(batch):
+        lo = bounds[-1]
         fresh = []
         for gi, g in enumerate(gen_arrs):
             prod = batch @ g % pM
-            new = []
-            for t, key in enumerate(_keys(prod, pM)):
+            prod_keys, new = _keys(prod, pM), []
+            for t, key in enumerate(prod_keys):
                 if key not in keys:
                     keys[key] = len(keys)
                     new.append(t)
                     if len(keys) > cap:
                         raise CapExceeded(f"closure exceeded cap {cap}")
+            products.extend(map(keys.__getitem__, prod_keys))
             fresh.append(prod[new])
             parent.append(lo + np.array(new, dtype=np.int64))
             gen.append(np.full(len(new), gi))
-        lo += len(batch)
+        bounds.append(lo + len(batch))
         batch = np.concatenate(fresh)
         levels.append(batch)
-    return FiniteMatrixGroup(modulus, dim, gen_arrs, np.concatenate(levels),
-                             np.concatenate(parent), np.concatenate(gen), keys,
+    store = np.concatenate(levels)
+    del levels
+    n, ngen = len(store), len(gen_arrs)
+    if products.itemsize != 4:
+        raise InvariantViolation(f"array('i') items are {products.itemsize} bytes, not 4")
+    flat = np.frombuffer(products, dtype=np.int32)
+    right = np.empty((n, ngen), dtype=np.int32)
+    for lo, hi in zip(bounds, bounds[1:]):
+        right[lo:hi] = flat[ngen * lo:ngen * hi].reshape(ngen, hi - lo).T
+    del flat, products  # freed before the check allocates, to lower peak memory
+    if any((np.bincount(col, minlength=n) != 1).any() for col in right.T):
+        raise InvariantViolation("a column of the right Cayley table is not a permutation")
+    return FiniteMatrixGroup(modulus, dim, gen_arrs, store,
+                             np.concatenate(parent), np.concatenate(gen), right, keys,
                              generator_factory=generator_factory, name=name)
+
+
+def _levels(parent: np.ndarray):
+    """(lo, hi) store bounds of each BFS level after the identity.
+
+    ``parent`` lists the parent position of each element in BFS order; a
+    level is contiguous and ends at the first element whose parent is in it.
+    """
+    lo, n = 1, len(parent)
+    while lo < n:
+        later = np.flatnonzero(parent[lo:] >= lo)
+        hi = lo + int(later[0]) if later.size else n
+        yield lo, hi
+        lo = hi

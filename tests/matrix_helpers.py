@@ -1,4 +1,5 @@
-"""Matrix arithmetic for the tests: products, powers, w - I, determinants, orbits.
+"""Matrix arithmetic for the tests: products, powers, w - I, determinants,
+orbits and conjugacy classes.
 
 The package keeps a matrix as rows of canonical ints and multiplies only
 inside its algorithms, so the tests form the matrices they check here.
@@ -7,6 +8,8 @@ Factors may be a ``SquareMatrix``, a generator array or plain rows.
 
 import itertools
 import math
+
+import numpy as np
 
 from repcount.linalg import SquareMatrix
 from repcount.modp import is_prime
@@ -48,6 +51,11 @@ def order(x, modulus) -> int:
     while acc != ident:
         acc, d = prod(modulus, acc, x), d + 1
     return d
+
+
+def inverse(x, modulus) -> SquareMatrix:
+    """x^-1 mod p^M, as x^(d-1) for d the order of x."""
+    return power(x, order(x, modulus) - 1, modulus)
 
 
 def minus_identity(x, modulus) -> SquareMatrix:
@@ -106,6 +114,42 @@ def orbit_count_reference(gens, pn: int) -> int:
                         nxt.append(w)
             frontier = nxt
     return orbits
+
+
+def conjugacy_partition_reference(group):
+    """Oracle: conjugacy classes by breadth-first search under matrix conjugation.
+
+    Every class is searched from its least store index, conjugating its
+    frontier by each generator g as g^-1 @ x @ g with batched matrix
+    products and looking the products up by their rows, so nothing is read
+    from the group's Cayley table or byte keys.  Returns (classes, class_of):
+    the member lists, in order of their least member, and each element's
+    class index.
+    """
+    pM, n = group.modulus.pM, group.order
+    store = group.rows_at(np.arange(n), group.modulus.M)
+    index = {tuple(map(tuple, rows)): i for i, rows in enumerate(store.tolist())}
+    pairs = [(g, np.array(inverse(g, group.modulus).rows, dtype=store.dtype))
+             for g in group.generators]
+    class_of = [-1] * n
+    classes = []
+    for start in range(n):
+        if class_of[start] >= 0:
+            continue
+        members, frontier = [start], [start]
+        class_of[start] = len(classes)
+        while frontier:
+            nxt = []
+            for g, ginv in pairs:
+                for rows in ((ginv @ store[frontier] % pM) @ g % pM).tolist():
+                    j = index[tuple(map(tuple, rows))]
+                    if class_of[j] < 0:
+                        class_of[j] = len(classes)
+                        members.append(j)
+                        nxt.append(j)
+            frontier = nxt
+        classes.append(members)
+    return classes, class_of
 
 
 def admissible_tuples(max_order: int, max_points: int) -> dict:

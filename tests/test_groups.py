@@ -1,9 +1,22 @@
 """Group closure, conjugacy classes, fixed-space ranks, modulus changes."""
 
+import functools
+import random
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from matrix_helpers import generator_matrices, minus_identity, order, power, prod
+from matrix_helpers import (
+    admissible_tuples,
+    conjugacy_partition_reference,
+    generator_matrices,
+    minus_identity,
+    order,
+    power,
+    prod,
+)
 from repcount import groups
 from repcount.catalog import build, parse_spec
 from repcount.errors import CapExceeded, InvariantViolation, PrecisionTooLow
@@ -94,6 +107,56 @@ def test_conjugacy_closed_under_generators():
             assert g.class_of(g.find(conj)) == cid
 
 
+SMALL_MONOMIAL = sorted({
+    f"family2a:m={m},s={s},n={n},p={p}"
+    for cases in admissible_tuples(max_order=2000, max_points=2 ** 11).values()
+    for m, s, n, p, _ in cases
+})
+
+
+@functools.lru_cache(maxsize=None)
+def _group(spec):
+    return build(parse_spec(spec))
+
+
+@example("g12")
+@example("g24")
+@example("g29")
+@example("family2a:m=4,s=2,n=3,p=1297")  # object-dtype store
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(SMALL_MONOMIAL))
+def test_conjugacy_classes_match_reference_search(spec):
+    group = _group(spec)
+    classes, class_of = conjugacy_partition_reference(group)
+    records = group.conjugacy_classes()
+    assert [(r.rep_index, r.class_size) for r in records] == \
+           [(min(members, key=group.element_rows), len(members)) for members in classes]
+    got = [group.class_of(i) for i in range(group.order)]
+    assert got == class_of
+    assert all(type(c) is int for c in got)
+
+
+@pytest.mark.parametrize("name,sample", [("g24", None), ("g31", 500)])
+def test_right_cayley_table(exceptional_groups, name, sample):
+    group = exceptional_groups[name]
+    right = group._right
+    assert right.dtype == np.int32 and right.shape == (group.order, len(group.generators))
+    idx = range(group.order) if sample is None else \
+        random.Random(0).sample(range(group.order), sample)
+    for i in idx:
+        for j, g in enumerate(group.generators):
+            assert right[i, j] == group.find(prod(group.modulus, group.element(i), g))
+
+
+def test_close_rejects_a_table_that_is_not_a_permutation(g24, monkeypatch):
+    # keys that read only the first column merge g24 elements whose products
+    # by a generator differ, so right multiplication no longer permutes the store
+    keys = groups._keys
+    monkeypatch.setattr(groups, "_keys", lambda batch, pM: keys(batch[:, :, :1], pM))
+    with pytest.raises(InvariantViolation):
+        close(generator_matrices(g24))
+
+
 def test_trivial_group_single_class():
     g = close([SquareMatrix.identity(3, Modulus(5, 2))])
     recs = g.conjugacy_classes()
@@ -167,6 +230,27 @@ def test_find_and_contains(g12):
     assert e in g12
     stranger = SquareMatrix.from_rows([[2, 0], [0, 2]], g12.modulus)
     assert stranger not in g12
+
+
+@pytest.mark.parametrize("spec", ["g12", "family2a:m=4,s=2,n=3,p=1297"])
+def test_find_rejects_other_modulus_and_dimension(spec):
+    # one test per store dtype: int64 keys are one byte wide for g12 (3^3),
+    # so an entry of 256 + e at 3^6 would wrap onto e if it were encoded
+    g = build(parse_spec(spec))
+    p, M, l = g.modulus.p, g.modulus.M, g.dim
+    rows = g.element_rows(5)
+    strangers = [
+        SquareMatrix.identity(l, Modulus(p, M + 2)),
+        SquareMatrix.from_rows([[x + 256 if (r, c) == (0, 0) else x
+                                 for c, x in enumerate(row)]
+                                for r, row in enumerate(rows)], Modulus(p, M + 3)),
+        SquareMatrix.identity(l + 1, g.modulus),
+    ]
+    assert g.find(SquareMatrix(rows, g.modulus)) == 5
+    for mat in strangers:
+        assert mat not in g
+        with pytest.raises(KeyError):
+            g.find(mat)
 
 
 def test_store_lift_matches_reclosed_store(g12, g24):

@@ -10,7 +10,13 @@ import sys
 import pytest
 
 import repcount
-from matrix_helpers import det_permanent_expansion, generator_matrices, minus_identity, prod
+from matrix_helpers import (
+    det_permanent_expansion,
+    generator_matrices,
+    inverse,
+    minus_identity,
+    prod,
+)
 from repcount.catalog import GroupSpec, build, exponents, monomial_generators
 from repcount.counting import (
     count_burnside_full,
@@ -82,7 +88,7 @@ def test_record_invariant_all_groups(exceptional_groups):
 def test_class_reps_conjugate_within_class(exceptional_groups):
     for group in exceptional_groups.values():
         recs = group.conjugacy_classes()
-        pairs = group._conjugation_pairs()
+        pairs = [(g, inverse(g, group.modulus)) for g in group.generators]
         for rec in recs:
             cid = group.class_of(rec.rep_index)
             for g, ginv in pairs:
