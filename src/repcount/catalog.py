@@ -268,7 +268,10 @@ def generators(spec: GroupSpec, modulus: Modulus) -> list:
 
 def build(spec: GroupSpec, working_modulus: Optional[Modulus] = None,
           cap: int = DEFAULT_CLOSURE_CAP) -> FiniteMatrixGroup:
-    """Close the group for a spec at the given (or default) precision."""
+    """Close the group for a spec at the given (or default) precision.
+
+    ``close`` checks that the closure reaches the spec's expected order.
+    """
     if not spec.buildable:
         raise SpecInvalid(f"{spec.label()} has no build path (no published matrices)")
     if working_modulus is None:
@@ -278,15 +281,9 @@ def build(spec: GroupSpec, working_modulus: Optional[Modulus] = None,
             f"working precision {working_modulus.M} is below the faithfulness "
             f"threshold {working_modulus.threshold}"
         )
-    gens = generators(spec, working_modulus)
-    group = close(gens, cap=cap,
-                  generator_factory=lambda mod: generators(spec, mod),
-                  name=spec.label())
-    if group.order != spec.expected_order:
-        raise InvariantViolation(
-            f"{spec.label()} closed to {group.order}, expected {spec.expected_order}"
-        )
-    return group
+    return close(generators(spec, working_modulus), spec.expected_order, cap=cap,
+                 generator_factory=lambda mod: generators(spec, mod),
+                 name=spec.label())
 
 
 @dataclass(frozen=True)

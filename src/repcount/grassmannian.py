@@ -32,7 +32,8 @@ from typing import Optional
 from .errors import InvariantViolation, SpaceTooLarge, SpecInvalid
 from .modp import Modulus, is_prime, mth_root_of_unity
 
-#: Orbit tables are materialized only up to this many points.
+#: Bound on the orbit table's points and on the multisets the domain
+#: enumeration walks, both in pure Python.
 MAX_TABLE_POINTS = 2 ** 20
 
 
@@ -169,11 +170,16 @@ def enumerate_distinguished(
     rather than to p^(kn): a multiset of size t < n fills the remaining
     n - t coordinates with zeros and contributes one tuple of orbit minima;
     a multiset of size n has no zeros, so the last coordinate additionally
-    ranges over the s sub-orbit minima of its orbit.
+    ranges over the s sub-orbit minima of its orbit.  The two loops visit
+    C(nz + n, n) multisets in all, for nz nonzero orbits; SpaceTooLarge,
+    before the orbit table is built, when that exceeds MAX_TABLE_POINTS.
     """
     _validate_family(m, s, n, p, k)
+    nz = (p ** k - 1) // m  # build_orbits checks that the table has as many
+    walk = math.comb(nz + n, n)
+    if walk > MAX_TABLE_POINTS:
+        raise SpaceTooLarge(f"domain enumeration of {walk} multisets exceeds {MAX_TABLE_POINTS}")
     table = build_orbits(m, s, p, k, root=root)
-    nz = table.nonzero_orbit_count
     tuples = [] if materialize else None
     count = 0
     for t in range(n):

@@ -1,22 +1,23 @@
 """Finite matrix groups over Z/p^M: closure, conjugacy classes, ranks.
 
-Groups are closed once, at one precision, and then immutable.  Elements live
-in one numpy (N, l, l) store indexed by canonical byte keys, and the
-generators in one (g, l, l) array; the dtype is int64 when matmul entry sums
-cannot overflow and object (Python integers) otherwise, and both dtypes
-share every code path.  Every element also carries a word in the
-generators, kept as two int arrays (parent index, generator index), so any
-set of elements can be re-evaluated at a higher precision without
-re-closing the group: ``rows_at`` is the one lift, and ``_powers`` the one
-routine for orders, trace sums and inverses.  The closure also keeps its
-right Cayley table, an (N, g) int32 array of store indices; conjugacy
-classes are read from it by integer gathers alone, with no matrix product
-and no key lookup.
+Groups are closed once, at one precision and at an order known in advance,
+and then immutable.  ``close`` allocates every array below once, with one
+row per element, and fills it one BFS level at a time.  Elements live in one
+numpy (N, l, l) store indexed by canonical byte keys, and the generators in
+one (g, l, l) array; the dtype is int64 when matmul entry sums cannot
+overflow and object (Python integers) otherwise, and both dtypes share
+every code path.  Every element also carries a word in the generators, kept
+as two int arrays (parent index, generator index), and the group keeps the
+store index at which each BFS level starts, so any set of elements can be
+re-evaluated at a higher precision without re-closing the group:
+``rows_at`` is the one lift, and ``_powers`` the one routine for orders and
+trace sums.  The closure also keeps its right Cayley table, an (N, g) int32
+array of store indices; conjugacy classes are read from it by integer
+gathers alone, with no matrix product and no key lookup.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -78,7 +79,7 @@ class ConjugacyClassRecord:
 class FiniteMatrixGroup:
     """A finite group of invertible l x l matrices over Z/p^M."""
 
-    def __init__(self, modulus, dim, generators, store, parent, gen, right, keys,
+    def __init__(self, modulus, dim, generators, store, parent, gen, right, keys, starts,
                  generator_factory=None, name=None):
         self.modulus = modulus
         self.dim = dim
@@ -88,6 +89,7 @@ class FiniteMatrixGroup:
         self._gen = gen
         self._right = right        # (N, g) int32: element i @ generator j is element right[i, j]
         self._keys = keys          # canonical byte key -> element index
+        self._starts = starts      # BFS level i is store[starts[i]:starts[i + 1]]; ends at N
         self._key_list = list(keys.keys())
         self.generator_factory = generator_factory
         self.name = name
@@ -159,9 +161,9 @@ class FiniteMatrixGroup:
 
         At or below the group's precision the stored rows are reduced.  Above
         it the elements are re-evaluated from their words: the ancestors of
-        ``idx`` in store order, one batched product of their parents' lifts
-        with the generators at p^n per BFS level, so nothing is hashed or
-        re-closed.
+        ``idx`` in store order, cut at the closure's BFS level starts, then
+        one batched product of their parents' lifts with the generators at
+        p^n per level, so nothing is hashed or re-closed.
         """
         pn = self.modulus.p ** n
         dtype = exact_dtype(pn, self.dim)
@@ -184,7 +186,8 @@ class FiniteMatrixGroup:
         parent, gen = pos[self._parent[sel]], self._gen[sel]
         out = np.empty((sel.size, self.dim, self.dim), dtype=dtype)
         out[0] = np.eye(self.dim, dtype=dtype)
-        for lo, hi in _levels(parent):
+        cuts = np.searchsorted(sel, self._starts).tolist()
+        for lo, hi in zip(cuts[1:], cuts[2:]):
             out[lo:hi] = out[parent[lo:hi]] @ gens[gen[lo:hi]] % pn
         return out[pos[idx]]
 
@@ -230,7 +233,7 @@ class FiniteMatrixGroup:
                 raise InvariantViolation(
                     f"class of element {rep} has size {size}, not dividing |W|={self.order}"
                 )
-        orders, trace_sums, _ = _powers(self._arr[reps], self.modulus.pM, self.order)
+        orders, trace_sums = _powers(self._arr[reps], self.modulus.pM, self.order)
         orders, trace_sums = orders.tolist(), trace_sums.tolist()
         read_at = []
         for d in orders:
@@ -281,8 +284,9 @@ class FiniteMatrixGroup:
         """Class index of every element, classes numbered by their least member.
 
         Left multiplication by generator j is read from the words, one BFS
-        level at a time: element i = element parent[i] @ generator gen[i], so
-        g_j @ element i is element right[left[parent[i]], gen[i]].  Undoing
+        level at a time from the level starts the closure kept: element i =
+        element parent[i] @ generator gen[i], so g_j @ element i is element
+        right[left[parent[i]], gen[i]].  Undoing
         right multiplication by g_j then gives the conjugation permutation
         i -> g_j @ element i @ g_j^-1.  Every element starts labelled by its
         own index; each sweep, for every permutation, pulls the smaller label
@@ -291,11 +295,11 @@ class FiniteMatrixGroup:
         element's class, so once a sweep changes nothing every label is the
         least store index in its class.
         """
-        right, parent = self._right, self._parent
+        right, parent, starts = self._right, self._parent, self._starts
         n, g = right.shape
         left = np.empty_like(right)
         left[0] = right[0]
-        for lo, hi in _levels(parent):
+        for lo, hi in zip(starts[1:], starts[2:]):
             left[lo:hi] = right[left[parent[lo:hi]], self._gen[lo:hi, None]]
         index = np.arange(n, dtype=np.int32)
         undo = np.empty(n, dtype=np.int32)
@@ -318,33 +322,30 @@ class FiniteMatrixGroup:
 
 
 def _powers(w: np.ndarray, pm: int, bound: int):
-    """Order, trace sum and inverse of each matrix in an (n, l, l) batch mod pm.
+    """Order and trace sum of each matrix in an (n, l, l) batch mod pm.
 
-    For matrix t of order d: d, the sum of the traces of w^0, ..., w^(d-1)
-    mod pm, and w^(d-1).  Every matrix is powered in one batch until it
-    reaches the identity.  Raises InvariantViolation when an order exceeds
+    For matrix t of order d: d and the sum of the traces of w^0, ...,
+    w^(d-1) mod pm.  Every matrix is powered in one batch until it reaches
+    the identity.  Raises InvariantViolation when an order exceeds
     ``bound``.
     """
     n, l = w.shape[0], w.shape[1]
     ident = np.eye(l, dtype=w.dtype)
     order = np.zeros(n, dtype=np.int64)
     trace_sum = np.full(n, l % pm, dtype=w.dtype)  # trace of w^0
-    inverse = np.empty_like(w)
-    live = np.arange(n)
-    prev, acc = np.broadcast_to(ident, w.shape), w
+    live, acc = np.arange(n), w
     d = 1
     while live.size:
         done = (acc == ident).all(axis=(1, 2))
         order[live[done]] = d
-        inverse[live[done]] = prev[done]
         keep = ~done
-        live, prev = live[keep], acc[keep]
-        trace_sum[live] = (trace_sum[live] + np.trace(prev, axis1=1, axis2=2)) % pm
-        acc = prev @ w[live] % pm
+        live, acc = live[keep], acc[keep]
+        trace_sum[live] = (trace_sum[live] + np.trace(acc, axis1=1, axis2=2)) % pm
+        acc = acc @ w[live] % pm
         d += 1
         if d > bound and live.size:
             raise InvariantViolation(f"matrix has order above {bound}")
-    return order, trace_sum, inverse
+    return order, trace_sum
 
 
 def _rank_from_trace_sum(trace_sum: int, d: int, dim: int, pM: int) -> int:
@@ -367,7 +368,7 @@ def rank_fixed_space(w: SquareMatrix, d: int) -> int:
     pM = w.modulus.pM
     if pM <= d * w.dim:
         raise PrecisionTooLow(f"need p^M > {d * w.dim}, have {pM}")
-    orders, trace_sums, _ = _powers(np.array([w.rows], dtype=exact_dtype(pM, w.dim)), pM, d)
+    orders, trace_sums = _powers(np.array([w.rows], dtype=exact_dtype(pM, w.dim)), pM, d)
     order, trace_sum = int(orders[0]), int(trace_sums[0])
     if d % order != 0:
         raise InvariantViolation(f"element order {order} does not divide d={d}")
@@ -376,20 +377,25 @@ def rank_fixed_space(w: SquareMatrix, d: int) -> int:
 
 def close(
     generators: Sequence[SquareMatrix],
+    order: int,
     cap: int = DEFAULT_CLOSURE_CAP,
     generator_factory: Optional[GeneratorFactory] = None,
     name: Optional[str] = None,
 ) -> FiniteMatrixGroup:
-    """Breadth-first closure of a generator list under multiplication.
+    """Breadth-first closure of a generator list into a group of known order.
 
-    Elements are discovered by right-multiplying the frontier by each
-    generator in the listed order, which fixes a deterministic insertion
-    order.  Each BFS level is one contiguous block of the store whose
-    parents all lie in the previous level, which ``rows_at`` and
-    ``_partition`` rely on.  The store index of every product is kept as the
-    right Cayley table, 4*g bytes per element; InvariantViolation unless each
-    of its columns is a permutation of the store.  Raises CapExceeded once
-    more than ``cap`` elements appear.
+    The store, the words and the right Cayley table are allocated once, with
+    ``order`` rows each, and filled level by level.  A level's products are
+    taken generator by generator in the listed order, and each product's
+    byte key is interned with one ``dict.setdefault`` pass, which gives that
+    generator's column of the table for the level and fixes a deterministic
+    insertion order.  Each BFS level is one contiguous block of the store
+    whose parents all lie in the previous level; its start is kept for
+    ``rows_at`` and ``_partition``.  The table costs 4*g bytes per element.
+    Raises CapExceeded when ``order`` is above ``cap``, before anything is
+    allocated, and InvariantViolation when the closure grows past ``order``,
+    stops short of it, or leaves a column of the table that is not a
+    permutation of the store.
     """
     if not generators:
         raise ValueError("at least one generator is required")
@@ -398,61 +404,37 @@ def close(
     for g in generators:
         if g.modulus != modulus or g.dim != dim:
             raise ValueError("generators must share a modulus and dimension")
+    if order > cap:
+        raise CapExceeded(f"group order {order} exceeds closure cap {cap}")
+    label = name or "closure"
     dtype = exact_dtype(modulus.pM, dim)
     pM = modulus.pM
     gen_arrs = np.array([g.rows for g in generators], dtype=dtype)
-    ident = np.eye(dim, dtype=dtype)[None]
-    keys = {_keys(ident, pM)[0]: 0}
-    parent, gen = [np.array([-1])], [np.array([-1])]
-    products = array("i")  # store index of each product, level by level, generator-major
-    levels = [ident]
-    batch = ident
-    bounds = [0]  # store index of each level's first element
-    while len(batch):
-        lo = bounds[-1]
-        fresh = []
+    store = np.empty((order, dim, dim), dtype=dtype)
+    parent = np.empty(order, dtype=np.int64)  # element i = element parent[i] @ generator gen[i]
+    gen = np.empty(order, dtype=np.int64)
+    right = np.empty((order, len(gen_arrs)), dtype=np.int32)
+    store[0], parent[0], gen[0] = np.eye(dim, dtype=dtype), -1, -1
+    keys = {_keys(store[:1], pM)[0]: 0}
+    starts = [0]
+    while starts[-1] < len(keys):
+        lo, hi = starts[-1], len(keys)
+        starts.append(hi)
         for gi, g in enumerate(gen_arrs):
-            prod = batch @ g % pM
-            prod_keys, new = _keys(prod, pM), []
-            for t, key in enumerate(prod_keys):
-                if key not in keys:
-                    keys[key] = len(keys)
-                    new.append(t)
-                    if len(keys) > cap:
-                        raise CapExceeded(f"closure exceeded cap {cap}")
-            products.extend(map(keys.__getitem__, prod_keys))
-            fresh.append(prod[new])
-            parent.append(lo + np.array(new, dtype=np.int64))
-            gen.append(np.full(len(new), gi))
-        bounds.append(lo + len(batch))
-        batch = np.concatenate(fresh)
-        levels.append(batch)
-    store = np.concatenate(levels)
-    del levels
-    n, ngen = len(store), len(gen_arrs)
-    if products.itemsize != 4:
-        raise InvariantViolation(f"array('i') items are {products.itemsize} bytes, not 4")
-    flat = np.frombuffer(products, dtype=np.int32)
-    right = np.empty((n, ngen), dtype=np.int32)
-    for lo, hi in zip(bounds, bounds[1:]):
-        right[lo:hi] = flat[ngen * lo:ngen * hi].reshape(ngen, hi - lo).T
-    del flat, products  # freed before the check allocates, to lower peak memory
-    if any((np.bincount(col, minlength=n) != 1).any() for col in right.T):
+            prod = store[lo:hi] @ g % pM
+            known = len(keys)
+            col = np.array([keys.setdefault(key, len(keys)) for key in _keys(prod, pM)])
+            if len(keys) > order:
+                raise InvariantViolation(f"{label} grew past its order {order}")
+            found, first = np.unique(col, return_index=True)
+            new = first[found >= known]  # positions of the first products with new keys
+            store[known:len(keys)] = prod[new]
+            parent[known:len(keys)] = lo + new
+            gen[known:len(keys)] = gi
+            right[lo:hi, gi] = col
+    if len(keys) != order:
+        raise InvariantViolation(f"{label} closed to {len(keys)} elements, expected {order}")
+    if any((np.bincount(col, minlength=order) != 1).any() for col in right.T):
         raise InvariantViolation("a column of the right Cayley table is not a permutation")
-    return FiniteMatrixGroup(modulus, dim, gen_arrs, store,
-                             np.concatenate(parent), np.concatenate(gen), right, keys,
-                             generator_factory=generator_factory, name=name)
-
-
-def _levels(parent: np.ndarray):
-    """(lo, hi) store bounds of each BFS level after the identity.
-
-    ``parent`` lists the parent position of each element in BFS order; a
-    level is contiguous and ends at the first element whose parent is in it.
-    """
-    lo, n = 1, len(parent)
-    while lo < n:
-        later = np.flatnonzero(parent[lo:] >= lo)
-        hi = lo + int(later[0]) if later.size else n
-        yield lo, hi
-        lo = hi
+    return FiniteMatrixGroup(modulus, dim, gen_arrs, store, parent, gen, right, keys,
+                             tuple(starts), generator_factory=generator_factory, name=name)

@@ -71,6 +71,39 @@ def generator_matrices(group) -> list:
     return [SquareMatrix.from_rows(g.tolist(), group.modulus) for g in group.generators]
 
 
+def closure_reference(generators):
+    """Oracle: breadth-first closure over row tuples, in plain Python.
+
+    Each level's products are taken generator by generator in the listed
+    order, element by element within a generator, and a product seen for
+    the first time is appended.  Returns (rows, parent, gen, right): each
+    element's rows, the element and generator whose product it first was
+    (-1 for the identity), and the index of element i times generator j.
+    """
+    pM = generators[0].modulus.pM
+    gens = [rows_of(g) for g in generators]
+    dim = len(gens[0])
+    rows = [tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))]
+    index = {rows[0]: 0}
+    parent, gen, right = [-1], [-1], [[None] * len(gens)]
+    level = [0]
+    while level:
+        nxt = []
+        for j, g in enumerate(gens):
+            for i in level:
+                prod = mat_mul(rows[i], g, pM)
+                if prod not in index:
+                    index[prod] = len(rows)
+                    nxt.append(len(rows))
+                    rows.append(prod)
+                    parent.append(i)
+                    gen.append(j)
+                    right.append([None] * len(gens))
+                right[i][j] = index[prod]
+        level = nxt
+    return rows, parent, gen, right
+
+
 def det_permanent_expansion(rows, pM):
     """Oracle: determinant by signed permutation expansion."""
     l = len(rows)

@@ -173,7 +173,7 @@ def test_acceptance_08_theorem_a_property():
                     == count_burnside_full(group, k).count), (m, p, k)
         checked.append(f"sphere({m},{p})")
     from repcount.catalog import monomial_generators
-    g552 = close(monomial_generators(5, 5, 2, Modulus(11, 2)), name="g(5,5,2)")
+    g552 = close(monomial_generators(5, 5, 2, Modulus(11, 2)), order=10, name="g(5,5,2)")
     assert g552.order == 10
     for k in (1, 2):
         assert theorem_a([1, 4], 11, k) == count_burnside_full(g552, k).count

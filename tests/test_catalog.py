@@ -81,7 +81,8 @@ def test_g12_generated_by_its_reflections(g12):
     regenerated = close(
         [g12.element(i) for i in range(g12.order)
          if records[g12.class_of(i)].element_order > 1
-         and records[g12.class_of(i)].rank == g12.dim - 1]
+         and records[g12.class_of(i)].rank == g12.dim - 1],
+        order=g12.order,
     )
     assert regenerated.order == g12.order
 
@@ -123,7 +124,7 @@ def test_sphere_build():
 def test_monomial_entries_are_roots_of_unity():
     mod = Modulus(7, 2)
     gens = monomial_generators(3, 1, 2, mod)
-    g = close(gens)
+    g = close(gens, order=18)
     for i in range(g.order):
         for row in g.element_rows(i):
             for x in row:
@@ -133,7 +134,7 @@ def test_monomial_entries_are_roots_of_unity():
 
 def test_g552_order_ten():
     # Not an admissible family-2a spec (m = s, n = 2) but a fine matrix group.
-    g = close(monomial_generators(5, 5, 2, Modulus(11, 2)))
+    g = close(monomial_generators(5, 5, 2, Modulus(11, 2)), order=10)
     assert g.order == 10
 
 
@@ -200,7 +201,7 @@ def test_g29_g31_centers_have_order_four(g29, g31):
 
 
 def test_derive_exponents_trivial():
-    g = close([SquareMatrix.identity(2, Modulus(5, 2))])
+    g = close([SquareMatrix.identity(2, Modulus(5, 2))], order=1)
     assert tuple(derive_exponents(g)) == ()
 
 

@@ -384,3 +384,33 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert code == 4 and out == ""
     assert json.loads(err) == {"error": "NonIntegralCount",
                                "message": "class sum not divisible by |W|=48"}
+
+
+def test_crosscheck_skips_a_domain_walk_too_large_to_run(capsys):
+    # k = 4 would walk C(161, 5) multisets; k = 3 walks C(36, 5) = 376992
+    code, out, _ = run(capsys, "crosscheck", "--group", "family2a:m=4,s=2,n=5,p=5",
+                       "--kmax", "4", "--oracle-cap", "4000", "--format", "json",
+                       "--no-timing")
+    payload = json.loads(out)
+    assert code == 0 and payload["pass"]
+    counts = [chk["counts"] for chk in payload["checks"]]
+    assert "domain" in counts[2] and "domain" not in counts[3]
+
+
+def test_domain_walk_too_large_exit_code(capsys):
+    code, out, err = run(capsys, "count", "--group", "family2a:m=4,s=2,n=5,p=5",
+                         "--k", "4", "--method", "domain")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "SpaceTooLarge"
+
+
+def test_memory_error_exit_code(capsys, monkeypatch):
+    # a refused allocation is a resource limit, not a divergence (exit 1)
+    def exhausted(group, k):
+        raise MemoryError
+
+    monkeypatch.setattr(counting, "count_burnside_classes", exhausted)
+    code, out, err = run(capsys, "count", "--group", "g12", "--k", "1",
+                         "--method", "classes")
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "MemoryError", "message": "Out of memory."}

@@ -40,7 +40,7 @@ EXPECTED = {
 
 
 def test_burnside_full_trivial_group():
-    g = close([SquareMatrix.identity(3, Modulus(5, 2))], name="trivial")
+    g = close([SquareMatrix.identity(3, Modulus(5, 2))], order=1, name="trivial")
     assert count_burnside_full(g, 1).count == 125
     assert count_burnside_full(g, 2).count == 5 ** 6
 
@@ -81,7 +81,7 @@ def test_per_element_burnside_across_chunk_boundary(g31):
 
 def test_burnside_precision_error():
     # without a generator factory nothing can be lifted past the closure's M
-    g = close(generators(GroupSpec("g12"), Modulus(3, 3)), name="g12")
+    g = close(generators(GroupSpec("g12"), Modulus(3, 3)), order=48, name="g12")
     assert count_burnside_full(g, 3).count == EXPECTED["g12"][3]
     with pytest.raises(PrecisionTooLow):
         count_burnside_full(g, 4)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from matrix_helpers import admissible_tuples
 from repcount.catalog import GroupSpec, build
 from repcount.counting import count_burnside_full
+from repcount import grassmannian
 from repcount.errors import SpaceTooLarge, SpecInvalid
 from repcount.grassmannian import (
     build_orbits,
@@ -55,6 +56,16 @@ def test_build_orbits_invalid():
         build_orbits(4, 3, 5, 1)  # s does not divide m
     with pytest.raises(SpaceTooLarge):
         build_orbits(3, 1, 7, 8)  # table over the point cap
+
+
+def test_enumerate_bounds_its_multiset_walk(monkeypatch):
+    # G(3,1,4) at p = 7, k = 1: nz = 2 nonzero orbits, so the loops visit
+    # C(nz + n, n) = C(6, 4) = 15 multisets; the table has 7 points
+    monkeypatch.setattr(grassmannian, "MAX_TABLE_POINTS", 15)
+    assert enumerate_distinguished(3, 1, 4, 7, 1)[0] == theorem_b(3, 1, 4, 7, 1)
+    monkeypatch.setattr(grassmannian, "MAX_TABLE_POINTS", 14)
+    with pytest.raises(SpaceTooLarge):
+        enumerate_distinguished(3, 1, 4, 7, 1)
 
 
 def test_enumerate_includes_zero_tuple():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from matrix_helpers import (
     admissible_tuples,
+    closure_reference,
     conjugacy_partition_reference,
     generator_matrices,
     minus_identity,
@@ -42,43 +43,43 @@ def perm_matrices_s3(p, M):
 
 
 def test_close_trivial():
-    g = close([SquareMatrix.identity(2, Modulus(5, 2))])
+    g = close([SquareMatrix.identity(2, Modulus(5, 2))], order=1)
     assert g.order == 1
 
 
 def test_close_cyclic4():
     rot = mat([[0, 1], [-1, 0]], 5, 2)
-    g = close([rot])
+    g = close([rot], order=4)
     assert g.order == 4
 
 
 def test_close_symmetric3():
-    g = close(perm_matrices_s3(7, 2))
+    g = close(perm_matrices_s3(7, 2), order=6)
     assert g.order == 6
 
 
 def test_close_cap():
     with pytest.raises(CapExceeded):
-        close(perm_matrices_s3(7, 2), cap=3)
+        close(perm_matrices_s3(7, 2), order=6, cap=3)
 
 
 def test_close_deterministic_order():
-    a = close(perm_matrices_s3(7, 2))
-    b = close(perm_matrices_s3(7, 2))
+    a = close(perm_matrices_s3(7, 2), order=6)
+    b = close(perm_matrices_s3(7, 2), order=6)
     assert [a.element_rows(i) for i in range(a.order)] == \
            [b.element_rows(i) for i in range(b.order)]
 
 
 def test_closure_idempotent():
-    g = close(perm_matrices_s3(7, 2))
-    again = close([g.element(i) for i in range(g.order)])
+    g = close(perm_matrices_s3(7, 2), order=6)
+    again = close([g.element(i) for i in range(g.order)], order=g.order)
     assert again.order == g.order
     assert {g.element_rows(i) for i in range(g.order)} == \
            {again.element_rows(i) for i in range(again.order)}
 
 
 def test_words_reconstruct_elements():
-    g = close(perm_matrices_s3(7, 2))
+    g = close(perm_matrices_s3(7, 2), order=6)
     for i in range(g.order):
         acc = SquareMatrix.identity(3, g.modulus)
         for gi in g.word(i):
@@ -87,7 +88,7 @@ def test_words_reconstruct_elements():
 
 
 def test_conjugacy_classes_s3():
-    g = close(perm_matrices_s3(7, 2))
+    g = close(perm_matrices_s3(7, 2), order=6)
     recs = g.conjugacy_classes()
     assert sorted(r.class_size for r in recs) == [1, 2, 3]
     assert sum(r.class_size for r in recs) == 6
@@ -97,7 +98,7 @@ def test_conjugacy_classes_s3():
 
 
 def test_conjugacy_closed_under_generators():
-    g = close(perm_matrices_s3(5, 2))
+    g = close(perm_matrices_s3(5, 2), order=6)
     recs = g.conjugacy_classes()
     for rec in recs:
         cid = g.class_of(rec.rep_index)
@@ -150,15 +151,47 @@ def test_right_cayley_table(exceptional_groups, name, sample):
 
 def test_close_rejects_a_table_that_is_not_a_permutation(g24, monkeypatch):
     # keys that read only the first column merge g24 elements whose products
-    # by a generator differ, so right multiplication no longer permutes the store
+    # by a generator differ, so the closure stops short of |G24| ...
     keys = groups._keys
     monkeypatch.setattr(groups, "_keys", lambda batch, pM: keys(batch[:, :, :1], pM))
+    with pytest.raises(InvariantViolation, match="closed to 32 elements, expected 336"):
+        close(generator_matrices(g24), order=g24.order)
+    # ... and at the 32 it stops at, right multiplication no longer permutes the store
+    with pytest.raises(InvariantViolation, match="not a permutation"):
+        close(generator_matrices(g24), order=32)
+
+
+@pytest.mark.parametrize("label", [
+    "g12", "g24", "family2a:m=3,s=1,n=3,p=7",
+    "family2a:m=4,s=2,n=3,p=1297",  # object store
+])
+def test_close_matches_plain_breadth_first_search(label):
+    group = build(parse_spec(label))
+    rows, parent, gen, right = closure_reference(generator_matrices(group))
+    assert [group.element_rows(i) for i in range(group.order)] == rows
+    assert group._parent.tolist() == parent
+    assert group._gen.tolist() == gen
+    assert group._right.tolist() == right
+    depth = [0]
+    for i in parent[1:]:
+        depth.append(depth[i] + 1)
+    assert list(group._starts) == [depth.index(d) for d in range(depth[-1] + 1)] + [len(rows)]
+
+
+@pytest.mark.parametrize("order", [47, 49])
+def test_close_rejects_a_wrong_order(g12, order):
     with pytest.raises(InvariantViolation):
-        close(generator_matrices(g24))
+        close(generator_matrices(g12), order=order)
+
+
+def test_close_checks_the_cap_before_allocating(g12):
+    # 10^12 store rows could not be allocated, so CapExceeded comes first
+    with pytest.raises(CapExceeded):
+        close(generator_matrices(g12), order=10 ** 12)
 
 
 def test_trivial_group_single_class():
-    g = close([SquareMatrix.identity(3, Modulus(5, 2))])
+    g = close([SquareMatrix.identity(3, Modulus(5, 2))], order=1)
     recs = g.conjugacy_classes()
     assert len(recs) == 1 and recs[0].class_size == 1
     assert recs[0].rank == 3
@@ -335,12 +368,12 @@ def test_one_smith_form_and_at_most_one_lift_per_class(monkeypatch, spec, modulu
 def test_close_without_factory_raises_exactly_when_a_class_needs_a_lift():
     # g24 at 2^3: classes of order d with d*3 >= 8 need m > 3
     low = build(parse_spec("g24"), Modulus(2, 3))
-    bare = close(generator_matrices(low))
+    bare = close(generator_matrices(low), order=low.order)
     with pytest.raises(PrecisionTooLow):
         bare.conjugacy_classes()
     # at M0 no class needs a lift, so the bare closure classes fine
     g24 = build(parse_spec("g24"))
-    bare = close(generator_matrices(g24))
+    bare = close(generator_matrices(g24), order=g24.order)
     assert [(r.rank, r.torsion_vals, r.smith_vals) for r in bare.conjugacy_classes()] == \
            [(r.rank, r.torsion_vals, r.smith_vals) for r in g24.conjugacy_classes()]
 

@@ -181,7 +181,7 @@ def test_nonmodular_monomial_matches_theorem_a():
 
 def test_closure_cap_on_monomial_group():
     with pytest.raises(CapExceeded):
-        close(monomial_generators(4, 1, 3, Modulus(5, 2)), cap=50)
+        close(monomial_generators(4, 1, 3, Modulus(5, 2)), order=384, cap=50)
 
 
 def test_rank_five_monomial_group():
@@ -229,7 +229,7 @@ cases = [
 ]
 typed = [
     (CapExceeded, lambda: close(catalog.generators(catalog.parse_spec("g12"), Modulus(3, 3)),
-                                cap=2)),
+                                order=48, cap=2)),
     (OrderUnavailable, lambda: smallest_primitive_root(1)),
 ]
 catalog.GroupSpec.expected_order = property(wrong_order)
