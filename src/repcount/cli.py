@@ -53,7 +53,7 @@ class _Config:
         """Build (and cache) the group, closed once at its default precision.
 
         Every k is served by this one closure: counting lifts class
-        representatives (or the whole store) by their generator words.
+        representatives (or every element) by their generator words.
         """
         label = spec.label()
         if label not in self._groups:

@@ -5,7 +5,7 @@ must agree exactly; they differ in what they sum.  ``count_burnside_full``
 computes fixed-point counts directly from Smith forms of w - I at precision
 k, all read by the batched Smith engine on the rows that
 ``FiniteMatrixGroup.rows_at`` gives at p^k: the class representatives, or,
-per element, the whole store in fixed chunks, a sum that does not use the
+per element, every element in fixed chunks, a sum that does not use the
 class partition at all;
 ``count_burnside_classes`` decomposes each count as p^(k*rank) times the
 torsion contribution, both read off the complete class records (each
@@ -33,7 +33,7 @@ from .linalg import smith_valuations_batch
 from .modp import int_valuation
 
 #: Elements per batched Smith elimination in per-element Burnside; bounds
-#: the temporaries of the elimination, not the store itself.
+#: the temporaries of the elimination, not the element rows themselves.
 BURNSIDE_CHUNK = 4096
 
 
@@ -119,7 +119,7 @@ def count_burnside_full(
     element instead, independently of the class partition, in chunks of
     ``BURNSIDE_CHUNK`` elements to bound the Smith temporaries.  Any k is
     reachable: ``rows_at`` reads the representatives, or for
-    ``per_element`` the whole store, at p^k, lifting them by their
+    ``per_element`` every element, at p^k, lifting them by their
     generator words above the group's precision.
     """
     _check_precision(group, k)

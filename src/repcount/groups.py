@@ -1,19 +1,26 @@
 """Finite matrix groups over Z/p^M: closure, conjugacy classes, ranks.
 
 Groups are closed once, at one precision and at an order known in advance,
-and then immutable.  ``close`` allocates every array below once, with one
-row per element, and fills it one BFS level at a time.  Elements live in one
-numpy (N, l, l) store indexed by canonical byte keys, and the generators in
-one (g, l, l) array; the dtype is int64 when matmul entry sums cannot
-overflow and object (Python integers) otherwise, and both dtypes share
-every code path.  Every element also carries a word in the generators, kept
-as two int arrays (parent index, generator index), and the group keeps the
-store index at which each BFS level starts, so any set of elements can be
-re-evaluated at a higher precision without re-closing the group:
-``rows_at`` is the one lift, and ``_powers`` the one routine for orders and
-trace sums.  The closure also keeps its right Cayley table, an (N, g) int32
-array of store indices; conjugacy classes are read from it by integer
-gathers alone, with no matrix product and no key lookup.
+and then immutable.  Row i of w @ g is (row i of w) @ g, so every row of
+every element lies in the row orbit P: the orbit of the basis rows under
+x -> x @ g for each generator g, a few dozen to a few hundred points for
+every catalog group.  ``close`` computes P, sorts it lexicographically and
+stores an element as its l rows' ranks in P, one (N, l) array of the
+narrowest unsigned width that holds |P| - 1; right multiplication by a
+generator is then a gather through that generator's permutation of P, with
+no matrix product.  An element's key is the mixed-radix int64 of its ranks
+in base |P|, so keys order elements exactly as their rows order
+lexicographically; the group keeps its keys sorted and ``find`` is one
+``searchsorted``.  Points are int64 when matmul entry sums cannot overflow
+and object (Python integers) otherwise, and both dtypes share every code
+path.  Every element also carries a word in the generators, kept as two
+int arrays (parent index, generator index), and the group keeps the index
+at which each BFS level starts, so any set of elements can be re-evaluated
+at a higher precision without re-closing the group: ``rows_at`` is the one
+lift, and ``_powers`` the one routine for orders and trace sums.  The
+closure also keeps its right Cayley table, an (N, g) int32 array of element
+indices; conjugacy classes are read from it by integer gathers alone, with
+no matrix product and no key lookup.
 """
 
 from __future__ import annotations
@@ -33,22 +40,18 @@ DEFAULT_CLOSURE_CAP = 10 ** 8
 GeneratorFactory = Callable[[Modulus], list]
 
 
-def _keys(batch: np.ndarray, pM: int) -> list:
-    """Canonical byte key of each matrix in an (n, l, l) batch, as a list in order.
+def _row_keys(ranks: np.ndarray, base: int) -> np.ndarray:
+    """Mixed-radix int64 key of each (..., l) row of ranks in P, in base |P|.
 
-    Entries are fixed-width big-endian, row-major, so byte order agrees with
-    entrywise numeric order whatever the width.  The width follows p^M for
-    both dtypes: the fewest bytes that hold p^M - 1, rounded up to 1, 2, 4
-    or 8 for the int64 store.  Entries must lie in [0, p^M).  This is the
-    only code that depends on the store dtype.
+    The first rank is the most significant digit, so keys order elements
+    as their rows order lexicographically.  ``close`` checks that base^l
+    is below 2^63 before it keys anything.
     """
-    width = ((pM - 1).bit_length() + 7) // 8
-    if batch.dtype == object:
-        blob = b"".join(int(x).to_bytes(width, "big") for x in batch.flat)
-    else:
-        width = next(w for w in (1, 2, 4, 8) if w >= width)
-        blob = batch.astype(f">u{width}").tobytes()
-    return np.frombuffer(blob, dtype=f"V{width * batch.shape[1] * batch.shape[2]}").tolist()
+    key = np.zeros(ranks.shape[:-1], dtype=np.int64)
+    for c in range(ranks.shape[-1]):
+        key *= base
+        key += ranks[..., c]
+    return key
 
 
 @dataclass(frozen=True)
@@ -79,18 +82,19 @@ class ConjugacyClassRecord:
 class FiniteMatrixGroup:
     """A finite group of invertible l x l matrices over Z/p^M."""
 
-    def __init__(self, modulus, dim, generators, store, parent, gen, right, keys, starts,
-                 generator_factory=None, name=None):
+    def __init__(self, modulus, dim, generators, points, rows, parent, gen, right, by_key,
+                 sorted_keys, starts, generator_factory=None, name=None):
         self.modulus = modulus
         self.dim = dim
-        self.generators = generators  # (g, l, l) array, the store's dtype
-        self._arr = store          # (N, l, l) array of dtype exact_dtype(modulus.pM, dim)
+        self.generators = generators  # (g, l, l) array, the points' dtype
+        self._points = points      # (|P|, l) row orbit, sorted, dtype exact_dtype(modulus.pM, dim)
+        self._rows = rows          # (N, l): row r of element i is points[rows[i, r]]
         self._parent = parent      # element i = element parent[i] @ generator gen[i]
         self._gen = gen
         self._right = right        # (N, g) int32: element i @ generator j is element right[i, j]
-        self._keys = keys          # canonical byte key -> element index
-        self._starts = starts      # BFS level i is store[starts[i]:starts[i + 1]]; ends at N
-        self._key_list = list(keys.keys())
+        self._by_key = by_key      # (N,) element indices in increasing key order
+        self._sorted_keys = sorted_keys  # (N,) int64 keys of the elements by_key
+        self._starts = starts      # BFS level i is elements starts[i]:starts[i + 1]; ends at N
         self.generator_factory = generator_factory
         self.name = name
         self._classes: Optional[list] = None
@@ -100,26 +104,37 @@ class FiniteMatrixGroup:
 
     @property
     def order(self) -> int:
-        return len(self._key_list)
+        return len(self._rows)
 
     def __len__(self) -> int:
         return self.order
 
     def element_rows(self, i: int) -> tuple:
-        return tuple(map(tuple, self._arr[i].tolist()))
+        return tuple(map(tuple, self._points[self._rows[i]].tolist()))
 
     def element(self, i: int) -> SquareMatrix:
         return SquareMatrix(self.element_rows(i), self.modulus)
 
     def find(self, mat: SquareMatrix) -> int:
-        """Index of a matrix in the element store; KeyError if absent.
+        """Index of a matrix in the group; KeyError if absent.
 
-        A matrix over another modulus or of another dimension is absent.
+        Each row is ranked in the row orbit, the ranks are keyed and the key
+        is looked up among the sorted keys.  A matrix over another modulus
+        or of another dimension, or with a row outside the row orbit, is
+        absent.
         """
         if mat.modulus != self.modulus or mat.dim != self.dim:
             raise KeyError(f"{mat.dim}x{mat.dim} matrix over {mat.modulus} is not in a "
                            f"{self.dim}x{self.dim} group over {self.modulus}")
-        return self._keys[_keys(np.array([mat.rows], dtype=self._arr.dtype), self.modulus.pM)[0]]
+        target = np.array(mat.rows, dtype=self._points.dtype)
+        match = (self._points[None, :, :] == target[:, None, :]).all(axis=2)  # (l, |P|)
+        if not match.any(axis=1).all():
+            raise KeyError("a row of the matrix is not in the group's row orbit")
+        key = _row_keys(match.argmax(axis=1), len(self._points))
+        pos = int(np.searchsorted(self._sorted_keys, key))
+        if pos == self.order or self._sorted_keys[pos] != key:
+            raise KeyError("the matrix is not in the group")
+        return int(self._by_key[pos])
 
     def __contains__(self, mat: SquareMatrix) -> bool:
         try:
@@ -159,17 +174,18 @@ class FiniteMatrixGroup:
     def rows_at(self, idx, n: int) -> np.ndarray:
         """Elements ``idx`` mod p^n, as an (len(idx), l, l) array of dtype exact_dtype(p^n, l).
 
-        At or below the group's precision the stored rows are reduced.  Above
-        it the elements are re-evaluated from their words: the ancestors of
-        ``idx`` in store order, cut at the closure's BFS level starts, then
-        one batched product of their parents' lifts with the generators at
-        p^n per level, so nothing is hashed or re-closed.
+        At or below the group's precision the rows are read from the row
+        orbit and reduced.  Above it the elements are re-evaluated from their
+        words: the ancestors of ``idx`` in index order, cut at the closure's
+        BFS level starts, then one batched product of their parents' lifts
+        with the generators at p^n per level, so nothing is looked up or
+        re-closed.
         """
         pn = self.modulus.p ** n
         dtype = exact_dtype(pn, self.dim)
         idx = np.asarray(idx, dtype=np.intp)
         if n <= self.modulus.M:
-            rows = self._arr[idx]  # a copy, reduced in place
+            rows = self._points[self._rows[idx]]  # a copy, reduced in place
             rows %= pn
             return rows.astype(dtype, copy=False)
         gens = self.generators_at(n)
@@ -194,15 +210,16 @@ class FiniteMatrixGroup:
     # -- orders, ranks, classes ---------------------------------------------
 
     def element_order(self, i: int) -> int:
-        return int(_powers(self._arr[i:i + 1], self.modulus.pM, self.order)[0][0])
+        return int(_powers(self._points[self._rows[i:i + 1]], self.modulus.pM, self.order)[0][0])
 
     def conjugacy_classes(self) -> list:
         """Partition into conjugacy classes with fixed-space annotations.
 
         Classes are the orbits of the conjugation permutations of the
         generators, found by label propagation over the right Cayley table
-        (see ``_partition``) and numbered by their least store index; the
-        representative is the byte-lexicographically smallest member.
+        (see ``_partition``) and numbered by their least element index; the
+        representative is the member with the least key, whose rows are
+        lexicographically smallest.
         Cached after first call.
 
         Each class is read once, at the least m >= M with p^m > d*l, where d
@@ -223,17 +240,16 @@ class FiniteMatrixGroup:
             return self._classes
         class_of = self._partition()
         p, M, l = self.modulus.p, self.modulus.M, self.dim
-        members = np.argsort(class_of, kind="stable")
         sizes = np.bincount(class_of).tolist()
-        bounds = np.cumsum([0] + sizes).tolist()
-        reps = [min(members[lo:hi].tolist(), key=self._key_list.__getitem__)
-                for lo, hi in zip(bounds, bounds[1:])]
+        # the first member of each class in key order has the class's least key
+        _, first = np.unique(class_of[self._by_key], return_index=True)
+        reps = self._by_key[first].tolist()
         for rep, size in zip(reps, sizes):
             if self.order % size != 0:
                 raise InvariantViolation(
                     f"class of element {rep} has size {size}, not dividing |W|={self.order}"
                 )
-        orders, trace_sums = _powers(self._arr[reps], self.modulus.pM, self.order)
+        orders, trace_sums = _powers(self._points[self._rows[reps]], self.modulus.pM, self.order)
         orders, trace_sums = orders.tolist(), trace_sums.tolist()
         read_at = []
         for d in orders:
@@ -293,7 +309,7 @@ class FiniteMatrixGroup:
         from the image to the point and pushes it from the point to the
         image, then jumps pointers twice.  A label is always a member of its
         element's class, so once a sweep changes nothing every label is the
-        least store index in its class.
+        least element index in its class.
         """
         right, parent, starts = self._right, self._parent, self._starts
         n, g = right.shape
@@ -375,6 +391,37 @@ def rank_fixed_space(w: SquareMatrix, d: int) -> int:
     return _rank_from_trace_sum(trace_sum, order, w.dim, pM)
 
 
+def _row_orbit(gens: list, pM: int, bound: int, label: str):
+    """The row orbit P of the basis rows under x -> x @ g mod pM, and its action.
+
+    ``gens`` are the generators' rows.  Returns P as a sorted list of row
+    tuples and, for each generator g, the list of the ranks in P of the
+    points x @ g, x in P.  Raises InvariantViolation when P grows past
+    ``bound`` points: the orbit of each of the l basis rows has at most |W|
+    points.
+    """
+    dim = len(gens[0])
+    cols = [list(zip(*g)) for g in gens]
+    front = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    images = dict.fromkeys(front)
+    while front:
+        nxt = []
+        for x in front:
+            images[x] = [tuple(sum(a * b for a, b in zip(x, col)) % pM for col in g)
+                         for g in cols]
+            for y in images[x]:
+                if y not in images:
+                    images[y] = None
+                    nxt.append(y)
+        if len(images) > bound:
+            raise InvariantViolation(f"{label}: the row orbit grew past {bound} points")
+        front = nxt
+    points = sorted(images)
+    rank = {x: r for r, x in enumerate(points)}
+    act = [[rank[images[x][j]] for x in points] for j in range(len(gens))]
+    return points, act
+
+
 def close(
     generators: Sequence[SquareMatrix],
     order: int,
@@ -384,18 +431,26 @@ def close(
 ) -> FiniteMatrixGroup:
     """Breadth-first closure of a generator list into a group of known order.
 
-    The store, the words and the right Cayley table are allocated once, with
-    ``order`` rows each, and filled level by level.  A level's products are
-    taken generator by generator in the listed order, and each product's
-    byte key is interned with one ``dict.setdefault`` pass, which gives that
-    generator's column of the table for the level and fixes a deterministic
-    insertion order.  Each BFS level is one contiguous block of the store
-    whose parents all lie in the previous level; its start is kept for
-    ``rows_at`` and ``_partition``.  The table costs 4*g bytes per element.
-    Raises CapExceeded when ``order`` is above ``cap``, before anything is
-    allocated, and InvariantViolation when the closure grows past ``order``,
-    stops short of it, or leaves a column of the table that is not a
-    permutation of the store.
+    First the row orbit P (see ``_row_orbit``) is sorted and each
+    generator's action on it becomes one row of a (g, |P|) gather table.
+    An element is then its l row ranks in P and its key their mixed-radix
+    int64 (see ``_row_keys``).  The ranks, the words and the right Cayley
+    table are allocated once, with ``order`` rows each, and filled level by
+    level.  A level's products are one gather, taken generator by generator
+    in the listed order.  Their keys are sorted and deduplicated, each
+    distinct key keeping the least position at which it occurs, looked up
+    among the sorted keys of the elements found so far with one
+    ``searchsorted``, and the keys not found are numbered in order of first
+    occurrence, the order in which a sequential search would meet them; the
+    new keys are then merged into the sorted keys.  Each BFS level is one
+    contiguous block of elements whose parents all lie in the previous
+    level; its start is kept for ``rows_at`` and ``_partition``.
+    The table costs 4*g bytes per element.  Raises CapExceeded, before the
+    group's arrays are allocated, when ``order`` is above ``cap`` or when a
+    key of l ranks in base |P| could overflow int64; InvariantViolation
+    when the row orbit or the closure grows past its bound, the closure
+    stops short of ``order``, or a column of the table is not a permutation
+    of the elements.
     """
     if not generators:
         raise ValueError("at least one generator is required")
@@ -407,34 +462,59 @@ def close(
     if order > cap:
         raise CapExceeded(f"group order {order} exceeds closure cap {cap}")
     label = name or "closure"
+    gen_rows = [g.rows for g in generators]
+    points, act = _row_orbit(gen_rows, modulus.pM, dim * order, label)
+    base = len(points)
+    if base ** dim >= 2 ** 63:
+        raise CapExceeded(f"{label}: keys of {dim} ranks in a row orbit of {base} points "
+                          f"overflow int64")
+    rank_dtype = next(t for t in (np.uint8, np.uint16, np.uint32) if base <= np.iinfo(t).max + 1)
     dtype = exact_dtype(modulus.pM, dim)
-    pM = modulus.pM
-    gen_arrs = np.array([g.rows for g in generators], dtype=dtype)
-    store = np.empty((order, dim, dim), dtype=dtype)
+    act = np.array(act, dtype=rank_dtype)
+    rows = np.empty((order, dim), dtype=rank_dtype)
     parent = np.empty(order, dtype=np.int64)  # element i = element parent[i] @ generator gen[i]
     gen = np.empty(order, dtype=np.int64)
-    right = np.empty((order, len(gen_arrs)), dtype=np.int32)
-    store[0], parent[0], gen[0] = np.eye(dim, dtype=dtype), -1, -1
-    keys = {_keys(store[:1], pM)[0]: 0}
+    right = np.empty((order, len(act)), dtype=np.int32)
+    rows[0] = [points.index(tuple(int(i == j) for j in range(dim))) for i in range(dim)]
+    parent[0], gen[0] = -1, -1
+    sorted_keys, by_key = _row_keys(rows[:1], base), np.zeros(1, dtype=np.int32)
     starts = [0]
-    while starts[-1] < len(keys):
-        lo, hi = starts[-1], len(keys)
+    while starts[-1] < len(by_key):
+        lo, hi = starts[-1], len(by_key)
         starts.append(hi)
-        for gi, g in enumerate(gen_arrs):
-            prod = store[lo:hi] @ g % pM
-            known = len(keys)
-            col = np.array([keys.setdefault(key, len(keys)) for key in _keys(prod, pM)])
-            if len(keys) > order:
-                raise InvariantViolation(f"{label} grew past its order {order}")
-            found, first = np.unique(col, return_index=True)
-            new = first[found >= known]  # positions of the first products with new keys
-            store[known:len(keys)] = prod[new]
-            parent[known:len(keys)] = lo + new
-            gen[known:len(keys)] = gi
-            right[lo:hi, gi] = col
-    if len(keys) != order:
-        raise InvariantViolation(f"{label} closed to {len(keys)} elements, expected {order}")
+        prod = act[:, rows[lo:hi]].reshape(-1, dim)  # generator-major: gi * (hi - lo) + i
+        keys = _row_keys(prod, base)
+        perm = np.argsort(keys)  # unstable, so ties are resolved by ``first`` below
+        keys = keys[perm]
+        head = np.empty(keys.size, dtype=bool)  # the first of each run of equal keys
+        head[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=head[1:])
+        cuts = np.flatnonzero(head)
+        first = np.minimum.reduceat(perm, cuts)  # first occurrence of each distinct key
+        keys = keys[cuts]
+        pos = np.searchsorted(sorted_keys, keys)
+        known = sorted_keys[np.minimum(pos, hi - 1)] == keys
+        fresh = np.flatnonzero(~known)
+        fresh = fresh[np.argsort(first[fresh])]  # in order of first occurrence
+        if hi + fresh.size > order:
+            raise InvariantViolation(f"{label} grew past its order {order}")
+        ids = np.empty(keys.size, dtype=np.int32)
+        ids[known] = by_key[pos[known]]
+        ids[fresh] = np.arange(hi, hi + fresh.size)
+        new = first[fresh]  # positions of the first products with new keys
+        rows[hi:hi + new.size] = prod[new]
+        parent[hi:hi + new.size] = lo + new % (hi - lo)
+        gen[hi:hi + new.size] = new // (hi - lo)
+        col = np.empty(perm.size, dtype=np.int32)
+        col[perm] = ids[np.cumsum(head, dtype=np.int32) - 1]
+        right[lo:hi] = col.reshape(len(act), hi - lo).T
+        sorted_keys = np.insert(sorted_keys, pos[~known], keys[~known])
+        by_key = np.insert(by_key, pos[~known], ids[~known])
+    if len(by_key) != order:
+        raise InvariantViolation(f"{label} closed to {len(by_key)} elements, expected {order}")
     if any((np.bincount(col, minlength=order) != 1).any() for col in right.T):
         raise InvariantViolation("a column of the right Cayley table is not a permutation")
-    return FiniteMatrixGroup(modulus, dim, gen_arrs, store, parent, gen, right, keys,
-                             tuple(starts), generator_factory=generator_factory, name=name)
+    return FiniteMatrixGroup(modulus, dim, np.array(gen_rows, dtype=dtype),
+                             np.array(points, dtype=dtype), rows, parent, gen, right,
+                             by_key, sorted_keys, tuple(starts),
+                             generator_factory=generator_factory, name=name)

@@ -13,6 +13,7 @@ from matrix_helpers import (
     closure_reference,
     conjugacy_partition_reference,
     generator_matrices,
+    mat_mul,
     minus_identity,
     order,
     power,
@@ -123,7 +124,7 @@ def _group(spec):
 @example("g12")
 @example("g24")
 @example("g29")
-@example("family2a:m=4,s=2,n=3,p=1297")  # object-dtype store
+@example("family2a:m=4,s=2,n=3,p=1297")  # object-dtype points
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from(SMALL_MONOMIAL))
 def test_conjugacy_classes_match_reference_search(spec):
@@ -150,24 +151,34 @@ def test_right_cayley_table(exceptional_groups, name, sample):
 
 
 def test_close_rejects_a_table_that_is_not_a_permutation(g24, monkeypatch):
-    # keys that read only the first column merge g24 elements whose products
-    # by a generator differ, so the closure stops short of |G24| ...
-    keys = groups._keys
-    monkeypatch.setattr(groups, "_keys", lambda batch, pM: keys(batch[:, :, :1], pM))
-    with pytest.raises(InvariantViolation, match="closed to 32 elements, expected 336"):
+    # keys that read only the first row's rank, halved, merge g24 elements
+    # whose products by a generator differ, so the closure stops short of
+    # |G24| ...  (The first row's rank alone would not do: the generators
+    # permute the first rows, so the merged closure would be a permutation
+    # action on them.)
+    keys = groups._row_keys
+    monkeypatch.setattr(groups, "_row_keys", lambda ranks, base: keys(ranks[..., :1] // 2, base))
+    with pytest.raises(InvariantViolation, match="closed to 33 elements, expected 336"):
         close(generator_matrices(g24), order=g24.order)
-    # ... and at the 32 it stops at, right multiplication no longer permutes the store
+    # ... and at the 33 it stops at, right multiplication no longer permutes the elements
     with pytest.raises(InvariantViolation, match="not a permutation"):
-        close(generator_matrices(g24), order=32)
+        close(generator_matrices(g24), order=33)
 
 
 @pytest.mark.parametrize("label", [
-    "g12", "g24", "family2a:m=3,s=1,n=3,p=7",
-    "family2a:m=4,s=2,n=3,p=1297",  # object store
+    "g12", "g24", "g29", "family2a:m=3,s=1,n=3,p=7", "family2a:m=4,s=2,n=4,p=5",
+    "family2a:m=4,s=2,n=3,p=1297",  # object points
 ])
 def test_close_matches_plain_breadth_first_search(label):
     group = build(parse_spec(label))
-    rows, parent, gen, right = closure_reference(generator_matrices(group))
+    gens = generator_matrices(group)
+    # the row orbit is sorted, holds the basis rows and is closed under every generator
+    points = [tuple(x) for x in group._points.tolist()]
+    assert points == sorted(set(points))
+    assert set(group.element_rows(0)) <= set(points)
+    assert {mat_mul([x], g.rows, group.modulus.pM)[0] for x in points for g in gens} \
+        <= set(points)
+    rows, parent, gen, right = closure_reference(gens)
     assert [group.element_rows(i) for i in range(group.order)] == rows
     assert group._parent.tolist() == parent
     assert group._gen.tolist() == gen
@@ -185,9 +196,26 @@ def test_close_rejects_a_wrong_order(g12, order):
 
 
 def test_close_checks_the_cap_before_allocating(g12):
-    # 10^12 store rows could not be allocated, so CapExceeded comes first
+    # 10^12 element rows could not be allocated, so CapExceeded comes first
     with pytest.raises(CapExceeded):
         close(generator_matrices(g12), order=10 ** 12)
+
+
+def test_close_bounds_the_row_orbit_by_the_order(g12):
+    # each basis row has at most |W| images, so 24 points cannot belong to a
+    # 2-dimensional group of order 4
+    with pytest.raises(InvariantViolation, match="row orbit grew past 8 points"):
+        close(generator_matrices(g12), order=4)
+
+
+def test_close_rejects_keys_that_overflow_int64():
+    # b * I_8 for a primitive root b mod 31 moves each basis row through 30
+    # multiples, so |P| = 240 and a key of 8 ranks needs 240^8 > 2^63
+    b = 3
+    scalar = SquareMatrix.from_rows([[b * (i == j) for j in range(8)] for i in range(8)],
+                                    Modulus(31, 1))
+    with pytest.raises(CapExceeded, match="240 points"):
+        close([scalar], order=30)
 
 
 def test_trivial_group_single_class():
@@ -265,10 +293,25 @@ def test_find_and_contains(g12):
     assert stranger not in g12
 
 
+def test_find_rejects_matrices_outside_the_group():
+    g = build(parse_spec("family2a:m=3,s=1,n=3,p=7"))
+    ident = g.element_rows(0)
+    # every row lies in the row orbit, but the matrix is not invertible
+    doubled = SquareMatrix((ident[0], ident[0], ident[2]), g.modulus)
+    # the row (1, 1, 0) is no multiple of a basis row, so it is not in the
+    # orbit; the other two rows are those of the anti-diagonal permutation,
+    # which is in the group
+    outside = SquareMatrix(((1, 1, 0), (0, 1, 0), (1, 0, 0)), g.modulus)
+    for mat in (doubled, outside):
+        assert mat not in g
+        with pytest.raises(KeyError):
+            g.find(mat)
+
+
 @pytest.mark.parametrize("spec", ["g12", "family2a:m=4,s=2,n=3,p=1297"])
 def test_find_rejects_other_modulus_and_dimension(spec):
-    # one test per store dtype: int64 keys are one byte wide for g12 (3^3),
-    # so an entry of 256 + e at 3^6 would wrap onto e if it were encoded
+    # one test per point dtype: a matrix over another modulus or of another
+    # dimension is absent whatever its entries, 256 + e at 3^6 included
     g = build(parse_spec(spec))
     p, M, l = g.modulus.p, g.modulus.M, g.dim
     rows = g.element_rows(5)
@@ -315,7 +358,7 @@ def test_generators_at(g12):
 ])
 def test_object_dtype_store(spec, small):
     # p^M is too large for int64 matmuls, so entries are Python integers;
-    # the same group over a small prime closes in the int64 store
+    # the same group over a small prime closes with int64 points
     g = build(parse_spec(spec))
     store = g.rows_at(np.arange(g.order), g.modulus.M)
     assert store.dtype == object
