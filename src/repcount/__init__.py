@@ -7,7 +7,7 @@ classwise rank/torsion sums, closed forms, fundamental-domain enumeration,
 brute-force label propagation over the whole space) that must agree exactly.
 """
 
-from .catalog import ExponentList, GroupSpec, build, derive_exponents, exponents, parse_spec
+from .catalog import GroupSpec, build, derive_exponents, exponents, parse_spec
 from .counting import (
     CountReport,
     count_burnside_classes,
@@ -21,22 +21,19 @@ from .errors import RepcountError
 from .formulas import theorem_a, theorem_c, x24_piecewise_check
 from .grassmannian import build_orbits, enumerate_distinguished, sphere_count, theorem_b
 from .groups import ConjugacyClassRecord, FiniteMatrixGroup, close, rank_fixed_space
-from .linalg import SmithValuations, SquareMatrix, kernel_size, smith_valuations
-from .modp import SATURATED, Modulus, hensel_lift, invert, mth_root_of_unity, teichmuller
+from .linalg import SquareMatrix, diagonal, kernel_size, smith_valuations
+from .modp import Modulus, hensel_lift, invert, mth_root_of_unity, teichmuller
 from .oracle import fixed_points_bruteforce, orbit_count_bruteforce
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SATURATED",
     "ConjugacyClassRecord",
     "CountReport",
-    "ExponentList",
     "FiniteMatrixGroup",
     "GroupSpec",
     "Modulus",
     "RepcountError",
-    "SmithValuations",
     "SquareMatrix",
     "build",
     "build_orbits",
@@ -45,6 +42,7 @@ __all__ = [
     "count_burnside_full",
     "count_formula_general",
     "derive_exponents",
+    "diagonal",
     "enumerate_distinguished",
     "exponents",
     "fixed_points_bruteforce",

@@ -34,7 +34,8 @@ EXCEPTIONAL = {
 #: no build path; only the polynomial evaluator handles it.
 FORMULA_ONLY = {"g34"}
 
-_ALIASES = {"x12": "g12", "x24": "g24", "x29": "g29", "x31": "g31", "x34": "g34"}
+#: The closed-form names of the exceptional cases, mapped to their kinds.
+ALIASES = {"x12": "g12", "x24": "g24", "x29": "g29", "x31": "g31", "x34": "g34"}
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,7 @@ _SPEC_RE = re.compile(r"^(family2a|sphere):(.*)$")
 def parse_spec(text: str) -> GroupSpec:
     """Parse the CLI grammar: g12|g24|g29|g31|x34|family2a:m=..,s=..,n=..,p=..|sphere:m=..,p=.."""
     t = text.strip().lower()
-    t = _ALIASES.get(t, t)
+    t = ALIASES.get(t, t)
     if t in EXCEPTIONAL or t in FORMULA_ONLY:
         return GroupSpec(t)
     m = _SPEC_RE.match(t)
@@ -286,36 +287,20 @@ def build(spec: GroupSpec, working_modulus: Optional[Modulus] = None,
                  name=spec.label())
 
 
-@dataclass(frozen=True)
-class ExponentList:
-    """Reflection-group exponents m_i, sorted; prod(m_i + 1) is the order."""
-
-    values: tuple
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-    def order_product(self) -> int:
-        return math.prod(m + 1 for m in self.values)
-
-
-def exponents(spec: GroupSpec) -> ExponentList:
-    """Catalog exponents for a spec."""
+def exponents(spec: GroupSpec) -> tuple:
+    """Catalog exponents m_i for a spec, sorted; prod(m_i + 1) is the order."""
     if spec.kind in EXCEPTIONAL:
-        return ExponentList(EXCEPTIONAL[spec.kind][3])
+        return EXCEPTIONAL[spec.kind][3]
     if spec.kind in FORMULA_ONLY:
         raise SpecInvalid(f"{spec.label()} has no catalog exponents")
     if spec.kind == "family2a":
         m, s, n = spec.m, spec.s, spec.n
         vals = [i * m - 1 for i in range(1, n)] + [n * m // s - 1]
-        return ExponentList(tuple(sorted(vals)))
-    return ExponentList((spec.m - 1,))
+        return tuple(sorted(vals))
+    return (spec.m - 1,)
 
 
-def derive_exponents(group: FiniteMatrixGroup) -> ExponentList:
+def derive_exponents(group: FiniteMatrixGroup) -> tuple:
     """Recover exponents by factoring the rank-generating polynomial.
 
     Sums t^rank(w) over the group (classwise) and splits the result as
@@ -344,4 +329,4 @@ def derive_exponents(group: FiniteMatrixGroup) -> ExponentList:
                 break
         else:
             raise NotFactorable(f"rank polynomial {h} does not split over Z")
-    return ExponentList(tuple(sorted(m for m in roots if m > 0)))
+    return tuple(sorted(m for m in roots if m > 0))

@@ -25,8 +25,7 @@ from .errors import (
     SpecInvalid,
 )
 from .groups import DEFAULT_CLOSURE_CAP
-from .linalg import parse_matrix_text, smith_valuations
-from .modp import SATURATED
+from .linalg import diagonal, parse_matrix_text, smith_valuations
 
 EXIT_OK = 0
 EXIT_DIVERGENCE = 1
@@ -89,44 +88,40 @@ def _is_nonmodular(spec: GroupSpec) -> bool:
 
 
 def run_count(spec: GroupSpec, k: int, method: str, cfg: _Config) -> counting.CountReport:
+    """One method's count at k: an engine's report, or a timed value wrapped once.
+
+    The group is built before any timing starts.
+    """
     if k < 1:
         raise SpecInvalid(f"k must be >= 1, got {k}")
-    if method == "theoremC":
-        start = time.perf_counter()
-        value = formulas.theorem_c(spec.kind, k)
-        return counting.CountReport(spec.label(), spec.p, k, "theoremC", value,
-                                    elapsed=time.perf_counter() - start)
-    if method == "theoremA":
-        start = time.perf_counter()
-        value = formulas.theorem_a(catalog.exponents(spec), spec.p, k)
-        return counting.CountReport(spec.label(), spec.p, k, "theoremA", value,
-                                    elapsed=time.perf_counter() - start)
-    if method in ("theoremB", "domain"):
-        if spec.kind not in ("family2a", "sphere"):
-            raise SpecInvalid(f"method {method} applies to family2a/sphere specs only")
-        start = time.perf_counter()
-        m, s, n = spec.m, (spec.s if spec.kind == "family2a" else 1), (spec.n or 1)
-        if method == "theoremB":
-            value = grassmannian.theorem_b(m, s, n, spec.p, k)
-        else:
-            value, _ = grassmannian.enumerate_distinguished(m, s, n, spec.p, k)
-        return counting.CountReport(spec.label(), spec.p, k, method, value,
-                                    elapsed=time.perf_counter() - start)
-    if not spec.buildable:
-        raise SpecInvalid(f"{spec.label()} supports only closed-form methods")
-    group = cfg.group(spec)
+    if method in ("theoremB", "domain") and spec.kind not in ("family2a", "sphere"):
+        raise SpecInvalid(f"method {method} applies to family2a/sphere specs only")
+    if method in GROUP_METHODS:
+        if not spec.buildable:
+            raise SpecInvalid(f"{spec.label()} supports only closed-form methods")
+        group = cfg.group(spec)
     if method == "burnside":
         return counting.count_burnside_full(group, k, per_element=cfg.per_element)
     if method == "classes":
         return counting.count_burnside_classes(group, k)
     if method == "formula":
         return counting.count_formula_general(group, catalog.exponents(spec), k)
-    if method == "oracle":
-        start = time.perf_counter()
+    m, s, n = spec.m, (spec.s if spec.kind == "family2a" else 1), (spec.n or 1)
+    start = time.perf_counter()
+    if method == "theoremC":
+        value = formulas.theorem_c(spec.kind, k)
+    elif method == "theoremA":
+        value = formulas.theorem_a(catalog.exponents(spec), spec.p, k)
+    elif method == "theoremB":
+        value = grassmannian.theorem_b(m, s, n, spec.p, k)
+    elif method == "domain":
+        value, _ = grassmannian.enumerate_distinguished(m, s, n, spec.p, k)
+    elif method == "oracle":
         value = oracle.orbit_count_bruteforce(group, k, cap=cfg.oracle_cap)
-        return counting.CountReport(spec.label(), spec.p, k, "oracle", value,
-                                    elapsed=time.perf_counter() - start)
-    raise SpecInvalid(f"unknown method {method!r}")
+    else:
+        raise SpecInvalid(f"unknown method {method!r}")
+    return counting.CountReport(spec.label(), spec.p, k, method, value,
+                                elapsed=time.perf_counter() - start)
 
 
 def cmd_count(args) -> int:
@@ -205,6 +200,7 @@ def cmd_classes(args) -> int:
         raise SpecInvalid(f"{spec.label()} has no build path, so no class table")
     group = cfg.group(spec)
     records = group.conjugacy_classes()
+    diags = [diagonal(rec.smith_vals, spec.p, group.modulus.M) for rec in records]
     if cfg.fmt == "json":
         payload = {
             "group": spec.label(),
@@ -217,24 +213,23 @@ def cmd_classes(args) -> int:
                     "size": rec.class_size,
                     "centralizer": rec.centralizer_order,
                     "rank": rec.rank,
-                    "diagonal": list(rec.smith_vals.diagonal()),
+                    "diagonal": list(diag),
                 }
-                for rec in records
+                for rec, diag in zip(records, diags)
             ],
         }
         print(json.dumps(payload))
     elif cfg.fmt == "csv":
         print("rep,element_order,size,centralizer,rank,diagonal")
-        for rec in records:
-            diag = " ".join(str(d) for d in rec.smith_vals.diagonal())
+        for rec, diag in zip(records, diags):
             print(f"{rec.rep_index},{rec.element_order},{rec.class_size},"
-                  f"{rec.centralizer_order},{rec.rank},{diag}")
+                  f"{rec.centralizer_order},{rec.rank},{' '.join(map(str, diag))}")
     else:
         print(f"group {spec.label()}  order {group.order}  classes {len(records)}")
         print(f"{'rep':>8} {'ord':>5} {'size':>8} {'centralizer':>12} {'rank':>5}  diagonal")
-        for rec in records:
+        for rec, diag in zip(records, diags):
             print(f"{rec.rep_index:>8} {rec.element_order:>5} {rec.class_size:>8} "
-                  f"{rec.centralizer_order:>12} {rec.rank:>5}  {rec.smith_vals.diagonal()}")
+                  f"{rec.centralizer_order:>12} {rec.rank:>5}  {diag}")
     return EXIT_OK
 
 
@@ -296,19 +291,16 @@ def cmd_snf(args) -> int:
             mat = parse_matrix_text(fh.read())
     except (OSError, ValueError) as exc:
         raise SpecInvalid(f"cannot read matrix: {exc}") from exc
+    p, M = mat.modulus.p, mat.modulus.M
     sv = smith_valuations(mat)
-    vals = ["saturated" if e is SATURATED else e for e in sv.vals]
+    vals = ["saturated" if e == M else e for e in sv]
+    diag = diagonal(sv, p, M)
     if cfg.fmt == "json":
-        print(json.dumps({
-            "p": mat.modulus.p,
-            "M": mat.modulus.M,
-            "valuations": vals,
-            "diagonal": list(sv.diagonal()),
-        }))
+        print(json.dumps({"p": p, "M": M, "valuations": vals, "diagonal": list(diag)}))
     else:
-        print(f"p={mat.modulus.p} M={mat.modulus.M}")
+        print(f"p={p} M={M}")
         print("valuations:", " ".join(str(v) for v in vals))
-        print("diagonal:  ", " ".join(str(d) for d in sv.diagonal()))
+        print("diagonal:  ", " ".join(str(d) for d in diag))
     return EXIT_OK
 
 
@@ -321,8 +313,7 @@ def cmd_formula(args) -> int:
                               "and cannot be combined with --p or --exponents")
         value = formulas.theorem_c(args.name, args.k)
         spec = parse_spec(args.name)
-        report = counting.CountReport(spec.label(), spec.p, args.k, "closed-form",
-                                      value, elapsed=time.perf_counter() - start)
+        label, p = spec.label(), spec.p
     elif args.exponents:
         if args.p is None:
             raise SpecInvalid("--exponents requires --p")
@@ -331,12 +322,11 @@ def cmd_formula(args) -> int:
         except ValueError:
             raise SpecInvalid(f"bad exponent list {args.exponents!r}") from None
         value = formulas.theorem_a(exps, args.p, args.k)
-        report = counting.CountReport(f"exponents:{args.exponents}", args.p, args.k,
-                                      "closed-form", value,
-                                      elapsed=time.perf_counter() - start)
+        label, p = f"exponents:{args.exponents}", args.p
     else:
         raise SpecInvalid("pass --name for a fixed polynomial or --exponents with --p")
-    _emit(report, cfg)
+    _emit(counting.CountReport(label, p, args.k, "closed-form", value,
+                               elapsed=time.perf_counter() - start), cfg)
     return EXIT_OK
 
 

@@ -13,7 +13,9 @@ class is read once, at the least m >= M with p^m > d*l for its element
 order d, where the torsion always separates from the free part);
 ``count_formula_general`` replaces the torsion-free bulk with the exponent
 product and only sums corrections over the torsion classes.  Counts are
-arbitrary-precision ints throughout.
+arbitrary-precision ints throughout, and every engine hands its sum to
+``_report``, the one place that divides by |W| and builds the
+``CountReport``.
 """
 
 from __future__ import annotations
@@ -26,14 +28,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .catalog import ExponentList
 from .errors import InvariantViolation, NonIntegralCount, PrecisionTooLow
 from .groups import FiniteMatrixGroup
 from .linalg import smith_valuations_batch
 from .modp import int_valuation
 
-#: Elements per batched Smith elimination in per-element Burnside; bounds
-#: the temporaries of the elimination, not the element rows themselves.
+#: Elements per lift and batched Smith elimination in per-element Burnside;
+#: bounds both the lifted rows and the temporaries of the elimination.
 BURNSIDE_CHUNK = 4096
 
 
@@ -97,6 +98,25 @@ class CountReport:
         return "\n".join(lines) + "\n"
 
 
+def _report(group: FiniteMatrixGroup, k: int, method: str, total: int, start: float,
+            breakdown: Optional[list] = None) -> CountReport:
+    """The report of an engine whose sum over W is ``total``, timed from ``start``.
+
+    Raises NonIntegralCount unless |W| divides the sum.
+    """
+    if total % group.order != 0:
+        raise NonIntegralCount(f"{method} sum {total} not divisible by |W|={group.order}")
+    return CountReport(
+        group=group.name or "<anonymous>",
+        p=group.modulus.p,
+        k=k,
+        method=method,
+        count=total // group.order,
+        breakdown=breakdown,
+        elapsed=time.perf_counter() - start,
+    )
+
+
 def _check_precision(group: FiniteMatrixGroup, k: int) -> None:
     if group.modulus.M < group.modulus.threshold:
         raise PrecisionTooLow(
@@ -116,45 +136,34 @@ def count_burnside_full(
     precision k, |Ker| = p^(sum of min(e, k)), all read by the batched Smith
     engine.  The default evaluates one kernel per conjugacy class (the count
     is a class function); ``per_element=True`` sums over every single
-    element instead, independently of the class partition, in chunks of
-    ``BURNSIDE_CHUNK`` elements to bound the Smith temporaries.  Any k is
-    reachable: ``rows_at`` reads the representatives, or for
-    ``per_element`` every element, at p^k, lifting them by their
-    generator words above the group's precision.
+    element instead, independently of the class partition.  Either way the
+    elements are lifted and eliminated ``BURNSIDE_CHUNK`` at a time, so no
+    more than one chunk of rows is alive at once.  Any k is reachable:
+    ``rows_at`` reads the representatives, or for ``per_element`` every
+    element, at p^k, lifting them by their generator words above the
+    group's precision.
     """
     _check_precision(group, k)
     start = time.perf_counter()
     p = group.modulus.p
-    breakdown = None
     if per_element:
         idx = np.arange(group.order)
     else:
         records = group.conjugacy_classes()
         idx = [rec.rep_index for rec in records]
-    rows = group.rows_at(idx, k)
-    ident = np.eye(group.dim, dtype=rows.dtype)
-    # element t fixes p^exps[t] points: the kernel of w - I mod p^k
-    exps = np.concatenate([
-        smith_valuations_batch(rows[lo:lo + BURNSIDE_CHUNK] - ident, p, k).sum(axis=1)
-        for lo in range(0, len(rows), BURNSIDE_CHUNK)
-    ])
+    exps = []  # element t fixes p^exps[t] points: the kernel of w - I mod p^k
+    for lo in range(0, len(idx), BURNSIDE_CHUNK):
+        rows = group.rows_at(idx[lo:lo + BURNSIDE_CHUNK], k)
+        ident = np.eye(group.dim, dtype=rows.dtype)
+        exps.append(smith_valuations_batch(rows - ident, p, k).sum(axis=1))
+    exps = np.concatenate(exps)
     if per_element:
         total = sum(c * p ** e for e, c in enumerate(np.bincount(exps).tolist()))
-    else:
-        breakdown = [(rec.rep_index, rec.class_size, p ** e)
-                     for rec, e in zip(records, exps.tolist())]
-        total = sum(size * fixed for _, size, fixed in breakdown)
-    if total % group.order != 0:
-        raise NonIntegralCount(f"Burnside sum {total} not divisible by |W|={group.order}")
-    return CountReport(
-        group=group.name or "<anonymous>",
-        p=p,
-        k=k,
-        method="burnside",
-        count=total // group.order,
-        breakdown=breakdown,
-        elapsed=time.perf_counter() - start,
-    )
+        return _report(group, k, "burnside", total, start)
+    breakdown = [(rec.rep_index, rec.class_size, p ** e)
+                 for rec, e in zip(records, exps.tolist())]
+    total = sum(size * fixed for _, size, fixed in breakdown)
+    return _report(group, k, "burnside", total, start, breakdown)
 
 
 def torsion_contribution(p: int, torsion_vals: Sequence[int], k: int) -> int:
@@ -167,23 +176,13 @@ def count_burnside_classes(group: FiniteMatrixGroup, k: int) -> CountReport:
     _check_precision(group, k)
     start = time.perf_counter()
     p = group.modulus.p
-    total = 0
-    breakdown = []
-    for rec in group.conjugacy_classes():
-        fixed = p ** (k * rec.rank) * torsion_contribution(p, rec.torsion_vals, k)
-        breakdown.append((rec.rep_index, rec.class_size, fixed))
-        total += rec.class_size * fixed
-    if total % group.order != 0:
-        raise NonIntegralCount(f"class sum {total} not divisible by |W|={group.order}")
-    return CountReport(
-        group=group.name or "<anonymous>",
-        p=p,
-        k=k,
-        method="classes",
-        count=total // group.order,
-        breakdown=breakdown,
-        elapsed=time.perf_counter() - start,
-    )
+    breakdown = [
+        (rec.rep_index, rec.class_size,
+         p ** (k * rec.rank) * torsion_contribution(p, rec.torsion_vals, k))
+        for rec in group.conjugacy_classes()
+    ]
+    total = sum(size * fixed for _, size, fixed in breakdown)
+    return _report(group, k, "classes", total, start, breakdown)
 
 
 def torsion_census(group: FiniteMatrixGroup) -> list:
@@ -218,7 +217,7 @@ def solomon_sum(group: FiniteMatrixGroup, k: int) -> int:
 
 def count_formula_general(
     group: FiniteMatrixGroup,
-    exps: ExponentList,
+    exps: Sequence[int],
     k: int,
 ) -> CountReport:
     """Exponent-product count plus torsion-class corrections.
@@ -233,13 +232,4 @@ def count_formula_general(
     for rec in torsion_classes(group):
         t_k = torsion_contribution(p, rec.torsion_vals, k)
         total += rec.class_size * p ** (k * rec.rank) * (t_k - 1)
-    if total % group.order != 0:
-        raise NonIntegralCount(f"formula sum {total} not divisible by |W|={group.order}")
-    return CountReport(
-        group=group.name or "<anonymous>",
-        p=p,
-        k=k,
-        method="formula",
-        count=total // group.order,
-        elapsed=time.perf_counter() - start,
-    )
+    return _report(group, k, "formula", total, start)

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .catalog import ALIASES
 from .errors import NonIntegralResult, SpecInvalid
 from .modp import is_prime
 
@@ -63,30 +64,29 @@ class PolynomialFormula:
         return num // self.denominator
 
 
+#: Keyed by the catalog's group kinds; ``theorem_c`` also takes the x names.
 CLOSED_FORMS = {
-    "x12": PolynomialFormula(p=3, denominator=48,
+    "g12": PolynomialFormula(p=3, denominator=48,
                              terms=((1, 2), (12, 1), (51, 0))),
-    "x24": PolynomialFormula(p=2, denominator=336,
+    "g24": PolynomialFormula(p=2, denominator=336,
                              terms=((1, 3), (21, 2), (140, 1), (216, 0)),
                              special=(42, 2)),
-    "x29": PolynomialFormula(p=5, denominator=7680,
+    "g29": PolynomialFormula(p=5, denominator=7680,
                              terms=((1, 4), (40, 3), (530, 2), (2720, 1), (5925, 0))),
-    "x31": PolynomialFormula(p=5, denominator=46080,
+    "g31": PolynomialFormula(p=5, denominator=46080,
                              terms=((1, 4), (60, 3), (1270, 2), (11100, 1), (42865, 0))),
-    "x34": PolynomialFormula(p=7, denominator=39191040,
+    "g34": PolynomialFormula(p=7, denominator=39191040,
                              terms=((1, 6), (126, 5), (6195, 4), (151060, 3),
                                     (1904679, 2), (11559534, 1), (31168165, 0))),
 }
 
-_NAME_ALIASES = {"g12": "x12", "g24": "x24", "g29": "x29", "g31": "x31", "g34": "x34"}
-
 
 def theorem_c(group: str, k: int) -> int:
-    """Evaluate the fixed polynomial for one of x12, x24, x29, x31, x34."""
+    """Evaluate the fixed polynomial of g12, g24, g29, g31 or g34 (or x12 ... x34)."""
     if k < 1:
         raise SpecInvalid(f"k must be >= 1, got {k}")
     name = group.strip().lower()
-    name = _NAME_ALIASES.get(name, name)
+    name = ALIASES.get(name, name)
     if name not in CLOSED_FORMS:
         raise SpecInvalid(f"no closed form for {group!r}")
     return CLOSED_FORMS[name].evaluate(k)

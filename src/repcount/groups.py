@@ -31,8 +31,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import CapExceeded, InvariantViolation, NonIntegralRank, PrecisionTooLow
-from .linalg import SmithValuations, SquareMatrix, exact_dtype, smith_valuations_batch
-from .modp import SATURATED, Modulus
+from .linalg import SquareMatrix, exact_dtype, smith_valuations_batch
+from .modp import Modulus
 
 DEFAULT_CLOSURE_CAP = 10 ** 8
 
@@ -56,27 +56,25 @@ def _row_keys(ranks: np.ndarray, base: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConjugacyClassRecord:
-    """One conjugacy class with its fixed-space data.
+    """One conjugacy class with its fixed-space data, all plain ints and tuples.
 
-    ``smith_vals`` are the Smith valuations of (w - I) at the group's
-    precision.  ``torsion_vals`` are the valuations of the finite part of
-    Coker(w - I), read at a precision that always separates them from the
-    free part (see ``FiniteMatrixGroup.conjugacy_classes``).
+    ``rep_index`` is the representative's element index: its matrix is
+    ``group.element(rep_index)``.  ``smith_vals`` are the Smith valuations
+    of (w - I) at the group's precision M, non-decreasing, with M standing
+    for saturated.  ``torsion_vals`` are the valuations of the finite part
+    of Coker(w - I), read at a precision that always separates them from
+    the free part (see ``FiniteMatrixGroup.conjugacy_classes``), and
+    ``torsion_order`` is |A_w|, p to their sum.
     """
 
     rep_index: int
-    representative: SquareMatrix
     class_size: int
     centralizer_order: int
     element_order: int
     rank: int
-    smith_vals: SmithValuations
+    smith_vals: tuple
     torsion_vals: tuple
-
-    @property
-    def torsion_order(self) -> int:
-        """|A_w|, the order of the torsion of Coker(w - I)."""
-        return self.representative.modulus.p ** sum(self.torsion_vals)
+    torsion_order: int
 
 
 class FiniteMatrixGroup:
@@ -230,11 +228,12 @@ class FiniteMatrixGroup:
         torsion valuation is at most v_p(d) < m (as d*l >= p^v_p(d)), and the
         one Smith form of w - I mod p^m is ``rank`` saturated valuations,
         zeros and exactly the torsion valuations.  Reduced mod p^M it is the
-        Smith form at the group's precision: valuations of M or more become
-        saturated.  One ``_powers`` call at M gives every order and trace
-        sum; the classes that share an m are then read together, by one
-        ``rows_at`` call (which lifts their representatives by their words
-        when m > M) and one batched Smith elimination.
+        Smith form at the group's precision: valuations of M or more read M,
+        saturated.  One ``_powers`` call at M gives every order; the classes
+        that share an m are then read together, by one ``rows_at`` call
+        (which lifts their representatives by their words when m > M), one
+        ``_powers`` call on those rows for the trace sums and one batched
+        Smith elimination.
         """
         if self._classes is not None:
             return self._classes
@@ -249,8 +248,7 @@ class FiniteMatrixGroup:
                 raise InvariantViolation(
                     f"class of element {rep} has size {size}, not dividing |W|={self.order}"
                 )
-        orders, trace_sums = _powers(self._points[self._rows[reps]], self.modulus.pM, self.order)
-        orders, trace_sums = orders.tolist(), trace_sums.tolist()
+        orders = _powers(self._points[self._rows[reps]], self.modulus.pM, self.order)[0].tolist()
         read_at = []
         for d in orders:
             m = M
@@ -261,12 +259,9 @@ class FiniteMatrixGroup:
         for m in sorted(set(read_at)):
             sub = [c for c, mc in enumerate(read_at) if mc == m]
             rows = self.rows_at([reps[c] for c in sub], m)
-            if m > M:
-                trace_sums_m = _powers(rows, p ** m, self.order)[1].tolist()
-            else:
-                trace_sums_m = [trace_sums[c] for c in sub]
+            trace_sums = _powers(rows, p ** m, self.order)[1].tolist()
             smith = smith_valuations_batch(rows - np.eye(l, dtype=rows.dtype), p, m).tolist()
-            for c, trace_sum, vals in zip(sub, trace_sums_m, smith):
+            for c, trace_sum, vals in zip(sub, trace_sums, smith):
                 rep, d = reps[c], orders[c]
                 rank = _rank_from_trace_sum(trace_sum, d, l, p ** m)
                 if vals.count(m) != rank:
@@ -274,16 +269,16 @@ class FiniteMatrixGroup:
                         f"element {rep} of order {d}: Smith form mod {p}^{m} does not "
                         f"separate its torsion from its rank-{rank} fixed space"
                     )
+                torsion_vals = tuple(e for e in vals if 0 < e < m)
                 records[c] = ConjugacyClassRecord(
                     rep_index=rep,
-                    representative=self.element(rep),
                     class_size=sizes[c],
                     centralizer_order=self.order // sizes[c],
                     element_order=d,
                     rank=rank,
-                    smith_vals=SmithValuations(
-                        tuple(SATURATED if e >= M else e for e in vals), self.modulus),
-                    torsion_vals=tuple(e for e in vals if 0 < e < m),
+                    smith_vals=tuple(min(e, M) for e in vals),
+                    torsion_vals=torsion_vals,
+                    torsion_order=p ** sum(torsion_vals),
                 )
         if sum(sizes) != self.order:
             raise InvariantViolation(f"class sizes do not sum to |W|={self.order}")
@@ -299,30 +294,32 @@ class FiniteMatrixGroup:
     def _partition(self) -> np.ndarray:
         """Class index of every element, classes numbered by their least member.
 
-        Left multiplication by generator j is read from the words, one BFS
-        level at a time from the level starts the closure kept: element i =
-        element parent[i] @ generator gen[i], so g_j @ element i is element
-        right[left[parent[i]], gen[i]].  Undoing
-        right multiplication by g_j then gives the conjugation permutation
-        i -> g_j @ element i @ g_j^-1.  Every element starts labelled by its
-        own index; each sweep, for every permutation, pulls the smaller label
-        from the image to the point and pushes it from the point to the
-        image, then jumps pointers twice.  A label is always a member of its
-        element's class, so once a sweep changes nothing every label is the
-        least element index in its class.
+        Left multiplication by each generator g_j in turn is read from the
+        words, one BFS level at a time from the level starts the closure
+        kept: element i = element parent[i] @ generator gen[i], so g_j @
+        element i is element right[left[parent[i]], gen[i]], where left is
+        the column of g_j being filled.  Undoing right multiplication by g_j
+        then turns that column into the conjugation permutation i -> g_j @
+        element i @ g_j^-1, so only one left column is alive at a time.
+        Every element starts labelled by its own index; each sweep, for
+        every permutation, pulls the smaller label from the image to the
+        point and pushes it from the point to the image, then jumps pointers
+        twice.  A label is always a member of its element's class, so once a
+        sweep changes nothing every label is the least element index in its
+        class.
         """
-        right, parent, starts = self._right, self._parent, self._starts
+        right, parent, gen, starts = self._right, self._parent, self._gen, self._starts
         n, g = right.shape
-        left = np.empty_like(right)
-        left[0] = right[0]
-        for lo, hi in zip(starts[1:], starts[2:]):
-            left[lo:hi] = right[left[parent[lo:hi]], self._gen[lo:hi, None]]
         index = np.arange(n, dtype=np.int32)
+        left = np.empty(n, dtype=np.int32)
         undo = np.empty(n, dtype=np.int32)
         perms = []
         for j in range(g):
+            left[0] = right[0, j]
+            for lo, hi in zip(starts[1:], starts[2:]):
+                left[lo:hi] = right[left[parent[lo:hi]], gen[lo:hi]]
             undo[right[:, j]] = index
-            perms.append(undo[left[:, j]])
+            perms.append(undo[left])
         label = index.copy()
         while True:
             before = label.copy()

@@ -7,11 +7,15 @@ rows with their modulus and does no arithmetic: products are numpy matmul
 on batches, reduced mod p^M by the caller.  Matrices are small (dimension
 <= 8 in every case this package handles), so everything is dense and exact.
 
-``smith_valuations_batch`` is the one Smith engine: it eliminates a whole
-(N, l, l) numpy batch at once and backs ``snf``, ``kernel_size``, the one
-Smith form per conjugacy class and every Burnside fixed-point count.
-A scalar elimination of one matrix in pure Python is kept below only as
-the reference that the tests hold the batched engine to.
+Smith valuations are plain ints everywhere: the non-decreasing valuations
+of the elementary divisors, with the precision M standing for saturated (a
+divisor that vanishes mod p^M).  ``smith_valuations_batch`` is the one
+Smith engine: it eliminates a whole (N, l, l) numpy batch at once and backs
+``snf``, ``kernel_size``, the one Smith form per conjugacy class and every
+Burnside fixed-point count.  A scalar elimination of one matrix in pure
+Python is kept below only as the reference that the tests hold the batched
+engine to.  ``diagonal`` turns valuations into the diagonal p^e, 0 where
+saturated.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, PrecisionTooLow
-from .modp import SATURATED, Modulus
+from .modp import Modulus
 
 
 @dataclass(frozen=True)
@@ -54,33 +58,9 @@ class SquareMatrix:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class SmithValuations:
-    """Valuations (e_1 <= ... <= e_l) of the Smith form over Z/p^M.
-
-    Over the local ring every elementary divisor is a unit times p^e, so the
-    valuation list describes the Smith form completely.  Entries that vanish
-    mod p^M are reported as SATURATED (None) rather than as M: at precision M
-    a divisor p^M is indistinguishable from the zero entry, and callers must
-    not conflate the two.  Saturated entries sort last.
-    """
-
-    vals: tuple
-    modulus: Modulus
-
-    @property
-    def dim(self) -> int:
-        return len(self.vals)
-
-    def diagonal(self) -> tuple:
-        """Diagonal presentation: p^e for finite valuations, 0 for saturated."""
-        return tuple(0 if e is SATURATED else self.modulus.p ** e for e in self.vals)
-
-    def saturated_count(self) -> int:
-        return sum(1 for e in self.vals if e is SATURATED)
-
-    def finite_positive(self) -> tuple:
-        return tuple(e for e in self.vals if e is not SATURATED and e > 0)
+def diagonal(vals: Sequence[int], p: int, M: int) -> tuple:
+    """The Smith diagonal over Z/p^M: p^e for each valuation e, 0 where e is M (saturated)."""
+    return tuple(0 if e == M else p ** e for e in vals)
 
 
 def smith_valuations_raw(rows: Sequence[Sequence[int]], p: int, M: int) -> list:
@@ -90,7 +70,8 @@ def smith_valuations_raw(rows: Sequence[Sequence[int]], p: int, M: int) -> list:
     (row, column)), scale its row to make the pivot exactly p^e, and clear
     its row and column; recurse on the minor.  Because the pivot valuation
     is globally minimal the output is already non-decreasing.  Nothing in
-    the package calls it: it is the reference for the batched engine.
+    the package calls it: it is the reference for the batched engine.  A
+    saturated valuation reads M, as in the batched engine.
     """
     pM = p ** M
     a = [[x % pM for x in row] for row in rows]
@@ -115,7 +96,7 @@ def smith_valuations_raw(rows: Sequence[Sequence[int]], p: int, M: int) -> list:
             if best_e == 0:
                 break
         if bi < 0:
-            out.extend([SATURATED] * (n - s))
+            out.extend([M] * (n - s))
             break
         if bi != s:
             a[s], a[bi] = a[bi], a[s]
@@ -203,12 +184,10 @@ def smith_valuations_batch(a, p: int, M: int) -> np.ndarray:
     return out
 
 
-def smith_valuations(a: SquareMatrix) -> SmithValuations:
-    """Smith normal form of a, reported as sorted valuations."""
-    M = a.modulus.M
-    vals = smith_valuations_batch(np.array([a.rows], dtype=object), a.modulus.p, M)
-    return SmithValuations(tuple(SATURATED if e == M else e for e in vals[0].tolist()),
-                           a.modulus)
+def smith_valuations(a: SquareMatrix) -> tuple:
+    """Smith valuations of a over Z/p^M, non-decreasing, M where saturated."""
+    vals = smith_valuations_batch(np.array([a.rows], dtype=object), a.modulus.p, a.modulus.M)
+    return tuple(vals[0].tolist())
 
 
 def kernel_size(a: SquareMatrix, n: int) -> int:

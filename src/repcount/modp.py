@@ -19,12 +19,6 @@ from .errors import (
     OrderUnavailable,
 )
 
-#: Sentinel valuation for residues divisible by p^M.  At finite precision a
-#: valuation of M cannot be told apart from any larger one (or from zero), so
-#: it is reported distinctly instead of as the number M.
-SATURATED = None
-
-
 def is_prime(n: int) -> bool:
     """Primality by trial division; moduli here have small p."""
     if n < 2:

@@ -265,10 +265,17 @@ def test_snf_zero_and_identity(tmp_path, capsys):
     code, out, _ = run(capsys, "snf", str(z), "--format", "json")
     assert code == 0
     assert json.loads(out)["valuations"] == ["saturated", "saturated"]
+    assert json.loads(out)["diagonal"] == [0, 0]
+    code, out, _ = run(capsys, "snf", str(z))
+    assert code == 0
+    assert out == "p=3 M=2\nvaluations: saturated saturated\ndiagonal:   0 0\n"
     i = tmp_path / "ident.txt"
     i.write_text("3 2 2 2\n1 0\n0 1\n")
     code, out, _ = run(capsys, "snf", str(i), "--format", "json")
     assert json.loads(out)["valuations"] == [0, 0]
+    code, out, _ = run(capsys, "snf", str(i))
+    assert code == 0
+    assert out == "p=3 M=2\nvaluations: 0 0\ndiagonal:   1 1\n"
 
 
 def test_snf_parse_error(tmp_path, capsys):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from matrix_helpers import generator_matrices, minus_identity, prod
-from repcount.catalog import ExponentList, GroupSpec, build, exponents, generators, parse_spec
+from repcount.catalog import GroupSpec, build, exponents, generators, parse_spec
 from repcount.counting import (
     BURNSIDE_CHUNK,
     CountReport,
@@ -25,8 +25,8 @@ from repcount.counting import (
 from repcount.errors import InvariantViolation, PrecisionTooLow
 from repcount.formulas import theorem_c
 from repcount.grassmannian import theorem_b
-from repcount.groups import close
-from repcount.linalg import SquareMatrix, kernel_size, smith_valuations
+from repcount.groups import FiniteMatrixGroup, close
+from repcount.linalg import SquareMatrix, diagonal, kernel_size, smith_valuations
 from repcount.modp import Modulus
 
 # Values of the closed forms at k = 1, 2, 3, frozen after independent
@@ -77,6 +77,22 @@ def test_per_element_burnside_across_chunk_boundary(g31):
     want = theorem_c("g31", 2)
     assert count_burnside_full(g31, 2, per_element=True).count == want
     assert count_burnside_full(g31, 2).count == want
+
+
+def test_per_element_burnside_lifts_one_chunk_at_a_time(g31, monkeypatch):
+    # only one chunk of element rows is alive at a time: every lift is at
+    # most BURNSIDE_CHUNK elements, and together they cover the group once
+    sizes = []
+    rows_at = FiniteMatrixGroup.rows_at
+
+    def counting_rows_at(self, idx, n):
+        sizes.append(len(idx))
+        return rows_at(self, idx, n)
+
+    monkeypatch.setattr(FiniteMatrixGroup, "rows_at", counting_rows_at)
+    assert count_burnside_full(g31, 2, per_element=True).count == theorem_c("g31", 2)
+    assert max(sizes) <= BURNSIDE_CHUNK
+    assert sum(sizes) == g31.order
 
 
 def test_burnside_precision_error():
@@ -152,7 +168,7 @@ def test_g24_table_of_smith_diagonals(g24):
         "-ab": (prod(mod, neg, a, b), (1, 1, 4)),
     }
     for name, (x, diag) in table.items():
-        assert smith_valuations(minus_identity(x, mod)).diagonal() == diag, name
+        assert diagonal(smith_valuations(minus_identity(x, mod)), 2, mod.M) == diag, name
 
 
 def test_g24_class_sizes(g24):
@@ -190,7 +206,7 @@ def test_census_covers_every_class(g24):
 
 def test_formula_general_g31(g31):
     # (7+5)(11+5)(19+5)(23+5) + 4 * 2304, all over 46080
-    exps = ExponentList((7, 11, 19, 23))
+    exps = (7, 11, 19, 23)
     assert (12 * 16 * 24 * 28 + 4 * 2304) // 46080 == 3
     assert count_formula_general(g31, exps, 1).count == 3
 

@@ -22,7 +22,7 @@ def test_theorem_c_k1_values():
 
 def test_theorem_c_x34_numerator_factor():
     # the k=1 numerator is exactly 7 times the denominator
-    assert CLOSED_FORMS["x34"].numerator(1) == 274337280 == 7 * 39191040
+    assert CLOSED_FORMS["g34"].numerator(1) == 274337280 == 7 * 39191040
 
 
 def test_theorem_c_k2_k3():
@@ -87,8 +87,8 @@ def test_x24_piecewise():
 
 
 def test_formula_denominators():
-    assert CLOSED_FORMS["x12"].denominator == 48
-    assert CLOSED_FORMS["x24"].denominator == 336
-    assert CLOSED_FORMS["x29"].denominator == 7680
-    assert CLOSED_FORMS["x31"].denominator == 46080
-    assert CLOSED_FORMS["x34"].denominator == 39191040
+    assert CLOSED_FORMS["g12"].denominator == 48
+    assert CLOSED_FORMS["g24"].denominator == 336
+    assert CLOSED_FORMS["g29"].denominator == 7680
+    assert CLOSED_FORMS["g31"].denominator == 46080
+    assert CLOSED_FORMS["g34"].denominator == 39191040

@@ -16,7 +16,6 @@ from repcount.errors import (
 )
 from repcount.linalg import smith_valuations_raw
 from repcount.modp import (
-    SATURATED,
     Modulus,
     hensel_lift,
     int_valuation,
@@ -47,8 +46,8 @@ def test_modulus_threshold():
 def test_valuation_examples():
     # int_valuation on nonzero ints; a residue's valuation, saturated at 0,
     # is the Smith form of the 1 x 1 matrix
-    assert smith_valuations_raw([[0]], 3, 4) == [SATURATED]
-    assert smith_valuations_raw([[81]], 3, 4) == [SATURATED]
+    assert smith_valuations_raw([[0]], 3, 4) == [4]
+    assert smith_valuations_raw([[81]], 3, 4) == [4]
     assert int_valuation(18, 3) == 2 and smith_valuations_raw([[18]], 3, 4) == [2]
     assert int_valuation(7, 3) == 0 and smith_valuations_raw([[7]], 3, 4) == [0]
     assert int_valuation(27, 3) == 3 and smith_valuations_raw([[27]], 3, 4) == [3]

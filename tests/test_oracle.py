@@ -103,7 +103,7 @@ def test_fixed_points_order5_element(g29):
     counts = set()
     for rec in g29.conjugacy_classes():
         if rec.element_order == 5 and rec.torsion_vals:
-            counts.add(fixed_points_bruteforce(rec.representative, 1))
+            counts.add(fixed_points_bruteforce(g29.element(rec.rep_index), 1))
     assert counts == {5}
 
 
