@@ -19,7 +19,7 @@ from .counting import (
 )
 from .errors import RepcountError
 from .formulas import theorem_a, theorem_c, x24_piecewise_check
-from .grassmannian import build_orbits, enumerate_distinguished, sphere_count, theorem_b
+from .grassmannian import build_orbits, enumerate_distinguished, theorem_b
 from .groups import ConjugacyClassRecord, FiniteMatrixGroup, close, rank_fixed_space
 from .linalg import SquareMatrix, diagonal, kernel_size, smith_valuations
 from .modp import Modulus, hensel_lift, invert, mth_root_of_unity, teichmuller
@@ -55,7 +55,6 @@ __all__ = [
     "rank_fixed_space",
     "smith_valuations",
     "solomon_sum",
-    "sphere_count",
     "teichmuller",
     "theorem_a",
     "theorem_b",

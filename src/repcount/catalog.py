@@ -1,13 +1,13 @@
 """Construction of the supported reflection groups and their exponent data.
 
 Covers the four exceptional groups over their home primes (G12 at p=3, G24
-at p=2, G29 and G31 at p=5), the monomial groups G(m,s,n), and the rank-one
-sphere case G(m,1,1).  The quadratic constants in the exceptional generator
-matrices are realized exactly at any requested precision via Hensel lifting
-and Teichmüller representatives, so a group's generator words can be
-re-evaluated at any higher precision; fractional entries (1/2, 1/sqrt(-2))
-become modular inverses, which is legal because 2 is a unit at the relevant
-odd primes.
+at p=2, G29 and G31 at p=5), the closed-form-only G34 at p=7, the monomial
+groups G(m,s,n), and the rank-one sphere case G(m,1,1).  The quadratic
+constants in the exceptional generator matrices are realized exactly at any
+requested precision via Hensel lifting and Teichmüller representatives, so a
+group's generator words can be re-evaluated at any higher precision;
+fractional entries (1/2, 1/sqrt(-2)) become modular inverses, which is legal
+because 2 is a unit at the relevant odd primes.
 """
 
 from __future__ import annotations
@@ -15,154 +15,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import InvariantViolation, NotFactorable, SpecInvalid
 from .groups import DEFAULT_CLOSURE_CAP, FiniteMatrixGroup, close
 from .linalg import SquareMatrix
 from .modp import Modulus, hensel_lift, invert, is_prime, mth_root_of_unity, teichmuller
 
-EXCEPTIONAL = {
-    # kind: (prime, rank, order, exponents)
-    "g12": (3, 2, 48, (5, 7)),
-    "g24": (2, 3, 336, (3, 5, 13)),
-    "g29": (5, 4, 7680, (3, 7, 11, 19)),
-    "g31": (5, 4, 46080, (7, 11, 19, 23)),
-}
-
-#: Closed-form-only case: no generator matrices are published, so there is
-#: no build path; only the polynomial evaluator handles it.
-FORMULA_ONLY = {"g34"}
-
-#: The closed-form names of the exceptional cases, mapped to their kinds.
-ALIASES = {"x12": "g12", "x24": "g24", "x29": "g29", "x31": "g31", "x34": "g34"}
-
-
-@dataclass(frozen=True)
-class GroupSpec:
-    """Which group to build: an exceptional case, a G(m,s,n), or a sphere."""
-
-    kind: str
-    m: Optional[int] = None
-    s: Optional[int] = None
-    n: Optional[int] = None
-    p: Optional[int] = None
-
-    def __post_init__(self):
-        if self.kind in EXCEPTIONAL:
-            object.__setattr__(self, "p", EXCEPTIONAL[self.kind][0])
-            return
-        if self.kind in FORMULA_ONLY:
-            object.__setattr__(self, "p", 7)
-            return
-        if self.kind == "family2a":
-            m, s, n, p = self.m, self.s, self.n, self.p
-            if m is None or s is None or n is None or p is None:
-                raise SpecInvalid("family2a needs m, s, n, p")
-            if m <= 2:
-                raise SpecInvalid(f"family2a requires m > 2, got m={m}")
-            if s < 1 or m % s != 0:
-                raise SpecInvalid(f"s={s} must divide m={m}")
-            if n < 2:
-                raise SpecInvalid(f"family2a requires n >= 2, got n={n}")
-            if n == 2 and m == s:
-                raise SpecInvalid("family2a excludes m = s when n = 2")
-            _check_prime_congruence(p, m)
-            return
-        if self.kind == "sphere":
-            m, p = self.m, self.p
-            if m is None or p is None:
-                raise SpecInvalid("sphere needs m, p")
-            if m < 2:
-                raise SpecInvalid(f"sphere requires m >= 2, got m={m}")
-            _check_prime_congruence(p, m)
-            if p == 2:
-                raise SpecInvalid("sphere requires an odd prime")
-            return
-        raise SpecInvalid(f"unknown group kind {self.kind!r}")
-
-    @property
-    def buildable(self) -> bool:
-        return self.kind not in FORMULA_ONLY
-
-    @property
-    def rank(self) -> int:
-        if self.kind in EXCEPTIONAL:
-            return EXCEPTIONAL[self.kind][1]
-        if self.kind in FORMULA_ONLY:
-            return 6
-        return self.n if self.kind == "family2a" else 1
-
-    @property
-    def expected_order(self) -> int:
-        if self.kind in EXCEPTIONAL:
-            return EXCEPTIONAL[self.kind][2]
-        if self.kind in FORMULA_ONLY:
-            return 39191040
-        if self.kind == "family2a":
-            return self.m ** self.n * math.factorial(self.n) // self.s
-        return self.m
-
-    def min_modulus_exponent(self) -> int:
-        """Default precision M0 at which the group is closed.
-
-        M0 is above the faithfulness threshold and mostly leaves headroom for
-        trace-averaged ranks: a class of element order d is read once, at
-        the least m >= M0 with p^m > d * l, which also separates its torsion,
-        so a class that M0 misses costs one lift of its representative.  The
-        values stay fixed because the canonical class representatives and
-        the Smith diagonals of the ``classes`` table are read at M0.  Every
-        buildable non-exceptional spec has an odd p, so its M0 is 3.
-        """
-        return {"g12": 3, "g24": 6, "g29": 3, "g31": 3}.get(self.kind, 3)
-
-    def label(self) -> str:
-        if self.kind in EXCEPTIONAL or self.kind in FORMULA_ONLY:
-            return self.kind
-        if self.kind == "family2a":
-            return f"family2a:m={self.m},s={self.s},n={self.n},p={self.p}"
-        return f"sphere:m={self.m},p={self.p}"
-
-
-def _check_prime_congruence(p: int, m: int) -> None:
-    if not is_prime(p):
-        raise SpecInvalid(f"p={p} is not prime")
-    if (p - 1) % m != 0:
-        raise SpecInvalid(f"need p = 1 mod m, got p={p}, m={m}")
-
-
-_SPEC_RE = re.compile(r"^(family2a|sphere):(.*)$")
-
-
-def parse_spec(text: str) -> GroupSpec:
-    """Parse the CLI grammar: g12|g24|g29|g31|x34|family2a:m=..,s=..,n=..,p=..|sphere:m=..,p=.."""
-    t = text.strip().lower()
-    t = ALIASES.get(t, t)
-    if t in EXCEPTIONAL or t in FORMULA_ONLY:
-        return GroupSpec(t)
-    m = _SPEC_RE.match(t)
-    if not m:
-        raise SpecInvalid(f"unrecognized group spec {text!r}")
-    kind, rest = m.group(1), m.group(2)
-    allowed = ("m", "p") if kind == "sphere" else ("m", "s", "n", "p")
-    params = {}
-    for item in rest.split(","):
-        if "=" not in item:
-            raise SpecInvalid(f"bad parameter {item!r} in {text!r}")
-        key, _, val = item.partition("=")
-        key = key.strip()
-        if key not in allowed:
-            raise SpecInvalid(f"unknown parameter {key!r} in {text!r}")
-        if key in params:
-            raise SpecInvalid(f"parameter {key!r} given twice in {text!r}")
-        try:
-            params[key] = int(val)
-        except ValueError:
-            raise SpecInvalid(f"parameter {key!r} must be an integer") from None
-    return GroupSpec(kind, **params)
-
-
-# -- generator matrices ----------------------------------------------------
+# -- exceptional generator matrices ----------------------------------------
 
 
 def _g12_generators(modulus: Modulus) -> list:
@@ -215,6 +75,157 @@ def _g31_generators(modulus: Modulus) -> list:
     ]
 
 
+class Exceptional(NamedTuple):
+    """One exceptional group; with no published matrices it is closed-form only."""
+
+    p: int
+    rank: int
+    order: int
+    exponents: Optional[tuple]
+    M0: Optional[int]
+    generators: Optional[Callable[[Modulus], list]]
+
+
+EXCEPTIONAL = {
+    "g12": Exceptional(3, 2, 48, (5, 7), 3, _g12_generators),
+    "g24": Exceptional(2, 3, 336, (3, 5, 13), 6, _g24_generators),
+    "g29": Exceptional(5, 4, 7680, (3, 7, 11, 19), 3, _g29_generators),
+    "g31": Exceptional(5, 4, 46080, (7, 11, 19, 23), 3, _g31_generators),
+    "g34": Exceptional(7, 6, 39191040, None, None, None),
+}
+
+#: The closed-form names of the exceptional cases, mapped to their kinds.
+ALIASES = {"x12": "g12", "x24": "g24", "x29": "g29", "x31": "g31", "x34": "g34"}
+
+
+@dataclass(frozen=True)
+class GroupSpec:
+    """Which group to build: an exceptional case, a G(m,s,n), or a sphere.
+
+    A sphere is G(m,1,1): construction sets its s and n to 1.  An exceptional
+    kind fixes every parameter, so it takes none but its own prime.
+    """
+
+    kind: str
+    m: Optional[int] = None
+    s: Optional[int] = None
+    n: Optional[int] = None
+    p: Optional[int] = None
+
+    def __post_init__(self):
+        if self.exceptional:
+            home = EXCEPTIONAL[self.kind].p
+            if (self.m, self.s, self.n) != (None, None, None) or self.p not in (None, home):
+                raise SpecInvalid(f"{self.kind} takes no parameters and lives at p={home}")
+            object.__setattr__(self, "p", home)
+            return
+        if self.kind == "family2a":
+            m, s, n, p = self.m, self.s, self.n, self.p
+            if m is None or s is None or n is None or p is None:
+                raise SpecInvalid("family2a needs m, s, n, p")
+            if m <= 2:
+                raise SpecInvalid(f"family2a requires m > 2, got m={m}")
+            if s < 1 or m % s != 0:
+                raise SpecInvalid(f"s={s} must divide m={m}")
+            if n < 2:
+                raise SpecInvalid(f"family2a requires n >= 2, got n={n}")
+            if n == 2 and m == s:
+                raise SpecInvalid("family2a excludes m = s when n = 2")
+            _check_prime_congruence(p, m)
+            return
+        if self.kind == "sphere":
+            m, p = self.m, self.p
+            if self.s not in (None, 1) or self.n not in (None, 1):
+                raise SpecInvalid(f"a sphere is G(m,1,1), got s={self.s}, n={self.n}; "
+                                  "G(m,s,n) needs n >= 2")
+            if m is None or p is None:
+                raise SpecInvalid("sphere needs m, p")
+            if m < 2:
+                raise SpecInvalid(f"sphere requires m >= 2, got m={m}")
+            _check_prime_congruence(p, m)
+            object.__setattr__(self, "s", 1)
+            object.__setattr__(self, "n", 1)
+            return
+        raise SpecInvalid(f"unknown group kind {self.kind!r}")
+
+    @property
+    def exceptional(self) -> bool:
+        """True for a kind with a row in ``EXCEPTIONAL``; False for G(m,s,n)."""
+        return self.kind in EXCEPTIONAL
+
+    @property
+    def buildable(self) -> bool:
+        return not self.exceptional or EXCEPTIONAL[self.kind].generators is not None
+
+    @property
+    def rank(self) -> int:
+        return EXCEPTIONAL[self.kind].rank if self.exceptional else self.n
+
+    @property
+    def expected_order(self) -> int:
+        if self.exceptional:
+            return EXCEPTIONAL[self.kind].order
+        return self.m ** self.n * math.factorial(self.n) // self.s
+
+    def min_modulus_exponent(self) -> int:
+        """Default precision M0 at which the group is closed.
+
+        M0 is above the faithfulness threshold and mostly leaves headroom for
+        trace-averaged ranks: a class of element order d is read once, at
+        the least m >= M0 with p^m > d * l, which also separates its torsion,
+        so a class that M0 misses costs one lift of its representative.  The
+        values stay fixed because the canonical class representatives and
+        the Smith diagonals of the ``classes`` table are read at M0.  Every
+        G(m,s,n) spec has an odd p, so its M0 is 3.
+        """
+        return EXCEPTIONAL[self.kind].M0 if self.exceptional else 3
+
+    def label(self) -> str:
+        if self.exceptional:
+            return self.kind
+        if self.kind == "family2a":
+            return f"family2a:m={self.m},s={self.s},n={self.n},p={self.p}"
+        return f"sphere:m={self.m},p={self.p}"
+
+
+def _check_prime_congruence(p: int, m: int) -> None:
+    if not is_prime(p):
+        raise SpecInvalid(f"p={p} is not prime")
+    if (p - 1) % m != 0:
+        raise SpecInvalid(f"need p = 1 mod m, got p={p}, m={m}")
+
+
+_SPEC_RE = re.compile(r"^(family2a|sphere):(.*)$")
+
+
+def parse_spec(text: str) -> GroupSpec:
+    """Parse the CLI grammar: g12|g24|g29|g31|x34|family2a:m=..,s=..,n=..,p=..|sphere:m=..,p=.."""
+    t = text.strip().lower()
+    t = ALIASES.get(t, t)
+    if t in EXCEPTIONAL:
+        return GroupSpec(t)
+    m = _SPEC_RE.match(t)
+    if not m:
+        raise SpecInvalid(f"unrecognized group spec {text!r}")
+    kind, rest = m.group(1), m.group(2)
+    allowed = ("m", "p") if kind == "sphere" else ("m", "s", "n", "p")
+    params = {}
+    for item in rest.split(","):
+        if "=" not in item:
+            raise SpecInvalid(f"bad parameter {item!r} in {text!r}")
+        key, _, val = item.partition("=")
+        key = key.strip()
+        if key not in allowed:
+            raise SpecInvalid(f"unknown parameter {key!r} in {text!r}")
+        if key in params:
+            raise SpecInvalid(f"parameter {key!r} given twice in {text!r}")
+        try:
+            params[key] = int(val)
+        except ValueError:
+            raise SpecInvalid(f"parameter {key!r} must be an integer") from None
+    return GroupSpec(kind, **params)
+
+
 def monomial_generators(m: int, s: int, n: int, modulus: Modulus) -> list:
     """Generators of G(m,s,n) over Z/p^M, for any s | m with p = 1 mod m.
 
@@ -252,19 +263,11 @@ def monomial_generators(m: int, s: int, n: int, modulus: Modulus) -> list:
 def generators(spec: GroupSpec, modulus: Modulus) -> list:
     if modulus.p != spec.p:
         raise SpecInvalid(f"{spec.label()} lives at p={spec.p}, modulus has p={modulus.p}")
-    if spec.kind == "g12":
-        return _g12_generators(modulus)
-    if spec.kind == "g24":
-        return _g24_generators(modulus)
-    if spec.kind == "g29":
-        return _g29_generators(modulus)
-    if spec.kind == "g31":
-        return _g31_generators(modulus)
-    if spec.kind == "family2a":
-        return monomial_generators(spec.m, spec.s, spec.n, modulus)
-    if spec.kind == "sphere":
-        return monomial_generators(spec.m, 1, 1, modulus)
-    raise SpecInvalid(f"{spec.label()} has no generator matrices")
+    if not spec.buildable:
+        raise SpecInvalid(f"{spec.label()} has no generator matrices")
+    if spec.exceptional:
+        return EXCEPTIONAL[spec.kind].generators(modulus)
+    return monomial_generators(spec.m, spec.s, spec.n, modulus)
 
 
 def build(spec: GroupSpec, working_modulus: Optional[Modulus] = None,
@@ -289,15 +292,13 @@ def build(spec: GroupSpec, working_modulus: Optional[Modulus] = None,
 
 def exponents(spec: GroupSpec) -> tuple:
     """Catalog exponents m_i for a spec, sorted; prod(m_i + 1) is the order."""
-    if spec.kind in EXCEPTIONAL:
-        return EXCEPTIONAL[spec.kind][3]
-    if spec.kind in FORMULA_ONLY:
-        raise SpecInvalid(f"{spec.label()} has no catalog exponents")
-    if spec.kind == "family2a":
-        m, s, n = spec.m, spec.s, spec.n
-        vals = [i * m - 1 for i in range(1, n)] + [n * m // s - 1]
-        return tuple(sorted(vals))
-    return (spec.m - 1,)
+    if spec.exceptional:
+        exps = EXCEPTIONAL[spec.kind].exponents
+        if exps is None:
+            raise SpecInvalid(f"{spec.label()} has no catalog exponents")
+        return exps
+    m, s, n = spec.m, spec.s, spec.n
+    return tuple(sorted([i * m - 1 for i in range(1, n)] + [n * m // s - 1]))
 
 
 def derive_exponents(group: FiniteMatrixGroup) -> tuple:

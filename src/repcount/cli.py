@@ -70,21 +70,17 @@ def _emit(report: counting.CountReport, cfg: _Config) -> None:
 
 
 def _applicable_methods(spec: GroupSpec) -> list:
-    if spec.kind in catalog.FORMULA_ONLY:
+    if not spec.buildable:
         return ["theoremC"]
     methods = ["burnside", "classes", "formula"]
-    if spec.kind in catalog.EXCEPTIONAL:
+    if spec.exceptional:
         methods.append("theoremC")
-    if spec.kind in ("family2a", "sphere"):
+    else:
         methods.extend(["theoremB", "domain"])
-        if _is_nonmodular(spec):
+        if spec.expected_order % spec.p != 0:  # non-modular
             methods.append("theoremA")
     methods.append("oracle")
     return methods
-
-
-def _is_nonmodular(spec: GroupSpec) -> bool:
-    return spec.expected_order % spec.p != 0
 
 
 def run_count(spec: GroupSpec, k: int, method: str, cfg: _Config) -> counting.CountReport:
@@ -94,11 +90,9 @@ def run_count(spec: GroupSpec, k: int, method: str, cfg: _Config) -> counting.Co
     """
     if k < 1:
         raise SpecInvalid(f"k must be >= 1, got {k}")
-    if method in ("theoremB", "domain") and spec.kind not in ("family2a", "sphere"):
+    if method in ("theoremB", "domain") and spec.exceptional:
         raise SpecInvalid(f"method {method} applies to family2a/sphere specs only")
     if method in GROUP_METHODS:
-        if not spec.buildable:
-            raise SpecInvalid(f"{spec.label()} supports only closed-form methods")
         group = cfg.group(spec)
     if method == "burnside":
         return counting.count_burnside_full(group, k, per_element=cfg.per_element)
@@ -106,16 +100,15 @@ def run_count(spec: GroupSpec, k: int, method: str, cfg: _Config) -> counting.Co
         return counting.count_burnside_classes(group, k)
     if method == "formula":
         return counting.count_formula_general(group, catalog.exponents(spec), k)
-    m, s, n = spec.m, (spec.s if spec.kind == "family2a" else 1), (spec.n or 1)
     start = time.perf_counter()
     if method == "theoremC":
         value = formulas.theorem_c(spec.kind, k)
     elif method == "theoremA":
         value = formulas.theorem_a(catalog.exponents(spec), spec.p, k)
     elif method == "theoremB":
-        value = grassmannian.theorem_b(m, s, n, spec.p, k)
+        value = grassmannian.theorem_b(spec.m, spec.s, spec.n, spec.p, k)
     elif method == "domain":
-        value, _ = grassmannian.enumerate_distinguished(m, s, n, spec.p, k)
+        value, _ = grassmannian.enumerate_distinguished(spec.m, spec.s, spec.n, spec.p, k)
     elif method == "oracle":
         value = oracle.orbit_count_bruteforce(group, k, cap=cfg.oracle_cap)
     else:
@@ -144,20 +137,13 @@ def _spec_from_args(args) -> GroupSpec:
     if getattr(args, "m", None) is not None:
         s = 1 if args.s is None else args.s
         n = 1 if args.n is None else args.n
-        if n >= 2:
-            return GroupSpec("family2a", m=args.m, s=s, n=n, p=args.p)
-        if (s, n) != (1, 1):
-            raise SpecInvalid(f"--s {s} --n {n}: G(m,s,n) needs n >= 2, and the "
-                              "flags without --n name the sphere G(m,1,1)")
-        return GroupSpec("sphere", m=args.m, p=args.p)
+        return GroupSpec("family2a" if n >= 2 else "sphere", m=args.m, s=s, n=n, p=args.p)
     raise SpecInvalid("no group given: pass --group or the --m/--s/--n/--p flags")
 
 
 def cmd_census(args) -> int:
     cfg = _Config(args)
     spec = _spec_from_args(args)
-    if not spec.buildable:
-        raise SpecInvalid(f"{spec.label()} has no build path, so no census")
     group = cfg.group(spec)
     rows = counting.torsion_census(group)
     if cfg.fmt == "json":
@@ -196,8 +182,6 @@ def cmd_census(args) -> int:
 def cmd_classes(args) -> int:
     cfg = _Config(args)
     spec = _spec_from_args(args)
-    if not spec.buildable:
-        raise SpecInvalid(f"{spec.label()} has no build path, so no class table")
     group = cfg.group(spec)
     records = group.conjugacy_classes()
     diags = [diagonal(rec.smith_vals, spec.p, group.modulus.M) for rec in records]

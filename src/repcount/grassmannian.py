@@ -208,9 +208,3 @@ def theorem_b(m: int, s: int, n: int, p: int, k: int) -> int:
     _validate_family(m, s, n, p, k)
     nz = (p ** k - 1) // m
     return math.comb(nz + n - 1, n - 1) + s * math.comb(nz + n - 1, n)
-
-
-def sphere_count(m: int, p: int, k: int) -> int:
-    """Orbit count for the rank-one case G(m,1,1): 1 + (p^k - 1)/m."""
-    _validate_family(m, 1, 1, p, k)
-    return 1 + (p ** k - 1) // m

@@ -7,6 +7,7 @@ one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -19,19 +20,35 @@ from .errors import (
     OrderUnavailable,
 )
 
+#: The first 13 primes, and the least strong pseudoprime to all of them as
+#: bases (Sorenson and Webster, 2015): below it Miller-Rabin with these
+#: bases decides primality exactly.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Primality by trial division; moduli here have small p."""
+    """Exact primality: Miller-Rabin below ``_MR_BOUND``, trial division above."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_BOUND:
+        return all(n % d for d in range(_MR_BASES[-1] + 2, math.isqrt(n) + 1, 2))
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:  # n > 41 here, so every base is a unit mod n
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

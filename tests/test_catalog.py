@@ -115,6 +115,26 @@ def test_family2a_invalid_specs():
         GroupSpec("family2a", m=3, s=1, n=2, p=9)  # not prime
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(kind="g29", p=13),        # an exceptional kind lives at its home prime
+    dict(kind="g12", m=7, n=9),    # ... and takes no m, s or n
+    dict(kind="g34", s=1),
+    dict(kind="sphere", m=4, s=2, p=5),   # a sphere is G(m,1,1)
+    dict(kind="sphere", m=4, n=3, p=5),
+], ids=["g29-p13", "g12-m-n", "g34-s", "sphere-s2", "sphere-n3"])
+def test_spec_rejects_parameters_its_kind_fixes(kwargs):
+    with pytest.raises(SpecInvalid):
+        GroupSpec(**kwargs)
+
+
+def test_spec_fills_in_what_its_kind_fixes():
+    assert GroupSpec("g29", p=5) == GroupSpec("g29")
+    assert GroupSpec("g29").p == 5
+    sphere = GroupSpec("sphere", m=4, p=5)
+    assert (sphere.s, sphere.n) == (1, 1)
+    assert GroupSpec("sphere", m=4, s=1, n=1, p=5) == sphere
+
+
 def test_sphere_build():
     g = build(GroupSpec("sphere", m=4, p=5))
     assert g.order == 4

@@ -239,6 +239,25 @@ def test_crosscheck_family2a(capsys):
     assert len(set(counts.values())) == 1
 
 
+@pytest.mark.parametrize("spec,methods", [
+    ("g24", ["burnside", "classes", "formula", "theoremC", "oracle"]),
+    # 5 divides |G(4,2,5)|, so theorem A does not apply
+    ("family2a:m=4,s=2,n=5,p=5",
+     ["burnside", "classes", "formula", "theoremB", "domain", "oracle"]),
+    ("family2a:m=6,s=2,n=3,p=7",
+     ["burnside", "classes", "formula", "theoremB", "domain", "theoremA", "oracle"]),
+    ("sphere:m=4,p=5",
+     ["burnside", "classes", "formula", "theoremB", "domain", "theoremA", "oracle"]),
+])
+def test_crosscheck_methods_per_kind(capsys, spec, methods):
+    code, out, _ = run(capsys, "crosscheck", "--group", spec, "--kmax", "1",
+                       "--format", "json", "--no-timing")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["methods"] == methods
+    assert list(payload["checks"][0]["counts"]) == methods
+
+
 def test_crosscheck_x34_formula_only(capsys):
     code, out, _ = run(capsys, "crosscheck", "--group", "x34", "--kmax", "6",
                        "--format", "json", "--no-timing")

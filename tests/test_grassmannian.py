@@ -17,7 +17,6 @@ from repcount.errors import SpaceTooLarge, SpecInvalid
 from repcount.grassmannian import (
     build_orbits,
     enumerate_distinguished,
-    sphere_count,
     theorem_b,
 )
 from repcount.modp import Modulus, mth_root_of_unity
@@ -176,20 +175,15 @@ def test_primitive_root_independence():
         assert pk <= 343
 
 
-def test_sphere_count_matches_theorem_a_form():
-    # 1 + (p^k - 1)/m equals the exponent-product formula (m-1+p^k)/m
+def test_sphere_theorem_b_matches_theorem_a_form():
+    # for G(m,1,1), 1 + (p^k - 1)/m equals the exponent product (m-1+p^k)/m
     for m, p in [(4, 5), (3, 7), (6, 7), (2, 5)]:
         for k in (1, 2, 3):
-            assert sphere_count(m, p, k) == (m - 1 + p ** k) // m
+            assert theorem_b(m, 1, 1, p, k) == (m - 1 + p ** k) // m
             assert (m - 1 + p ** k) % m == 0
 
 
-def test_sphere_count_matches_group():
+def test_sphere_theorem_b_matches_group():
     g = build(GroupSpec("sphere", m=4, p=5))
     for k in (1, 2):
-        assert sphere_count(4, 5, k) == count_burnside_full(g, k).count
-
-
-def test_theorem_b_covers_sphere_case():
-    for k in (1, 2):
-        assert theorem_b(4, 1, 1, 5, k) == sphere_count(4, 5, k)
+        assert theorem_b(4, 1, 1, 5, k) == count_burnside_full(g, k).count

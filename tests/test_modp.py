@@ -5,7 +5,10 @@ scans over the full residue ring (re-run inline where cheap), so they do
 not depend on the Newton iteration they certify.
 """
 
+import random
+
 import pytest
+import sympy
 
 from repcount.errors import (
     DivisibleByP,
@@ -20,6 +23,7 @@ from repcount.modp import (
     hensel_lift,
     int_valuation,
     invert,
+    is_prime,
     mth_root_of_unity,
     smallest_primitive_root,
     teichmuller,
@@ -153,3 +157,31 @@ def test_mth_root_exact_order(p, M):
         b = mth_root_of_unity(d, m)
         assert next(e for e in range(1, p) if pow(b, e, m.pM) == 1) == d
 
+
+
+def test_is_prime_agrees_with_sympy_on_a_range():
+    assert [n for n in range(-3, 200_000) if is_prime(n)] == \
+        list(sympy.primerange(2, 200_000))
+
+
+def test_is_prime_agrees_with_sympy_on_random_64_bit():
+    rng = random.Random(20151)
+    for _ in range(2000):
+        n = rng.getrandbits(64) | 1
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,                   # strong pseudoprime to the bases 2, 3, 5, 7
+    3825123056546413051,          # ... to the bases 2 ... 31
+    318665857834031151167461,     # ... to the bases 2 ... 37
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not sympy.isprime(n)
+    assert not is_prime(n)
+
+
+def test_is_prime_at_large_primes():
+    for n in (10 ** 16 + 61, 10 ** 18 + 3, 2 ** 61 - 1, 2 ** 64 - 59):
+        assert sympy.isprime(n) and is_prime(n)
+        assert not is_prime(n + 2) and not sympy.isprime(n + 2)
