@@ -4,26 +4,25 @@ Builds the exceptional groups G12, G24, G29, G31 and the monomial family
 G(m,s,n) from explicit generator matrices, and counts orbits of their
 action on (Z/p^k)^l by several independent methods (full Burnside sums,
 classwise rank/torsion sums, closed forms, fundamental-domain enumeration,
-brute-force label propagation over the whole space) that must agree exactly.
+a brute-force count over scalar classes of points) that must agree exactly.
 """
 
-from .catalog import GroupSpec, build, derive_exponents, exponents, parse_spec
+from .catalog import GroupSpec, build, exponents, parse_spec
 from .counting import (
     CountReport,
     count_burnside_classes,
     count_burnside_full,
     count_formula_general,
-    solomon_sum,
     torsion_census,
     torsion_classes,
 )
 from .errors import RepcountError
-from .formulas import theorem_a, theorem_c, x24_piecewise_check
+from .formulas import theorem_a, theorem_c
 from .grassmannian import build_orbits, enumerate_distinguished, theorem_b
-from .groups import ConjugacyClassRecord, FiniteMatrixGroup, close, rank_fixed_space
+from .groups import ConjugacyClassRecord, FiniteMatrixGroup, close
 from .linalg import SquareMatrix, diagonal, kernel_size, smith_valuations
 from .modp import Modulus, hensel_lift, invert, mth_root_of_unity, teichmuller
-from .oracle import fixed_points_bruteforce, orbit_count_bruteforce
+from .oracle import orbit_count_bruteforce
 
 __version__ = "0.1.0"
 
@@ -41,25 +40,20 @@ __all__ = [
     "count_burnside_classes",
     "count_burnside_full",
     "count_formula_general",
-    "derive_exponents",
     "diagonal",
     "enumerate_distinguished",
     "exponents",
-    "fixed_points_bruteforce",
     "hensel_lift",
     "invert",
     "kernel_size",
     "mth_root_of_unity",
     "orbit_count_bruteforce",
     "parse_spec",
-    "rank_fixed_space",
     "smith_valuations",
-    "solomon_sum",
     "teichmuller",
     "theorem_a",
     "theorem_b",
     "theorem_c",
     "torsion_census",
     "torsion_classes",
-    "x24_piecewise_check",
 ]

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from .errors import InvariantViolation, NotFactorable, SpecInvalid
+from .errors import InvariantViolation, SpecInvalid
 from .groups import DEFAULT_CLOSURE_CAP, FiniteMatrixGroup, close
 from .linalg import SquareMatrix
 from .modp import Modulus, hensel_lift, invert, is_prime, mth_root_of_unity, teichmuller
@@ -79,7 +79,6 @@ class Exceptional(NamedTuple):
     """One exceptional group; with no published matrices it is closed-form only."""
 
     p: int
-    rank: int
     order: int
     exponents: Optional[tuple]
     M0: Optional[int]
@@ -87,11 +86,11 @@ class Exceptional(NamedTuple):
 
 
 EXCEPTIONAL = {
-    "g12": Exceptional(3, 2, 48, (5, 7), 3, _g12_generators),
-    "g24": Exceptional(2, 3, 336, (3, 5, 13), 6, _g24_generators),
-    "g29": Exceptional(5, 4, 7680, (3, 7, 11, 19), 3, _g29_generators),
-    "g31": Exceptional(5, 4, 46080, (7, 11, 19, 23), 3, _g31_generators),
-    "g34": Exceptional(7, 6, 39191040, None, None, None),
+    "g12": Exceptional(3, 48, (5, 7), 3, _g12_generators),
+    "g24": Exceptional(2, 336, (3, 5, 13), 6, _g24_generators),
+    "g29": Exceptional(5, 7680, (3, 7, 11, 19), 3, _g29_generators),
+    "g31": Exceptional(5, 46080, (7, 11, 19, 23), 3, _g31_generators),
+    "g34": Exceptional(7, 39191040, None, None, None),
 }
 
 #: The closed-form names of the exceptional cases, mapped to their kinds.
@@ -156,10 +155,6 @@ class GroupSpec:
     @property
     def buildable(self) -> bool:
         return not self.exceptional or EXCEPTIONAL[self.kind].generators is not None
-
-    @property
-    def rank(self) -> int:
-        return EXCEPTIONAL[self.kind].rank if self.exceptional else self.n
 
     @property
     def expected_order(self) -> int:
@@ -299,35 +294,3 @@ def exponents(spec: GroupSpec) -> tuple:
         return exps
     m, s, n = spec.m, spec.s, spec.n
     return tuple(sorted([i * m - 1 for i in range(1, n)] + [n * m // s - 1]))
-
-
-def derive_exponents(group: FiniteMatrixGroup) -> tuple:
-    """Recover exponents by factoring the rank-generating polynomial.
-
-    Sums t^rank(w) over the group (classwise) and splits the result as
-    prod(t + m_i) over non-negative integers; zero roots correspond to a
-    fixed subspace and are dropped, so the trivial group yields ().
-    """
-    l = group.dim
-    h = [0] * (l + 1)
-    for rec in group.conjugacy_classes():
-        h[rec.rank] += rec.class_size
-    coeffs = h[:]  # coeffs[i] multiplies t^i
-    roots = []
-    for _ in range(l):
-        deg = len(coeffs) - 1
-        bound = coeffs[deg - 1] // coeffs[deg] if deg >= 1 else 0
-        for m in range(0, bound + 1):
-            # synthetic division of coeffs by (t + m)
-            quot = [0] * deg
-            carry = coeffs[deg]
-            for i in range(deg - 1, -1, -1):
-                quot[i] = carry
-                carry = coeffs[i] - m * carry
-            if carry == 0:
-                roots.append(m)
-                coeffs = quot
-                break
-        else:
-            raise NotFactorable(f"rank polynomial {h} does not split over Z")
-    return tuple(sorted(m for m in roots if m > 0))

@@ -207,14 +207,6 @@ def torsion_classes(group: FiniteMatrixGroup) -> list:
     return [rec for rec in torsion_census(group) if rec.torsion_order > 1]
 
 
-def solomon_sum(group: FiniteMatrixGroup, k: int) -> int:
-    """Sum of class_size * p^(k*rank) over the classes."""
-    p = group.modulus.p
-    return sum(
-        rec.class_size * p ** (k * rec.rank) for rec in group.conjugacy_classes()
-    )
-
-
 def count_formula_general(
     group: FiniteMatrixGroup,
     exps: Sequence[int],

@@ -45,10 +45,6 @@ class SpecInvalid(RepcountError):
     """A group specification violates its admissibility constraints."""
 
 
-class NotFactorable(RepcountError):
-    """The rank-generating polynomial did not split over the integers."""
-
-
 class NonIntegralCount(RepcountError):
     """An orbit-count division left a remainder (internal invariant broken)."""
 

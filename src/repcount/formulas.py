@@ -90,19 +90,3 @@ def theorem_c(group: str, k: int) -> int:
     if name not in CLOSED_FORMS:
         raise SpecInvalid(f"no closed form for {group!r}")
     return CLOSED_FORMS[name].evaluate(k)
-
-
-def x24_simplified(k: int) -> int:
-    """The k >= 2 simplification of the x24 polynomial (constant term 384)."""
-    num = 2 ** (3 * k) + 21 * 2 ** (2 * k) + 140 * 2 ** k + 384
-    if num % 336 != 0:
-        raise NonIntegralResult(f"x24 simplified numerator {num} not divisible by 336")
-    return num // 336
-
-
-def x24_piecewise_check(k: int) -> bool:
-    """True iff the min-term formula matches its piecewise simplification at k."""
-    if k < 1:
-        raise SpecInvalid(f"k must be >= 1, got {k}")
-    full = theorem_c("x24", k)
-    return full == (2 if k == 1 else x24_simplified(k))

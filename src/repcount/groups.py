@@ -371,23 +371,6 @@ def _rank_from_trace_sum(trace_sum: int, d: int, dim: int, pM: int) -> int:
     return trace_sum // d
 
 
-def rank_fixed_space(w: SquareMatrix, d: int) -> int:
-    """Rank of the fixed sublattice of w, from the trace average over <w>.
-
-    The sum of traces of w^j for j = 0..d-1 equals d times the fixed-space
-    rank, so the rank is read off the canonical representative.  Requires
-    p^M > d*l so that the integer is recoverable, and w^d = I.
-    """
-    pM = w.modulus.pM
-    if pM <= d * w.dim:
-        raise PrecisionTooLow(f"need p^M > {d * w.dim}, have {pM}")
-    orders, trace_sums = _powers(np.array([w.rows], dtype=exact_dtype(pM, w.dim)), pM, d)
-    order, trace_sum = int(orders[0]), int(trace_sums[0])
-    if d % order != 0:
-        raise InvariantViolation(f"element order {order} does not divide d={d}")
-    return _rank_from_trace_sum(trace_sum, order, w.dim, pM)
-
-
 def _row_orbit(gens: list, pM: int, bound: int, label: str):
     """The row orbit P of the basis rows under x -> x @ g mod pM, and its action.
 

@@ -7,6 +7,7 @@ one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -28,28 +29,87 @@ _MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality: Miller-Rabin below ``_MR_BOUND``, trial division above."""
+    """Exact primality: Miller-Rabin below ``_MR_BOUND``; above it Baillie-PSW,
+    base 2 and a strong Lucas test, which no known composite passes."""
     if n < 2:
         return False
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
     if n >= _MR_BOUND:
-        return all(n % d for d in range(_MR_BASES[-1] + 2, math.isqrt(n) + 1, 2))
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    for a in _MR_BASES:  # n > 41 here, so every base is a unit mod n
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+        return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+    return all(_strong_probable_prime(n, a) for a in _MR_BASES)  # n > 41: all units
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """The Miller-Rabin round of base a on an odd n > a."""
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^r with d odd
+    x = pow(a, (n - 1) >> r, n)
+    return x == 1 or any(pow(x, 1 << i, n) == n - 1 for i in range(r))
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for an odd n > 0."""
+    a, sign = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            sign = -sign if n % 8 in (3, 5) else sign
+        sign = -sign if a % 4 == 3 and n % 4 == 3 else sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas test of an odd n > 41 with Selfridge's parameters.
+
+    D is the first of 5, -7, 9, ... with (D/n) = -1, P = 1, Q = (1 - D)/4 and
+    n + 1 = d 2^s with d odd; n passes when U_d or some V_(d 2^r), r < s, is 0.
+    """
+    if math.isqrt(n) ** 2 == n:  # no D has (D/n) = -1
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:  # D shares a factor with n
             return False
-    return True
+        D = -D - 2 if D > 0 else 2 - D
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    Q, d = (1 - D) // 4, (n + 1) >> s
+    U, V, Qk = 1, 1, Q % n  # U_k, V_k and Q^k from k = 1, by the binary digits of d
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":  # (x + n (x odd)) / 2 halves x mod n
+            U, V = ((x + n * (x % 2)) // 2 % n for x in (U + V, D * U + V))
+            Qk = Qk * Q % n
+    for _ in range(s):
+        if U == 0 or V == 0:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return False
+
+
+def prime_factors(n: int) -> list:
+    """The distinct primes dividing n >= 1, ascending, by Pollard-Brent rho."""
+    out, stack = set(), [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            out.add(m)
+            continue
+        for c in itertools.count(1):  # x -> x^2 + c, with Brent's doubling cycle search
+            y, r, g = 2, 1, 1
+            while g == 1:
+                x = y
+                for _ in range(r):
+                    y = (y * y + c) % m
+                    g = math.gcd(x - y, m)
+                    if g != 1:
+                        break
+                r *= 2
+            if g != m:
+                stack += [g, m // g]
+                break
+    return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -152,19 +212,8 @@ def teichmuller(a: int, target: Modulus) -> int:
 
 def smallest_primitive_root(p: int) -> int:
     """Least positive generator of (Z/p)^x."""
-    if p == 2:
-        return 1
-    factors = []
-    n, d = p - 1, 2
-    while d * d <= n:
-        if n % d == 0:
-            factors.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        factors.append(n)
-    for g in range(2, p):
+    factors = prime_factors(p - 1)
+    for g in range(1, p):  # 1 generates only for p = 2, where p - 1 has no prime factor
         if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
             return g
     raise OrderUnavailable(f"no primitive root mod {p}")

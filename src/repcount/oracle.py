@@ -1,130 +1,169 @@
-"""Brute-force references: orbit counts by label propagation, naive fixed points.
+"""Brute-force reference: orbit counts read from the generators alone.
 
-Deliberately naive; these certify the fast paths in tests and behind the
-CLI's oracle method, and the orbit count reads the generators alone.  A
-point of (Z/p^n)^l is the mixed-radix integer sum_j x_j p^(n j).  Both
-functions form the images of whole blocks of points from their leading
-digit and a grid of the other digits' terms, so no point is decoded.  The
-orbit count holds a label and a spare per point: 4 bytes each while the
-space has fewer than 2^31 points, 8 beyond.
+It certifies the fast paths in tests and behind the CLI's oracle method,
+and reads only ``generators_at(n)``: no closure, classes or Smith form.
+
+*Levels.*  x -> p x maps (Z/p^(m-1))^l W-equivariantly onto p (Z/p^m)^l, so
+the orbits on (Z/p^n)^l are the zero orbit and, for m = 1..n, the P(m) orbits
+on primitive vectors mod p^m (some coordinate a unit).
+*Scalars.*  zeta = teichmuller(g, p^m) (1 + p), g the least primitive root
+mod p, generates a group S of d units: all of them for odd p, <3> of index
+2 for p = 2 and m >= 3.  S commutes with W and acts freely on primitive
+vectors.  A node is the vector of an S-orbit whose first unit coordinate
+lies in T, the least units of the cosets of S.
+*Edges.*  A generator g takes a node c to g c = zeta^a c' for one node c' and
+one a mod d, so a component of the node graph is a W x S-orbit.
+*Holonomy.*  S permutes the W-orbits in a W x S-orbit transitively, so they
+number [S : S_O], S_O the scalars fixing the W-orbit O of the least node r.
+Label propagation keeps for each node c an offset o with c in W zeta^o r,
+so every edge puts zeta^(a + o(c') - o(c)) in S_O.  Conversely a word w with
+w r = zeta^s r walks edges from r back to r, and s is the sum of their
+discrepancies.  So P(m) sums gcd(d, discrepancies) over the components.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SpaceTooLarge
 from .groups import FiniteMatrixGroup
-from .linalg import SquareMatrix, exact_dtype
+from .modp import Modulus, prime_factors, smallest_primitive_root, teichmuller
 
 DEFAULT_POINT_CAP = 2 ** 24
-_BLOCK = 1 << 16
-
-
-@dataclass(frozen=True)
-class PointSpace:
-    """The full point set (Z/p^n)^l, enumerated as mixed-radix integers."""
-
-    p: int
-    n: int
-    l: int
-    cap: int = DEFAULT_POINT_CAP
-
-    def __post_init__(self):
-        if self.size > self.cap:
-            raise SpaceTooLarge(
-                f"point space of {self.size} points exceeds cap {self.cap}"
-            )
-
-    @property
-    def radix(self) -> int:
-        return self.p ** self.n
-
-    @property
-    def size(self) -> int:
-        return self.p ** (self.n * self.l)
-
-    @property
-    def index_dtype(self):
-        """int32 while every point index fits, else int64."""
-        return np.int32 if self.size < 2 ** 31 else np.int64
-
-
-def _block_images(g: np.ndarray, space: PointSpace):
-    """Yield (lo, img): the indices of g x for the points x = lo, lo + 1, ...
-
-    Blocks cover the space in order.  ``g`` is an l x l array whose dtype
-    (``exact_dtype``) keeps every product of an entry and a digit exact.
-    """
-    pn, l = space.radix, space.l
-    rest = pn ** (l - 1)
-    dtype = space.index_dtype
-    # grid[i][r] + p^n: row i's terms of the l - 1 trailing digits of point r, mod p^n
-    grid = []
-    for i in range(l):
-        part = np.zeros(1, dtype=dtype)
-        for j in range(l - 2, -1, -1):
-            terms = g[i, j] * np.arange(pn).astype(g.dtype, copy=False) % pn
-            part = (part[:, None] + terms.astype(dtype)).ravel() % pn
-        grid.append(part - pn)
-    tops = max(1, _BLOCK // rest)
-    for t0 in range(0, pn, tops):
-        top = np.arange(t0, min(t0 + tops, pn)).astype(g.dtype, copy=False)[:, None]
-        img = np.zeros((top.shape[0], rest), dtype=np.intp)
-        for i in range(l):
-            s = (g[i, l - 1] * top % pn).astype(dtype) + grid[i]
-            # s is in [-p^n, p^n): adding p^n where the sign bit is set reduces it
-            s += (s >> (8 * s.itemsize - 1)) & pn
-            img += s * pn ** i
-        yield t0 * rest, img.ravel()
+_CHUNK = 1 << 14
 
 
 def orbit_count_bruteforce(group: FiniteMatrixGroup, n: int,
                            cap: int = DEFAULT_POINT_CAP) -> int:
-    """Number of orbits of the group on (Z/p^n)^l by label propagation.
-
-    Only the generators act.  Every point starts labelled by its own index.
-    A sweep visits each generator g block by block: a point takes the
-    smaller of its label and its image's, then the image takes the smaller
-    of its label and the point's (g is invertible, so a block's images are
-    distinct).  Two pointer jumps, label = label[label], follow each sweep.
-    Labels only decrease and stay inside their point's orbit, so once a
-    sweep leaves their sum unchanged each orbit is labelled by its least
-    point, and the orbits are the points labelled by themselves.
-    """
-    space = PointSpace(group.modulus.p, n, group.dim, cap)
+    """Orbits on (Z/p^n)^l, 1 + P(1) + ... + P(n); ``cap`` bounds the p^(n l) points."""
+    p, l = group.modulus.p, group.dim
+    if p ** (n * l) > cap:
+        raise SpaceTooLarge(f"point space of {p ** (n * l)} points exceeds cap {cap}")
+    if p ** n > 2 ** 30:  # keeps every unit log, and the sum of two, in an int32
+        raise SpaceTooLarge(f"unit table of {p ** n} entries exceeds 2^30")
     gens = group.generators_at(n)
-    label = np.arange(space.size, dtype=space.index_dtype)
-    spare = np.empty_like(label)
-    total = int(label.sum(dtype=np.int64))
-    while True:
-        for g in gens:
-            for lo, img in _block_images(g, space):
-                own = label[lo:lo + img.size]
-                np.minimum(own, label[img], out=own)
-                label[img] = np.minimum(label[img], own)
-        # take copies its indices to intp, so jump a block at a time
+    zeta = teichmuller(smallest_primitive_root(p), Modulus(p, n)) * (1 + p) % p ** n
+    primes = sorted(set(prime_factors(p - 1)) | {p})
+    total = 1
+    for m in range(1, n + 1):
+        q = p ** m
+        powers, reps, table = _unit_table(p, m, zeta % q, primes)
+        dest, volt = _edges(gens % q, p, q, powers, reps, table)
+        total += _component_orbits(dest, volt, powers.size)
+    return total
+
+
+def _mod(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q; numpy floor-divides by a scalar much faster than it takes remainders."""
+    return x - x // q * q
+
+
+def _unit_table(p: int, m: int, zeta: int, primes: list):
+    """The d powers of zeta (by doubling), T, and ``table[u]`` = t d + a for u = T[t] zeta^a;
+    ``primes`` are the primes dividing the number of units, p^(m-1) (p - 1)."""
+    q = p ** m
+    d = phi = q - q // p
+    for r in primes:
+        while d % r == 0 and pow(zeta, d // r, q) == 1:
+            d //= r
+    powers = np.empty(d, dtype=np.int32)
+    powers[0], s = 1, 1
+    while s < d:
+        powers[s:2 * s] = _mod(powers[:min(s, d - s)] * np.int64(pow(zeta, s, q)), q)
+        s *= 2
+    table = np.full(q, -1, dtype=np.int32)
+    reps = [1]
+    table[powers] = np.arange(d, dtype=np.int32)
+    for t in range(1, phi // d):
+        free = table < 0
+        free[::p] = False
+        reps.append(int(np.argmax(free)))
+        table[_mod(powers * np.int64(reps[-1]), q)] = np.arange(t * d, (t + 1) * d, dtype=np.int32)
+    return powers, np.array(reps), table
+
+
+def _edges(gens: np.ndarray, p: int, q: int, powers, reps, table):
+    """dest and volt, with g c = zeta^volt[g, c] dest[g, c] for every node c.
+
+    Block j holds the nodes with their first unit at coordinate j, in mixed radix:
+    p^(m-1) values before it (the coordinate over p), |T| at it, q after."""
+    l, d = gens.shape[1], powers.size
+    radix = np.array([[q // p] * j + [reps.size] + [q] * (l - 1 - j) for j in range(l)])
+    weight = np.cumprod(radix[:, ::-1], axis=1)[:, ::-1]
+    starts = np.concatenate(([0], np.cumsum(weight[:, 0])))
+    weight = np.concatenate((weight[:, 1:], np.ones((l, 1), dtype=weight.dtype)), axis=1)
+    cols = np.arange(l)
+    # p times the weights from the first unit on: then a canonical vector's sum is p times its index
+    pweight = np.where(cols < cols[:, None], weight, p * weight)
+    size = int(starts[-1])
+    dest = np.empty((len(gens), size), dtype=np.int32 if size < 2 ** 31 else np.int64)
+    volt = np.empty((len(gens), size), dtype=np.int32)
+    step = max(1, _CHUNK // (len(gens) * l))  # a chunk's images have at most _CHUNK entries
+    for j in range(l):
+        for lo in range(int(starts[j]), int(starts[j + 1]), step):
+            hi = min(lo + step, int(starts[j + 1]))
+            digits = np.arange(lo - starts[j], hi - starts[j])[:, None] // weight[j] % radix[j]
+            vec = np.where(cols < j, digits * p, digits)
+            vec[:, j] = reps[digits[:, j]]
+            img = _mod(vec @ gens.transpose(0, 2, 1), q).astype(np.int64, copy=False).reshape(-1, l)
+            # the first unit of each image, as a flat index, and its coset and log
+            flat = np.arange(0, img.size, l) + np.argmax(img // p * p != img, axis=1)
+            code = np.take(table, img.reshape(-1)[flat])
+            a = _mod(code, d)
+            img = _mod(img * np.take(powers, -a % d)[:, None], q)
+            img.reshape(-1)[flat] = code // d
+            first = flat % l
+            idx = np.take(starts, first) + np.einsum(
+                "ij,ij->i", img, np.take(pweight, first, axis=0)) // p
+            dest[:, lo:hi] = idx.reshape(len(gens), -1)
+            volt[:, lo:hi] = a.reshape(len(gens), -1)
+    return dest, volt
+
+
+def _component_orbits(dest, volt, d: int) -> int:
+    """The sum over the components of gcd(d, the discrepancies of their edges).
+
+    Label propagation finds root[c], the least node of c's component, and
+    off[c], with c in W zeta^off[c] root[c].  A sweep pulls and pushes along
+    each generator's edges, then jumps pointers twice; roots only fall, and a
+    sweep that changes nothing ends it."""
+    size = dest.shape[1]
+    root = np.arange(size, dtype=dest.dtype)
+    off = np.zeros(size, dtype=np.int32)
+    changed = True
+    while changed:
+        changed = False
+        for D, A in zip(dest, volt):
+            for lo in range(0, size, _CHUNK):
+                own, own_off = root[lo:lo + _CHUNK], off[lo:lo + _CHUNK]
+                to, a = D[lo:lo + _CHUNK], A[lo:lo + _CHUNK]
+                # pull: c = g^-1 zeta^a c' lies in W zeta^(a + o(c')) r(c')
+                rt = root[to]
+                i = (rt < own).nonzero()[0]
+                own[i] = rt[i]
+                own_off[i] = (a[i] + off[to[i]]) % d
+                changed |= i.size > 0
+                # push: c' lies in W zeta^(o(c) - a) r(c); g is a bijection, so
+                # no target repeats, and roots the pull lowered are read again
+                i = (own < rt).nonzero()[0]
+                i = i[own[i] < root[to[i]]]
+                t = to[i]
+                root[t] = own[i]
+                off[t] = (own_off[i] - a[i]) % d
+                changed |= i.size > 0
         for _ in range(2):
-            for lo in range(0, space.size, _BLOCK):
-                np.take(label, label[lo:lo + _BLOCK], out=spare[lo:lo + _BLOCK])
-            label, spare = spare, label
-        last, total = total, int(label.sum(dtype=np.int64))
-        if total == last:
-            break
-    return _count_fixed((lo, label[lo:lo + _BLOCK]) for lo in range(0, space.size, _BLOCK))
-
-
-def fixed_points_bruteforce(w: SquareMatrix, n: int,
-                            cap: int = DEFAULT_POINT_CAP) -> int:
-    """Count v in (Z/p^n)^l with w v = v, by scanning every point."""
-    space = PointSpace(w.modulus.p, n, w.dim, cap)
-    pn = space.radix
-    mat = (np.array(w.rows, dtype=object) % pn).astype(exact_dtype(pn, w.dim))
-    return _count_fixed(_block_images(mat, space))
-
-
-def _count_fixed(blocks) -> int:
-    """How many positions lo + t hold the value lo + t, over (lo, values) blocks."""
-    return sum(int(np.count_nonzero(v == np.arange(lo, lo + v.size))) for lo, v in blocks)
+            for lo in range(0, size, _CHUNK):
+                up = root[lo:lo + _CHUNK]
+                i = (root[up] != up).nonzero()[0]
+                t = up[i]
+                off[lo + i] = (off[lo + i] + off[t]) % d
+                root[lo + i] = root[t]
+                changed |= i.size > 0
+    hol = np.full(size, d, dtype=np.int32)
+    for D, A in zip(dest, volt):
+        for lo in range(0, size, _CHUNK):
+            h = hol[lo:lo + _CHUNK]
+            np.gcd(h, (A[lo:lo + _CHUNK] + off[D[lo:lo + _CHUNK]] - off[lo:lo + _CHUNK]) % d, out=h)
+    comp = np.zeros(size, dtype=np.int32)
+    np.gcd.at(comp, root, hol)  # only roots receive: one entry per component
+    return int(comp.sum(dtype=np.int64))

@@ -11,7 +11,10 @@ import math
 
 import numpy as np
 
-from repcount.linalg import SquareMatrix
+from repcount.errors import InvariantViolation, PrecisionTooLow
+from repcount.formulas import theorem_c
+from repcount.groups import _powers, _rank_from_trace_sum
+from repcount.linalg import SquareMatrix, exact_dtype
 from repcount.modp import is_prime
 
 
@@ -147,6 +150,87 @@ def orbit_count_reference(gens, pn: int) -> int:
                         nxt.append(w)
             frontier = nxt
     return orbits
+
+
+def fixed_points_bruteforce(w, n: int) -> int:
+    """Oracle: count v in (Z/p^n)^l with w v = v, by scanning every point.
+
+    ``w`` is a ``SquareMatrix``; its entries are read mod p^n.
+    """
+    pn, l = w.modulus.p ** n, w.dim
+    dtype = np.int32 if l * pn * pn < 2 ** 31 else np.int64
+    diff = (np.array(w.rows, dtype=np.int64) - np.eye(l, dtype=np.int64)) % pn
+    points = np.indices((pn,) * l, dtype=dtype).reshape(l, -1)
+    moved = sum(diff[:, j, None].astype(dtype) * points[j] for j in range(l))
+    return int(np.count_nonzero((moved % pn == 0).all(axis=0)))
+
+
+def rank_fixed_space(w: SquareMatrix, d: int) -> int:
+    """Rank of the fixed sublattice of w, from the trace average over <w>.
+
+    The sum of traces of w^j for j = 0..d-1 equals d times the fixed-space
+    rank, so the rank is read off the canonical representative.  Requires
+    p^M > d*l so that the integer is recoverable, and w^d = I.
+    """
+    pM = w.modulus.pM
+    if pM <= d * w.dim:
+        raise PrecisionTooLow(f"need p^M > {d * w.dim}, have {pM}")
+    orders, trace_sums = _powers(np.array([w.rows], dtype=exact_dtype(pM, w.dim)), pM, d)
+    order, trace_sum = int(orders[0]), int(trace_sums[0])
+    if d % order != 0:
+        raise InvariantViolation(f"element order {order} does not divide d={d}")
+    return _rank_from_trace_sum(trace_sum, order, w.dim, pM)
+
+
+def solomon_sum(group, k: int) -> int:
+    """Sum of class_size * p^(k*rank) over the classes."""
+    p = group.modulus.p
+    return sum(rec.class_size * p ** (k * rec.rank) for rec in group.conjugacy_classes())
+
+
+def derive_exponents(group) -> tuple:
+    """Recover exponents by factoring the rank-generating polynomial.
+
+    Sums t^rank(w) over the group (classwise) and splits the result as
+    prod(t + m_i) over non-negative integers; zero roots correspond to a
+    fixed subspace and are dropped, so the trivial group yields ().
+    """
+    l = group.dim
+    h = [0] * (l + 1)
+    for rec in group.conjugacy_classes():
+        h[rec.rank] += rec.class_size
+    coeffs = h[:]  # coeffs[i] multiplies t^i
+    roots = []
+    for _ in range(l):
+        deg = len(coeffs) - 1
+        bound = coeffs[deg - 1] // coeffs[deg] if deg >= 1 else 0
+        for m in range(0, bound + 1):
+            # synthetic division of coeffs by (t + m)
+            quot = [0] * deg
+            carry = coeffs[deg]
+            for i in range(deg - 1, -1, -1):
+                quot[i] = carry
+                carry = coeffs[i] - m * carry
+            if carry == 0:
+                roots.append(m)
+                coeffs = quot
+                break
+        else:
+            raise ValueError(f"rank polynomial {h} does not split over Z")
+    return tuple(sorted(m for m in roots if m > 0))
+
+
+def x24_simplified(k: int) -> int:
+    """The k >= 2 simplification of the x24 polynomial (constant term 384)."""
+    num = 2 ** (3 * k) + 21 * 2 ** (2 * k) + 140 * 2 ** k + 384
+    if num % 336 != 0:
+        raise ValueError(f"x24 simplified numerator {num} not divisible by 336")
+    return num // 336
+
+
+def x24_piecewise_check(k: int) -> bool:
+    """True iff the min-term formula matches its piecewise simplification at k."""
+    return theorem_c("x24", k) == (2 if k == 1 else x24_simplified(k))
 
 
 def conjugacy_partition_reference(group):

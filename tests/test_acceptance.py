@@ -10,13 +10,12 @@ import time
 
 import pytest
 
-from matrix_helpers import generator_matrices, minus_identity, prod
+from matrix_helpers import generator_matrices, minus_identity, prod, solomon_sum
 from repcount.catalog import GroupSpec, build, exponents, parse_spec
 from repcount.counting import (
     count_burnside_classes,
     count_burnside_full,
     count_formula_general,
-    solomon_sum,
     torsion_census,
     torsion_classes,
 )

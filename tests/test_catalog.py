@@ -4,18 +4,17 @@ import math
 
 import pytest
 
-from matrix_helpers import generator_matrices, order, power, prod
+from matrix_helpers import derive_exponents, generator_matrices, order, power, prod, rank_fixed_space
 from repcount.catalog import (
     GroupSpec,
     build,
-    derive_exponents,
     exponents,
     generators,
     monomial_generators,
     parse_spec,
 )
 from repcount.errors import SpecInvalid
-from repcount.groups import close, rank_fixed_space
+from repcount.groups import close
 from repcount.linalg import SquareMatrix
 from repcount.modp import Modulus
 

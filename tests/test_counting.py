@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from matrix_helpers import generator_matrices, minus_identity, prod
+from matrix_helpers import generator_matrices, minus_identity, prod, solomon_sum
 from repcount.catalog import GroupSpec, build, exponents, generators, parse_spec
 from repcount.counting import (
     BURNSIDE_CHUNK,
@@ -18,7 +18,6 @@ from repcount.counting import (
     count_burnside_classes,
     count_burnside_full,
     count_formula_general,
-    solomon_sum,
     torsion_census,
     torsion_classes,
 )

@@ -2,14 +2,9 @@
 
 import pytest
 
+from matrix_helpers import x24_piecewise_check, x24_simplified
 from repcount.errors import NonIntegralResult, SpecInvalid
-from repcount.formulas import (
-    CLOSED_FORMS,
-    theorem_a,
-    theorem_c,
-    x24_piecewise_check,
-    x24_simplified,
-)
+from repcount.formulas import CLOSED_FORMS, theorem_a, theorem_c
 
 
 def test_theorem_c_k1_values():

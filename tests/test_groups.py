@@ -18,11 +18,12 @@ from matrix_helpers import (
     order,
     power,
     prod,
+    rank_fixed_space,
 )
 from repcount import groups
 from repcount.catalog import build, parse_spec
 from repcount.errors import CapExceeded, InvariantViolation, PrecisionTooLow
-from repcount.groups import close, rank_fixed_space
+from repcount.groups import close
 from repcount.linalg import SquareMatrix, smith_valuations_raw
 from repcount.modp import Modulus, int_valuation
 

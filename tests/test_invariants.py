@@ -12,24 +12,21 @@ import pytest
 import repcount
 from matrix_helpers import (
     det_permanent_expansion,
+    fixed_points_bruteforce,
     generator_matrices,
     inverse,
     minus_identity,
     prod,
+    solomon_sum,
 )
 from repcount.catalog import GroupSpec, build, exponents, monomial_generators
-from repcount.counting import (
-    count_burnside_full,
-    solomon_sum,
-    torsion_classes,
-)
+from repcount.counting import count_burnside_full, torsion_classes
 from repcount.errors import CapExceeded
 from repcount.formulas import theorem_a
 from repcount.grassmannian import enumerate_distinguished, theorem_b
 from repcount.groups import close
 from repcount.linalg import SquareMatrix, diagonal, kernel_size, smith_valuations
 from repcount.modp import Modulus
-from repcount.oracle import fixed_points_bruteforce
 
 
 def test_public_names_resolve():

@@ -23,8 +23,11 @@ from repcount.modp import (
     hensel_lift,
     int_valuation,
     invert,
+    _strong_lucas_probable_prime,
+    _strong_probable_prime,
     is_prime,
     mth_root_of_unity,
+    prime_factors,
     smallest_primitive_root,
     teichmuller,
 )
@@ -137,6 +140,26 @@ def test_smallest_primitive_root():
         smallest_primitive_root(1)
 
 
+def test_smallest_primitive_root_matches_sympy():
+    # p - 1 up to 2^62 is factored by rho, so a large prime factor costs nothing
+    rng = random.Random(62)
+    for bits in (20, 40, 55, 62):
+        for _ in range(10):
+            p = sympy.prevprime(rng.getrandbits(bits) | (1 << (bits - 1)))
+            assert smallest_primitive_root(p) == sympy.primitive_root(p), p
+    # p - 1 = 2 q with q a 17-digit prime
+    assert smallest_primitive_root(20000000000002643) == \
+        sympy.primitive_root(20000000000002643)
+
+
+def test_prime_factors_match_sympy():
+    rng = random.Random(7)
+    cases = [1, 2, 4, 97 ** 3, 2 ** 61 - 1, (2 ** 31 - 1) ** 2, (2 ** 31 - 1) * sympy.prevprime(2 ** 31 - 1)]
+    cases += [rng.getrandbits(rng.randint(2, 62)) + 1 for _ in range(200)]
+    for n in cases:
+        assert prime_factors(n) == sorted(sympy.factorint(n)), n
+
+
 def test_mth_root_examples():
     assert mth_root_of_unity(1, Modulus(11, 2)) == 1
     b = mth_root_of_unity(4, Modulus(5, 1))
@@ -185,3 +208,28 @@ def test_is_prime_at_large_primes():
     for n in (10 ** 16 + 61, 10 ** 18 + 3, 2 ** 61 - 1, 2 ** 64 - 59):
         assert sympy.isprime(n) and is_prime(n)
         assert not is_prime(n + 2) and not sympy.isprime(n + 2)
+
+
+def test_is_prime_at_and_above_the_miller_rabin_bound():
+    # the bound itself is 1287836182261 * 2575672364521, a strong pseudoprime to the 13 bases
+    assert 3317044064679887385961981 == 1287836182261 * 2575672364521
+    assert not is_prime(3317044064679887385961981)
+    rng = random.Random(80200)
+    for _ in range(1500):
+        n = rng.getrandbits(rng.randint(80, 200)) | 1
+        assert is_prime(n) == sympy.isprime(n), n
+    for digits in (30, 40, 50, 60):
+        p = sympy.nextprime(rng.randrange(10 ** (digits - 1), 10 ** digits))
+        q = sympy.nextprime(p)
+        assert is_prime(p) and is_prime(q) and not is_prime(p * q)
+    assert is_prime(2 ** 89 - 1) and is_prime(2 ** 127 - 1) and not is_prime(2 ** 128 + 1)
+
+
+def test_baillie_psw_rounds_cover_each_other():
+    # strong Lucas pseudoprimes pass the Lucas round and fail base 2 ...
+    for n in (5459, 5777, 10877, 16109, 18971):
+        assert _strong_lucas_probable_prime(n) and not _strong_probable_prime(n, 2)
+    # ... and strong base-2 pseudoprimes the other way round
+    for n in (2047, 3277, 4033, 4681, 8321):
+        assert _strong_probable_prime(n, 2) and not _strong_lucas_probable_prime(n)
+    assert not _strong_lucas_probable_prime(3 ** 60)  # a square has no D with (D/n) = -1
