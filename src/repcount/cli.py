@@ -10,6 +10,7 @@ flags produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -47,6 +48,7 @@ class _Config:
         self.timing = not getattr(args, "no_timing", False)
         self.per_element = getattr(args, "per_element", False)
         self._groups = {}
+        self._oracle_levels = {}
 
     def group(self, spec: GroupSpec):
         """Build (and cache) the group, closed once at its default precision.
@@ -58,6 +60,10 @@ class _Config:
         if label not in self._groups:
             self._groups[label] = catalog.build(spec, cap=self.closure_cap)
         return self._groups[label]
+
+    def oracle_levels(self, spec: GroupSpec) -> list:
+        """The oracle's level counts P(1), P(2), ... for this group, kept across k."""
+        return self._oracle_levels.setdefault(spec.label(), [])
 
 
 def _emit(report: counting.CountReport, cfg: _Config) -> None:
@@ -110,7 +116,8 @@ def run_count(spec: GroupSpec, k: int, method: str, cfg: _Config) -> counting.Co
     elif method == "domain":
         value, _ = grassmannian.enumerate_distinguished(spec.m, spec.s, spec.n, spec.p, k)
     elif method == "oracle":
-        value = oracle.orbit_count_bruteforce(group, k, cap=cfg.oracle_cap)
+        value = oracle.orbit_count_bruteforce(group, k, cap=cfg.oracle_cap,
+                                             levels=cfg.oracle_levels(spec))
     else:
         raise SpecInvalid(f"unknown method {method!r}")
     return counting.CountReport(spec.label(), spec.p, k, method, value,
@@ -409,5 +416,17 @@ def _report_error(exc: Exception) -> None:
           file=sys.stderr)
 
 
+def entry() -> int:
+    """The process entry: the console script and ``python -m repcount.cli``.
+
+    What is alive here (the interpreter's and numpy's modules, the
+    package) lives until exit, so it is frozen: neither the collections
+    during the work nor the final one at exit walk it.  ``main`` itself
+    freezes nothing, so in-process callers see no change.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -129,6 +129,11 @@ def exact_dtype(pM: int, dim: int):
     return np.int64 if dim * (pM - 1) ** 2 < 2 ** 63 else object
 
 
+def _mod(x, q: int):
+    """x mod q, in [0, q); numpy floor-divides by a scalar faster than it takes remainders."""
+    return x - x // q * q
+
+
 def smith_valuations_batch(a, p: int, M: int) -> np.ndarray:
     """Smith-form valuations of every matrix in an (N, l, l) batch over Z/p^M.
 
@@ -149,7 +154,7 @@ def smith_valuations_batch(a, p: int, M: int) -> np.ndarray:
     """
     pM = p ** M
     dim = a.shape[-1]
-    b = np.asarray(a, dtype=exact_dtype(pM, dim)) % pM
+    b = _mod(np.asarray(a, dtype=exact_dtype(pM, dim)), pM)
     n = b.shape[0]
     # Python-int powers p^0, p^1, ... as far as any valuation test reached:
     # p ** ndarray would overflow int64 for large p^M
@@ -163,7 +168,7 @@ def smith_valuations_batch(a, p: int, M: int) -> np.ndarray:
         for e in range(1, M + 1):
             if e == len(pows):
                 pows.append(pows[-1] * p)
-            live &= b % pows[e] == 0
+            live &= _mod(b, pows[e]) == 0
             if not live.any():
                 break
             vals += live
@@ -175,7 +180,7 @@ def smith_valuations_batch(a, p: int, M: int) -> np.ndarray:
         unit = b[idx, bi, bj] // pe
         q = b[idx, :, bj] // pe[:, None]
         pivot_row = b[idx, bi]
-        b = (unit[:, None, None] * b - q[:, :, None] * pivot_row[:, None, :]) % pM
+        b = _mod(unit[:, None, None] * b - q[:, :, None] * pivot_row[:, None, :], pM)
         # drop the pivot row and column: row (column) 0 takes their place
         b[idx, bi] = b[:, 0].copy()
         b = b[:, 1:]

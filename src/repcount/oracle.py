@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import SpaceTooLarge
 from .groups import FiniteMatrixGroup
+from .linalg import _mod
 from .modp import Modulus, prime_factors, smallest_primitive_root, teichmuller
 
 DEFAULT_POINT_CAP = 2 ** 24
@@ -34,28 +35,28 @@ _CHUNK = 1 << 14
 
 
 def orbit_count_bruteforce(group: FiniteMatrixGroup, n: int,
-                           cap: int = DEFAULT_POINT_CAP) -> int:
-    """Orbits on (Z/p^n)^l, 1 + P(1) + ... + P(n); ``cap`` bounds the p^(n l) points."""
+                           cap: int = DEFAULT_POINT_CAP, levels: list | None = None) -> int:
+    """Orbits on (Z/p^n)^l, 1 + P(1) + ... + P(n); ``cap`` bounds the p^(n l) points.
+
+    ``levels``, a list the caller keeps for one group, holds the P(m) that
+    earlier calls counted: this call counts only the levels past its end,
+    and appends them."""
     p, l = group.modulus.p, group.dim
     if p ** (n * l) > cap:
         raise SpaceTooLarge(f"point space of {p ** (n * l)} points exceeds cap {cap}")
     if p ** n > 2 ** 30:  # keeps every unit log, and the sum of two, in an int32
         raise SpaceTooLarge(f"unit table of {p ** n} entries exceeds 2^30")
-    gens = group.generators_at(n)
-    zeta = teichmuller(smallest_primitive_root(p), Modulus(p, n)) * (1 + p) % p ** n
-    primes = sorted(set(prime_factors(p - 1)) | {p})
-    total = 1
-    for m in range(1, n + 1):
-        q = p ** m
-        powers, reps, table = _unit_table(p, m, zeta % q, primes)
-        dest, volt = _edges(gens % q, p, q, powers, reps, table)
-        total += _component_orbits(dest, volt, powers.size)
-    return total
-
-
-def _mod(x: np.ndarray, q: int) -> np.ndarray:
-    """x mod q; numpy floor-divides by a scalar much faster than it takes remainders."""
-    return x - x // q * q
+    levels = [] if levels is None else levels
+    if len(levels) < n:
+        gens = group.generators_at(n)
+        zeta = teichmuller(smallest_primitive_root(p), Modulus(p, n)) * (1 + p) % p ** n
+        primes = sorted(set(prime_factors(p - 1)) | {p})
+        for m in range(len(levels) + 1, n + 1):
+            q = p ** m
+            powers, reps, table = _unit_table(p, m, zeta % q, primes)
+            dest, volt = _edges(gens % q, p, q, powers, reps, table)
+            levels.append(_component_orbits(dest, volt, powers.size))
+    return 1 + sum(levels[:n])
 
 
 def _unit_table(p: int, m: int, zeta: int, primes: list):

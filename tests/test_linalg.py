@@ -8,12 +8,14 @@ invariance is checked under random unimodular transforms.
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from matrix_helpers import det_permanent_expansion, mat_mul, prod
 from repcount.errors import DimensionMismatch, PrecisionTooLow
 from repcount.linalg import (
     SquareMatrix,
+    _mod,
     diagonal,
     kernel_size,
     parse_matrix_text,
@@ -99,6 +101,16 @@ def test_smith_needs_column_ops():
 def test_smith_identity():
     a = SquareMatrix.identity(4, Modulus(5, 2))
     assert smith_valuations(a) == (0, 0, 0, 0)
+
+
+def test_mod_matches_the_remainder():
+    # the floor-division remainder the Smith engine and the oracle reduce by
+    rng = np.random.default_rng(5)
+    x = rng.integers(-10 ** 12, 10 ** 12, size=(50, 3, 3))
+    for q in (2, 5, 125, 1297, 10 ** 9 + 7):
+        assert (_mod(x, q) == x % q).all()
+    big = np.array([-(7 ** 40) - 3, -1, 0, 7 ** 40 + 5], dtype=object)
+    assert _mod(big, 7 ** 21).tolist() == [v % 7 ** 21 for v in big.tolist()]
 
 
 @pytest.mark.parametrize("p,l", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 3)])

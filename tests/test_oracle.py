@@ -134,6 +134,19 @@ def test_space_too_large(g24):
         orbit_count_bruteforce(g24, 7, cap=2 ** 21 - 1)
 
 
+def test_levels_carry_across_calls(g24):
+    # one list kept across k counts each level once and changes no total
+    levels = []
+    for k in range(1, 6):
+        assert orbit_count_bruteforce(g24, k, levels=levels) == orbit_count_bruteforce(g24, k)
+        assert len(levels) == k
+    assert orbit_count_bruteforce(g24, 3, levels=levels) == orbit_count_bruteforce(g24, 3)
+    assert len(levels) == 5
+    # counted levels do not lift the cap: it still cuts at the same k
+    with pytest.raises(SpaceTooLarge):
+        orbit_count_bruteforce(g24, 5, cap=2 ** 15 - 1, levels=levels)
+
+
 def test_fixed_points_identity():
     ident = SquareMatrix.identity(3, Modulus(3, 2))
     assert fixed_points_bruteforce(ident, 2) == 3 ** 6

@@ -1,0 +1,63 @@
+"""The process around the CLI: the collector's state across the package
+import, and the process entry that the console script and
+``python -m repcount.cli`` run.
+
+The golden cases here go through a fresh interpreter, so they cover the
+entry, which the in-process golden tests never call.
+"""
+
+import gc
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repcount
+from repcount.cli import main
+
+SRC = str(Path(repcount.__file__).resolve().parent.parent)
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text(encoding="utf-8"))
+ENTRY_ARGVS = [
+    ["classes", "--group", "g12", "--no-timing"],
+    ["census", "--group", "g24", "--format", "csv", "--no-timing"],
+    ["crosscheck", "--group", "g12", "--kmax", "4", "--format", "json", "--no-timing"],
+    ["count", "--group", "x34", "--k", "1", "--method", "burnside", "--no-timing"],
+]
+
+
+def python(*args):
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_import_leaves_the_collector_as_it_found_it(enabled):
+    switch = "gc.enable()" if enabled else "gc.disable()"
+    proc = python("-c", f"import gc; {switch}; import repcount; print(gc.isenabled())")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == str(enabled)
+
+
+def test_main_freezes_nothing(capsys):
+    before = gc.get_freeze_count()
+    assert main(["count", "--group", "g12", "--k", "2", "--method", "oracle", "--no-timing"]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+def test_entry_freezes_the_import_time_objects():
+    proc = python("-c", "import gc, sys; from repcount.cli import entry; "
+                        "sys.argv = ['repcount', 'formula', '--name', 'g12', '--k', '1']; "
+                        "code = entry(); print(code, gc.get_freeze_count() > 0)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines()[-1] == "0 True"
+
+
+@pytest.mark.parametrize("argv", ENTRY_ARGVS, ids=" ".join)
+def test_entry_golden_output(argv):
+    case = next(c for c in GOLDEN if c["argv"] == argv)
+    proc = python("-m", "repcount.cli", *argv)
+    assert (proc.returncode, proc.stdout.decode()) == (case["exit"], case["stdout"])
