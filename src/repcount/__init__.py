@@ -7,34 +7,22 @@ classwise rank/torsion sums, closed forms, fundamental-domain enumeration,
 a brute-force count over scalar classes of points) that must agree exactly.
 """
 
-import gc as _gc
-
-# numpy's import makes ~22K objects that live as long as the process, and the
-# ~30 collections it would trigger free a few hundred.  So the collector is
-# off during the package's imports, then left as the caller had it.
-_gc_was_enabled = _gc.isenabled()
-_gc.disable()
-try:
-    from .catalog import GroupSpec, build, exponents, parse_spec
-    from .counting import (
-        CountReport,
-        count_burnside_classes,
-        count_burnside_full,
-        count_formula_general,
-        torsion_census,
-        torsion_classes,
-    )
-    from .errors import RepcountError
-    from .formulas import theorem_a, theorem_c
-    from .grassmannian import build_orbits, enumerate_distinguished, theorem_b
-    from .groups import ConjugacyClassRecord, FiniteMatrixGroup, close
-    from .linalg import SquareMatrix, diagonal, kernel_size, smith_valuations
-    from .modp import Modulus, hensel_lift, invert, mth_root_of_unity, teichmuller
-    from .oracle import orbit_count_bruteforce
-finally:
-    if _gc_was_enabled:
-        _gc.enable()
-del _gc, _gc_was_enabled
+from .catalog import GroupSpec, build, exponents, parse_spec
+from .counting import (
+    CountReport,
+    count_burnside_classes,
+    count_burnside_full,
+    count_formula_general,
+    torsion_census,
+    torsion_classes,
+)
+from .errors import RepcountError
+from .formulas import theorem_a, theorem_c
+from .grassmannian import build_orbits, enumerate_distinguished, theorem_b
+from .groups import ConjugacyClassRecord, FiniteMatrixGroup, close
+from .linalg import SquareMatrix, diagonal, kernel_size, smith_valuations
+from .modp import Modulus, hensel_lift, invert, mth_root_of_unity, teichmuller
+from .oracle import orbit_count_bruteforce
 
 __version__ = "0.1.0"
 

@@ -22,7 +22,7 @@ from .groups import DEFAULT_CLOSURE_CAP, FiniteMatrixGroup, close
 from .linalg import SquareMatrix
 from .modp import Modulus, hensel_lift, invert, is_prime, mth_root_of_unity, teichmuller
 
-# -- exceptional generator matrices ----------------------------------------
+# -- exceptional generators, as integer rows -------------------------------
 
 
 def _g12_generators(modulus: Modulus) -> list:
@@ -34,12 +34,11 @@ def _g12_generators(modulus: Modulus) -> list:
         raise InvariantViolation(f"omega_bar = {omega_bar} is not 2 mod 3")
     half = invert(2, modulus)
     inv_sqrt = invert(2 * omega + 1, modulus)
-    mk = lambda rows: SquareMatrix.from_rows(rows, modulus)
     return [
-        mk([[0, 1], [-1, 0]]),
-        mk([[-inv_sqrt, inv_sqrt], [inv_sqrt, inv_sqrt]]),
-        mk([[omega, half], [-half, omega_bar]]),
-        mk([[0, 1], [1, 0]]),
+        [[0, 1], [-1, 0]],
+        [[-inv_sqrt, inv_sqrt], [inv_sqrt, inv_sqrt]],
+        [[omega, half], [-half, omega_bar]],
+        [[0, 1], [1, 0]],
     ]
 
 
@@ -48,30 +47,27 @@ def _g24_generators(modulus: Modulus) -> list:
     alpha_bar = (1 - alpha) % modulus.pM
     if alpha_bar % min(8, modulus.pM) != 6 % min(8, modulus.pM):
         raise InvariantViolation(f"alpha_bar = {alpha_bar} is not 6 mod 8")
-    mk = lambda rows: SquareMatrix.from_rows(rows, modulus)
     return [
-        mk([[-1, -alpha_bar, 1], [0, 1, 0], [0, 0, 1]]),
-        mk([[1, 0, 0], [-alpha, -1, 1], [0, 0, 1]]),
-        mk([[1, 0, 0], [0, 1, 0], [1, 1, -1]]),
+        [[-1, -alpha_bar, 1], [0, 1, 0], [0, 0, 1]],
+        [[1, 0, 0], [-alpha, -1, 1], [0, 0, 1]],
+        [[1, 0, 0], [0, 1, 0], [1, 1, -1]],
     ]
 
 
 def _g29_generators(modulus: Modulus) -> list:
     w = teichmuller(2, modulus)  # order-4 unit, = 2 mod 5
     h = invert(2, modulus)
-    mk = lambda rows: SquareMatrix.from_rows(rows, modulus)
     return [
-        mk([[h, -h, -h, -h], [-h, h, -h, -h], [-h, -h, h, -h], [-h, -h, -h, h]]),
-        mk([[0, -w, 0, 0], [w, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
-        mk([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
-        mk([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
+        [[h, -h, -h, -h], [-h, h, -h, -h], [-h, -h, h, -h], [-h, -h, -h, h]],
+        [[0, -w, 0, 0], [w, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
     ]
 
 
 def _g31_generators(modulus: Modulus) -> list:
-    mk = lambda rows: SquareMatrix.from_rows(rows, modulus)
     return _g29_generators(modulus) + [
-        mk([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]])
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]
     ]
 
 
@@ -261,7 +257,8 @@ def generators(spec: GroupSpec, modulus: Modulus) -> list:
     if not spec.buildable:
         raise SpecInvalid(f"{spec.label()} has no generator matrices")
     if spec.exceptional:
-        return EXCEPTIONAL[spec.kind].generators(modulus)
+        return [SquareMatrix.from_rows(rows, modulus)
+                for rows in EXCEPTIONAL[spec.kind].generators(modulus)]
     return monomial_generators(spec.m, spec.s, spec.n, modulus)
 
 

@@ -1,10 +1,10 @@
 """Command-line frontend: build groups, count orbits, cross-check methods.
 
 Exit codes: 0 success, 1 cross-check divergence, 2 invalid spec or parse
-error, 3 cap or precision error or a MemoryError, 4 internal error (any other
-RepcountError, such as a broken invariant or a non-integral count).  Errors
-are reported as one JSON object on stderr.  With --no-timing, identical
-flags produce byte-identical output.
+error, 3 cap or precision error, a MemoryError or output that could not be
+written, 4 internal error (any other RepcountError, such as a broken
+invariant or a non-integral count).  Errors are reported as one JSON object
+on stderr.  With --no-timing, identical flags produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 import time
 
@@ -148,80 +149,58 @@ def _spec_from_args(args) -> GroupSpec:
     raise SpecInvalid("no group given: pass --group or the --m/--s/--n/--p flags")
 
 
-def cmd_census(args) -> int:
+def _class_table(args, rows, header: str, row: str, footer=None) -> int:
+    """Print ``rows(group)``, each class's columns (key -> value), as JSON, CSV or text.
+
+    The text table is ``header``, then ``row`` formatted with each class's
+    columns, then ``footer(rows)`` when one is given.
+    """
     cfg = _Config(args)
     spec = _spec_from_args(args)
     group = cfg.group(spec)
-    rows = counting.torsion_census(group)
+    table = rows(group)
     if cfg.fmt == "json":
-        payload = {
-            "group": spec.label(),
-            "p": spec.p,
-            "order": group.order,
-            "classes": [
-                {
-                    "rep": rec.rep_index,
-                    "size": rec.class_size,
-                    "centralizer": rec.centralizer_order,
-                    "rank": rec.rank,
-                    "torsion_order": rec.torsion_order,
-                }
-                for rec in rows
-            ],
-        }
-        print(json.dumps(payload))
+        print(json.dumps({"group": spec.label(), "p": spec.p, "order": group.order,
+                          "classes": table}))
     elif cfg.fmt == "csv":
-        print("rep,size,centralizer,rank,torsion_order")
-        for rec in rows:
-            print(f"{rec.rep_index},{rec.class_size},{rec.centralizer_order},"
-                  f"{rec.rank},{rec.torsion_order}")
+        print(",".join(table[0]))  # every group has the identity's class
+        for cols in table:
+            print(",".join(" ".join(map(str, v)) if isinstance(v, tuple) else str(v)
+                           for v in cols.values()))
     else:
-        print(f"group {spec.label()}  order {group.order}  classes {len(rows)}")
-        print(f"{'rep':>8} {'size':>8} {'centralizer':>12} {'rank':>5} {'|A_w|':>8}")
-        for rec in rows:
-            print(f"{rec.rep_index:>8} {rec.class_size:>8} "
-                  f"{rec.centralizer_order:>12} {rec.rank:>5} {rec.torsion_order:>8}")
-        torsion = [r for r in rows if r.torsion_order > 1]
-        print(f"torsion classes: {len(torsion)}")
+        print(f"group {spec.label()}  order {group.order}  classes {len(table)}")
+        print(header)
+        for cols in table:
+            print(row.format(**cols))
+        if footer is not None:
+            print(footer(table))
     return EXIT_OK
+
+
+def cmd_census(args) -> int:
+    return _class_table(
+        args,
+        lambda group: [{"rep": rec.rep_index, "size": rec.class_size,
+                        "centralizer": rec.centralizer_order, "rank": rec.rank,
+                        "torsion_order": rec.torsion_order}
+                       for rec in counting.torsion_census(group)],
+        f"{'rep':>8} {'size':>8} {'centralizer':>12} {'rank':>5} {'|A_w|':>8}",
+        "{rep:>8} {size:>8} {centralizer:>12} {rank:>5} {torsion_order:>8}",
+        lambda table: f"torsion classes: {sum(c['torsion_order'] > 1 for c in table)}",
+    )
 
 
 def cmd_classes(args) -> int:
-    cfg = _Config(args)
-    spec = _spec_from_args(args)
-    group = cfg.group(spec)
-    records = group.conjugacy_classes()
-    diags = [diagonal(rec.smith_vals, spec.p, group.modulus.M) for rec in records]
-    if cfg.fmt == "json":
-        payload = {
-            "group": spec.label(),
-            "p": spec.p,
-            "order": group.order,
-            "classes": [
-                {
-                    "rep": rec.rep_index,
-                    "element_order": rec.element_order,
-                    "size": rec.class_size,
-                    "centralizer": rec.centralizer_order,
-                    "rank": rec.rank,
-                    "diagonal": list(diag),
-                }
-                for rec, diag in zip(records, diags)
-            ],
-        }
-        print(json.dumps(payload))
-    elif cfg.fmt == "csv":
-        print("rep,element_order,size,centralizer,rank,diagonal")
-        for rec, diag in zip(records, diags):
-            print(f"{rec.rep_index},{rec.element_order},{rec.class_size},"
-                  f"{rec.centralizer_order},{rec.rank},{' '.join(map(str, diag))}")
-    else:
-        print(f"group {spec.label()}  order {group.order}  classes {len(records)}")
-        print(f"{'rep':>8} {'ord':>5} {'size':>8} {'centralizer':>12} {'rank':>5}  diagonal")
-        for rec, diag in zip(records, diags):
-            print(f"{rec.rep_index:>8} {rec.element_order:>5} {rec.class_size:>8} "
-                  f"{rec.centralizer_order:>12} {rec.rank:>5}  {diag}")
-    return EXIT_OK
+    return _class_table(
+        args,
+        lambda group: [{"rep": rec.rep_index, "element_order": rec.element_order,
+                        "size": rec.class_size, "centralizer": rec.centralizer_order,
+                        "rank": rec.rank,
+                        "diagonal": diagonal(rec.smith_vals, group.modulus.p, group.modulus.M)}
+                       for rec in group.conjugacy_classes()],
+        f"{'rep':>8} {'ord':>5} {'size':>8} {'centralizer':>12} {'rank':>5}  diagonal",
+        "{rep:>8} {element_order:>5} {size:>8} {centralizer:>12} {rank:>5}  {diagonal}",
+    )
 
 
 def cmd_crosscheck(args) -> int:
@@ -396,7 +375,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a failed write surfaces here, not at exit
+        return code
     except (SpecInvalid, NonIntegralResult) as exc:
         # a non-integral closed form means the formula does not apply to the
         # requested data (e.g. the exponent product on modular exponents)
@@ -408,6 +389,11 @@ def main(argv=None) -> int:
     except RepcountError as exc:
         _report_error(exc)
         return EXIT_INTERNAL
+    except OSError as exc:  # stdout could not be written: a full disk, a closed pipe
+        _report_error(exc)
+        # the rest of stdout goes to os.devnull, so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CAP
 
 
 def _report_error(exc: Exception) -> None:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Optional
 
+from .catalog import GroupSpec
 from .errors import InvariantViolation, SpaceTooLarge, SpecInvalid
 from .modp import Modulus, is_prime, mth_root_of_unity
 
@@ -144,17 +145,10 @@ def _order_mod(c: int, pk: int, bound: int) -> int:
 
 
 def _validate_family(m: int, s: int, n: int, p: int, k: int) -> None:
-    _validate_scalar_params(m, s, p, k)
-    if n < 1:
-        raise SpecInvalid(f"n must be >= 1, got {n}")
-    if n == 1:
-        if s != 1:
-            raise SpecInvalid("rank-one case requires s = 1")
-        return
-    if m <= 2:
-        raise SpecInvalid(f"need m > 2, got m={m}")
-    if n == 2 and m == s:
-        raise SpecInvalid("m = s is excluded when n = 2")
+    """k >= 1, and (m, s, n, p) names a group: ``GroupSpec`` holds the rule."""
+    if k < 1:
+        raise SpecInvalid(f"k must be >= 1, got {k}")
+    GroupSpec("family2a" if n >= 2 else "sphere", m=m, s=s, n=n, p=p)
 
 
 def enumerate_distinguished(

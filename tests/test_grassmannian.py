@@ -123,6 +123,29 @@ def test_theorem_b_rejects_invalid():
         theorem_b(3, 1, 2, 4, 1)  # p not prime
 
 
+def _spec_admits(m, s, n, p):
+    try:
+        GroupSpec("family2a" if n >= 2 else "sphere", m=m, s=s, n=n, p=p)
+    except SpecInvalid:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_closed_form_and_domain_admit_exactly_the_specs(m):
+    # each s dividing m, plus m + 1, which never does
+    for s in [d for d in range(1, m + 1) if m % d == 0] + [m + 1]:
+        for n in range(0, 5):
+            for p in (2, 3, 5, 7, 9, 11, 13):
+                if _spec_admits(m, s, n, p):
+                    assert theorem_b(m, s, n, p, 1) == enumerate_distinguished(m, s, n, p, 1)[0]
+                    continue
+                with pytest.raises(SpecInvalid):
+                    theorem_b(m, s, n, p, 1)
+                with pytest.raises(SpecInvalid):
+                    enumerate_distinguished(m, s, n, p, 1)
+
+
 THREE_WAY_GRID = [
     (3, 1, 2, 7), (3, 3, 3, 7), (4, 2, 3, 5), (4, 1, 2, 5), (6, 2, 2, 7),
 ]

@@ -1,6 +1,6 @@
 """The process around the CLI: the collector's state across the package
-import, and the process entry that the console script and
-``python -m repcount.cli`` run.
+import, the process entry that the console script and
+``python -m repcount.cli`` run, and a stdout that cannot be written.
 
 The golden cases here go through a fresh interpreter, so they cover the
 entry, which the in-process golden tests never call.
@@ -61,3 +61,19 @@ def test_entry_golden_output(argv):
     case = next(c for c in GOLDEN if c["argv"] == argv)
     proc = python("-m", "repcount.cli", *argv)
     assert (proc.returncode, proc.stdout.decode()) == (case["exit"], case["stdout"])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["crosscheck", "--group", "g12", "--kmax", "3", "--no-timing"],
+    ["count", "--group", "g24", "--k", "2", "--method", "classes", "--no-timing"],
+], ids=" ".join)
+def test_failed_stdout_write_exits_3(argv):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "repcount.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=SRC),
+                              timeout=120)
+    lines = proc.stderr.decode().splitlines()
+    assert proc.returncode == 3, lines
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0])["error"] == "OSError"
