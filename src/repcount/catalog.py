@@ -218,44 +218,54 @@ def parse_spec(text: str) -> GroupSpec:
 
 
 def monomial_generators(m: int, s: int, n: int, modulus: Modulus) -> list:
-    """Generators of G(m,s,n) over Z/p^M, for any s | m with p = 1 mod m.
+    """The generating reflections of G(m,s,n) over Z/p^M, for s | m with p = 1 mod m.
 
-    The group of monomial matrices whose nonzero entries are m-th roots of
-    unity and whose determinant is an (m/s)-th root of unity: adjacent
-    transpositions, diag(b^s, 1, ...) and diag(b, b^-1, 1, ...) shifted along
-    adjacent pairs, where b is the canonical element of order m.
+    G(m,s,n) is the group of monomial matrices whose nonzero entries are
+    m-th roots of unity and whose determinant is an (m/s)-th root of unity.
+    With b the canonical element of order m, it is generated by n or n + 1
+    reflections (Broué, Malle and Rouquier): the n - 1 adjacent
+    transpositions, then diag(b^s, 1, ...) unless s = m, then
+    [[0, b^-1], [b, 0]] + I unless s = 1.  Conjugating the last by the
+    transpositions gives every diag(b, b^-1) pair along the diagonal, and
+    diag(b^s) is the identity when s = m, so neither is listed.  A sphere
+    G(m,1,1) has the one generator diag(b).
     """
     if s < 1 or m % s != 0:
         raise SpecInvalid(f"s={s} must divide m={m}")
-    if n < 1:
-        raise SpecInvalid(f"need n >= 1, got n={n}")
+    if n < 1 or (n == 1 and s != 1):
+        raise SpecInvalid(f"need n >= 2, or n = 1 and s = 1, got n={n}, s={s}")
     _check_prime_congruence(modulus.p, m)
     b = mth_root_of_unity(m, modulus)
-    binv = invert(b, modulus)
 
-    def diag(entries):
-        return SquareMatrix.from_rows(
-            [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)], modulus
-        )
+    def identity():
+        return [[int(i == j) for j in range(n)] for i in range(n)]
 
     gens = []
     for i in range(n - 1):
-        perm = [[1 if (j == (i + 1 if r == i else i if r == i + 1 else r)) else 0
-                 for j in range(n)] for r in range(n)]
-        gens.append(SquareMatrix.from_rows(perm, modulus))
-    gens.append(diag([pow(b, s, modulus.pM)] + [1] * (n - 1)))
-    for i in range(n - 1):
-        entries = [1] * n
-        entries[i], entries[i + 1] = b, binv
-        gens.append(diag(entries))
-    return gens
+        swap = identity()
+        swap[i][i] = swap[i + 1][i + 1] = 0
+        swap[i][i + 1] = swap[i + 1][i] = 1
+        gens.append(swap)
+    if s != m:
+        first = identity()
+        first[0][0] = pow(b, s, modulus.pM)
+        gens.append(first)
+    if s != 1:
+        twisted = identity()
+        twisted[0][0] = twisted[1][1] = 0
+        twisted[0][1], twisted[1][0] = invert(b, modulus), b
+        gens.append(twisted)
+    return [SquareMatrix.from_rows(rows, modulus) for rows in gens]
 
 
-def generators(spec: GroupSpec, modulus: Modulus) -> list:
+def generators(spec: GroupSpec, modulus: Optional[Modulus] = None) -> list:
+    """The spec's generator matrices mod p^M, at its default precision M0 by default."""
+    if not spec.buildable:
+        raise SpecInvalid(f"{spec.label()} has no build path (no published matrices)")
+    if modulus is None:
+        modulus = Modulus(spec.p, spec.min_modulus_exponent())
     if modulus.p != spec.p:
         raise SpecInvalid(f"{spec.label()} lives at p={spec.p}, modulus has p={modulus.p}")
-    if not spec.buildable:
-        raise SpecInvalid(f"{spec.label()} has no generator matrices")
     if spec.exceptional:
         return [SquareMatrix.from_rows(rows, modulus)
                 for rows in EXCEPTIONAL[spec.kind].generators(modulus)]
@@ -268,11 +278,7 @@ def build(spec: GroupSpec, working_modulus: Optional[Modulus] = None,
 
     ``close`` checks that the closure reaches the spec's expected order.
     """
-    if not spec.buildable:
-        raise SpecInvalid(f"{spec.label()} has no build path (no published matrices)")
-    if working_modulus is None:
-        working_modulus = Modulus(spec.p, spec.min_modulus_exponent())
-    elif working_modulus.M < working_modulus.threshold:
+    if working_modulus is not None and working_modulus.M < working_modulus.threshold:
         raise SpecInvalid(
             f"working precision {working_modulus.M} is below the faithfulness "
             f"threshold {working_modulus.threshold}"

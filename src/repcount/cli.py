@@ -319,8 +319,21 @@ def _add_group_args(parser) -> None:
     parser.add_argument("--closure-cap", type=int, default=DEFAULT_CLOSURE_CAP)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, except that help which cannot be written raises OSError.
+
+    argparse's own printing swallows the error, so ``--help`` into a full
+    disk would exit 0 with nothing written.  Subparsers share the class.
+    """
+
+    def print_help(self, file=None):
+        file = sys.stdout if file is None else file
+        file.write(self.format_help())
+        file.flush()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repcount",
         description="Exact orbit counts of reflection groups acting on (Z/p^k)^l",
     )
@@ -373,8 +386,8 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # exact counts can run to any number of digits
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)  # help exits 0 here, a usage error 2
         code = args.func(args)
         sys.stdout.flush()  # a failed write surfaces here, not at exit
         return code

@@ -14,13 +14,15 @@ lexicographically; the group keeps its keys sorted and ``find`` is one
 ``searchsorted``.  Points are int64 when matmul entry sums cannot overflow
 and object (Python integers) otherwise, and both dtypes share every code
 path.  Every element also carries a word in the generators, kept as two
-int arrays (parent index, generator index), and the group keeps the index
-at which each BFS level starts, so any set of elements can be re-evaluated
-at a higher precision without re-closing the group: ``rows_at`` is the one
-lift, and ``_powers`` the one routine for orders and trace sums.  The
-closure also keeps its right Cayley table, an (N, g) int32 array of element
-indices; conjugacy classes are read from it by integer gathers alone, with
-no matrix product and no key lookup.
+arrays (parent index as int32, generator index as int8), and the group
+keeps the index at which each BFS level starts, so any set of elements can
+be re-evaluated at a higher precision without re-closing the group:
+``rows_at`` is the one lift, and ``_powers`` the one routine for orders and
+trace sums.  The closure also keeps its right Cayley table, a (g, N) int32
+array of element indices, one contiguous row per generator; conjugacy
+classes are read from it by integer gathers alone, with no matrix product
+and no key lookup.  An element costs l + 4 + 1 + 4g + 8 + 4 bytes: its
+ranks, its word, its column of the table, and its sorted key and index.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ from .linalg import SquareMatrix, exact_dtype, smith_valuations_batch
 from .modp import Modulus
 
 DEFAULT_CLOSURE_CAP = 10 ** 8
+
+#: The most generators a closure takes: a generator index is one signed byte.
+MAX_GENERATORS = np.iinfo(np.int8).max
 
 #: Generator matrices at a requested precision, for re-evaluating element words.
 GeneratorFactory = Callable[[Modulus], list]
@@ -87,9 +92,9 @@ class FiniteMatrixGroup:
         self.generators = generators  # (g, l, l) array, the points' dtype
         self._points = points      # (|P|, l) row orbit, sorted, dtype exact_dtype(modulus.pM, dim)
         self._rows = rows          # (N, l): row r of element i is points[rows[i, r]]
-        self._parent = parent      # element i = element parent[i] @ generator gen[i]
-        self._gen = gen
-        self._right = right        # (N, g) int32: element i @ generator j is element right[i, j]
+        self._parent = parent      # (N,) int32: element i = element parent[i] @ generator gen[i]
+        self._gen = gen            # (N,) int8; parent and gen are -1 at the identity
+        self._right = right        # (g, N) int32: element i @ generator j is element right[j, i]
         self._by_key = by_key      # (N,) element indices in increasing key order
         self._sorted_keys = sorted_keys  # (N,) int64 keys of the elements by_key
         self._starts = starts      # BFS level i is elements starts[i]:starts[i + 1]; ends at N
@@ -297,38 +302,39 @@ class FiniteMatrixGroup:
         Left multiplication by each generator g_j in turn is read from the
         words, one BFS level at a time from the level starts the closure
         kept: element i = element parent[i] @ generator gen[i], so g_j @
-        element i is element right[left[parent[i]], gen[i]], where left is
-        the column of g_j being filled.  Undoing right multiplication by g_j
-        then turns that column into the conjugation permutation i -> g_j @
-        element i @ g_j^-1, so only one left column is alive at a time.
+        element i is element right[gen[i], left[parent[i]]], where left is
+        the row of g_j being filled.  Undoing right multiplication by g_j
+        then turns that row into the conjugation permutation i -> g_j @
+        element i @ g_j^-1, so only one left row is alive at a time.
         Every element starts labelled by its own index; each sweep, for
         every permutation, pulls the smaller label from the image to the
-        point and pushes it from the point to the image, then jumps pointers
-        twice.  A label is always a member of its element's class, so once a
-        sweep changes nothing every label is the least element index in its
+        point, then jumps pointers twice.  While labels differ along a cycle
+        of a permutation, some point on it has an image with a smaller
+        label, so every sweep lowers a label until each permutation maps
+        each label onto itself.  A label is never above its element's index
+        and is always a member of its element's class, so labels are then
+        constant on classes and each is the least element index in its
         class.
         """
         right, parent, gen, starts = self._right, self._parent, self._gen, self._starts
-        n, g = right.shape
+        g, n = right.shape
         index = np.arange(n, dtype=np.int32)
         left = np.empty(n, dtype=np.int32)
         undo = np.empty(n, dtype=np.int32)
         perms = []
         for j in range(g):
-            left[0] = right[0, j]
+            left[0] = right[j, 0]
             for lo, hi in zip(starts[1:], starts[2:]):
-                left[lo:hi] = right[left[parent[lo:hi]], gen[lo:hi]]
-            undo[right[:, j]] = index
+                left[lo:hi] = right[gen[lo:hi], left[parent[lo:hi]]]
+            undo[right[j]] = index
             perms.append(undo[left])
         label = index.copy()
         while True:
-            before = label.copy()
             for conj in perms:
                 np.minimum(label, label[conj], out=label)
-                label[conj] = np.minimum(label[conj], label)
             label = label[label]
             label = label[label]
-            if np.array_equal(label, before):
+            if all(np.array_equal(label[conj], label) for conj in perms):
                 break
         first = np.cumsum(label == index, dtype=np.int32) - 1
         return first[label]
@@ -425,12 +431,15 @@ def close(
     new keys are then merged into the sorted keys.  Each BFS level is one
     contiguous block of elements whose parents all lie in the previous
     level; its start is kept for ``rows_at`` and ``_partition``.
-    The table costs 4*g bytes per element.  Raises CapExceeded, before the
-    group's arrays are allocated, when ``order`` is above ``cap`` or when a
-    key of l ranks in base |P| could overflow int64; InvariantViolation
-    when the row orbit or the closure grows past its bound, the closure
-    stops short of ``order``, or a column of the table is not a permutation
-    of the elements.
+    The table is generator-major, (g, N), so a level writes, and the
+    partition reads, one contiguous run per generator; it costs 4*g bytes
+    per element, and the word 5 (an int32 parent and an int8 generator).
+    Raises CapExceeded, before the group's arrays are allocated, when
+    ``order`` is above ``cap``, when there are more than MAX_GENERATORS
+    generators or when a key of l ranks in base |P| could overflow int64;
+    InvariantViolation when the row orbit or the closure grows past its
+    bound, the closure stops short of ``order``, or a row of the table is
+    not a permutation of the elements.
     """
     if not generators:
         raise ValueError("at least one generator is required")
@@ -441,6 +450,9 @@ def close(
             raise ValueError("generators must share a modulus and dimension")
     if order > cap:
         raise CapExceeded(f"group order {order} exceeds closure cap {cap}")
+    if len(generators) > MAX_GENERATORS:
+        raise CapExceeded(f"{len(generators)} generators exceed the closure's "
+                          f"{MAX_GENERATORS}")
     label = name or "closure"
     gen_rows = [g.rows for g in generators]
     points, act = _row_orbit(gen_rows, modulus.pM, dim * order, label)
@@ -452,9 +464,9 @@ def close(
     dtype = exact_dtype(modulus.pM, dim)
     act = np.array(act, dtype=rank_dtype)
     rows = np.empty((order, dim), dtype=rank_dtype)
-    parent = np.empty(order, dtype=np.int64)  # element i = element parent[i] @ generator gen[i]
-    gen = np.empty(order, dtype=np.int64)
-    right = np.empty((order, len(act)), dtype=np.int32)
+    parent = np.empty(order, dtype=np.int32)  # element i = element parent[i] @ generator gen[i]
+    gen = np.empty(order, dtype=np.int8)
+    right = np.empty((len(act), order), dtype=np.int32)
     rows[0] = [points.index(tuple(int(i == j) for j in range(dim))) for i in range(dim)]
     parent[0], gen[0] = -1, -1
     sorted_keys, by_key = _row_keys(rows[:1], base), np.zeros(1, dtype=np.int32)
@@ -487,13 +499,13 @@ def close(
         gen[hi:hi + new.size] = new // (hi - lo)
         col = np.empty(perm.size, dtype=np.int32)
         col[perm] = ids[np.cumsum(head, dtype=np.int32) - 1]
-        right[lo:hi] = col.reshape(len(act), hi - lo).T
+        right[:, lo:hi] = col.reshape(len(act), hi - lo)
         sorted_keys = np.insert(sorted_keys, pos[~known], keys[~known])
         by_key = np.insert(by_key, pos[~known], ids[~known])
     if len(by_key) != order:
         raise InvariantViolation(f"{label} closed to {len(by_key)} elements, expected {order}")
-    if any((np.bincount(col, minlength=order) != 1).any() for col in right.T):
-        raise InvariantViolation("a column of the right Cayley table is not a permutation")
+    if any((np.bincount(row, minlength=order) != 1).any() for row in right):
+        raise InvariantViolation("a row of the right Cayley table is not a permutation")
     return FiniteMatrixGroup(modulus, dim, np.array(gen_rows, dtype=dtype),
                              np.array(points, dtype=dtype), rows, parent, gen, right,
                              by_key, sorted_keys, tuple(starts),

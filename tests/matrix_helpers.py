@@ -15,7 +15,7 @@ from repcount.errors import InvariantViolation, PrecisionTooLow
 from repcount.formulas import theorem_c
 from repcount.groups import _powers, _rank_from_trace_sum
 from repcount.linalg import SquareMatrix, exact_dtype
-from repcount.modp import is_prime
+from repcount.modp import invert, is_prime, mth_root_of_unity
 
 
 def rows_of(x):
@@ -72,6 +72,26 @@ def minus_identity(x, modulus) -> SquareMatrix:
 def generator_matrices(group) -> list:
     """The group's generators as SquareMatrix values, as ``close`` takes them."""
     return [SquareMatrix.from_rows(g.tolist(), group.modulus) for g in group.generators]
+
+
+def monomial_generators_reference(m: int, s: int, n: int, modulus) -> list:
+    """Reference: the 2n - 1 generators of G(m,s,n) that the catalog used to list.
+
+    The n - 1 adjacent transpositions, diag(b^s, 1, ...) and diag(b, b^-1)
+    on each adjacent pair, for b the canonical element of order m.  The
+    catalog now lists only n or n + 1 reflections; both lists must close to
+    the same group.
+    """
+    b = mth_root_of_unity(m, modulus)
+    diags = [[pow(b, s, modulus.pM)] + [1] * (n - 1)]
+    for i in range(n - 1):
+        entries = [1] * n
+        entries[i], entries[i + 1] = b, invert(b, modulus)
+        diags.append(entries)
+    gens = [[[int(j == (i + 1 if r == i else i if r == i + 1 else r)) for j in range(n)]
+             for r in range(n)] for i in range(n - 1)]
+    gens += [[[d[i] if i == j else 0 for j in range(n)] for i in range(n)] for d in diags]
+    return [SquareMatrix.from_rows(rows, modulus) for rows in gens]
 
 
 def closure_reference(generators):

@@ -1,10 +1,20 @@
 """Catalog builds: generator matrices, orders, exponents, spec parsing."""
 
 import math
+from collections import Counter
 
 import pytest
 
-from matrix_helpers import derive_exponents, generator_matrices, order, power, prod, rank_fixed_space
+from matrix_helpers import (
+    derive_exponents,
+    generator_matrices,
+    minus_identity,
+    monomial_generators_reference,
+    order,
+    power,
+    prod,
+    rank_fixed_space,
+)
 from repcount.catalog import (
     GroupSpec,
     build,
@@ -15,7 +25,7 @@ from repcount.catalog import (
 )
 from repcount.errors import SpecInvalid
 from repcount.groups import close
-from repcount.linalg import SquareMatrix
+from repcount.linalg import SquareMatrix, diagonal, smith_valuations
 from repcount.modp import Modulus
 
 
@@ -149,6 +159,37 @@ def test_monomial_entries_are_roots_of_unity():
             for x in row:
                 if x != 0:
                     assert pow(x, 3, mod.pM) == 1
+
+
+# s = 1, 1 < s < m and s = m, at n = 2..4, two primes each
+MONOMIAL_GRID = [(4, s, n, p) for s in (1, 2, 4) for n in (2, 3, 4) for p in (5, 13)]
+
+
+def _class_multiset(group):
+    p, M = group.modulus.p, group.modulus.M
+    return Counter((r.element_order, r.class_size, r.centralizer_order, r.rank,
+                    diagonal(r.smith_vals, p, M))
+                   for r in group.conjugacy_classes())
+
+
+@pytest.mark.parametrize("m,s,n,p", MONOMIAL_GRID)
+def test_monomial_generators_close_to_the_reference_group(m, s, n, p):
+    mod = Modulus(p, 3)
+    size = m ** n * math.factorial(n) // s
+    ours = close(monomial_generators(m, s, n, mod), order=size)
+    ref = close(monomial_generators_reference(m, s, n, mod), order=size)
+    assert _class_multiset(ours) == _class_multiset(ref)
+
+
+@pytest.mark.parametrize("m,s,n,p", MONOMIAL_GRID)
+def test_monomial_generators_are_reflections(m, s, n, p):
+    mod = Modulus(p, 3)
+    gens = monomial_generators(m, s, n, mod)
+    assert len(gens) == n + (1 if 1 < s < m else 0)
+    for g in gens:
+        assert g != SquareMatrix.identity(n, mod)
+        vals = smith_valuations(minus_identity(g, mod))
+        assert sum(e < mod.M for e in vals) == 1, (g.rows, vals)
 
 
 def test_g552_order_ten():

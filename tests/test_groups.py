@@ -142,7 +142,7 @@ def test_conjugacy_classes_match_reference_search(spec):
 @pytest.mark.parametrize("name,sample", [("g24", None), ("g31", 500)])
 def test_right_cayley_table(exceptional_groups, name, sample):
     group = exceptional_groups[name]
-    right = group._right
+    right = group._right.T  # the table is stored generator-major, (g, N)
     assert right.dtype == np.int32 and right.shape == (group.order, len(group.generators))
     idx = range(group.order) if sample is None else \
         random.Random(0).sample(range(group.order), sample)
@@ -183,7 +183,8 @@ def test_close_matches_plain_breadth_first_search(label):
     assert [group.element_rows(i) for i in range(group.order)] == rows
     assert group._parent.tolist() == parent
     assert group._gen.tolist() == gen
-    assert group._right.tolist() == right
+    assert group._right.T.tolist() == right
+    assert group._parent.dtype == np.int32 and group._gen.dtype == np.int8
     depth = [0]
     for i in parent[1:]:
         depth.append(depth[i] + 1)
@@ -200,6 +201,18 @@ def test_close_checks_the_cap_before_allocating(g12):
     # 10^12 element rows could not be allocated, so CapExceeded comes first
     with pytest.raises(CapExceeded):
         close(generator_matrices(g12), order=10 ** 12)
+
+
+def test_close_checks_the_generator_count_before_allocating(monkeypatch):
+    # a generator index is one signed byte; 10^12 elements could not be
+    # allocated and the row orbit is never computed, so CapExceeded comes first
+    def unreachable(*args):
+        raise AssertionError("close went past its generator check")
+
+    monkeypatch.setattr(groups, "_row_orbit", unreachable)
+    many = [mat([[1]], 5, 1)] * (groups.MAX_GENERATORS + 1)
+    with pytest.raises(CapExceeded, match="128 generators exceed the closure's 127"):
+        close(many, order=10 ** 12, cap=10 ** 13)
 
 
 def test_close_bounds_the_row_orbit_by_the_order(g12):

@@ -67,6 +67,8 @@ def test_entry_golden_output(argv):
 @pytest.mark.parametrize("argv", [
     ["crosscheck", "--group", "g12", "--kmax", "3", "--no-timing"],
     ["count", "--group", "g24", "--k", "2", "--method", "classes", "--no-timing"],
+    ["--help"],
+    ["count", "--help"],
 ], ids=" ".join)
 def test_failed_stdout_write_exits_3(argv):
     with open("/dev/full", "w") as full:
@@ -77,3 +79,13 @@ def test_failed_stdout_write_exits_3(argv):
     assert proc.returncode == 3, lines
     assert len(lines) == 1, lines
     assert json.loads(lines[0])["error"] == "OSError"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_usage_error_keeps_exit_2_when_stdout_is_full():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "repcount.cli", "count"], stdout=full,
+                              stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=SRC),
+                              timeout=120)
+    assert proc.returncode == 2
+    assert "the following arguments are required: --k" in proc.stderr.decode()
