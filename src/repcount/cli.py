@@ -284,7 +284,7 @@ def cmd_formula(args) -> int:
         value = formulas.theorem_c(args.name, args.k)
         spec = parse_spec(args.name)
         label, p = spec.label(), spec.p
-    elif args.exponents:
+    elif args.exponents is not None:
         if args.p is None:
             raise SpecInvalid("--exponents requires --p")
         try:

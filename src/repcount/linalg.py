@@ -10,12 +10,13 @@ on batches, reduced mod p^M by the caller.  Matrices are small (dimension
 Smith valuations are plain ints everywhere: the non-decreasing valuations
 of the elementary divisors, with the precision M standing for saturated (a
 divisor that vanishes mod p^M).  ``smith_valuations_batch`` is the one
-Smith engine: it eliminates a whole (N, l, l) numpy batch at once and backs
-``snf``, ``kernel_size``, the one Smith form per conjugacy class and every
-Burnside fixed-point count.  A scalar elimination of one matrix in pure
-Python is kept below only as the reference that the tests hold the batched
-engine to.  ``diagonal`` turns valuations into the diagonal p^e, 0 where
-saturated.
+Smith engine: it eliminates a whole (N, l, l) numpy batch at once, in place
+on full l x l blocks, with valuations read from an int8 table while p^M is
+at most ``VALUATION_TABLE_MAX``, and backs ``snf``, ``kernel_size``, the one
+Smith form per conjugacy class and every Burnside fixed-point count.  A
+scalar elimination of one matrix in pure Python is kept below only as the
+reference that the tests hold the batched engine to.  ``diagonal`` turns
+valuations into the diagonal p^e, 0 where saturated.
 """
 
 from __future__ import annotations
@@ -134,59 +135,76 @@ def _mod(x, q: int):
     return x - x // q * q
 
 
+#: Largest p^M whose valuations the engine reads from a table: one int8 per
+#: residue, 64 KB.  Above it each step tests divisibility by p, p^2, ...
+VALUATION_TABLE_MAX = 2 ** 16
+
+
+def _valuation_table(p: int, M: int) -> np.ndarray:
+    """v_p of every residue in [0, p^M) as int8, with 0 reading M."""
+    table = np.zeros(p ** M, dtype=np.int8)
+    for e in range(1, M):
+        table[::p ** e] += 1
+    table[0] = M
+    return table
+
+
 def smith_valuations_batch(a, p: int, M: int) -> np.ndarray:
     """Smith-form valuations of every matrix in an (N, l, l) batch over Z/p^M.
 
     ``a`` holds integer entries (numpy int64 or object), read mod p^M.
     Returns an (N, l) int64 array whose row t is the non-decreasing
     valuation list of matrix t, with M standing for saturated; matrix by
-    matrix it equals the scalar reference above.  Each step works on every
-    matrix at once: the valuations of the remaining minor (zero reads M,
-    and the test for divisibility by p^e stops at the first e that no
-    nonzero entry reaches), a pivot of minimal valuation e per matrix
-    (``argmin``), then row elimination only.  Every other row i
-    becomes u*row_i - (a_ij / p^e)*pivot_row, where u is the pivot's unit
-    part; scaling a row by a unit is invertible over Z/p^M, so no inverse
-    is needed.  The column operations would change only the pivot row, so
-    they are skipped, and the pivot row and column are dropped.  The
-    entries use ``exact_dtype``: the products formed here are below
-    (p^M - 1)^2.
+    matrix it equals the scalar reference above.  The batch is held as an
+    (l*l, N) array, and each step works on every matrix and its full l x l
+    block at once: the valuation of every entry (zero reads M; one lookup
+    in an int8 table of v_p over Z/p^M when p^M <= ``VALUATION_TABLE_MAX``,
+    divisibility tests by p, p^2, ... above it), a pivot of minimal
+    valuation e per matrix (the minimum of e*l*l + position), then row
+    elimination only.  Every row i becomes u*row_i - (a_ij / p^e)*pivot_row
+    in place, where u is the pivot's unit part; scaling a row by a unit is
+    invertible over Z/p^M, so no inverse is needed.  The update zeroes the
+    pivot row and column, and zeros read as saturated, so no later step
+    picks them before a live entry, and the column operations, which would
+    change only the pivot row, are skipped.  The entries use
+    ``exact_dtype``: the products formed here are below (p^M - 1)^2.
     """
     pM = p ** M
-    dim = a.shape[-1]
-    b = _mod(np.asarray(a, dtype=exact_dtype(pM, dim)), pM)
-    n = b.shape[0]
-    # Python-int powers p^0, p^1, ... as far as any valuation test reached:
-    # p ** ndarray would overflow int64 for large p^M
-    pows = [1]
-    out = np.empty((n, dim), dtype=np.int64)
-    idx = np.arange(n)
+    n, dim = a.shape[0], a.shape[-1]
+    size = dim * dim
+    b = np.ascontiguousarray(_mod(np.asarray(a, dtype=exact_dtype(pM, dim)).reshape(n, size).T, pM))
+    table = _valuation_table(p, M) if pM <= VALUATION_TABLE_MAX else None
+    # p^0 .. p^M in the entries' dtype; p^M divides a saturated pivot's all-zero block
+    pows = np.array([p ** e for e in range(M + 1)], dtype=b.dtype)
+    # the narrowest dtype that holds e*l*l + position keeps the pivot search cheap
+    position = np.arange(size, dtype=np.min_scalar_type((M + 1) * size))[:, None]
+    # entry (i, j) of matrix t sits at flat index (i*l + j)*N + t: the entries
+    # of a row are N apart, those of a column l*N apart
+    lane, stride = np.arange(n), np.arange(dim)[:, None] * n
+    out = np.empty((dim, n), dtype=np.int64)
     for s in range(dim):
-        r = dim - s
-        live = b != 0
-        vals = np.where(live, 0, M)
-        for e in range(1, M + 1):
-            if e == len(pows):
-                pows.append(pows[-1] * p)
-            live &= _mod(b, pows[e]) == 0
-            if not live.any():
-                break
-            vals += live
-        bi, bj = np.divmod(vals.reshape(n, r * r).argmin(axis=1), r)
-        e = vals[idx, bi, bj]
-        out[:, s] = e
-        # a saturated pivot heads an all-zero minor: any nonzero p^e clears it
-        pe = np.array(pows, dtype=b.dtype)[np.minimum(e, len(pows) - 1)]
-        unit = b[idx, bi, bj] // pe
-        q = b[idx, :, bj] // pe[:, None]
-        pivot_row = b[idx, bi]
-        b = _mod(unit[:, None, None] * b - q[:, :, None] * pivot_row[:, None, :], pM)
-        # drop the pivot row and column: row (column) 0 takes their place
-        b[idx, bi] = b[:, 0].copy()
-        b = b[:, 1:]
-        b[idx, :, bj] = b[:, :, 0].copy()
-        b = b[:, :, 1:]
-    return out
+        if table is not None:
+            vals = table[b]
+        else:
+            live = b != 0
+            vals = np.where(live, 0, M)
+            for v in range(1, M):
+                live &= _mod(b, pows[v]) == 0
+                if not live.any():
+                    break
+                vals += live
+        key = np.minimum.reduce(vals.astype(position.dtype) * size + position)
+        e, piv = np.divmod(key.astype(np.int64), size)
+        out[s] = e
+        pe = pows[e]
+        bi, bj = np.divmod(piv, dim)
+        unit = b.take(piv * n + lane) // pe
+        q = b.take(dim * stride + (bj * n + lane)) // pe
+        pivot_row = b.take(stride + (bi * (dim * n) + lane))
+        b *= unit
+        b -= (q[:, None] * pivot_row).reshape(size, n)
+        b -= b // pM * pM
+    return out.T
 
 
 def smith_valuations(a: SquareMatrix) -> tuple:

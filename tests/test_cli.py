@@ -338,7 +338,8 @@ def test_output_determinism(capsys):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("exponents,p", [("-1", "5"), ("1,4", "4"), ("1,4", "0")])
+@pytest.mark.parametrize("exponents,p",
+                         [("-1", "5"), ("1,4", "4"), ("1,4", "0"), ("", "5")])
 def test_formula_exponents_bad_input_is_a_spec_error(capsys, exponents, p):
     code, _, err = run(capsys, "formula", f"--exponents={exponents}", "--p", p,
                        "--k", "1")
@@ -347,6 +348,9 @@ def test_formula_exponents_bad_input_is_a_spec_error(capsys, exponents, p):
     if p == "0":
         # p = 0 is given, so the fault is that it is not prime
         assert "p=0" in json.loads(err)["message"]
+    if exponents == "":
+        # an empty list is given, so the fault is the list, not a missing flag
+        assert "bad exponent list ''" in json.loads(err)["message"]
 
 
 def test_crosscheck_builds_one_group(capsys, monkeypatch):
