@@ -8,8 +8,7 @@ silently wrong integer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .catalog import ALIASES
 from .errors import NonIntegralResult, SpecInvalid
@@ -39,8 +38,7 @@ def theorem_a(exponents: Iterable[int], p: int, k: int) -> int:
     return num // den
 
 
-@dataclass(frozen=True)
-class PolynomialFormula:
+class PolynomialFormula(NamedTuple):
     """Denominator and terms c * p^(e*k), plus an optional c * p^min(k, cap) term."""
 
     p: int

@@ -25,9 +25,8 @@ which must also equal plain Burnside counting on the matrix group.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .catalog import GroupSpec
 from .errors import InvariantViolation, SpaceTooLarge, SpecInvalid
@@ -38,8 +37,7 @@ from .modp import Modulus, is_prime, mth_root_of_unity
 MAX_TABLE_POINTS = 2 ** 20
 
 
-@dataclass(frozen=True)
-class HOrbit:
+class HOrbit(NamedTuple):
     """One orbit of <c> on Z/p^k with its sub-orbits under <c^s>."""
 
     minimum: int
@@ -47,8 +45,7 @@ class HOrbit:
     k_orbit_minima: tuple    # sorted ascending, one per <c^s>-orbit
 
 
-@dataclass(frozen=True)
-class OrbitStructure:
+class OrbitStructure(NamedTuple):
     """Partition of Z/p^k into <c>-orbits, orbit 0 being {0}."""
 
     p: int

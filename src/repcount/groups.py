@@ -23,12 +23,18 @@ array of element indices, one contiguous row per generator; conjugacy
 classes are read from it by integer gathers alone, with no matrix product
 and no key lookup.  An element costs l + 4 + 1 + 4g + 8 + 4 bytes: its
 ranks, its word, its column of the table, and its sorted key and index.
+The closure skips work it already has the answer to: an involution's row
+of the table is its own inverse, so half of it is filled by symmetry, and
+a level's other products are searched only among the keys of the last few
+levels, as many as the largest order of a generator that is not an
+involution (see ``close``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+import math
+from operator import mul
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -59,8 +65,7 @@ def _row_keys(ranks: np.ndarray, base: int) -> np.ndarray:
     return key
 
 
-@dataclass(frozen=True)
-class ConjugacyClassRecord:
+class ConjugacyClassRecord(NamedTuple):
     """One conjugacy class with its fixed-space data, all plain ints and tuples.
 
     ``rep_index`` is the representative's element index: its matrix is
@@ -393,8 +398,7 @@ def _row_orbit(gens: list, pM: int, bound: int, label: str):
     while front:
         nxt = []
         for x in front:
-            images[x] = [tuple(sum(a * b for a, b in zip(x, col)) % pM for col in g)
-                         for g in cols]
+            images[x] = [tuple([sum(map(mul, x, col)) % pM for col in g]) for g in cols]
             for y in images[x]:
                 if y not in images:
                     images[y] = None
@@ -406,6 +410,48 @@ def _row_orbit(gens: list, pM: int, bound: int, label: str):
     rank = {x: r for r, x in enumerate(points)}
     act = [[rank[images[x][j]] for x in points] for j in range(len(gens))]
     return points, act
+
+
+def _perm_order(perm: list) -> int:
+    """Order of a permutation of range(len(perm)): the lcm of its cycle lengths."""
+    seen = [False] * len(perm)
+    out = 1
+    for start in range(len(perm)):
+        length, x = 0, start
+        while not seen[x]:
+            seen[x] = True
+            x = perm[x]
+            length += 1
+        if length:
+            out = math.lcm(out, length)
+    return out
+
+
+def _window(act: list) -> tuple:
+    """How many BFS levels a level's products are searched in, and the involutions.
+
+    A generator acts faithfully on the row orbit, which holds the basis
+    rows, so its order is that of its permutation ``act[j]``.  x @ g lies
+    in the level after x's or at most ord(g) - 1 levels before it.  For an
+    involution (or the identity) the level before is exactly the products
+    that the symmetric fill already knows, so it needs only x's own level;
+    any other generator needs ord(g) levels.  Returns that width and the
+    indices of the generators that are their own inverse.
+    """
+    orders = [_perm_order(perm) for perm in act]
+    return (max([d for d in orders if d > 2], default=1),
+            np.array([j for j, d in enumerate(orders) if d <= 2], dtype=np.intp))
+
+
+def _key_table(act: np.ndarray, base: int, dim: int) -> np.ndarray:
+    """Each generator's keys digit by digit: an (l, g, |P|) int64 table.
+
+    Row c of x @ g_j is point act[j, r] when row c of x is point r, and it
+    weighs base^(l - 1 - c) in the key (see ``_row_keys``), so the key of
+    x @ g_j is the sum over c of table[c, j, rank of row c of x].
+    """
+    weights = base ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    return weights[:, None, None] * act.astype(np.int64)
 
 
 def close(
@@ -420,20 +466,38 @@ def close(
     First the row orbit P (see ``_row_orbit``) is sorted and each
     generator's action on it becomes one row of a (g, |P|) gather table.
     An element is then its l row ranks in P and its key their mixed-radix
-    int64 (see ``_row_keys``).  The ranks, the words and the right Cayley
-    table are allocated once, with ``order`` rows each, and filled level by
-    level.  A level's products are one gather, taken generator by generator
-    in the listed order.  Their keys are sorted and deduplicated, each
-    distinct key keeping the least position at which it occurs, looked up
-    among the sorted keys of the elements found so far with one
-    ``searchsorted``, and the keys not found are numbered in order of first
-    occurrence, the order in which a sequential search would meet them; the
-    new keys are then merged into the sorted keys.  Each BFS level is one
-    contiguous block of elements whose parents all lie in the previous
-    level; its start is kept for ``rows_at`` and ``_partition``.
+    int64 (see ``_row_keys``); the key of x @ g_j is read straight from x's
+    ranks through a per-generator key table (see ``_key_table``).  The
+    ranks, the words, the keys and the right Cayley table are allocated
+    once, with ``order`` rows each, and filled level by level.
+    Row j of the table of an involution g_j is its own inverse, so once
+    x @ g_j = y is known, y @ g_j = x is filled in as well, and a level
+    looks up only the products whose entries are still unset, generator by
+    generator in the listed order.  Their keys are sorted and deduplicated,
+    each distinct key keeping the least position at which it occurs, and
+    looked up with one ``searchsorted`` in a window: the sorted keys of the
+    last ``width`` levels.  x @ g lies in the next level or at most
+    ord(g) - 1 levels back, and for an involution the level back is exactly
+    the entries filled by symmetry; so width is 1 for a set of involutions
+    and otherwise the largest order of a generator that is not one (see
+    ``_window``).  The window takes each level's new keys by ``np.insert``,
+    and every width levels all but the last width levels leave it, so it
+    holds width to 2 * width - 1 levels; while width covers every level it
+    is the whole store.  The keys not found are numbered in order of first
+    occurrence, the order in which a sequential search would meet them: an
+    entry filled by symmetry never holds a new element, so skipping it
+    changes no number.  Only the new elements' ranks are gathered.  Each
+    BFS level is one contiguous block of elements whose parents all lie in
+    the previous level; its start is kept for ``rows_at`` and
+    ``_partition``.  All keys are sorted once at the end, for ``find`` and
+    the class representatives.
     The table is generator-major, (g, N), so a level writes, and the
-    partition reads, one contiguous run per generator; it costs 4*g bytes
-    per element, and the word 5 (an int32 parent and an int8 generator).
+    partition reads, one contiguous run per generator.  During the closure
+    an element costs l + 5 + 4g + 8 bytes: its ranks, its word (an int32
+    parent and an int8 generator), its column of the table and its key;
+    while its level is in the window it costs 12 bytes more.  The final
+    sort adds 12 bytes, the sorted key and its index, and 8 more for a
+    moment.
     Raises CapExceeded, before the group's arrays are allocated, when
     ``order`` is above ``cap``, when there are more than MAX_GENERATORS
     generators or when a key of l ranks in base |P| could overflow int64;
@@ -460,53 +524,77 @@ def close(
     if base ** dim >= 2 ** 63:
         raise CapExceeded(f"{label}: keys of {dim} ranks in a row orbit of {base} points "
                           f"overflow int64")
+    width, involutions = _window(act)
     rank_dtype = next(t for t in (np.uint8, np.uint16, np.uint32) if base <= np.iinfo(t).max + 1)
     dtype = exact_dtype(modulus.pM, dim)
     act = np.array(act, dtype=rank_dtype)
+    table = _key_table(act, base, dim)
     rows = np.empty((order, dim), dtype=rank_dtype)
     parent = np.empty(order, dtype=np.int32)  # element i = element parent[i] @ generator gen[i]
     gen = np.empty(order, dtype=np.int8)
-    right = np.empty((len(act), order), dtype=np.int32)
+    key_of = np.empty(order, dtype=np.int64)
+    right = np.full((len(act), order), -1, dtype=np.int32)  # -1: not yet known
     rows[0] = [points.index(tuple(int(i == j) for j in range(dim))) for i in range(dim)]
     parent[0], gen[0] = -1, -1
-    sorted_keys, by_key = _row_keys(rows[:1], base), np.zeros(1, dtype=np.int32)
-    starts = [0]
-    while starts[-1] < len(by_key):
-        lo, hi = starts[-1], len(by_key)
+    key_of[0] = _row_keys(rows[0], base)
+    win_keys, win_ids = key_of[:1].copy(), np.zeros(1, dtype=np.int32)
+    starts, size = [0], 1
+    while starts[-1] < size:
+        lo, hi = starts[-1], size
         starts.append(hi)
-        prod = act[:, rows[lo:hi]].reshape(-1, dim)  # generator-major: gi * (hi - lo) + i
-        keys = _row_keys(prod, base)
-        perm = np.argsort(keys)  # unstable, so ties are resolved by ``first`` below
+        n = hi - lo
+        slab = right[:, lo:hi]
+        unset = slab < 0  # the entries that no earlier level filled by symmetry
+        todo = unset.ravel().nonzero()[0]  # generator-major: j * n + (i - lo)
+        if not todo.size:  # the last level: every product lies in the level before
+            continue
+        keys = table[0][:, rows[lo:hi, 0]]
+        for c in range(1, dim):
+            keys += table[c][:, rows[lo:hi, c]]
+        keys = keys.reshape(-1)[todo]
+        perm = keys.argsort()  # unstable, so ties are resolved by ``first`` below
         keys = keys[perm]
         head = np.empty(keys.size, dtype=bool)  # the first of each run of equal keys
         head[0] = True
         np.not_equal(keys[1:], keys[:-1], out=head[1:])
-        cuts = np.flatnonzero(head)
+        cuts = head.nonzero()[0]
         first = np.minimum.reduceat(perm, cuts)  # first occurrence of each distinct key
         keys = keys[cuts]
-        pos = np.searchsorted(sorted_keys, keys)
-        known = sorted_keys[np.minimum(pos, hi - 1)] == keys
-        fresh = np.flatnonzero(~known)
-        fresh = fresh[np.argsort(first[fresh])]  # in order of first occurrence
-        if hi + fresh.size > order:
+        pos = win_keys.searchsorted(keys)
+        at = np.minimum(pos, win_keys.size - 1)
+        known = win_keys[at] == keys
+        add = ~known
+        fresh = add.nonzero()[0]
+        fresh = fresh[first[fresh].argsort()]  # in order of first occurrence
+        size = hi + fresh.size
+        if size > order:
             raise InvariantViolation(f"{label} grew past its order {order}")
-        ids = np.empty(keys.size, dtype=np.int32)
-        ids[known] = by_key[pos[known]]
-        ids[fresh] = np.arange(hi, hi + fresh.size)
-        new = first[fresh]  # positions of the first products with new keys
-        rows[hi:hi + new.size] = prod[new]
-        parent[hi:hi + new.size] = lo + new % (hi - lo)
-        gen[hi:hi + new.size] = new // (hi - lo)
+        ids = win_ids[at]  # right where the key is known
+        ids[fresh] = np.arange(hi, size)
+        j, i = np.divmod(todo[first[fresh]], n)  # the first products with new keys
+        parent[hi:size] = lo + i
+        gen[hi:size] = j
+        rows[hi:size] = act[j[:, None], rows[parent[hi:size]]]
+        key_of[hi:size] = keys[fresh]
         col = np.empty(perm.size, dtype=np.int32)
-        col[perm] = ids[np.cumsum(head, dtype=np.int32) - 1]
-        right[:, lo:hi] = col.reshape(len(act), hi - lo)
-        sorted_keys = np.insert(sorted_keys, pos[~known], keys[~known])
-        by_key = np.insert(by_key, pos[~known], ids[~known])
-    if len(by_key) != order:
-        raise InvariantViolation(f"{label} closed to {len(by_key)} elements, expected {order}")
+        col[perm] = ids[head.cumsum(dtype=np.int32) - 1]
+        slab[unset] = col
+        if involutions.size:  # x @ g = y gives y @ g = x for an involution g
+            right[involutions[:, None], right[involutions, lo:hi]] = np.arange(lo, hi)
+        if width == 1:  # the next level's window is the new level alone
+            win_keys, win_ids = keys[add], ids[add]
+        else:
+            win_keys = np.insert(win_keys, pos[add], keys[add])
+            win_ids = np.insert(win_ids, pos[add], ids[add])
+            if len(starts) % width == 0:  # every width levels, all but the last width leave
+                stay = win_ids >= starts[-width]
+                win_keys, win_ids = win_keys[stay], win_ids[stay]
+    if size != order:
+        raise InvariantViolation(f"{label} closed to {size} elements, expected {order}")
     if any((np.bincount(row, minlength=order) != 1).any() for row in right):
         raise InvariantViolation("a row of the right Cayley table is not a permutation")
+    by_key = key_of.argsort().astype(np.int32)
     return FiniteMatrixGroup(modulus, dim, np.array(gen_rows, dtype=dtype),
                              np.array(points, dtype=dtype), rows, parent, gen, right,
-                             by_key, sorted_keys, tuple(starts),
+                             by_key, key_of[by_key], tuple(starts),
                              generator_factory=generator_factory, name=name)

@@ -149,26 +149,62 @@ def test_right_cayley_table(exceptional_groups, name, sample):
     for i in idx:
         for j, g in enumerate(group.generators):
             assert right[i, j] == group.find(prod(group.modulus, group.element(i), g))
+    # an involution's row is its own inverse: the closure fills half of it by symmetry
+    gens = generator_matrices(group)
+    involutions = [j for j, g in enumerate(gens) if order(g, group.modulus) == 2]
+    assert involutions
+    for j in involutions:
+        assert np.array_equal(group._right[j][group._right[j]], np.arange(group.order))
+
+
+def _first_row_keys(monkeypatch, div):
+    # every product's key reads only its first row's rank, divided by div;
+    # the identity keeps its true key
+    key_table = groups._key_table
+
+    def merged(act, base, dim):
+        table = key_table(act, base, dim)
+        table[0] //= div * base ** (dim - 1)
+        table[1:] = 0
+        return table
+
+    monkeypatch.setattr(groups, "_key_table", merged)
 
 
 def test_close_rejects_a_table_that_is_not_a_permutation(g24, monkeypatch):
-    # keys that read only the first row's rank, halved, merge g24 elements
-    # whose products by a generator differ, so the closure stops short of
-    # |G24| ...  (The first row's rank alone would not do: the generators
-    # permute the first rows, so the merged closure would be a permutation
-    # action on them.)
-    keys = groups._row_keys
-    monkeypatch.setattr(groups, "_row_keys", lambda ranks, base: keys(ranks[..., :1] // 2, base))
-    with pytest.raises(InvariantViolation, match="closed to 33 elements, expected 336"):
+    # keys that read only the first row's rank merge g24 elements whose
+    # products by a generator differ, so the closure stops short of |G24| ...
+    _first_row_keys(monkeypatch, 1)
+    with pytest.raises(InvariantViolation, match="closed to 57 elements, expected 336"):
         close(generator_matrices(g24), order=g24.order)
-    # ... and at the 33 it stops at, right multiplication no longer permutes the elements
+    # ... and at the 57 it stops at, right multiplication no longer permutes the elements
     with pytest.raises(InvariantViolation, match="not a permutation"):
-        close(generator_matrices(g24), order=33)
+        close(generator_matrices(g24), order=57)
+    # halved, they also give a product the key of an element from a level that
+    # is no longer searched, so that element is numbered again and the closure
+    # grows past |G24|
+    monkeypatch.undo()
+    _first_row_keys(monkeypatch, 2)
+    with pytest.raises(InvariantViolation, match="grew past its order 336"):
+        close(generator_matrices(g24), order=g24.order)
+
+
+def test_close_window_must_cover_every_generator_order(monkeypatch):
+    # G(3,1,3) has a generator of order 3, so a product can lie two levels
+    # back; a window of one level misses it and numbers it again
+    group = _group("family2a:m=3,s=1,n=3,p=7")
+    window = groups._window
+    monkeypatch.setattr(groups, "_window", lambda act: (1, window(act)[1]))
+    with pytest.raises(InvariantViolation, match="grew past its order 162"):
+        close(generator_matrices(group), order=group.order)
 
 
 @pytest.mark.parametrize("label", [
     "g12", "g24", "g29", "family2a:m=3,s=1,n=3,p=7", "family2a:m=4,s=2,n=4,p=5",
     "family2a:m=4,s=2,n=3,p=1297",  # object points
+    "family2a:m=6,s=1,n=3,p=7",  # a generator of order 6
+    "family2a:m=4,s=1,n=3,p=5",  # a generator of order 4
+    "sphere:m=6,p=7",  # every level in the window
 ])
 def test_close_matches_plain_breadth_first_search(label):
     group = build(parse_spec(label))
@@ -191,9 +227,12 @@ def test_close_matches_plain_breadth_first_search(label):
     assert list(group._starts) == [depth.index(d) for d in range(depth[-1] + 1)] + [len(rows)]
 
 
-@pytest.mark.parametrize("order", [47, 49])
-def test_close_rejects_a_wrong_order(g12, order):
-    with pytest.raises(InvariantViolation):
+@pytest.mark.parametrize("order,message", [
+    (47, "grew past its order 47"),
+    (49, "closed to 48 elements, expected 49"),
+], ids=["47", "49"])
+def test_close_rejects_a_wrong_order(g12, order, message):
+    with pytest.raises(InvariantViolation, match=message):
         close(generator_matrices(g12), order=order)
 
 

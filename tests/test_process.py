@@ -49,11 +49,27 @@ def test_main_freezes_nothing(capsys):
 
 
 def test_entry_freezes_the_import_time_objects():
-    proc = python("-c", "import gc, sys; from repcount.cli import entry; "
+    # the entry leaves by os._exit, so the child's stand-in reports instead
+    proc = python("-c", "import gc, os, sys; from repcount.cli import entry; "
+                        "os._exit = lambda code: print(code, gc.get_freeze_count() > 0); "
                         "sys.argv = ['repcount', 'formula', '--name', 'g12', '--k', '1']; "
-                        "code = entry(); print(code, gc.get_freeze_count() > 0)")
+                        "entry()")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().splitlines()[-1] == "0 True"
+
+
+@pytest.mark.parametrize("argv,code,error", [
+    (["count", "--group", "g12", "--k", "0"], 2, "SpecInvalid"),
+    (["count", "--group", "g31", "--k", "1", "--closure-cap", "10"], 3, "CapExceeded"),
+], ids=["k=0", "closure-cap"])
+def test_entry_exit_code_and_error_line(argv, code, error):
+    # the entry's fast exit still carries main's code and its one line on stderr
+    proc = python("-m", "repcount.cli", *argv)
+    lines = proc.stderr.decode().splitlines()
+    assert proc.returncode == code, lines
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0])["error"] == error
+    assert proc.stdout == b""
 
 
 @pytest.mark.parametrize("argv", ENTRY_ARGVS, ids=" ".join)
