@@ -5,55 +5,53 @@ G(m,s,n) from explicit generator matrices, and counts orbits of their
 action on (Z/p^k)^l by several independent methods (full Burnside sums,
 classwise rank/torsion sums, closed forms, fundamental-domain enumeration,
 a brute-force count over scalar classes of points) that must agree exactly.
+
+Every name in ``__all__`` is exported lazily (PEP 562): it is imported from
+its submodule on first access, so ``import repcount`` imports neither
+numpy nor any submodule, and ``python -m repcount.cli`` runs its first
+line before any of them.
 """
 
-from .catalog import GroupSpec, build, exponents, parse_spec
-from .counting import (
-    CountReport,
-    count_burnside_classes,
-    count_burnside_full,
-    count_formula_general,
-    torsion_census,
-    torsion_classes,
-)
-from .errors import RepcountError
-from .formulas import theorem_a, theorem_c
-from .grassmannian import build_orbits, enumerate_distinguished, theorem_b
-from .groups import ConjugacyClassRecord, FiniteMatrixGroup, close
-from .linalg import SquareMatrix, diagonal, kernel_size, smith_valuations
-from .modp import Modulus, hensel_lift, invert, mth_root_of_unity, teichmuller
-from .oracle import orbit_count_bruteforce
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConjugacyClassRecord",
-    "CountReport",
-    "FiniteMatrixGroup",
-    "GroupSpec",
-    "Modulus",
-    "RepcountError",
-    "SquareMatrix",
-    "build",
-    "build_orbits",
-    "close",
-    "count_burnside_classes",
-    "count_burnside_full",
-    "count_formula_general",
-    "diagonal",
-    "enumerate_distinguished",
-    "exponents",
-    "hensel_lift",
-    "invert",
-    "kernel_size",
-    "mth_root_of_unity",
-    "orbit_count_bruteforce",
-    "parse_spec",
-    "smith_valuations",
-    "teichmuller",
-    "theorem_a",
-    "theorem_b",
-    "theorem_c",
-    "torsion_census",
-    "torsion_classes",
-]
+_EXPORTS = {
+    "catalog": ("GroupSpec", "build", "exponents", "parse_spec"),
+    "counting": ("CountReport", "count_burnside_classes", "count_burnside_full",
+                 "count_formula_general", "torsion_census", "torsion_classes"),
+    "errors": ("RepcountError",),
+    "formulas": ("theorem_a", "theorem_c"),
+    "grassmannian": ("build_orbits", "enumerate_distinguished", "theorem_b"),
+    "groups": ("ConjugacyClassRecord", "FiniteMatrixGroup", "close"),
+    "linalg": ("SquareMatrix", "diagonal", "kernel_size", "smith_valuations"),
+    "modp": ("Modulus", "hensel_lift", "invert", "mth_root_of_unity", "teichmuller"),
+    "oracle": ("orbit_count_bruteforce",),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def script() -> None:
+    """The installed ``repcount`` command: run ``repcount.cli`` as ``python -m`` does.
+
+    So the CLI module is what imports numpy and the package's modules, with
+    the collector off until ``repcount.cli.entry`` has frozen them.
+    """
+    import runpy
+
+    runpy.run_module("repcount.cli", run_name="__main__", alter_sys=True)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

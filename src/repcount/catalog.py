@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .errors import InvariantViolation, SpecInvalid
 from .groups import DEFAULT_CLOSURE_CAP, FiniteMatrixGroup, close
 from .linalg import SquareMatrix
 from .modp import Modulus, hensel_lift, invert, is_prime, mth_root_of_unity, teichmuller
+from .records import FrozenRecord
 
 # -- exceptional generators, as integer rows -------------------------------
 
@@ -93,29 +93,23 @@ EXCEPTIONAL = {
 ALIASES = {"x12": "g12", "x24": "g24", "x29": "g29", "x31": "g31", "x34": "g34"}
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(FrozenRecord):
     """Which group to build: an exceptional case, a G(m,s,n), or a sphere.
 
     A sphere is G(m,1,1): construction sets its s and n to 1.  An exceptional
     kind fixes every parameter, so it takes none but its own prime.
     """
 
-    kind: str
-    m: Optional[int] = None
-    s: Optional[int] = None
-    n: Optional[int] = None
-    p: Optional[int] = None
+    __slots__ = _fields = ("kind", "m", "s", "n", "p")
 
-    def __post_init__(self):
-        if self.exceptional:
-            home = EXCEPTIONAL[self.kind].p
-            if (self.m, self.s, self.n) != (None, None, None) or self.p not in (None, home):
-                raise SpecInvalid(f"{self.kind} takes no parameters and lives at p={home}")
-            object.__setattr__(self, "p", home)
-            return
-        if self.kind == "family2a":
-            m, s, n, p = self.m, self.s, self.n, self.p
+    def __init__(self, kind: str, m: Optional[int] = None, s: Optional[int] = None,
+                 n: Optional[int] = None, p: Optional[int] = None):
+        if kind in EXCEPTIONAL:
+            home = EXCEPTIONAL[kind].p
+            if (m, s, n) != (None, None, None) or p not in (None, home):
+                raise SpecInvalid(f"{kind} takes no parameters and lives at p={home}")
+            p = home
+        elif kind == "family2a":
             if m is None or s is None or n is None or p is None:
                 raise SpecInvalid("family2a needs m, s, n, p")
             if m <= 2:
@@ -127,21 +121,19 @@ class GroupSpec:
             if n == 2 and m == s:
                 raise SpecInvalid("family2a excludes m = s when n = 2")
             _check_prime_congruence(p, m)
-            return
-        if self.kind == "sphere":
-            m, p = self.m, self.p
-            if self.s not in (None, 1) or self.n not in (None, 1):
-                raise SpecInvalid(f"a sphere is G(m,1,1), got s={self.s}, n={self.n}; "
+        elif kind == "sphere":
+            if s not in (None, 1) or n not in (None, 1):
+                raise SpecInvalid(f"a sphere is G(m,1,1), got s={s}, n={n}; "
                                   "G(m,s,n) needs n >= 2")
             if m is None or p is None:
                 raise SpecInvalid("sphere needs m, p")
             if m < 2:
                 raise SpecInvalid(f"sphere requires m >= 2, got m={m}")
             _check_prime_congruence(p, m)
-            object.__setattr__(self, "s", 1)
-            object.__setattr__(self, "n", 1)
-            return
-        raise SpecInvalid(f"unknown group kind {self.kind!r}")
+            s = n = 1
+        else:
+            raise SpecInvalid(f"unknown group kind {kind!r}")
+        self._init(kind, m, s, n, p)
 
     @property
     def exceptional(self) -> bool:

@@ -9,15 +9,19 @@ on stderr.  With --no-timing, identical flags produce byte-identical output.
 
 from __future__ import annotations
 
-import argparse
 import gc
+
+if __name__ == "__main__":
+    gc.disable()  # until entry(): the imports below only make objects that live to exit
+
+import argparse
 import json
 import os
 import sys
 import time
 from typing import NoReturn
 
-from . import catalog, counting, formulas, grassmannian, oracle
+from . import catalog, counting, oracle
 from .catalog import GroupSpec, parse_spec
 from .errors import (
     CapExceeded,
@@ -39,7 +43,8 @@ EXIT_INTERNAL = 4
 _CAP_ERRORS = (CapExceeded, PrecisionTooLow, SpaceTooLarge, MemoryError)
 
 GROUP_METHODS = ("burnside", "classes", "formula", "oracle")
-ALL_METHODS = GROUP_METHODS + ("theoremA", "theoremB", "theoremC", "domain")
+CLOSED_FORMS = ("theoremA", "theoremB", "theoremC", "domain")
+ALL_METHODS = GROUP_METHODS + CLOSED_FORMS
 
 
 class _Config:
@@ -108,6 +113,8 @@ def run_count(spec: GroupSpec, k: int, method: str, cfg: _Config) -> counting.Co
         return counting.count_burnside_classes(group, k)
     if method == "formula":
         return counting.count_formula_general(group, catalog.exponents(spec), k)
+    if method in CLOSED_FORMS:
+        from . import formulas, grassmannian  # imported by the closed forms only
     start = time.perf_counter()
     if method == "theoremC":
         value = formulas.theorem_c(spec.kind, k)
@@ -276,6 +283,8 @@ def cmd_snf(args) -> int:
 
 
 def cmd_formula(args) -> int:
+    from . import formulas
+
     cfg = _Config(args)
     start = time.perf_counter()
     if args.name:
@@ -417,22 +426,25 @@ def _report_error(exc: Exception) -> None:
 
 
 def entry() -> NoReturn:
-    """The process entry: the console script and ``python -m repcount.cli``.
+    """The process entry: ``python -m repcount.cli`` and the console script.
 
-    What is alive here (the interpreter's and numpy's modules, the
-    package) lives until exit, so it is frozen: no collection during the
-    work walks it.  Once ``main`` returns, stdout and stderr are flushed
-    and the process leaves with ``os._exit``: the interpreter's teardown
-    (module cleanup, the final collections, freeing every object) would
-    write nothing more and took ~8 ms against ~2 ms.  So no atexit
-    handler runs and no other stream is flushed; the package registers
-    none and writes only those two.  A stdout that cannot take the flush
-    exits 3, as in ``main``.  argparse's SystemExit (help, a usage error)
-    leaves ``main`` by the normal exit path.  ``main`` itself freezes
-    nothing and returns its exit code, so tests and in-process callers see
-    no change.
+    Both run this module as ``__main__``, so its first lines switch the
+    collector off before anything else is imported: the interpreter's and
+    numpy's modules and the package, all alive until exit.  Here they are
+    frozen, and only then is the collector switched back on, so no
+    collection during the imports or the work walks them.  Once ``main``
+    returns, stdout and stderr are flushed and the process leaves with
+    ``os._exit``: the interpreter's teardown (module cleanup, the final
+    collections, freeing every object) would write nothing more and took
+    ~8 ms against ~2 ms.  So no atexit handler runs and no other stream is
+    flushed; the package registers none and writes only those two.  A
+    stdout that cannot take the flush exits 3, as in ``main``.  argparse's
+    SystemExit (help, a usage error) leaves ``main`` by the normal exit
+    path.  ``main`` itself touches neither the collector nor the freeze and
+    returns its exit code, so tests and in-process callers see no change.
     """
     gc.freeze()
+    gc.enable()
     code = main()
     try:
         sys.stdout.flush()

@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,34 +31,34 @@ from .errors import InvariantViolation, NonIntegralCount, PrecisionTooLow
 from .groups import FiniteMatrixGroup
 from .linalg import smith_valuations_batch
 from .modp import int_valuation
+from .records import Record
 
 #: Elements per lift and batched Smith elimination in per-element Burnside;
 #: bounds both the lifted rows and the temporaries of the elimination.
 BURNSIDE_CHUNK = 4096
 
 
-@dataclass
-class CountReport:
-    """Result of one counting run, serializable to JSON/CSV/text."""
+class CountReport(Record):
+    """Result of one counting run, serializable to JSON/CSV/text.
 
-    group: str
-    p: int
-    k: int
-    method: str
-    count: int
-    breakdown: Optional[list] = None  # (rep_index, class_size, fixed_points) rows
-    elapsed: Optional[float] = None
+    ``breakdown`` holds (rep_index, class_size, fixed_points) rows.
+    """
 
-    def __post_init__(self):
-        if self.count < 1:
-            raise InvariantViolation(f"orbit count {self.count} is below 1")
-        if self.breakdown is not None:
-            total = sum(size * fixed for _, size, fixed in self.breakdown)
-            order = sum(size for _, size, _ in self.breakdown)
-            if total != order * self.count:
+    __slots__ = _fields = ("group", "p", "k", "method", "count", "breakdown", "elapsed")
+
+    def __init__(self, group: str, p: int, k: int, method: str, count: int,
+                 breakdown: Optional[list] = None, elapsed: Optional[float] = None):
+        if count < 1:
+            raise InvariantViolation(f"orbit count {count} is below 1")
+        if breakdown is not None:
+            total = sum(size * fixed for _, size, fixed in breakdown)
+            order = sum(size for _, size, _ in breakdown)
+            if total != order * count:
                 raise InvariantViolation(
-                    f"breakdown sums to {total}, not |W| * count = {order * self.count}"
+                    f"breakdown sums to {total}, not |W| * count = {order * count}"
                 )
+        self.group, self.p, self.k, self.method = group, p, k, method
+        self.count, self.breakdown, self.elapsed = count, breakdown, elapsed
 
     def to_json_dict(self, include_timing: bool = True) -> dict:
         out = {

@@ -21,24 +21,25 @@ valuations into the diagonal p^e, 0 where saturated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, PrecisionTooLow
 from .modp import Modulus
+from .records import FrozenRecord
 
 
-@dataclass(frozen=True)
-class SquareMatrix:
+class SquareMatrix(FrozenRecord):
     """An l x l matrix over Z/p^M: its rows of canonical ints and its modulus.
 
     Rows are a tuple of tuples, so instances are immutable and hashable.
     """
 
-    rows: tuple
-    modulus: Modulus
+    __slots__ = _fields = ("rows", "modulus")
+
+    def __init__(self, rows: tuple, modulus: Modulus):
+        self._init(rows, modulus)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], modulus: Modulus) -> "SquareMatrix":

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import (
@@ -20,6 +19,7 @@ from .errors import (
     NotAUnit,
     OrderUnavailable,
 )
+from .records import FrozenRecord
 
 #: The first 13 primes, and the least strong pseudoprime to all of them as
 #: bases (Sorenson and Webster, 2015): below it Miller-Rabin with these
@@ -112,20 +112,21 @@ def prime_factors(n: int) -> list:
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class Modulus:
-    """The ring Z/p^M for a prime p and precision exponent M >= 1."""
+class Modulus(FrozenRecord):
+    """The ring Z/p^M for a prime p and precision exponent M >= 1.
 
-    p: int
-    M: int
-    pM: int = field(init=False, compare=False)
+    Compared and hashed by (p, M); pM = p^M is derived from them.
+    """
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.M < 1:
-            raise ValueError(f"precision exponent must be >= 1, got {self.M}")
-        object.__setattr__(self, "pM", self.p ** self.M)
+    __slots__ = ("p", "M", "pM")
+    _fields = ("p", "M")
+
+    def __init__(self, p: int, M: int):
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if M < 1:
+            raise ValueError(f"precision exponent must be >= 1, got {M}")
+        self._init(p, M, p ** M)
 
     @property
     def threshold(self) -> int:

@@ -1,5 +1,5 @@
-"""The process around the CLI: the collector's state across the package
-import, the process entry that the console script and
+"""The process around the CLI: what the package import loads, the
+collector's state across it, the process entry that the console script and
 ``python -m repcount.cli`` run, and a stdout that cannot be written.
 
 The golden cases here go through a fresh interpreter, so they cover the
@@ -41,6 +41,78 @@ def test_import_leaves_the_collector_as_it_found_it(enabled):
     assert proc.stdout.decode().strip() == str(enabled)
 
 
+def test_package_import_loads_no_submodule():
+    proc = python("-c", "import sys, repcount; "
+                        "print(sorted(m for m in sys.modules "
+                        "if m == 'numpy' or m.startswith(('numpy.', 'repcount.'))))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "[]"
+
+
+def test_cli_import_leaves_out_dataclasses_and_the_closed_forms():
+    proc = python("-c", "import sys, repcount.cli; "
+                        "print([m for m in ('dataclasses', 'repcount.formulas', "
+                        "'repcount.grassmannian') if m in sys.modules])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "[]"
+
+
+def test_lazy_exports_resolve_to_their_submodules():
+    # in a child, so each name is looked up before its submodule is imported
+    proc = python("-c", "import importlib, repcount; "
+                        "print([n for n in repcount.__all__ if getattr(repcount, n) is not "
+                        "getattr(importlib.import_module('repcount.' + repcount._MODULE_OF[n]), n)])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "[]"
+
+
+def test_star_import_dir_and_unknown_names():
+    namespace = {}
+    exec("from repcount import *", namespace)
+    assert set(repcount.__all__) <= set(namespace)
+    assert namespace["GroupSpec"] is repcount.catalog.GroupSpec
+    assert namespace["theorem_b"] is repcount.grassmannian.theorem_b
+    assert set(repcount.__all__) <= set(dir(repcount))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        repcount.no_such_name
+
+
+# The child runs the CLI module as ``python -m`` or the console script does.
+# It collects first, so that its own start-up cannot start a collection
+# later.  It records the freeze count at every collection start, and whether
+# the collector is on when the module's ``main`` is called; its stand-in for
+# os._exit reports.
+COLLECTOR_CHILD = """
+import gc, json, os, runpy, sys
+starts, in_main = [], []
+def watch(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "main" and frame.f_code.co_filename.endswith("cli.py"):
+        in_main.append(gc.isenabled())
+def leave(code):
+    sys.setprofile(None)
+    print(json.dumps({"code": code, "starts": starts, "in_main": in_main}))
+os._exit = leave
+sys.argv = ["repcount", "count", "--group", "g12", "--k", "22", "--method", "classes", "--no-timing"]
+gc.collect()
+gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(gc.get_freeze_count()))
+sys.setprofile(watch)
+"""
+LAUNCHERS = {
+    "python -m": 'runpy.run_module("repcount.cli", run_name="__main__", alter_sys=True)',
+    "console script": "import repcount; repcount.script()",
+}
+
+
+@pytest.mark.parametrize("launch", sorted(LAUNCHERS))
+def test_cli_imports_without_the_collector(launch):
+    proc = python("-c", COLLECTOR_CHILD + LAUNCHERS[launch])
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.decode().splitlines()[-1])
+    assert report["code"] == 0
+    assert all(frozen > 0 for frozen in report["starts"]), report["starts"]
+    assert report["in_main"] == [True]
+
+
 def test_main_freezes_nothing(capsys):
     before = gc.get_freeze_count()
     assert main(["count", "--group", "g12", "--k", "2", "--method", "oracle", "--no-timing"]) == 0
@@ -56,6 +128,25 @@ def test_entry_freezes_the_import_time_objects():
                         "entry()")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().splitlines()[-1] == "0 True"
+
+
+@pytest.mark.parametrize("argv,code,first_line", [
+    (["--help"], 0, "usage: repcount [-h]"),
+    (["count", "--group", "g12"], 2, ""),
+    (["formula", "--name", "x12", "--k", "2", "--no-timing"], 0,
+     "g12  p=3  k=2  method=closed-form  count=5"),
+    (["count", "--group", "sphere:m=4,p=5", "--k", "2", "--method", "theoremB", "--no-timing"], 0,
+     "sphere:m=4,p=5  p=5  k=2  method=theoremB  count=7"),
+], ids=["help", "usage error", "formula", "theoremB"])
+def test_console_script(argv, code, first_line):
+    # what the installed script's wrapper runs: sys.exit(script())
+    proc = python("-c", "import sys; from repcount import script; "
+                        f"sys.argv = ['repcount', *{argv!r}]; sys.exit(script())")
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.decode().startswith(first_line)
+    if code == 2:
+        assert proc.stdout == b""
+        assert "the following arguments are required: --k" in proc.stderr.decode()
 
 
 @pytest.mark.parametrize("argv,code,error", [
