@@ -24,7 +24,7 @@ _EXPORTS = {
     "formulas": ("theorem_a", "theorem_c"),
     "grassmannian": ("build_orbits", "enumerate_distinguished", "theorem_b"),
     "groups": ("ConjugacyClassRecord", "FiniteMatrixGroup", "close"),
-    "linalg": ("SquareMatrix", "diagonal", "kernel_size", "smith_valuations"),
+    "linalg": ("SquareMatrix", "diagonal", "smith_valuations"),
     "modp": ("Modulus", "hensel_lift", "invert", "mth_root_of_unity", "teichmuller"),
     "oracle": ("orbit_count_bruteforce",),
 }

@@ -10,19 +10,20 @@ narrowest unsigned width that holds |P| - 1; right multiplication by a
 generator is then a gather through that generator's permutation of P, with
 no matrix product.  An element's key is the mixed-radix int64 of its ranks
 in base |P|, so keys order elements exactly as their rows order
-lexicographically; the group keeps its keys sorted and ``find`` is one
-``searchsorted``.  Points are int64 when matmul entry sums cannot overflow
-and object (Python integers) otherwise, and both dtypes share every code
-path.  Every element also carries a word in the generators, kept as two
-arrays (parent index as int32, generator index as int8), and the group
-keeps the index at which each BFS level starts, so any set of elements can
-be re-evaluated at a higher precision without re-closing the group:
-``rows_at`` is the one lift, and ``_powers`` the one routine for orders and
-trace sums.  The closure also keeps its right Cayley table, a (g, N) int32
-array of element indices, one contiguous row per generator; conjugacy
-classes are read from it by integer gathers alone, with no matrix product
-and no key lookup.  An element costs l + 4 + 1 + 4g + 8 + 4 bytes: its
-ranks, its word, its column of the table, and its sorted key and index.
+lexicographically; the group keeps them in element order, and a class's
+representative is its member with the least key.  Points are int64 when
+matmul entry sums cannot overflow and object (Python integers) otherwise,
+and both dtypes share every code path.  Every element also carries a word
+in the generators, kept as two arrays (parent index as int32, generator
+index as int8), and the group keeps the index at which each BFS level
+starts, so any set of elements can be re-evaluated at a higher precision
+without re-closing the group: ``rows_at`` is the one lift, and ``_powers``
+the one routine for orders and trace sums.  The closure also keeps its
+right Cayley table, a (g, N) int32 array of element indices, one
+contiguous row per generator; conjugacy classes are read from it by
+integer gathers alone, with no matrix product and no key lookup.  An
+element costs l + 4 + 1 + 4g + 8 bytes: its ranks, its word, its column of
+the table and its key.
 The closure skips work it already has the answer to: an involution's row
 of the table is its own inverse, so half of it is filled by symmetry, and
 a level's other products are searched only among the keys of the last few
@@ -68,10 +69,10 @@ def _row_keys(ranks: np.ndarray, base: int) -> np.ndarray:
 class ConjugacyClassRecord(NamedTuple):
     """One conjugacy class with its fixed-space data, all plain ints and tuples.
 
-    ``rep_index`` is the representative's element index: its matrix is
-    ``group.element(rep_index)``.  ``smith_vals`` are the Smith valuations
-    of (w - I) at the group's precision M, non-decreasing, with M standing
-    for saturated.  ``torsion_vals`` are the valuations of the finite part
+    ``rep_index`` is the representative's element index: its rows mod p^n
+    are ``group.rows_at([rep_index], n)[0]``.  ``smith_vals`` are the Smith
+    valuations of (w - I) at the group's precision M, non-decreasing, with M
+    standing for saturated.  ``torsion_vals`` are the valuations of the finite part
     of Coker(w - I), read at a precision that always separates them from
     the free part (see ``FiniteMatrixGroup.conjugacy_classes``), and
     ``torsion_order`` is |A_w|, p to their sum.
@@ -90,8 +91,8 @@ class ConjugacyClassRecord(NamedTuple):
 class FiniteMatrixGroup:
     """A finite group of invertible l x l matrices over Z/p^M."""
 
-    def __init__(self, modulus, dim, generators, points, rows, parent, gen, right, by_key,
-                 sorted_keys, starts, generator_factory=None, name=None):
+    def __init__(self, modulus, dim, generators, points, rows, parent, gen, right, keys, starts,
+                 generator_factory=None, name=None):
         self.modulus = modulus
         self.dim = dim
         self.generators = generators  # (g, l, l) array, the points' dtype
@@ -100,13 +101,11 @@ class FiniteMatrixGroup:
         self._parent = parent      # (N,) int32: element i = element parent[i] @ generator gen[i]
         self._gen = gen            # (N,) int8; parent and gen are -1 at the identity
         self._right = right        # (g, N) int32: element i @ generator j is element right[j, i]
-        self._by_key = by_key      # (N,) element indices in increasing key order
-        self._sorted_keys = sorted_keys  # (N,) int64 keys of the elements by_key
+        self._keys = keys          # (N,) int64: the key of element i (see _row_keys)
         self._starts = starts      # BFS level i is elements starts[i]:starts[i + 1]; ends at N
         self.generator_factory = generator_factory
         self.name = name
         self._classes: Optional[list] = None
-        self._class_of: Optional[np.ndarray] = None  # (N,) int32 class index
 
     # -- basic queries ----------------------------------------------------
 
@@ -116,49 +115,6 @@ class FiniteMatrixGroup:
 
     def __len__(self) -> int:
         return self.order
-
-    def element_rows(self, i: int) -> tuple:
-        return tuple(map(tuple, self._points[self._rows[i]].tolist()))
-
-    def element(self, i: int) -> SquareMatrix:
-        return SquareMatrix(self.element_rows(i), self.modulus)
-
-    def find(self, mat: SquareMatrix) -> int:
-        """Index of a matrix in the group; KeyError if absent.
-
-        Each row is ranked in the row orbit, the ranks are keyed and the key
-        is looked up among the sorted keys.  A matrix over another modulus
-        or of another dimension, or with a row outside the row orbit, is
-        absent.
-        """
-        if mat.modulus != self.modulus or mat.dim != self.dim:
-            raise KeyError(f"{mat.dim}x{mat.dim} matrix over {mat.modulus} is not in a "
-                           f"{self.dim}x{self.dim} group over {self.modulus}")
-        target = np.array(mat.rows, dtype=self._points.dtype)
-        match = (self._points[None, :, :] == target[:, None, :]).all(axis=2)  # (l, |P|)
-        if not match.any(axis=1).all():
-            raise KeyError("a row of the matrix is not in the group's row orbit")
-        key = _row_keys(match.argmax(axis=1), len(self._points))
-        pos = int(np.searchsorted(self._sorted_keys, key))
-        if pos == self.order or self._sorted_keys[pos] != key:
-            raise KeyError("the matrix is not in the group")
-        return int(self._by_key[pos])
-
-    def __contains__(self, mat: SquareMatrix) -> bool:
-        try:
-            self.find(mat)
-        except KeyError:
-            return False
-        return True
-
-    def word(self, i: int) -> list:
-        """Generator indices whose left-to-right product is element i."""
-        out = []
-        while i != 0:
-            out.append(int(self._gen[i]))
-            i = int(self._parent[i])
-        out.reverse()
-        return out
 
     # -- precision changes -------------------------------------------------
 
@@ -217,9 +173,6 @@ class FiniteMatrixGroup:
 
     # -- orders, ranks, classes ---------------------------------------------
 
-    def element_order(self, i: int) -> int:
-        return int(_powers(self._points[self._rows[i:i + 1]], self.modulus.pM, self.order)[0][0])
-
     def conjugacy_classes(self) -> list:
         """Partition into conjugacy classes with fixed-space annotations.
 
@@ -227,7 +180,8 @@ class FiniteMatrixGroup:
         generators, found by label propagation over the right Cayley table
         (see ``_partition``) and numbered by their least element index; the
         representative is the member with the least key, whose rows are
-        lexicographically smallest.
+        lexicographically smallest, found by one ``np.minimum.at`` of the
+        keys over the class indices.
         Cached after first call.
 
         Each class is read once, at the least m >= M with p^m > d*l, where d
@@ -250,9 +204,13 @@ class FiniteMatrixGroup:
         class_of = self._partition()
         p, M, l = self.modulus.p, self.modulus.M, self.dim
         sizes = np.bincount(class_of).tolist()
-        # the first member of each class in key order has the class's least key
-        _, first = np.unique(class_of[self._by_key], return_index=True)
-        reps = self._by_key[first].tolist()
+        # keys are unique, so exactly one member of each class holds its least key
+        least = np.full(len(sizes), np.iinfo(np.int64).max)
+        np.minimum.at(least, class_of, self._keys)
+        is_rep = self._keys == least[class_of]
+        reps = np.empty(len(sizes), dtype=np.intp)
+        reps[class_of[is_rep]] = is_rep.nonzero()[0]
+        reps = reps.tolist()
         for rep, size in zip(reps, sizes):
             if self.order % size != 0:
                 raise InvariantViolation(
@@ -293,13 +251,7 @@ class FiniteMatrixGroup:
         if sum(sizes) != self.order:
             raise InvariantViolation(f"class sizes do not sum to |W|={self.order}")
         self._classes = records
-        self._class_of = class_of
         return records
-
-    def class_of(self, i: int) -> int:
-        """Index into conjugacy_classes() of the class containing element i."""
-        self.conjugacy_classes()
-        return int(self._class_of[i])
 
     def _partition(self) -> np.ndarray:
         """Class index of every element, classes numbered by their least member.
@@ -489,15 +441,13 @@ def close(
     changes no number.  Only the new elements' ranks are gathered.  Each
     BFS level is one contiguous block of elements whose parents all lie in
     the previous level; its start is kept for ``rows_at`` and
-    ``_partition``.  All keys are sorted once at the end, for ``find`` and
-    the class representatives.
+    ``_partition``.  The keys stay in element order, for the class
+    representatives; nothing is sorted after the search.
     The table is generator-major, (g, N), so a level writes, and the
     partition reads, one contiguous run per generator.  During the closure
     an element costs l + 5 + 4g + 8 bytes: its ranks, its word (an int32
     parent and an int8 generator), its column of the table and its key;
-    while its level is in the window it costs 12 bytes more.  The final
-    sort adds 12 bytes, the sorted key and its index, and 8 more for a
-    moment.
+    while its level is in the window it costs 12 bytes more.
     Raises CapExceeded, before the group's arrays are allocated, when
     ``order`` is above ``cap``, when there are more than MAX_GENERATORS
     generators or when a key of l ranks in base |P| could overflow int64;
@@ -593,8 +543,6 @@ def close(
         raise InvariantViolation(f"{label} closed to {size} elements, expected {order}")
     if any((np.bincount(row, minlength=order) != 1).any() for row in right):
         raise InvariantViolation("a row of the right Cayley table is not a permutation")
-    by_key = key_of.argsort().astype(np.int32)
     return FiniteMatrixGroup(modulus, dim, np.array(gen_rows, dtype=dtype),
-                             np.array(points, dtype=dtype), rows, parent, gen, right,
-                             by_key, key_of[by_key], tuple(starts),
-                             generator_factory=generator_factory, name=name)
+                             np.array(points, dtype=dtype), rows, parent, gen, right, key_of,
+                             tuple(starts), generator_factory=generator_factory, name=name)

@@ -12,11 +12,10 @@ of the elementary divisors, with the precision M standing for saturated (a
 divisor that vanishes mod p^M).  ``smith_valuations_batch`` is the one
 Smith engine: it eliminates a whole (N, l, l) numpy batch at once, in place
 on full l x l blocks, with valuations read from an int8 table while p^M is
-at most ``VALUATION_TABLE_MAX``, and backs ``snf``, ``kernel_size``, the one
-Smith form per conjugacy class and every Burnside fixed-point count.  A
-scalar elimination of one matrix in pure Python is kept below only as the
-reference that the tests hold the batched engine to.  ``diagonal`` turns
-valuations into the diagonal p^e, 0 where saturated.
+at most ``VALUATION_TABLE_MAX``, and backs ``snf``, the one Smith form per
+conjugacy class and every Burnside fixed-point count.  The tests hold it to
+a scalar elimination of one matrix in pure Python, which they keep.
+``diagonal`` turns valuations into the diagonal p^e, 0 where saturated.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, PrecisionTooLow
+from .errors import DimensionMismatch
 from .modp import Modulus
 from .records import FrozenRecord
 
@@ -49,12 +48,6 @@ class SquareMatrix(FrozenRecord):
         pM = modulus.pM
         return SquareMatrix(tuple(tuple(x % pM for x in r) for r in rows), modulus)
 
-    @staticmethod
-    def identity(dim: int, modulus: Modulus) -> "SquareMatrix":
-        return SquareMatrix.from_rows(
-            [[1 if i == j else 0 for j in range(dim)] for i in range(dim)], modulus
-        )
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -63,63 +56,6 @@ class SquareMatrix(FrozenRecord):
 def diagonal(vals: Sequence[int], p: int, M: int) -> tuple:
     """The Smith diagonal over Z/p^M: p^e for each valuation e, 0 where e is M (saturated)."""
     return tuple(0 if e == M else p ** e for e in vals)
-
-
-def smith_valuations_raw(rows: Sequence[Sequence[int]], p: int, M: int) -> list:
-    """Smith-form valuations of a square matrix over Z/p^M.
-
-    Repeatedly pick a pivot of minimal valuation (ties broken by lowest
-    (row, column)), scale its row to make the pivot exactly p^e, and clear
-    its row and column; recurse on the minor.  Because the pivot valuation
-    is globally minimal the output is already non-decreasing.  Nothing in
-    the package calls it: it is the reference for the batched engine.  A
-    saturated valuation reads M, as in the batched engine.
-    """
-    pM = p ** M
-    a = [[x % pM for x in row] for row in rows]
-    n = len(a)
-    out = []
-    for s in range(n):
-        best_e, bi, bj = M, -1, -1
-        for i in range(s, n):
-            row = a[i]
-            for j in range(s, n):
-                x = row[j]
-                if x == 0:
-                    continue
-                e = 0
-                while x % p == 0:
-                    x //= p
-                    e += 1
-                if e < best_e:
-                    best_e, bi, bj = e, i, j
-                    if e == 0:
-                        break
-            if best_e == 0:
-                break
-        if bi < 0:
-            out.extend([M] * (n - s))
-            break
-        if bi != s:
-            a[s], a[bi] = a[bi], a[s]
-        if bj != s:
-            for row in a:
-                row[s], row[bj] = row[bj], row[s]
-        pe = p ** best_e
-        unit_inv = pow(a[s][s] // pe, -1, pM)
-        a[s] = [x * unit_inv % pM for x in a[s]]
-        for i in range(s + 1, n):
-            q = a[i][s] // pe
-            if q:
-                ai, as_ = a[i], a[s]
-                a[i] = [(x - q * y) % pM for x, y in zip(ai, as_)]
-        for j in range(s + 1, n):
-            q = a[s][j] // pe
-            if q:
-                for i in range(s, n):
-                    a[i][j] = (a[i][j] - q * a[i][s]) % pM
-        out.append(best_e)
-    return out
 
 
 def exact_dtype(pM: int, dim: int):
@@ -156,13 +92,13 @@ def smith_valuations_batch(a, p: int, M: int) -> np.ndarray:
     ``a`` holds integer entries (numpy int64 or object), read mod p^M.
     Returns an (N, l) int64 array whose row t is the non-decreasing
     valuation list of matrix t, with M standing for saturated; matrix by
-    matrix it equals the scalar reference above.  The batch is held as an
+    matrix it equals a scalar elimination.  The batch is held as an
     (l*l, N) array, and each step works on every matrix and its full l x l
     block at once: the valuation of every entry (zero reads M; one lookup
     in an int8 table of v_p over Z/p^M when p^M <= ``VALUATION_TABLE_MAX``,
-    divisibility tests by p, p^2, ... above it), a pivot of minimal
-    valuation e per matrix (the minimum of e*l*l + position), then row
-    elimination only.  Every row i becomes u*row_i - (a_ij / p^e)*pivot_row
+    divisibility tests by p, p^2, ... above it, which stop at the largest
+    finite valuation present), a pivot of minimal valuation e per matrix
+    (the minimum of e*l*l + position), then row elimination only.  Every row i becomes u*row_i - (a_ij / p^e)*pivot_row
     in place, where u is the pivot's unit part; scaling a row by a unit is
     invertible over Z/p^M, so no inverse is needed.  The update zeroes the
     pivot row and column, and zeros read as saturated, so no later step
@@ -175,8 +111,10 @@ def smith_valuations_batch(a, p: int, M: int) -> np.ndarray:
     size = dim * dim
     b = np.ascontiguousarray(_mod(np.asarray(a, dtype=exact_dtype(pM, dim)).reshape(n, size).T, pM))
     table = _valuation_table(p, M) if pM <= VALUATION_TABLE_MAX else None
-    # p^0 .. p^M in the entries' dtype; p^M divides a saturated pivot's all-zero block
-    pows = np.array([p ** e for e in range(M + 1)], dtype=b.dtype)
+    # p^0, p^1, ... in the entries' dtype: up to p^M with the table, and without
+    # it only as far as the divisibility tests reach.  A saturated pivot's block
+    # is all zero, so the last power held divides it as well as p^M would.
+    pows = np.array([p ** e for e in range(M + 1 if table is not None else 1)], dtype=b.dtype)
     # the narrowest dtype that holds e*l*l + position keeps the pivot search cheap
     position = np.arange(size, dtype=np.min_scalar_type((M + 1) * size))[:, None]
     # entry (i, j) of matrix t sits at flat index (i*l + j)*N + t: the entries
@@ -190,6 +128,8 @@ def smith_valuations_batch(a, p: int, M: int) -> np.ndarray:
             live = b != 0
             vals = np.where(live, 0, M)
             for v in range(1, M):
+                if v == pows.size:
+                    pows = np.append(pows, pows[-1] * p)
                 live &= _mod(b, pows[v]) == 0
                 if not live.any():
                     break
@@ -197,7 +137,7 @@ def smith_valuations_batch(a, p: int, M: int) -> np.ndarray:
         key = np.minimum.reduce(vals.astype(position.dtype) * size + position)
         e, piv = np.divmod(key.astype(np.int64), size)
         out[s] = e
-        pe = pows[e]
+        pe = pows[np.minimum(e, pows.size - 1)]
         bi, bj = np.divmod(piv, dim)
         unit = b.take(piv * n + lane) // pe
         q = b.take(dim * stride + (bj * n + lane)) // pe
@@ -212,19 +152,6 @@ def smith_valuations(a: SquareMatrix) -> tuple:
     """Smith valuations of a over Z/p^M, non-decreasing, M where saturated."""
     vals = smith_valuations_batch(np.array([a.rows], dtype=object), a.modulus.p, a.modulus.M)
     return tuple(vals[0].tolist())
-
-
-def kernel_size(a: SquareMatrix, n: int) -> int:
-    """Exact number of vectors v in (Z/p^n)^l with A v = 0.
-
-    |Ker(A mod p^n)| = prod p^min(e_i, n) over the Smith valuations mod p^n,
-    where a saturated valuation reads n.
-    """
-    if n > a.modulus.M:
-        raise PrecisionTooLow(f"need precision {n}, matrix has {a.modulus.M}")
-    p = a.modulus.p
-    rows = np.array([a.rows], dtype=object) % p ** n
-    return p ** int(smith_valuations_batch(rows, p, n).sum())
 
 
 def parse_matrix_text(text: str) -> SquareMatrix:

@@ -1,9 +1,12 @@
 """Matrix arithmetic for the tests: products, powers, w - I, determinants,
-orbits and conjugacy classes.
+kernel sizes, scalar Smith forms, orbits and conjugacy classes, and lookups
+of a closed group's elements by index, by rows, by word and by class.
 
 The package keeps a matrix as rows of canonical ints and multiplies only
 inside its algorithms, so the tests form the matrices they check here.
-Factors may be a ``SquareMatrix``, a generator array or plain rows.
+Factors may be a ``SquareMatrix``, a generator array or plain rows.  A
+closed group answers only what the counts read (``rows_at``,
+``_partition``), so the lookups below are built from those.
 """
 
 import itertools
@@ -14,7 +17,7 @@ import numpy as np
 from repcount.errors import InvariantViolation, PrecisionTooLow
 from repcount.formulas import theorem_c
 from repcount.groups import _powers, _rank_from_trace_sum
-from repcount.linalg import SquareMatrix, exact_dtype
+from repcount.linalg import SquareMatrix, exact_dtype, smith_valuations_batch
 from repcount.modp import invert, is_prime, mth_root_of_unity
 
 
@@ -22,6 +25,42 @@ def rows_of(x):
     if isinstance(x, SquareMatrix):
         return x.rows
     return x.tolist() if hasattr(x, "tolist") else x
+
+
+def identity(dim: int, modulus) -> SquareMatrix:
+    return SquareMatrix.from_rows(
+        [[1 if i == j else 0 for j in range(dim)] for i in range(dim)], modulus
+    )
+
+
+def element_rows(group, i: int) -> tuple:
+    """Element i of a closed group at its own precision, as a tuple of row tuples."""
+    return tuple(map(tuple, group.rows_at([i], group.modulus.M)[0].tolist()))
+
+
+def element(group, i: int) -> SquareMatrix:
+    return SquareMatrix(element_rows(group, i), group.modulus)
+
+
+def index_of(group) -> dict:
+    """Every element's rows (a tuple of row tuples) mapped to its index."""
+    store = group.rows_at(np.arange(group.order), group.modulus.M).tolist()
+    return {tuple(map(tuple, rows)): i for i, rows in enumerate(store)}
+
+
+def word(group, i: int) -> list:
+    """Generator indices whose left-to-right product is element i."""
+    out = []
+    while i != 0:
+        out.append(int(group._gen[i]))
+        i = int(group._parent[i])
+    out.reverse()
+    return out
+
+
+def class_of(group) -> list:
+    """Each element's index into ``group.conjugacy_classes()``, as plain ints."""
+    return group._partition().tolist()
 
 
 def mat_mul(a, b, pM: int) -> tuple:
@@ -41,7 +80,7 @@ def prod(modulus, *factors) -> SquareMatrix:
 
 
 def power(x, n: int, modulus) -> SquareMatrix:
-    acc = SquareMatrix.identity(len(rows_of(x)), modulus)
+    acc = identity(len(rows_of(x)), modulus)
     for _ in range(n):
         acc = prod(modulus, acc, x)
     return acc
@@ -49,7 +88,7 @@ def power(x, n: int, modulus) -> SquareMatrix:
 
 def order(x, modulus) -> int:
     """Multiplicative order of an invertible matrix mod p^M."""
-    ident = SquareMatrix.identity(len(rows_of(x)), modulus)
+    ident = identity(len(rows_of(x)), modulus)
     acc, d = prod(modulus, x), 1
     while acc != ident:
         acc, d = prod(modulus, acc, x), d + 1
@@ -67,6 +106,76 @@ def minus_identity(x, modulus) -> SquareMatrix:
         [[v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(rows_of(x))],
         modulus,
     )
+
+
+def smith_valuations_raw(rows, p: int, M: int) -> list:
+    """Smith-form valuations of a square matrix over Z/p^M.
+
+    Repeatedly pick a pivot of minimal valuation (ties broken by lowest
+    (row, column)), scale its row to make the pivot exactly p^e, and clear
+    its row and column; recurse on the minor.  Because the pivot valuation
+    is globally minimal the output is already non-decreasing.  Nothing in
+    the package calls it: it is the reference for the batched engine.  A
+    saturated valuation reads M, as in the batched engine.
+    """
+    pM = p ** M
+    a = [[x % pM for x in row] for row in rows]
+    n = len(a)
+    out = []
+    for s in range(n):
+        best_e, bi, bj = M, -1, -1
+        for i in range(s, n):
+            row = a[i]
+            for j in range(s, n):
+                x = row[j]
+                if x == 0:
+                    continue
+                e = 0
+                while x % p == 0:
+                    x //= p
+                    e += 1
+                if e < best_e:
+                    best_e, bi, bj = e, i, j
+                    if e == 0:
+                        break
+            if best_e == 0:
+                break
+        if bi < 0:
+            out.extend([M] * (n - s))
+            break
+        if bi != s:
+            a[s], a[bi] = a[bi], a[s]
+        if bj != s:
+            for row in a:
+                row[s], row[bj] = row[bj], row[s]
+        pe = p ** best_e
+        unit_inv = pow(a[s][s] // pe, -1, pM)
+        a[s] = [x * unit_inv % pM for x in a[s]]
+        for i in range(s + 1, n):
+            q = a[i][s] // pe
+            if q:
+                ai, as_ = a[i], a[s]
+                a[i] = [(x - q * y) % pM for x, y in zip(ai, as_)]
+        for j in range(s + 1, n):
+            q = a[s][j] // pe
+            if q:
+                for i in range(s, n):
+                    a[i][j] = (a[i][j] - q * a[i][s]) % pM
+        out.append(best_e)
+    return out
+
+
+def kernel_size(a: SquareMatrix, n: int) -> int:
+    """Exact number of vectors v in (Z/p^n)^l with A v = 0.
+
+    |Ker(A mod p^n)| = prod p^min(e_i, n) over the Smith valuations mod p^n,
+    where a saturated valuation reads n.
+    """
+    if n > a.modulus.M:
+        raise PrecisionTooLow(f"need precision {n}, matrix has {a.modulus.M}")
+    p = a.modulus.p
+    rows = np.array([a.rows], dtype=object) % p ** n
+    return p ** int(smith_valuations_batch(rows, p, n).sum())
 
 
 def generator_matrices(group) -> list:
@@ -125,6 +234,31 @@ def closure_reference(generators):
                 right[i][j] = index[prod]
         level = nxt
     return rows, parent, gen, right
+
+
+def row_action(generators) -> list:
+    """Oracle: each generator as a permutation of the orbit of the basis rows.
+
+    The basis rows are moved by x -> x @ g mod p^M, for every generator g,
+    until no new row appears; points are numbered in order of discovery,
+    and generator j sends point i to entry i of the j-th list.  The orbit
+    holds the basis rows, so the action is faithful.  Plain Python, sharing
+    no code with ``groups._row_orbit``.
+    """
+    pM = generators[0].modulus.pM
+    gens = [rows_of(g) for g in generators]
+    dim = len(gens[0])
+    points = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    index = {x: i for i, x in enumerate(points)}
+    perms = [[] for _ in gens]
+    for x in points:  # the list grows while it is walked
+        for perm, g in zip(perms, gens):
+            y = mat_mul([x], g, pM)[0]
+            if y not in index:
+                index[y] = len(points)
+                points.append(y)
+            perm.append(index[y])
+    return perms
 
 
 def det_permanent_expansion(rows, pM):
@@ -265,7 +399,7 @@ def conjugacy_partition_reference(group):
     """
     pM, n = group.modulus.pM, group.order
     store = group.rows_at(np.arange(n), group.modulus.M)
-    index = {tuple(map(tuple, rows)): i for i, rows in enumerate(store.tolist())}
+    index = index_of(group)
     pairs = [(g, np.array(inverse(g, group.modulus).rows, dtype=store.dtype))
              for g in group.generators]
     class_of = [-1] * n

@@ -7,6 +7,7 @@ import pytest
 from repcount import catalog, counting, formulas
 from repcount.cli import main
 from repcount.errors import NonIntegralCount
+from repcount.linalg import parse_matrix_text, smith_valuations
 
 
 def run(capsys, *argv):
@@ -295,6 +296,23 @@ def test_snf_zero_and_identity(tmp_path, capsys):
     code, out, _ = run(capsys, "snf", str(i))
     assert code == 0
     assert out == "p=3 M=2\nvaluations: 0 0\ndiagonal:   1 1\n"
+
+
+@pytest.mark.parametrize("rows,want", [
+    ("1 0\n0 3", [0, 0]),
+    (f"{2 ** 1000} 0\n0 3", [0, 1000]),
+    (f"{2 ** 1000} 0\n0 0", [1000, 200000]),
+], ids=["units", "valuation 1000", "saturated pivot"])
+def test_snf_at_a_huge_precision(tmp_path, capsys, rows, want):
+    # p^M = 2^200000 is far above the valuation table: the engine divides by
+    # p, p^2, ... only up to the largest finite valuation present, and a
+    # saturated pivot's all-zero block takes any power of p
+    f = tmp_path / "huge.txt"
+    f.write_text(f"2 200000 2 2\n{rows}\n")
+    assert smith_valuations(parse_matrix_text(f.read_text())) == tuple(want)
+    code, out, _ = run(capsys, "snf", str(f), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["valuations"] == [e if e < 200000 else "saturated" for e in want]
 
 
 def test_snf_parse_error(tmp_path, capsys):

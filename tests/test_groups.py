@@ -10,21 +10,28 @@ from hypothesis import strategies as st
 
 from matrix_helpers import (
     admissible_tuples,
+    class_of,
     closure_reference,
     conjugacy_partition_reference,
+    element,
+    element_rows,
     generator_matrices,
+    identity,
+    index_of,
     mat_mul,
     minus_identity,
     order,
     power,
     prod,
     rank_fixed_space,
+    smith_valuations_raw,
+    word,
 )
 from repcount import groups
 from repcount.catalog import build, parse_spec
 from repcount.errors import CapExceeded, InvariantViolation, PrecisionTooLow
 from repcount.groups import close
-from repcount.linalg import SquareMatrix, smith_valuations_raw
+from repcount.linalg import SquareMatrix
 from repcount.modp import Modulus, int_valuation
 
 
@@ -45,7 +52,7 @@ def perm_matrices_s3(p, M):
 
 
 def test_close_trivial():
-    g = close([SquareMatrix.identity(2, Modulus(5, 2))], order=1)
+    g = close([identity(2, Modulus(5, 2))], order=1)
     assert g.order == 1
 
 
@@ -68,25 +75,25 @@ def test_close_cap():
 def test_close_deterministic_order():
     a = close(perm_matrices_s3(7, 2), order=6)
     b = close(perm_matrices_s3(7, 2), order=6)
-    assert [a.element_rows(i) for i in range(a.order)] == \
-           [b.element_rows(i) for i in range(b.order)]
+    assert [element_rows(a, i) for i in range(a.order)] == \
+           [element_rows(b, i) for i in range(b.order)]
 
 
 def test_closure_idempotent():
     g = close(perm_matrices_s3(7, 2), order=6)
-    again = close([g.element(i) for i in range(g.order)], order=g.order)
+    again = close([element(g, i) for i in range(g.order)], order=g.order)
     assert again.order == g.order
-    assert {g.element_rows(i) for i in range(g.order)} == \
-           {again.element_rows(i) for i in range(again.order)}
+    assert {element_rows(g, i) for i in range(g.order)} == \
+           {element_rows(again, i) for i in range(again.order)}
 
 
 def test_words_reconstruct_elements():
     g = close(perm_matrices_s3(7, 2), order=6)
     for i in range(g.order):
-        acc = SquareMatrix.identity(3, g.modulus)
-        for gi in g.word(i):
+        acc = identity(3, g.modulus)
+        for gi in word(g, i):
             acc = prod(g.modulus, acc, g.generators[gi])
-        assert acc.rows == g.element_rows(i)
+        assert acc.rows == element_rows(g, i)
 
 
 def test_conjugacy_classes_s3():
@@ -96,18 +103,19 @@ def test_conjugacy_classes_s3():
     assert sum(r.class_size for r in recs) == 6
     for r in recs:
         assert r.class_size * r.centralizer_order == g.order
-        assert g.element_order(r.rep_index) == r.element_order
+        assert order(element(g, r.rep_index), g.modulus) == r.element_order
 
 
 def test_conjugacy_closed_under_generators():
     g = close(perm_matrices_s3(5, 2), order=6)
     recs = g.conjugacy_classes()
+    classes, index = class_of(g), index_of(g)
     for rec in recs:
-        cid = g.class_of(rec.rep_index)
+        cid = classes[rec.rep_index]
         for h in g.generators:
             hinv = power(h, order(h, g.modulus) - 1, g.modulus)
-            conj = prod(g.modulus, hinv, g.element(rec.rep_index), h)
-            assert g.class_of(g.find(conj)) == cid
+            conj = prod(g.modulus, hinv, element(g, rec.rep_index), h)
+            assert classes[index[conj.rows]] == cid
 
 
 SMALL_MONOMIAL = sorted({
@@ -130,12 +138,13 @@ def _group(spec):
 @given(st.sampled_from(SMALL_MONOMIAL))
 def test_conjugacy_classes_match_reference_search(spec):
     group = _group(spec)
-    classes, class_of = conjugacy_partition_reference(group)
+    classes, want = conjugacy_partition_reference(group)
     records = group.conjugacy_classes()
     assert [(r.rep_index, r.class_size) for r in records] == \
-           [(min(members, key=group.element_rows), len(members)) for members in classes]
-    got = [group.class_of(i) for i in range(group.order)]
-    assert got == class_of
+           [(min(members, key=functools.partial(element_rows, group)), len(members))
+            for members in classes]
+    got = class_of(group)
+    assert got == want
     assert all(type(c) is int for c in got)
 
 
@@ -146,9 +155,10 @@ def test_right_cayley_table(exceptional_groups, name, sample):
     assert right.dtype == np.int32 and right.shape == (group.order, len(group.generators))
     idx = range(group.order) if sample is None else \
         random.Random(0).sample(range(group.order), sample)
+    index = index_of(group)
     for i in idx:
         for j, g in enumerate(group.generators):
-            assert right[i, j] == group.find(prod(group.modulus, group.element(i), g))
+            assert right[i, j] == index[prod(group.modulus, element(group, i), g).rows]
     # an involution's row is its own inverse: the closure fills half of it by symmetry
     gens = generator_matrices(group)
     involutions = [j for j, g in enumerate(gens) if order(g, group.modulus) == 2]
@@ -212,11 +222,11 @@ def test_close_matches_plain_breadth_first_search(label):
     # the row orbit is sorted, holds the basis rows and is closed under every generator
     points = [tuple(x) for x in group._points.tolist()]
     assert points == sorted(set(points))
-    assert set(group.element_rows(0)) <= set(points)
+    assert set(element_rows(group, 0)) <= set(points)
     assert {mat_mul([x], g.rows, group.modulus.pM)[0] for x in points for g in gens} \
         <= set(points)
     rows, parent, gen, right = closure_reference(gens)
-    assert [group.element_rows(i) for i in range(group.order)] == rows
+    assert [element_rows(group, i) for i in range(group.order)] == rows
     assert group._parent.tolist() == parent
     assert group._gen.tolist() == gen
     assert group._right.T.tolist() == right
@@ -272,14 +282,14 @@ def test_close_rejects_keys_that_overflow_int64():
 
 
 def test_trivial_group_single_class():
-    g = close([SquareMatrix.identity(3, Modulus(5, 2))], order=1)
+    g = close([identity(3, Modulus(5, 2))], order=1)
     recs = g.conjugacy_classes()
     assert len(recs) == 1 and recs[0].class_size == 1
     assert recs[0].rank == 3
 
 
 def test_rank_fixed_space_identity():
-    i4 = SquareMatrix.identity(4, Modulus(5, 3))
+    i4 = identity(4, Modulus(5, 3))
     assert rank_fixed_space(i4, 1) == 4
 
 
@@ -335,51 +345,7 @@ def test_rows_at_lifts_via_words(g12):
     pM = g12.modulus.pM
     for i, rows in zip(idx, high.tolist()):
         reduced = tuple(tuple(x % pM for x in row) for row in rows)
-        assert reduced == g12.element_rows(i)
-
-
-def test_find_and_contains(g12):
-    e = g12.element(5)
-    assert g12.find(e) == 5
-    assert e in g12
-    stranger = SquareMatrix.from_rows([[2, 0], [0, 2]], g12.modulus)
-    assert stranger not in g12
-
-
-def test_find_rejects_matrices_outside_the_group():
-    g = build(parse_spec("family2a:m=3,s=1,n=3,p=7"))
-    ident = g.element_rows(0)
-    # every row lies in the row orbit, but the matrix is not invertible
-    doubled = SquareMatrix((ident[0], ident[0], ident[2]), g.modulus)
-    # the row (1, 1, 0) is no multiple of a basis row, so it is not in the
-    # orbit; the other two rows are those of the anti-diagonal permutation,
-    # which is in the group
-    outside = SquareMatrix(((1, 1, 0), (0, 1, 0), (1, 0, 0)), g.modulus)
-    for mat in (doubled, outside):
-        assert mat not in g
-        with pytest.raises(KeyError):
-            g.find(mat)
-
-
-@pytest.mark.parametrize("spec", ["g12", "family2a:m=4,s=2,n=3,p=1297"])
-def test_find_rejects_other_modulus_and_dimension(spec):
-    # one test per point dtype: a matrix over another modulus or of another
-    # dimension is absent whatever its entries, 256 + e at 3^6 included
-    g = build(parse_spec(spec))
-    p, M, l = g.modulus.p, g.modulus.M, g.dim
-    rows = g.element_rows(5)
-    strangers = [
-        SquareMatrix.identity(l, Modulus(p, M + 2)),
-        SquareMatrix.from_rows([[x + 256 if (r, c) == (0, 0) else x
-                                 for c, x in enumerate(row)]
-                                for r, row in enumerate(rows)], Modulus(p, M + 3)),
-        SquareMatrix.identity(l + 1, g.modulus),
-    ]
-    assert g.find(SquareMatrix(rows, g.modulus)) == 5
-    for mat in strangers:
-        assert mat not in g
-        with pytest.raises(KeyError):
-            g.find(mat)
+        assert reduced == element_rows(g12, i)
 
 
 def test_store_lift_matches_reclosed_store(g12, g24):
@@ -415,7 +381,8 @@ def test_object_dtype_store(spec, small):
     g = build(parse_spec(spec))
     store = g.rows_at(np.arange(g.order), g.modulus.M)
     assert store.dtype == object
-    assert all(g.find(g.element(i)) == i for i in range(g.order))
+    index = index_of(g)
+    assert all(index[element(g, i).rows] == i for i in range(g.order))
     lifted = g.rows_at(np.arange(g.order), g.modulus.M + 1)
     assert np.array_equal(lifted % g.modulus.pM, store)
     h = build(parse_spec(small))

@@ -11,10 +11,14 @@ import pytest
 
 import repcount
 from matrix_helpers import (
+    class_of,
     det_permanent_expansion,
+    element,
     fixed_points_bruteforce,
     generator_matrices,
+    index_of,
     inverse,
+    kernel_size,
     minus_identity,
     prod,
     solomon_sum,
@@ -25,7 +29,7 @@ from repcount.errors import CapExceeded
 from repcount.formulas import theorem_a
 from repcount.grassmannian import enumerate_distinguished, theorem_b
 from repcount.groups import close
-from repcount.linalg import SquareMatrix, diagonal, kernel_size, smith_valuations
+from repcount.linalg import SquareMatrix, diagonal, smith_valuations
 from repcount.modp import Modulus
 
 
@@ -67,9 +71,10 @@ def test_g24_rank_examples(g24):
         [[-1 if i == j else 0 for j in range(3)] for i in range(3)], g24.modulus
     )
     recs = g24.conjugacy_classes()
-    assert recs[g24.class_of(g24.find(neg))].rank == 0
+    classes, index = class_of(g24), index_of(g24)
+    assert recs[classes[index[neg.rows]]].rank == 0
     c = generator_matrices(g24)[2]
-    assert recs[g24.class_of(g24.find(c))].rank == 2
+    assert recs[classes[index[c.rows]]].rank == 2
 
 
 def test_record_invariant_all_groups(exceptional_groups):
@@ -85,11 +90,12 @@ def test_class_reps_conjugate_within_class(exceptional_groups):
     for group in exceptional_groups.values():
         recs = group.conjugacy_classes()
         pairs = [(g, inverse(g, group.modulus)) for g in group.generators]
+        classes, index = class_of(group), index_of(group)
         for rec in recs:
-            cid = group.class_of(rec.rep_index)
+            cid = classes[rec.rep_index]
             for g, ginv in pairs:
-                conj = prod(group.modulus, ginv, group.element(rec.rep_index), g)
-                assert group.class_of(group.find(conj)) == cid
+                conj = prod(group.modulus, ginv, element(group, rec.rep_index), g)
+                assert classes[index[conj.rows]] == cid
 
 
 def test_solomon_identity_monomial_groups():
@@ -162,7 +168,7 @@ def test_oracle_kernel_500_samples(exceptional_groups):
     for group in exceptional_groups.values():
         n_samples = min(500, group.order)
         for i in rng.sample(range(group.order), n_samples):
-            w = group.element(i)
+            w = element(group, i)
             assert fixed_points_bruteforce(w, 1) == \
                 kernel_size(minus_identity(w, group.modulus), 1)
 

@@ -10,6 +10,7 @@ import random
 import pytest
 import sympy
 
+from matrix_helpers import smith_valuations_raw
 from repcount.errors import (
     DivisibleByP,
     NotARoot,
@@ -17,7 +18,6 @@ from repcount.errors import (
     NotAUnit,
     OrderUnavailable,
 )
-from repcount.linalg import smith_valuations_raw
 from repcount.modp import (
     Modulus,
     hensel_lift,

@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 
 from matrix_helpers import (
     admissible_tuples,
+    element,
     fixed_points_bruteforce,
+    identity,
+    kernel_size,
     minus_identity,
     orbit_count_reference,
 )
@@ -22,13 +25,13 @@ from repcount.errors import SpaceTooLarge
 from repcount.formulas import theorem_c
 from repcount.grassmannian import theorem_b
 from repcount.groups import close
-from repcount.linalg import SquareMatrix, kernel_size
+from repcount.linalg import SquareMatrix
 from repcount.modp import Modulus, prime_factors, smallest_primitive_root, teichmuller
 from repcount.oracle import orbit_count_bruteforce
 
 
 def test_trivial_group_orbit_count():
-    g = close([SquareMatrix.identity(3, Modulus(5, 2))], order=1)
+    g = close([identity(3, Modulus(5, 2))], order=1)
     assert orbit_count_bruteforce(g, 1) == 125
     assert orbit_count_bruteforce(g, 2) == 5 ** 6
 
@@ -76,7 +79,7 @@ def _group(key):
     if isinstance(key, str):
         return build(parse_spec(key))
     l, p = key
-    return close([SquareMatrix.identity(l, Modulus(p, 5))], order=1)
+    return close([identity(l, Modulus(p, 5))], order=1)
 
 
 # Node chunks of the edges hold _CHUNK // (g l) nodes, and the sweeps
@@ -126,7 +129,7 @@ def test_unit_table(p, m):
 
 
 def test_space_too_large(g24):
-    g = close([SquareMatrix.identity(4, Modulus(5, 4))], order=1)
+    g = close([identity(4, Modulus(5, 4))], order=1)
     with pytest.raises(SpaceTooLarge):
         orbit_count_bruteforce(g, 4, cap=2 ** 20)
     # the cap counts points of (Z/p^k)^l, not the scalar classes the oracle stores
@@ -148,7 +151,7 @@ def test_levels_carry_across_calls(g24):
 
 
 def test_fixed_points_identity():
-    ident = SquareMatrix.identity(3, Modulus(3, 2))
+    ident = identity(3, Modulus(3, 2))
     assert fixed_points_bruteforce(ident, 2) == 3 ** 6
 
 
@@ -166,7 +169,7 @@ def test_fixed_points_order5_element(g29):
     counts = set()
     for rec in g29.conjugacy_classes():
         if rec.element_order == 5 and rec.torsion_vals:
-            counts.add(fixed_points_bruteforce(g29.element(rec.rep_index), 1))
+            counts.add(fixed_points_bruteforce(element(g29, rec.rep_index), 1))
     assert counts == {5}
 
 
@@ -175,7 +178,7 @@ def test_fixed_points_match_kernel_size(g12, g24, g29):
     for group in (g12, g24, g29):
         sample = rng.sample(range(group.order), min(60, group.order))
         for i in sample:
-            w = group.element(i)
+            w = element(group, i)
             diff = minus_identity(w, group.modulus)
             for n in (1, 2):
                 assert fixed_points_bruteforce(w, n) == kernel_size(diff, n)

@@ -28,8 +28,8 @@ ENTRY_ARGVS = [
 ]
 
 
-def python(*args):
-    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=SRC),
+def python(*args, env=None):
+    return subprocess.run([sys.executable, *args], env=env or dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, timeout=120)
 
 
@@ -81,7 +81,9 @@ def test_star_import_dir_and_unknown_names():
 # It collects first, so that its own start-up cannot start a collection
 # later.  It records the freeze count at every collection start, and whether
 # the collector is on when the module's ``main`` is called; its stand-in for
-# os._exit reports.
+# os._exit reports.  ``cli.py`` is compiled before its first line runs, with
+# the collector still on, so the child reads the package's bytecode from a
+# private cache that is warmed first, whatever the caller's bytecode settings.
 COLLECTOR_CHILD = """
 import gc, json, os, runpy, sys
 starts, in_main = [], []
@@ -104,8 +106,12 @@ LAUNCHERS = {
 
 
 @pytest.mark.parametrize("launch", sorted(LAUNCHERS))
-def test_cli_imports_without_the_collector(launch):
-    proc = python("-c", COLLECTOR_CHILD + LAUNCHERS[launch])
+def test_cli_imports_without_the_collector(launch, tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env.update(PYTHONPATH=SRC, PYTHONPYCACHEPREFIX=str(tmp_path))
+    warm = python("-m", "compileall", "-q", str(Path(SRC) / "repcount"), env=env)
+    assert warm.returncode == 0, warm.stderr
+    proc = python("-c", COLLECTOR_CHILD + LAUNCHERS[launch], env=env)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.decode().splitlines()[-1])
     assert report["code"] == 0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
-from repcount.linalg import smith_valuations_raw
+from matrix_helpers import smith_valuations_raw
 from repcount.modp import int_valuation
 
 
