@@ -87,7 +87,6 @@ def build_orbits(m: int, s: int, p: int, k: int, root: Optional[int] = None) -> 
         c = root % pk
         if _order_mod(c, pk, m) != m:
             raise SpecInvalid(f"root {root} does not have exact order {m} mod {p}^{k}")
-    cs = pow(c, s, pk)
     seen = bytearray(pk)
     zero_orbit = HOrbit(minimum=0, elements=(0,), k_orbit_minima=(0,))
     seen[0] = 1
@@ -101,26 +100,12 @@ def build_orbits(m: int, s: int, p: int, k: int, root: Optional[int] = None) -> 
             seen[y] = 1
             elems.append(y)
             y = y * c % pk
-        elems.sort()
         if len(elems) != m:
             raise InvariantViolation(f"orbit of {x} under c has {len(elems)} points, not m={m}")
-        k_minima = []
-        sub_seen = set()
-        for e in elems:
-            if e in sub_seen:
-                continue
-            sub = []
-            y = e
-            while y not in sub_seen:
-                sub_seen.add(y)
-                sub.append(y)
-                y = y * cs % pk
-            k_minima.append(min(sub))
-        k_minima.sort()
-        if len(k_minima) != s:
-            raise InvariantViolation(
-                f"orbit of {x} splits into {len(k_minima)} c^s-orbits, not s={s}"
-            )
+        # <c^s> acts freely on the m points with index s in <c>, so its orbits
+        # are the s stride-s slices of the walk x, xc, ...
+        k_minima = sorted(min(elems[i::s]) for i in range(s))
+        elems.sort()
         nonzero.append(HOrbit(minimum=elems[0], elements=tuple(elems),
                               k_orbit_minima=tuple(k_minima)))
     nonzero.sort(key=lambda o: o.minimum)

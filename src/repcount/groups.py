@@ -10,20 +10,21 @@ narrowest unsigned width that holds |P| - 1; right multiplication by a
 generator is then a gather through that generator's permutation of P, with
 no matrix product.  An element's key is the mixed-radix int64 of its ranks
 in base |P|, so keys order elements exactly as their rows order
-lexicographically; the group keeps them in element order, and a class's
-representative is its member with the least key.  Points are int64 when
-matmul entry sums cannot overflow and object (Python integers) otherwise,
-and both dtypes share every code path.  Every element also carries a word
-in the generators, kept as two arrays (parent index as int32, generator
-index as int8), and the group keeps the index at which each BFS level
-starts, so any set of elements can be re-evaluated at a higher precision
-without re-closing the group: ``rows_at`` is the one lift, and ``_powers``
-the one routine for orders and trace sums.  The closure also keeps its
+lexicographically; the closure searches by them, and a class's
+representative is its member with the least key, recomputed once from the
+ranks after the partition.  Points are int64 when matmul entry sums cannot
+overflow and object (Python integers) otherwise, and both dtypes share
+every code path.  Every element also carries a word in the generators,
+kept as two arrays (parent index as int32, generator index as int8), and
+the group keeps the index at which each BFS level starts, so any set of
+elements can be re-evaluated at a higher precision without re-closing the
+group: ``rows_at`` is the one lift, and ``_powers`` the one routine for
+orders and trace sums.  The closure also keeps its
 right Cayley table, a (g, N) int32 array of element indices, one
 contiguous row per generator; conjugacy classes are read from it by
 integer gathers alone, with no matrix product and no key lookup.  An
-element costs l + 4 + 1 + 4g + 8 bytes: its ranks, its word, its column of
-the table and its key.
+element costs l + 4 + 1 + 4g bytes: its ranks, its word and its column of
+the table.
 The closure skips work it already has the answer to: an involution's row
 of the table is its own inverse, so half of it is filled by symmetry, and
 a level's other products are searched only among the keys of the last few
@@ -91,7 +92,7 @@ class ConjugacyClassRecord(NamedTuple):
 class FiniteMatrixGroup:
     """A finite group of invertible l x l matrices over Z/p^M."""
 
-    def __init__(self, modulus, dim, generators, points, rows, parent, gen, right, keys, starts,
+    def __init__(self, modulus, dim, generators, points, rows, parent, gen, right, starts,
                  generator_factory=None, name=None):
         self.modulus = modulus
         self.dim = dim
@@ -101,7 +102,6 @@ class FiniteMatrixGroup:
         self._parent = parent      # (N,) int32: element i = element parent[i] @ generator gen[i]
         self._gen = gen            # (N,) int8; parent and gen are -1 at the identity
         self._right = right        # (g, N) int32: element i @ generator j is element right[j, i]
-        self._keys = keys          # (N,) int64: the key of element i (see _row_keys)
         self._starts = starts      # BFS level i is elements starts[i]:starts[i + 1]; ends at N
         self.generator_factory = generator_factory
         self.name = name
@@ -154,6 +154,7 @@ class FiniteMatrixGroup:
             return rows.astype(dtype, copy=False)
         gens = self.generators_at(n)
         need = np.zeros(self.order, dtype=bool)
+        need[0] = True  # the identity, which heads every word, even for an empty idx
         front = idx
         while front.size:
             need[front] = True
@@ -181,7 +182,9 @@ class FiniteMatrixGroup:
         (see ``_partition``) and numbered by their least element index; the
         representative is the member with the least key, whose rows are
         lexicographically smallest, found by one ``np.minimum.at`` of the
-        keys over the class indices.
+        keys over the class indices.  The keys are recomputed from the
+        ranks once the partition has returned, so they are never alive with
+        its conjugation permutations.
         Cached after first call.
 
         Each class is read once, at the least m >= M with p^m > d*l, where d
@@ -205,9 +208,10 @@ class FiniteMatrixGroup:
         p, M, l = self.modulus.p, self.modulus.M, self.dim
         sizes = np.bincount(class_of).tolist()
         # keys are unique, so exactly one member of each class holds its least key
+        keys = _row_keys(self._rows, len(self._points))
         least = np.full(len(sizes), np.iinfo(np.int64).max)
-        np.minimum.at(least, class_of, self._keys)
-        is_rep = self._keys == least[class_of]
+        np.minimum.at(least, class_of, keys)
+        is_rep = keys == least[class_of]
         reps = np.empty(len(sizes), dtype=np.intp)
         reps[class_of[is_rep]] = is_rep.nonzero()[0]
         reps = reps.tolist()
@@ -420,8 +424,8 @@ def close(
     An element is then its l row ranks in P and its key their mixed-radix
     int64 (see ``_row_keys``); the key of x @ g_j is read straight from x's
     ranks through a per-generator key table (see ``_key_table``).  The
-    ranks, the words, the keys and the right Cayley table are allocated
-    once, with ``order`` rows each, and filled level by level.
+    ranks, the words and the right Cayley table are allocated once, with
+    ``order`` rows each, and filled level by level.
     Row j of the table of an involution g_j is its own inverse, so once
     x @ g_j = y is known, y @ g_j = x is filled in as well, and a level
     looks up only the products whose entries are still unset, generator by
@@ -441,13 +445,13 @@ def close(
     changes no number.  Only the new elements' ranks are gathered.  Each
     BFS level is one contiguous block of elements whose parents all lie in
     the previous level; its start is kept for ``rows_at`` and
-    ``_partition``.  The keys stay in element order, for the class
-    representatives; nothing is sorted after the search.
+    ``_partition``.  A key is kept only while its level is in the window;
+    nothing is sorted after the search.
     The table is generator-major, (g, N), so a level writes, and the
-    partition reads, one contiguous run per generator.  During the closure
-    an element costs l + 5 + 4g + 8 bytes: its ranks, its word (an int32
-    parent and an int8 generator), its column of the table and its key;
-    while its level is in the window it costs 12 bytes more.
+    partition reads, one contiguous run per generator.  An element costs
+    l + 5 + 4g bytes: its ranks, its word (an int32 parent and an int8
+    generator) and its column of the table; while its level is in the
+    window its key and index cost 12 bytes more.
     Raises CapExceeded, before the group's arrays are allocated, when
     ``order`` is above ``cap``, when there are more than MAX_GENERATORS
     generators or when a key of l ranks in base |P| could overflow int64;
@@ -482,12 +486,10 @@ def close(
     rows = np.empty((order, dim), dtype=rank_dtype)
     parent = np.empty(order, dtype=np.int32)  # element i = element parent[i] @ generator gen[i]
     gen = np.empty(order, dtype=np.int8)
-    key_of = np.empty(order, dtype=np.int64)
     right = np.full((len(act), order), -1, dtype=np.int32)  # -1: not yet known
     rows[0] = [points.index(tuple(int(i == j) for j in range(dim))) for i in range(dim)]
     parent[0], gen[0] = -1, -1
-    key_of[0] = _row_keys(rows[0], base)
-    win_keys, win_ids = key_of[:1].copy(), np.zeros(1, dtype=np.int32)
+    win_keys, win_ids = _row_keys(rows[0], base)[None], np.zeros(1, dtype=np.int32)
     starts, size = [0], 1
     while starts[-1] < size:
         lo, hi = starts[-1], size
@@ -525,7 +527,6 @@ def close(
         parent[hi:size] = lo + i
         gen[hi:size] = j
         rows[hi:size] = act[j[:, None], rows[parent[hi:size]]]
-        key_of[hi:size] = keys[fresh]
         col = np.empty(perm.size, dtype=np.int32)
         col[perm] = ids[head.cumsum(dtype=np.int32) - 1]
         slab[unset] = col
@@ -544,5 +545,5 @@ def close(
     if any((np.bincount(row, minlength=order) != 1).any() for row in right):
         raise InvariantViolation("a row of the right Cayley table is not a permutation")
     return FiniteMatrixGroup(modulus, dim, np.array(gen_rows, dtype=dtype),
-                             np.array(points, dtype=dtype), rows, parent, gen, right, key_of,
-                             tuple(starts), generator_factory=generator_factory, name=name)
+                             np.array(points, dtype=dtype), rows, parent, gen, right, tuple(starts),
+                             generator_factory=generator_factory, name=name)

@@ -125,9 +125,9 @@ def _component_orbits(dest, volt, d: int) -> int:
     """The sum over the components of gcd(d, the discrepancies of their edges).
 
     Label propagation finds root[c], the least node of c's component, and
-    off[c], with c in W zeta^off[c] root[c].  A sweep pulls and pushes along
-    each generator's edges, then jumps pointers twice; roots only fall, and a
-    sweep that changes nothing ends it."""
+    off[c], with c in W zeta^off[c] root[c].  A sweep pulls the smaller root
+    along each generator's edges, chunk by chunk, then jumps pointers twice;
+    roots only fall, and a sweep that changes nothing ends it."""
     size = dest.shape[1]
     root = np.arange(size, dtype=dest.dtype)
     off = np.zeros(size, dtype=np.int32)
@@ -143,14 +143,6 @@ def _component_orbits(dest, volt, d: int) -> int:
                 i = (rt < own).nonzero()[0]
                 own[i] = rt[i]
                 own_off[i] = (a[i] + off[to[i]]) % d
-                changed |= i.size > 0
-                # push: c' lies in W zeta^(o(c) - a) r(c); g is a bijection, so
-                # no target repeats, and roots the pull lowered are read again
-                i = (own < rt).nonzero()[0]
-                i = i[own[i] < root[to[i]]]
-                t = to[i]
-                root[t] = own[i]
-                off[t] = (own_off[i] - a[i]) % d
                 changed |= i.size > 0
         for _ in range(2):
             for lo in range(0, size, _CHUNK):

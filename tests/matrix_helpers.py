@@ -443,3 +443,22 @@ def admissible_tuples(max_order: int, max_points: int) -> dict:
                         out.setdefault(n, []).append((m, s, n, p, k))
                         k += 1
     return out
+
+
+def sub_orbit_minima(elements, c: int, s: int, pk: int) -> list:
+    """Sorted minima of the <c^s>-orbits on ``elements``, a <c>-orbit in Z/p^k.
+
+    Each sub-orbit is walked y -> y c^s mod p^k from its first unseen
+    element until the walk returns.
+    """
+    cs = pow(c, s, pk)
+    minima, seen = [], set()
+    for e in elements:
+        sub, y = [], e
+        while y not in seen:
+            seen.add(y)
+            sub.append(y)
+            y = y * cs % pk
+        if sub:
+            minima.append(min(sub))
+    return sorted(minima)

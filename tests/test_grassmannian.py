@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matrix_helpers import admissible_tuples
+from matrix_helpers import admissible_tuples, sub_orbit_minima
 from repcount.catalog import GroupSpec, build
 from repcount.counting import count_burnside_full
 from repcount import grassmannian
@@ -20,6 +20,9 @@ from repcount.grassmannian import (
     theorem_b,
 )
 from repcount.modp import Modulus, mth_root_of_unity
+
+# every G(m,s,n) small enough to close the group and enumerate the domain
+ADMISSIBLE = admissible_tuples(max_order=5000, max_points=2 ** 20)
 
 
 def test_build_orbits_small():
@@ -39,6 +42,13 @@ def test_build_orbits_partition():
     for orb in table.orbits[1:]:
         assert len(orb.k_orbit_minima) == 2
         assert orb.minimum == orb.elements[0]
+    # every admissible table's sub-orbit minima are those of the walk under c^s
+    scalars = {(m, s, p, k) for cases in ADMISSIBLE.values() for m, s, _, p, k in cases}
+    for m, s, p, k in sorted(t for t in scalars if t[2] ** t[3] <= 5000):
+        table = build_orbits(m, s, p, k)
+        for orb in table.orbits[1:]:
+            minima = sub_orbit_minima(orb.elements, table.c, s, p ** k)
+            assert list(orb.k_orbit_minima) == minima and len(minima) == s, (m, s, p, k)
 
 
 def test_build_orbits_k_trivial_when_s_equals_m():
@@ -162,10 +172,6 @@ def test_three_way_agreement(m, s, n, p):
         enum, _ = enumerate_distinguished(m, s, n, p, k)
         group_count = count_burnside_full(g, k).count
         assert closed == enum == group_count, (m, s, n, p, k)
-
-
-# every G(m,s,n) small enough to close the group and enumerate the domain
-ADMISSIBLE = admissible_tuples(max_order=5000, max_points=2 ** 20)
 
 
 @settings(max_examples=40, deadline=None)

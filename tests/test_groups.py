@@ -31,7 +31,7 @@ from repcount import groups
 from repcount.catalog import build, parse_spec
 from repcount.errors import CapExceeded, InvariantViolation, PrecisionTooLow
 from repcount.groups import close
-from repcount.linalg import SquareMatrix
+from repcount.linalg import SquareMatrix, exact_dtype
 from repcount.modp import Modulus, int_valuation
 
 
@@ -237,6 +237,22 @@ def test_close_matches_plain_breadth_first_search(label):
     assert list(group._starts) == [depth.index(d) for d in range(depth[-1] + 1)] + [len(rows)]
 
 
+@pytest.mark.parametrize("label", ["g24", "g31", "family2a:m=4,s=2,n=5,p=17"])
+def test_closed_group_holds_only_its_per_element_arrays(label):
+    # an element costs l rank bytes of the narrowest width for |P|, its word
+    # (int32 parent, int8 generator) and its int32 column of the right table:
+    # l * b + 5 + 4g bytes, before and after the classes are read
+    group = build(parse_spec(label))
+    n, l, g = group.order, group.dim, len(group.generators)
+    b = next(w for w in (1, 2, 4) if len(group._points) <= 256 ** w)
+    kept = ("_rows", "_parent", "_gen", "_right")
+    for _ in range(2):
+        assert sum(getattr(group, name).nbytes for name in kept) == n * (l * b + 5 + 4 * g)
+        assert [name for name, value in vars(group).items()
+                if isinstance(value, np.ndarray) and n in value.shape] == list(kept)
+        group.conjugacy_classes()
+
+
 @pytest.mark.parametrize("order,message", [
     (47, "grew past its order 47"),
     (49, "closed to 48 elements, expected 49"),
@@ -361,6 +377,14 @@ def test_store_lift_matches_reclosed_store(g12, g24):
         subset = [N - 1, 0, 5, 5, N // 2]
         assert np.array_equal(group.rows_at(subset, n), whole[subset])
         assert np.array_equal(group.rows_at(subset, n), high.rows_at(subset, n))
+
+
+def test_rows_at_empty_index(g12):
+    # an empty index reads nothing, below the group's precision and above it
+    for n in (g12.modulus.M, g12.modulus.M + 2):
+        rows = g12.rows_at([], n)
+        assert rows.shape == (0, 2, 2)
+        assert rows.dtype == exact_dtype(g12.modulus.p ** n, 2)
 
 
 def test_generators_at(g12):
