@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "catalog": ("GroupSpec", "build", "exponents", "parse_spec"),
-    "counting": ("CountReport", "count_burnside_classes", "count_burnside_full",
-                 "count_formula_general", "torsion_census", "torsion_classes"),
+    "counting": ("count_burnside_classes", "count_burnside_full", "count_formula_general",
+                 "torsion_census", "torsion_classes"),
     "errors": ("RepcountError",),
     "formulas": ("theorem_a", "theorem_c"),
     "grassmannian": ("build_orbits", "enumerate_distinguished", "theorem_b"),
@@ -27,6 +27,7 @@ _EXPORTS = {
     "linalg": ("SquareMatrix", "diagonal", "smith_valuations"),
     "modp": ("Modulus", "hensel_lift", "invert", "mth_root_of_unity", "teichmuller"),
     "oracle": ("orbit_count_bruteforce",),
+    "records": ("CountReport",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
@@ -36,8 +37,8 @@ __all__ = sorted(_MODULE_OF)
 def script() -> None:
     """The installed ``repcount`` command: run ``repcount.cli`` as ``python -m`` does.
 
-    So the CLI module is what imports numpy and the package's modules, with
-    the collector off until ``repcount.cli.entry`` has frozen them.
+    So the CLI module is what imports the package's modules, with the
+    collector off for the life of the process.
     """
     import runpy
 

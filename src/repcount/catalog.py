@@ -7,20 +7,22 @@ constants in the exceptional generator matrices are realized exactly at any
 requested precision via Hensel lifting and Teichmüller representatives, so a
 group's generator words can be re-evaluated at any higher precision;
 fractional entries (1/2, 1/sqrt(-2)) become modular inverses, which is legal
-because 2 is a unit at the relevant odd primes.
+because 2 is a unit at the relevant odd primes.  Only ``build`` and the
+generator builders import numpy's modules, when they are called.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .errors import InvariantViolation, SpecInvalid
-from .groups import DEFAULT_CLOSURE_CAP, FiniteMatrixGroup, close
-from .linalg import SquareMatrix
 from .modp import Modulus, hensel_lift, invert, is_prime, mth_root_of_unity, teichmuller
 from .records import FrozenRecord
+
+if TYPE_CHECKING:
+    from .groups import FiniteMatrixGroup
 
 # -- exceptional generators, as integer rows -------------------------------
 
@@ -247,6 +249,7 @@ def monomial_generators(m: int, s: int, n: int, modulus: Modulus) -> list:
         twisted[0][0] = twisted[1][1] = 0
         twisted[0][1], twisted[1][0] = invert(b, modulus), b
         gens.append(twisted)
+    from .linalg import SquareMatrix
     return [SquareMatrix.from_rows(rows, modulus) for rows in gens]
 
 
@@ -259,23 +262,27 @@ def generators(spec: GroupSpec, modulus: Optional[Modulus] = None) -> list:
     if modulus.p != spec.p:
         raise SpecInvalid(f"{spec.label()} lives at p={spec.p}, modulus has p={modulus.p}")
     if spec.exceptional:
+        from .linalg import SquareMatrix
         return [SquareMatrix.from_rows(rows, modulus)
                 for rows in EXCEPTIONAL[spec.kind].generators(modulus)]
     return monomial_generators(spec.m, spec.s, spec.n, modulus)
 
 
 def build(spec: GroupSpec, working_modulus: Optional[Modulus] = None,
-          cap: int = DEFAULT_CLOSURE_CAP) -> FiniteMatrixGroup:
+          cap: Optional[int] = None) -> FiniteMatrixGroup:
     """Close the group for a spec at the given (or default) precision.
 
-    ``close`` checks that the closure reaches the spec's expected order.
+    ``close`` checks the spec's expected order against ``cap`` (None:
+    ``groups.DEFAULT_CLOSURE_CAP``) and that the closure reaches it.
     """
+    from .groups import DEFAULT_CLOSURE_CAP, close
     if working_modulus is not None and working_modulus.M < working_modulus.threshold:
         raise SpecInvalid(
             f"working precision {working_modulus.M} is below the faithfulness "
             f"threshold {working_modulus.threshold}"
         )
-    return close(generators(spec, working_modulus), spec.expected_order, cap=cap,
+    return close(generators(spec, working_modulus), spec.expected_order,
+                 cap=DEFAULT_CLOSURE_CAP if cap is None else cap,
                  generator_factory=lambda mod: generators(spec, mod),
                  name=spec.label())
 

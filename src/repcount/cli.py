@@ -12,7 +12,7 @@ from __future__ import annotations
 import gc
 
 if __name__ == "__main__":
-    gc.disable()  # until entry(): the imports below only make objects that live to exit
+    gc.disable()  # for the life of the process: see entry()
 
 import argparse
 import json
@@ -21,7 +21,7 @@ import sys
 import time
 from typing import NoReturn
 
-from . import catalog, counting, oracle
+from . import catalog
 from .catalog import GroupSpec, parse_spec
 from .errors import (
     CapExceeded,
@@ -31,8 +31,7 @@ from .errors import (
     SpaceTooLarge,
     SpecInvalid,
 )
-from .groups import DEFAULT_CLOSURE_CAP
-from .linalg import diagonal, parse_matrix_text, smith_valuations
+from .records import CountReport
 
 EXIT_OK = 0
 EXIT_DIVERGENCE = 1
@@ -51,6 +50,9 @@ class _Config:
     def __init__(self, args):
         self.closure_cap = getattr(args, "closure_cap", None)
         self.oracle_cap = getattr(args, "oracle_cap", None)
+        for flag, cap in (("--closure-cap", self.closure_cap), ("--oracle-cap", self.oracle_cap)):
+            if cap is not None and cap < 1:
+                raise SpecInvalid(f"{flag} must be >= 1, got {cap}")
         self.fmt = args.format
         self.timing = not getattr(args, "no_timing", False)
         self.per_element = getattr(args, "per_element", False)
@@ -73,7 +75,7 @@ class _Config:
         return self._oracle_levels.setdefault(spec.label(), [])
 
 
-def _emit(report: counting.CountReport, cfg: _Config) -> None:
+def _emit(report: CountReport, cfg: _Config) -> None:
     if cfg.fmt == "json":
         print(report.to_json(include_timing=cfg.timing))
     elif cfg.fmt == "csv":
@@ -96,16 +98,17 @@ def _applicable_methods(spec: GroupSpec) -> list:
     return methods
 
 
-def run_count(spec: GroupSpec, k: int, method: str, cfg: _Config) -> counting.CountReport:
+def run_count(spec: GroupSpec, k: int, method: str, cfg: _Config) -> CountReport:
     """One method's count at k: an engine's report, or a timed value wrapped once.
 
-    The group is built before any timing starts.
+    The group is built and its engines imported before any timing starts.
     """
     if k < 1:
         raise SpecInvalid(f"k must be >= 1, got {k}")
     if method in ("theoremB", "domain") and spec.exceptional:
         raise SpecInvalid(f"method {method} applies to family2a/sphere specs only")
     if method in GROUP_METHODS:
+        from . import counting, oracle
         group = cfg.group(spec)
     if method == "burnside":
         return counting.count_burnside_full(group, k, per_element=cfg.per_element)
@@ -125,12 +128,12 @@ def run_count(spec: GroupSpec, k: int, method: str, cfg: _Config) -> counting.Co
     elif method == "domain":
         value, _ = grassmannian.enumerate_distinguished(spec.m, spec.s, spec.n, spec.p, k)
     elif method == "oracle":
-        value = oracle.orbit_count_bruteforce(group, k, cap=cfg.oracle_cap,
-                                             levels=cfg.oracle_levels(spec))
+        cap = oracle.DEFAULT_POINT_CAP if cfg.oracle_cap is None else cfg.oracle_cap
+        value = oracle.orbit_count_bruteforce(group, k, cap=cap, levels=cfg.oracle_levels(spec))
     else:
         raise SpecInvalid(f"unknown method {method!r}")
-    return counting.CountReport(spec.label(), spec.p, k, method, value,
-                                elapsed=time.perf_counter() - start)
+    return CountReport(spec.label(), spec.p, k, method, value,
+                       elapsed=time.perf_counter() - start)
 
 
 def cmd_count(args) -> int:
@@ -144,17 +147,9 @@ def cmd_count(args) -> int:
 
 
 def _spec_from_args(args) -> GroupSpec:
-    if getattr(args, "group", None):
-        dropped = [f"--{f}" for f in ("m", "s", "n", "p") if getattr(args, f) is not None]
-        if dropped:
-            raise SpecInvalid(f"--group names the whole group and cannot be combined "
-                              f"with {' '.join(dropped)}")
-        return parse_spec(args.group)
-    if getattr(args, "m", None) is not None:
-        s = 1 if args.s is None else args.s
-        n = 1 if args.n is None else args.n
-        return GroupSpec("family2a" if n >= 2 else "sphere", m=args.m, s=s, n=n, p=args.p)
-    raise SpecInvalid("no group given: pass --group or the --m/--s/--n/--p flags")
+    if args.group is None:
+        raise SpecInvalid("no group given: pass --group")
+    return parse_spec(args.group)
 
 
 def _class_table(args, rows, header: str, row: str, footer=None) -> int:
@@ -186,6 +181,7 @@ def _class_table(args, rows, header: str, row: str, footer=None) -> int:
 
 
 def cmd_census(args) -> int:
+    from . import counting
     return _class_table(
         args,
         lambda group: [{"rep": rec.rep_index, "size": rec.class_size,
@@ -199,6 +195,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_classes(args) -> int:
+    from .linalg import diagonal
     return _class_table(
         args,
         lambda group: [{"rep": rec.rep_index, "element_order": rec.element_order,
@@ -263,6 +260,7 @@ def cmd_crosscheck(args) -> int:
 
 
 def cmd_snf(args) -> int:
+    from .linalg import diagonal, parse_matrix_text, smith_valuations
     cfg = _Config(args)
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
@@ -284,7 +282,6 @@ def cmd_snf(args) -> int:
 
 def cmd_formula(args) -> int:
     from . import formulas
-
     cfg = _Config(args)
     start = time.perf_counter()
     if args.name:
@@ -305,8 +302,8 @@ def cmd_formula(args) -> int:
         label, p = f"exponents:{args.exponents}", args.p
     else:
         raise SpecInvalid("pass --name for a fixed polynomial or --exponents with --p")
-    _emit(counting.CountReport(label, p, args.k, "closed-form", value,
-                               elapsed=time.perf_counter() - start), cfg)
+    _emit(CountReport(label, p, args.k, "closed-form", value,
+                      elapsed=time.perf_counter() - start), cfg)
     return EXIT_OK
 
 
@@ -317,16 +314,12 @@ def _add_output(parser, formats=("json", "csv", "text")) -> None:
 
 
 def _add_oracle_cap(parser) -> None:
-    parser.add_argument("--oracle-cap", type=int, default=oracle.DEFAULT_POINT_CAP)
+    parser.add_argument("--oracle-cap", type=int)  # None: the oracle's own default
 
 
 def _add_group_args(parser) -> None:
     parser.add_argument("--group", help="g12|g24|g29|g31|x34|family2a:m=..,s=..,n=..,p=..|sphere:m=..,p=..")
-    parser.add_argument("--m", type=int)
-    parser.add_argument("--s", type=int)
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--p", type=int)
-    parser.add_argument("--closure-cap", type=int, default=DEFAULT_CLOSURE_CAP)
+    parser.add_argument("--closure-cap", type=int)  # None: the closure's own default
 
 
 class _Parser(argparse.ArgumentParser):
@@ -429,22 +422,17 @@ def entry() -> NoReturn:
     """The process entry: ``python -m repcount.cli`` and the console script.
 
     Both run this module as ``__main__``, so its first lines switch the
-    collector off before anything else is imported: the interpreter's and
-    numpy's modules and the package, all alive until exit.  Here they are
-    frozen, and only then is the collector switched back on, so no
-    collection during the imports or the work walks them.  Once ``main``
-    returns, stdout and stderr are flushed and the process leaves with
-    ``os._exit``: the interpreter's teardown (module cleanup, the final
-    collections, freeing every object) would write nothing more and took
-    ~8 ms against ~2 ms.  So no atexit handler runs and no other stream is
-    flushed; the package registers none and writes only those two.  A
-    stdout that cannot take the flush exits 3, as in ``main``.  argparse's
-    SystemExit (help, a usage error) leaves ``main`` by the normal exit
-    path.  ``main`` itself touches neither the collector nor the freeze and
-    returns its exit code, so tests and in-process callers see no change.
+    collector off before anything else is imported, and it stays off: no import
+    (numpy's, when a group method runs) and no work starts a collection.
+    Cyclic garbage is bounded: a ``main`` call leaves a few hundred unreachable
+    objects, the parser's cycles.  Once ``main`` returns, stdout and stderr are
+    flushed and the process leaves with ``os._exit``, skipping the
+    interpreter's teardown (~8 ms against ~2 ms), so no atexit handler runs and
+    no other stream is flushed; the package registers none and writes only
+    those two.  A stdout that cannot take the flush exits 3, as in ``main``.
+    argparse's SystemExit (help, a usage error) leaves ``main`` by the normal
+    exit path.  ``main`` leaves the collector alone and returns its code.
     """
-    gc.freeze()
-    gc.enable()
     code = main()
     try:
         sys.stdout.flush()

@@ -41,30 +41,19 @@ def test_count_theorem_b(capsys):
     assert json.loads(out)["count"] == "6"
 
 
-def test_count_flag_shorthand(capsys):
-    code, out, _ = run(capsys, "count", "--m", "3", "--s", "1", "--n", "2",
-                       "--p", "7", "--k", "1", "--method", "domain",
-                       "--format", "json", "--no-timing")
-    assert code == 0
-    assert json.loads(out)["count"] == "6"
-
-
-@pytest.mark.parametrize("flags", [
-    ["--m", "4", "--s", "3", "--p", "5"],   # 3 does not divide 4; n absent
-    ["--m", "4", "--s", "2", "--p", "5"],   # G(4,2,1) is not the sphere
-    ["--m", "4", "--s", "2", "--n", "1", "--p", "5"],
-    ["--m", "4", "--s", "0", "--n", "2", "--p", "5"],
-    ["--m", "0", "--p", "3"],               # m = 0 is given, not absent
+@pytest.mark.parametrize("group", [
+    "sphere:m=4,s=3,p=5",            # a sphere takes no s
+    "family2a:m=4,s=0,n=2,p=5",
+    "sphere:m=0,p=3",
 ])
-def test_count_flags_are_not_rewritten(capsys, flags):
-    code, out, err = run(capsys, "count", *flags, "--k", "1", "--method", "theoremB")
+def test_inadmissible_group_strings_are_spec_errors(capsys, group):
+    code, out, err = run(capsys, "count", "--group", group, "--k", "1", "--method", "theoremB")
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "SpecInvalid"
-    assert "no group given" not in json.loads(err)["message"]
 
 
 @pytest.mark.parametrize("argv", [
-    ["count", "--group", "g12", "--m", "4", "--p", "5", "--k", "1", "--method", "theoremC"],
+    ["formula", "--name", "x12", "--exponents", "1,4", "--k", "1"],
     ["formula", "--name", "x12", "--p", "7", "--k", "1"],
     ["formula", "--name", "x12", "--exponents", "1,4", "--p", "11", "--k", "1"],
 ])
@@ -138,6 +127,19 @@ def test_closure_cap_exit_code(capsys):
                        "--method", "classes", "--closure-cap", "100")
     assert code == 3
     assert json.loads(err)["error"] == "CapExceeded"
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--group", "g12", "--k", "1", "--method", "classes", "--closure-cap", "-1"],
+    ["count", "--group", "g12", "--k", "1", "--method", "oracle", "--oracle-cap", "-5"],
+    ["crosscheck", "--group", "g12", "--kmax", "1", "--closure-cap", "0"],
+    ["crosscheck", "--group", "g12", "--kmax", "1", "--oracle-cap", "0"],  # not the oracle dropped
+], ids=" ".join)
+def test_cap_below_one_is_a_spec_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "SpecInvalid"
+    assert "must be >= 1" in json.loads(err)["message"]
 
 
 def test_count_builds_higher_precision_on_demand(capsys):

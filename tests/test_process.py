@@ -1,6 +1,7 @@
-"""The process around the CLI: what the package import loads, the
-collector's state across it, the process entry that the console script and
-``python -m repcount.cli`` run, and a stdout that cannot be written.
+"""The process around the CLI: what the package import and each command
+load, the collector's state across them, the process entry that the
+console script and ``python -m repcount.cli`` run, and a stdout that
+cannot be written.
 
 The golden cases here go through a fresh interpreter, so they cover the
 entry, which the in-process golden tests never call.
@@ -51,10 +52,49 @@ def test_package_import_loads_no_submodule():
 
 def test_cli_import_leaves_out_dataclasses_and_the_closed_forms():
     proc = python("-c", "import sys, repcount.cli; "
-                        "print([m for m in ('dataclasses', 'repcount.formulas', "
+                        "print([m for m in ('dataclasses', 'numpy', 'repcount.formulas', "
                         "'repcount.grassmannian') if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().strip() == "[]"
+
+
+def test_catalog_import_leaves_out_numpy():
+    proc = python("-c", "import sys, repcount.catalog; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "False"
+
+
+def imports_numpy(stderr: bytes) -> bool:
+    """Whether ``python -X importtime`` listed numpy or one of its submodules."""
+    return any(line.split("|")[-1].strip().split(".")[0] == "numpy"
+               for line in stderr.decode().splitlines() if line.startswith("import time:"))
+
+
+CLOSED_FORM_RUNS = [
+    (["formula", "--name", "x34", "--k", "1"], 0),
+    (["formula", "--exponents", "1,4", "--p", "11", "--k", "2"], 0),
+    (["count", "--group", "family2a:m=3,s=1,n=2,p=7", "--k", "2", "--method", "theoremA"], 0),
+    (["count", "--group", "family2a:m=3,s=1,n=2,p=7", "--k", "2", "--method", "theoremB"], 0),
+    (["count", "--group", "g12", "--k", "3", "--method", "theoremC"], 0),
+    (["count", "--group", "sphere:m=4,p=5", "--k", "3", "--method", "domain"], 0),
+    (["crosscheck", "--group", "x34", "--kmax", "3"], 0),
+    (["--help"], 0),
+    (["count", "--group", "g12", "--k", "0"], 2),
+]
+
+
+@pytest.mark.parametrize("argv,code", CLOSED_FORM_RUNS, ids=[" ".join(a) for a, _ in CLOSED_FORM_RUNS])
+def test_closed_form_commands_leave_out_numpy(argv, code):
+    proc = python("-X", "importtime", "-m", "repcount.cli", *argv)
+    assert proc.returncode == code, proc.stderr
+    assert not imports_numpy(proc.stderr)
+
+
+def test_array_command_imports_numpy():
+    proc = python("-X", "importtime", "-m", "repcount.cli",
+                  "count", "--group", "g12", "--k", "1", "--method", "classes")
+    assert proc.returncode == 0, proc.stderr
+    assert imports_numpy(proc.stderr)
 
 
 def test_lazy_exports_resolve_to_their_submodules():
@@ -77,11 +117,12 @@ def test_star_import_dir_and_unknown_names():
         repcount.no_such_name
 
 
-# The child runs the CLI module as ``python -m`` or the console script does.
-# It collects first, so that its own start-up cannot start a collection
-# later.  It records the freeze count at every collection start, and whether
-# the collector is on when the module's ``main`` is called; its stand-in for
-# os._exit reports.  ``cli.py`` is compiled before its first line runs, with
+# The child runs the CLI module as ``python -m`` or the console script does,
+# on an array job, so numpy is imported after the module's first line.  It
+# collects first, so that its own start-up cannot start a collection later.
+# It records every collection start, and whether the collector is on when
+# the module's ``main`` is called; its stand-in for os._exit reports, with
+# the freeze count.  ``cli.py`` is compiled before its first line runs, with
 # the collector still on, so the child reads the package's bytecode from a
 # private cache that is warmed first, whatever the caller's bytecode settings.
 COLLECTOR_CHILD = """
@@ -92,11 +133,12 @@ def watch(frame, event, arg):
         in_main.append(gc.isenabled())
 def leave(code):
     sys.setprofile(None)
-    print(json.dumps({"code": code, "starts": starts, "in_main": in_main}))
+    print(json.dumps({"code": code, "starts": starts, "in_main": in_main,
+                      "frozen": gc.get_freeze_count(), "numpy": "numpy" in sys.modules}))
 os._exit = leave
 sys.argv = ["repcount", "count", "--group", "g12", "--k", "22", "--method", "classes", "--no-timing"]
 gc.collect()
-gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(gc.get_freeze_count()))
+gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(info["generation"]))
 sys.setprofile(watch)
 """
 LAUNCHERS = {
@@ -114,9 +156,7 @@ def test_cli_imports_without_the_collector(launch, tmp_path):
     proc = python("-c", COLLECTOR_CHILD + LAUNCHERS[launch], env=env)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.decode().splitlines()[-1])
-    assert report["code"] == 0
-    assert all(frozen > 0 for frozen in report["starts"]), report["starts"]
-    assert report["in_main"] == [True]
+    assert report == {"code": 0, "starts": [], "in_main": [False], "frozen": 0, "numpy": True}
 
 
 def test_main_freezes_nothing(capsys):
@@ -126,14 +166,29 @@ def test_main_freezes_nothing(capsys):
     assert gc.get_freeze_count() == before
 
 
-def test_entry_freezes_the_import_time_objects():
+def test_entry_freezes_nothing():
     # the entry leaves by os._exit, so the child's stand-in reports instead
     proc = python("-c", "import gc, os, sys; from repcount.cli import entry; "
-                        "os._exit = lambda code: print(code, gc.get_freeze_count() > 0); "
-                        "sys.argv = ['repcount', 'formula', '--name', 'g12', '--k', '1']; "
-                        "entry()")
+                        "os._exit = lambda code: print(code, gc.get_freeze_count()); "
+                        "sys.argv = ['repcount', 'count', '--group', 'g12', '--k', '1', "
+                        "'--method', 'classes']; entry()")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.decode().splitlines()[-1] == "0 True"
+    assert proc.stdout.decode().splitlines()[-1] == "0 0"
+
+
+@pytest.mark.parametrize("argv", [case["argv"] for case in GOLDEN], ids=" ".join)
+def test_main_leaves_little_cyclic_garbage(capsys, argv):
+    # the CLI process never collects, so what one main call leaves unreachable
+    # stays for the life of the process; the parser's cycles are ~400 objects
+    gc.collect()
+    gc.disable()
+    try:
+        main(argv)
+        left = gc.collect()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert left <= 1000
 
 
 @pytest.mark.parametrize("argv,code,first_line", [
