@@ -323,11 +323,18 @@ def _add_group_args(parser) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse, except that help which cannot be written raises OSError.
+    """argparse, except that help which cannot be written raises OSError and
+    that no flag may be abbreviated.
 
     argparse's own printing swallows the error, so ``--help`` into a full
-    disk would exit 0 with nothing written.  Subparsers share the class.
+    disk would exit 0 with nothing written.  With abbreviations on, ``--p``
+    would read as ``--per-element`` and ``--n`` as ``--no-timing``, so a
+    mistyped flag would silently change the run; now it exits 2.
+    Subparsers share the class.
     """
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def print_help(self, file=None):
         file = sys.stdout if file is None else file

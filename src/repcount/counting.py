@@ -3,10 +3,10 @@
 All engines count orbits of a finite matrix group W acting on (Z/p^k)^l and
 must agree exactly; they differ in what they sum.  ``count_burnside_full``
 computes fixed-point counts directly from Smith forms of w - I at precision
-k, all read by the batched Smith engine on the rows that
-``FiniteMatrixGroup.rows_at`` gives at p^k: the class representatives, or,
-per element, every element in fixed chunks, a sum that does not use the
-class partition at all;
+k, all read by the Smith engine from the batches of w - I that
+``FiniteMatrixGroup.minus_identity_lanes`` gives at p^k: the class
+representatives, or, per element, every element in fixed chunks, a sum that
+does not use the class partition at all;
 ``count_burnside_classes`` decomposes each count as p^(k*rank) times the
 torsion contribution, both read off the complete class records (each
 class is read once, at the least m >= M with p^m > d*l for its element
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvariantViolation, NonIntegralCount, PrecisionTooLow
 from .groups import FiniteMatrixGroup
-from .linalg import smith_valuations_batch
+from .linalg import smith_valuations_lanes
 from .modp import int_valuation
 from .records import CountReport
 
@@ -76,11 +76,11 @@ def count_burnside_full(
     engine.  The default evaluates one kernel per conjugacy class (the count
     is a class function); ``per_element=True`` sums over every single
     element instead, independently of the class partition.  Either way the
-    elements are lifted and eliminated ``BURNSIDE_CHUNK`` at a time, so no
-    more than one chunk of rows is alive at once.  Any k is reachable:
-    ``rows_at`` reads the representatives, or for ``per_element`` every
-    element, at p^k, lifting them by their generator words above the
-    group's precision.
+    batches of w - I are read and eliminated ``BURNSIDE_CHUNK`` elements at
+    a time, so no more than one chunk is alive at once.  Any k is
+    reachable: ``minus_identity_lanes`` gathers the representatives, or for
+    ``per_element`` every element, from the row orbit at k <= M, and lifts
+    them by their generator words through ``rows_at`` above it.
     """
     _check_precision(group, k)
     start = time.perf_counter()
@@ -92,9 +92,8 @@ def count_burnside_full(
         idx = [rec.rep_index for rec in records]
     exps = []  # element t fixes p^exps[t] points: the kernel of w - I mod p^k
     for lo in range(0, len(idx), BURNSIDE_CHUNK):
-        rows = group.rows_at(idx[lo:lo + BURNSIDE_CHUNK], k)
-        ident = np.eye(group.dim, dtype=rows.dtype)
-        exps.append(smith_valuations_batch(rows - ident, p, k).sum(axis=1))
+        lanes = group.minus_identity_lanes(idx[lo:lo + BURNSIDE_CHUNK], k)
+        exps.append(smith_valuations_lanes(lanes, p, k).sum(axis=0))
     exps = np.concatenate(exps)
     if per_element:
         total = sum(c * p ** e for e, c in enumerate(np.bincount(exps).tolist()))

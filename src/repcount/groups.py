@@ -41,7 +41,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import CapExceeded, InvariantViolation, NonIntegralRank, PrecisionTooLow
-from .linalg import SquareMatrix, exact_dtype, smith_valuations_batch
+from .linalg import (SquareMatrix, _mod, entry_major, exact_dtype, lane_dtype,
+                     smith_valuations_batch)
 from .modp import Modulus
 
 DEFAULT_CLOSURE_CAP = 10 ** 8
@@ -171,6 +172,30 @@ class FiniteMatrixGroup:
         for lo, hi in zip(cuts[1:], cuts[2:]):
             out[lo:hi] = out[parent[lo:hi]] @ gens[gen[lo:hi]] % pn
         return out[pos[idx]]
+
+    def minus_identity_lanes(self, idx, n: int) -> np.ndarray:
+        """w - I mod p^n for the elements ``idx``, laid out for the Smith engine.
+
+        Returns the (l*l, len(idx)) array of ``lane_dtype(p^n)`` whose row
+        i*l + j holds entry (i, j) of each w - I, canonical in [0, p^n) (see
+        ``linalg.entry_major``).  At or below the group's precision row r of
+        w - I is a point of the row orbit minus e_r, so the orbit is reduced,
+        shifted by e_r and narrowed once per row position r, and the l lanes
+        of row r are one gather of it by the elements' ranks.  Above it the
+        elements come from ``rows_at`` and ``entry_major`` lays them out.
+        """
+        pn, l = self.modulus.p ** n, self.dim
+        idx = np.asarray(idx, dtype=np.intp)
+        if n > self.modulus.M:
+            rows = self.rows_at(idx, n)
+            return entry_major(rows - np.eye(l, dtype=rows.dtype), pn)
+        points = self._points.T  # entry c of point x at [c, x]
+        ranks = self._rows[idx].T.astype(np.intp)
+        out = np.empty((l, l, idx.size), dtype=lane_dtype(pn))
+        for r in range(l):
+            shifted = _mod(points - np.eye(l, 1, -r, dtype=points.dtype), pn)  # less e_r
+            out[r] = shifted.astype(out.dtype).take(ranks[r], axis=1)
+        return out.reshape(l * l, idx.size)
 
     # -- orders, ranks, classes ---------------------------------------------
 

@@ -9,17 +9,25 @@ on batches, reduced mod p^M by the caller.  Matrices are small (dimension
 
 Smith valuations are plain ints everywhere: the non-decreasing valuations
 of the elementary divisors, with the precision M standing for saturated (a
-divisor that vanishes mod p^M).  ``smith_valuations_batch`` is the one
-Smith engine: it eliminates a whole (N, l, l) numpy batch at once, in place
-on full l x l blocks, with valuations read from an int8 table while p^M is
-at most ``VALUATION_TABLE_MAX``, and backs ``snf``, the one Smith form per
-conjugacy class and every Burnside fixed-point count.  The tests hold it to
-a scalar elimination of one matrix in pure Python, which they keep.
+divisor that vanishes mod p^M).  ``smith_valuations_lanes`` is the one
+Smith elimination.  It works on a batch held entry-major, an (l*l, N) array
+whose row i*l + j holds entry (i, j) of every matrix, in place on full
+l x l blocks.  Its entries sit in the narrowest signed lane that holds what
+a step forms (``lane_dtype``: int16 up to p^M = 181, int32 up to 46341,
+then int64 or object), not in ``exact_dtype``.  Its pivot key is decoded by
+a shift, a mask and small offset tables, valuations are read from an int8
+table while p^M is at most ``VALUATION_TABLE_MAX``, and the row update after
+the last pivot is skipped.  ``smith_valuations_batch`` keeps the (N, l, l)
+interface: ``entry_major`` reduces the batch, transposes it and only then
+narrows it to the lane.  Together they back ``snf``, the one Smith form per
+conjugacy class and every Burnside fixed-point count.  The tests hold them
+to a scalar elimination of one matrix in pure Python, which they keep.
 ``diagonal`` turns valuations into the diagonal p^e, 0 where saturated.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -86,44 +94,89 @@ def _valuation_table(p: int, M: int) -> np.ndarray:
     return table
 
 
-def smith_valuations_batch(a, p: int, M: int) -> np.ndarray:
-    """Smith-form valuations of every matrix in an (N, l, l) batch over Z/p^M.
+def lane_dtype(pM: int):
+    """The narrowest signed dtype that the Smith elimination mod pM runs in.
 
-    ``a`` holds integer entries (numpy int64 or object), read mod p^M.
-    Returns an (N, l) int64 array whose row t is the non-decreasing
-    valuation list of matrix t, with M standing for saturated; matrix by
-    matrix it equals a scalar elimination.  The batch is held as an
-    (l*l, N) array, and each step works on every matrix and its full l x l
-    block at once: the valuation of every entry (zero reads M; one lookup
-    in an int8 table of v_p over Z/p^M when p^M <= ``VALUATION_TABLE_MAX``,
-    divisibility tests by p, p^2, ... above it, which stop at the largest
-    finite valuation present), a pivot of minimal valuation e per matrix
-    (the minimum of e*l*l + position), then row elimination only.  Every row i becomes u*row_i - (a_ij / p^e)*pivot_row
-    in place, where u is the pivot's unit part; scaling a row by a unit is
-    invertible over Z/p^M, so no inverse is needed.  The update zeroes the
-    pivot row and column, and zeros read as saturated, so no later step
-    picks them before a live entry, and the column operations, which would
-    change only the pivot row, are skipped.  The entries use
-    ``exact_dtype``: the products formed here are below (p^M - 1)^2.
+    A step forms u*a - q*b from entries in [0, pM), at most (pM - 1)^2 in
+    size, and reduces it as x - x // pM * pM, whose middle term reaches
+    -(pM - 1) * pM.  So the lane is int16 up to pM = 181, int32 up to
+    46341, int64 up to about 3e9 and object (Python integers) above.
+    """
+    for lane in (np.int16, np.int32, np.int64):
+        if pM * (pM - 1) <= np.iinfo(lane).max:
+            return lane
+    return object
+
+
+def entry_major(a, pM: int) -> np.ndarray:
+    """An (N, l, l) batch of integer entries as the elimination's lanes.
+
+    Returns the (l*l, N) array whose row i*l + j holds entry (i, j) of
+    every matrix, reduced into [0, pM) in the batch's own dtype (object
+    when the lane is) and only then narrowed to ``lane_dtype(pM)``, so
+    nothing wraps.
+    """
+    lane = lane_dtype(pM)
+    a = np.asarray(a, dtype=object if lane is object else None)
+    n = a.shape[0]
+    return np.ascontiguousarray(_mod(a.reshape(n, -1).T, pM), dtype=lane)
+
+
+def smith_valuations_lanes(b: np.ndarray, p: int, M: int) -> np.ndarray:
+    """Smith-form valuations over Z/p^M of a batch held entry-major, in place.
+
+    ``b`` is an (l*l, N) array of ``lane_dtype(p^M)`` whose row i*l + j
+    holds entry (i, j) of each of N matrices, canonical in [0, p^M) (see
+    ``entry_major``); it is overwritten.  Returns an (l, N) int64 array
+    whose column t is the non-decreasing valuation list of matrix t, with
+    M standing for saturated; matrix by matrix it equals a scalar
+    elimination.  Each step works on every matrix and its full l x l block
+    at once.  Every entry gets a key, its valuation times a power of two
+    ``span`` >= l*l plus its position: the valuation is one lookup in an
+    int8 table of v_p over Z/p^M when p^M <= ``VALUATION_TABLE_MAX`` (zero
+    reads M), or divisibility tests by p, p^2, ... above it, which stop at
+    the largest finite valuation present.  The least key per matrix is its
+    pivot, of minimal valuation e; a shift reads e off it, and a mask its
+    position, which small tables turn into the offsets of its row and its
+    column.  Then row elimination only: every row i becomes
+    u*row_i - a_ij*(pivot_row / p^e), where u is the pivot's unit part; p^e
+    divides the whole block, so the quotient is exact, and scaling a row by
+    a unit is invertible over Z/p^M, so no inverse is needed.  The update
+    zeroes the pivot row and column, and zeros read as saturated, so no
+    later step picks them before a live entry, and the column operations,
+    which would change only the pivot row, are skipped.  After l - 1 pivots
+    at most one entry of each block is live, so the last step reads the
+    valuation of the block's sum, and no update follows it.
     """
     pM = p ** M
-    n, dim = a.shape[0], a.shape[-1]
-    size = dim * dim
-    b = np.ascontiguousarray(_mod(np.asarray(a, dtype=exact_dtype(pM, dim)).reshape(n, size).T, pM))
-    table = _valuation_table(p, M) if pM <= VALUATION_TABLE_MAX else None
-    # p^0, p^1, ... in the entries' dtype: up to p^M with the table, and without
-    # it only as far as the divisibility tests reach.  A saturated pivot's block
-    # is all zero, so the last power held divides it as well as p^M would.
-    pows = np.array([p ** e for e in range(M + 1 if table is not None else 1)], dtype=b.dtype)
-    # the narrowest dtype that holds e*l*l + position keeps the pivot search cheap
-    position = np.arange(size, dtype=np.min_scalar_type((M + 1) * size))[:, None]
-    # entry (i, j) of matrix t sits at flat index (i*l + j)*N + t: the entries
-    # of a row are N apart, those of a column l*N apart
-    lane, stride = np.arange(n), np.arange(dim)[:, None] * n
+    size, n = b.shape
+    dim = math.isqrt(size)
+    shift = (size - 1).bit_length()
+    span = 1 << shift
+    # the narrowest dtype that holds every key keeps the pivot search cheap
+    kdt = np.min_scalar_type((M + 1) * span - 1)
+    position = np.arange(size, dtype=kdt)[:, None]
+    if pM <= VALUATION_TABLE_MAX:
+        table = _valuation_table(p, M).astype(kdt) * span
+        pows = np.array([p ** e for e in range(M + 1)], dtype=b.dtype)
+    else:
+        # p^0, p^1, ... only as far as the divisibility tests reach.  A saturated
+        # pivot's block is all zero, so the last power held divides it as well
+        # as p^M would.
+        table, pows = None, np.ones(1, dtype=b.dtype)
+    # entry (i, j) of matrix t sits at flat index (i*l + j)*N + t, so row i of a
+    # pivot at position i*l + j is at row_at[.] + in_row, column j at col_at[.] + in_col
+    lane = np.arange(n)
+    at = np.arange(size)
+    row_at, col_at = at // dim * (dim * n), at % dim * n
+    in_row = np.arange(dim)[:, None] * n + lane
+    in_col = np.arange(dim)[:, None] * (dim * n) + lane
     out = np.empty((dim, n), dtype=np.int64)
     for s in range(dim):
+        if s == dim - 1:  # the earlier pivots' rows and columns are all zero
+            b = b.sum(axis=0, keepdims=True, dtype=b.dtype)
         if table is not None:
-            vals = table[b]
+            key = table.take(b)
         else:
             live = b != 0
             vals = np.where(live, 0, M)
@@ -134,18 +187,41 @@ def smith_valuations_batch(a, p: int, M: int) -> np.ndarray:
                 if not live.any():
                     break
                 vals += live
-        key = np.minimum.reduce(vals.astype(position.dtype) * size + position)
-        e, piv = np.divmod(key.astype(np.int64), size)
+            key = vals.astype(kdt) * span
+        key += position[:len(b)]
+        key = np.minimum.reduce(key)
+        e = key >> shift
         out[s] = e
-        pe = pows[np.minimum(e, pows.size - 1)]
-        bi, bj = np.divmod(piv, dim)
-        unit = b.take(piv * n + lane) // pe
-        q = b.take(dim * stride + (bj * n + lane)) // pe
-        pivot_row = b.take(stride + (bi * (dim * n) + lane))
+        if s == dim - 1:
+            break
+        piv = key & (span - 1)
+        pe = pows.take(np.minimum(e, pows.size - 1))
+        pivot_row = b.take(row_at.take(piv) + in_row)
+        # p^e divides the block, so the quotient is exact; float64 division, faster
+        # than integer division, gives it exactly below 2^53, so in every numeric lane
+        if b.dtype == object:
+            pivot_row //= pe
+        else:
+            pivot_row = (pivot_row / pe).astype(b.dtype)
+        col_off = col_at.take(piv)
+        unit = pivot_row.take(col_off + lane)
+        col = b.take(col_off + in_col)
         b *= unit
-        b -= (q[:, None] * pivot_row).reshape(size, n)
+        b -= (col[:, None] * pivot_row).reshape(size, n)
         b -= b // pM * pM
-    return out.T
+    return out
+
+
+def smith_valuations_batch(a, p: int, M: int) -> np.ndarray:
+    """Smith-form valuations of every matrix in an (N, l, l) batch over Z/p^M.
+
+    ``a`` holds integer entries (numpy int64 or object), read mod p^M.
+    Returns an (N, l) int64 array whose row t is the non-decreasing
+    valuation list of matrix t, with M standing for saturated: the batch is
+    reduced, laid out entry-major and narrowed by ``entry_major``, and
+    eliminated by ``smith_valuations_lanes``.
+    """
+    return smith_valuations_lanes(entry_major(a, p ** M), p, M).T
 
 
 def smith_valuations(a: SquareMatrix) -> tuple:

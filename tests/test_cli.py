@@ -417,6 +417,20 @@ def test_per_element_requires_burnside(capsys, method):
     assert json.loads(err)["error"] == "SpecInvalid"
 
 
+@pytest.mark.parametrize("argv", [
+    # prefixes of --per-element and --no-timing
+    ["count", "--group", "g12", "--k", "1", "--method", "burnside", "--p", "--n"],
+    # prefixes of --method, --no-timing and --format
+    ["count", "--group", "g12", "--k", "1", "--m", "oracle", "--no-t", "--form", "json"],
+    ["crosscheck", "--group", "g12", "--kmax", "1", "--no-timing", "--oracle", "5"],
+])
+def test_abbreviated_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_precision_ceiling_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--group", "g12", "--k", "1", "--precision-ceiling", "16"])

@@ -35,7 +35,7 @@ from repcount.errors import InvariantViolation, PrecisionTooLow
 from repcount.formulas import theorem_c
 from repcount.grassmannian import theorem_b
 from repcount.groups import FiniteMatrixGroup, close
-from repcount.linalg import SquareMatrix, diagonal, smith_valuations
+from repcount.linalg import SquareMatrix, diagonal, lane_dtype, smith_valuations
 from repcount.modp import Modulus
 
 # Values of the closed forms at k = 1, 2, 3, frozen after independent
@@ -69,6 +69,29 @@ def test_burnside_full_per_element_matches_classwise(g12, g24, g29):
                 == count_burnside_full(group, k).count)
 
 
+@pytest.mark.parametrize("spec,k,lane", [
+    ("family2a:m=4,s=1,n=4,p=5", 3, np.int16),    # p^k = 125
+    ("family2a:m=4,s=1,n=4,p=17", 2, np.int32),   # 289
+    ("family2a:m=4,s=1,n=4,p=29", 3, np.int32),   # 24389
+    ("family2a:m=4,s=1,n=4,p=37", 3, np.int64),   # 50653
+    ("g31", 2, np.int16),
+    ("g31", 3, np.int16),
+    ("family2a:m=4,s=1,n=4,p=5", 4, np.int32),    # k > M: lifted by rows_at
+])
+def test_per_element_burnside_matches_classwise_in_every_lane(request, spec, k, lane):
+    # the elimination runs in the lane p^k picks, on batches gathered from the
+    # row orbit at k <= M and lifted by their words above it
+    parsed = parse_spec(spec)
+    g = request.getfixturevalue(spec) if parsed.exceptional else build(parsed)
+    assert g.minus_identity_lanes([0], k).dtype == lane == lane_dtype(parsed.p ** k)
+    if parsed.exceptional:
+        want = theorem_c(spec, k)
+    else:
+        want = theorem_b(parsed.m, parsed.s, parsed.n, parsed.p, k)
+    assert count_burnside_full(g, k, per_element=True).count == want
+    assert count_burnside_classes(g, k).count == want
+
+
 @pytest.mark.parametrize("spec,k", [("sphere:m=2,p=1451", 7),
                                     ("family2a:m=4,s=2,n=3,p=1297", 3)])
 def test_per_element_burnside_on_object_stores(spec, k):
@@ -89,16 +112,16 @@ def test_per_element_burnside_across_chunk_boundary(g31):
 
 
 def test_per_element_burnside_lifts_one_chunk_at_a_time(g31, monkeypatch):
-    # only one chunk of element rows is alive at a time: every lift is at
-    # most BURNSIDE_CHUNK elements, and together they cover the group once
+    # only one chunk of elements is alive at a time: every batch of w - I is
+    # at most BURNSIDE_CHUNK elements, and together they cover the group once
     sizes = []
-    rows_at = FiniteMatrixGroup.rows_at
+    lanes = FiniteMatrixGroup.minus_identity_lanes
 
-    def counting_rows_at(self, idx, n):
+    def counting_lanes(self, idx, n):
         sizes.append(len(idx))
-        return rows_at(self, idx, n)
+        return lanes(self, idx, n)
 
-    monkeypatch.setattr(FiniteMatrixGroup, "rows_at", counting_rows_at)
+    monkeypatch.setattr(FiniteMatrixGroup, "minus_identity_lanes", counting_lanes)
     assert count_burnside_full(g31, 2, per_element=True).count == theorem_c("g31", 2)
     assert max(sizes) <= BURNSIDE_CHUNK
     assert sum(sizes) == g31.order
