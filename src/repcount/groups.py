@@ -34,8 +34,6 @@ involution (see ``close``).
 
 from __future__ import annotations
 
-import math
-from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -363,24 +361,24 @@ def _rank_from_trace_sum(trace_sum: int, d: int, dim: int, pM: int) -> int:
     return trace_sum // d
 
 
-def _row_orbit(gens: list, pM: int, bound: int, label: str):
+def _row_orbit(gens: np.ndarray, pM: int, bound: int, label: str):
     """The row orbit P of the basis rows under x -> x @ g mod pM, and its action.
 
-    ``gens`` are the generators' rows.  Returns P as a sorted list of row
-    tuples and, for each generator g, the list of the ranks in P of the
-    points x @ g, x in P.  Raises InvariantViolation when P grows past
-    ``bound`` points: the orbit of each of the l basis rows has at most |W|
-    points.
+    ``gens`` is the (g, l, l) generator array; a BFS level's images are one
+    matmul of its points by it.  Returns P as a sorted list of row tuples
+    and, for each generator g, the list of the ranks in P of the points
+    x @ g, x in P.  Raises InvariantViolation when P grows past ``bound``
+    points: the orbit of each of the l basis rows has at most |W| points.
     """
-    dim = len(gens[0])
-    cols = [list(zip(*g)) for g in gens]
+    dim = gens.shape[1]
     front = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     images = dict.fromkeys(front)
     while front:
+        level = (np.array(front, dtype=gens.dtype) @ gens % pM).tolist()  # [g][x][c]
         nxt = []
-        for x in front:
-            images[x] = [tuple([sum(map(mul, x, col)) % pM for col in g]) for g in cols]
-            for y in images[x]:
+        for x, ys in zip(front, zip(*level)):
+            images[x] = ys = [tuple(y) for y in ys]
+            for y in ys:
                 if y not in images:
                     images[y] = None
                     nxt.append(y)
@@ -393,33 +391,14 @@ def _row_orbit(gens: list, pM: int, bound: int, label: str):
     return points, act
 
 
-def _perm_order(perm: list) -> int:
-    """Order of a permutation of range(len(perm)): the lcm of its cycle lengths."""
-    seen = [False] * len(perm)
-    out = 1
-    for start in range(len(perm)):
-        length, x = 0, start
-        while not seen[x]:
-            seen[x] = True
-            x = perm[x]
-            length += 1
-        if length:
-            out = math.lcm(out, length)
-    return out
+def _window(orders: list) -> tuple:
+    """Levels searched for the generator ``orders``, and the involutions' indices.
 
-
-def _window(act: list) -> tuple:
-    """How many BFS levels a level's products are searched in, and the involutions.
-
-    A generator acts faithfully on the row orbit, which holds the basis
-    rows, so its order is that of its permutation ``act[j]``.  x @ g lies
-    in the level after x's or at most ord(g) - 1 levels before it.  For an
-    involution (or the identity) the level before is exactly the products
-    that the symmetric fill already knows, so it needs only x's own level;
-    any other generator needs ord(g) levels.  Returns that width and the
-    indices of the generators that are their own inverse.
+    x @ g lies in the level after x's or at most ord(g) - 1 levels before
+    it.  For an involution (or the identity) the level before is exactly
+    what the symmetric fill already knows, so x's own level suffices; any
+    other generator needs ord(g) levels.
     """
-    orders = [_perm_order(perm) for perm in act]
     return (max([d for d in orders if d > 2], default=1),
             np.array([j for j, d in enumerate(orders) if d <= 2], dtype=np.intp))
 
@@ -444,8 +423,10 @@ def close(
 ) -> FiniteMatrixGroup:
     """Breadth-first closure of a generator list into a group of known order.
 
-    First the row orbit P (see ``_row_orbit``) is sorted and each
-    generator's action on it becomes one row of a (g, |P|) gather table.
+    The generators become one (g, l, l) array of dtype exact_dtype(p^M, l),
+    the array the group keeps, and every step reads it.  The row orbit P
+    (see ``_row_orbit``) is sorted and each generator's action on it
+    becomes one row of a (g, |P|) gather table.
     An element is then its l row ranks in P and its key their mixed-radix
     int64 (see ``_row_keys``); the key of x @ g_j is read straight from x's
     ranks through a per-generator key table (see ``_key_table``).  The
@@ -460,18 +441,20 @@ def close(
     last ``width`` levels.  x @ g lies in the next level or at most
     ord(g) - 1 levels back, and for an involution the level back is exactly
     the entries filled by symmetry; so width is 1 for a set of involutions
-    and otherwise the largest order of a generator that is not one (see
-    ``_window``).  The window takes each level's new keys by ``np.insert``,
-    and every width levels all but the last width levels leave it, so it
-    holds width to 2 * width - 1 levels; while width covers every level it
-    is the whole store.  The keys not found are numbered in order of first
-    occurrence, the order in which a sequential search would meet them: an
-    entry filled by symmetry never holds a new element, so skipping it
-    changes no number.  Only the new elements' ranks are gathered.  Each
-    BFS level is one contiguous block of elements whose parents all lie in
-    the previous level; its start is kept for ``rows_at`` and
-    ``_partition``.  A key is kept only while its level is in the window;
-    nothing is sorted after the search.
+    and otherwise the largest order of a generator that is not one, as
+    ``_powers`` reads the orders.  Every width levels, all but the last
+    width - 1 levels leave the window before the new keys join it by
+    ``np.insert``, so it holds width to 2 * width - 1 levels, at width 1
+    exactly the new level; while width covers every level it is the whole
+    store.
+    The keys not found are numbered in order of first occurrence, the order
+    in which a sequential search would meet them: an entry filled by
+    symmetry never holds a new element, so skipping it changes no number.
+    Only the new elements' ranks are gathered.  Each BFS level is one
+    contiguous block of elements whose parents all lie in the previous
+    level; its start is kept for ``rows_at`` and ``_partition``.  A key is
+    kept only while its level is in the window; nothing is sorted after the
+    search.
     The table is generator-major, (g, N), so a level writes, and the
     partition reads, one contiguous run per generator.  An element costs
     l + 5 + 4g bytes: its ranks, its word (an int32 parent and an int8
@@ -480,9 +463,9 @@ def close(
     Raises CapExceeded, before the group's arrays are allocated, when
     ``order`` is above ``cap``, when there are more than MAX_GENERATORS
     generators or when a key of l ranks in base |P| could overflow int64;
-    InvariantViolation when the row orbit or the closure grows past its
-    bound, the closure stops short of ``order``, or a row of the table is
-    not a permutation of the elements.
+    InvariantViolation when the row orbit, a generator's order or the
+    closure grows past its bound, the closure stops short of ``order``, or
+    a row of the table is not a permutation of the elements.
     """
     if not generators:
         raise ValueError("at least one generator is required")
@@ -497,15 +480,15 @@ def close(
         raise CapExceeded(f"{len(generators)} generators exceed the closure's "
                           f"{MAX_GENERATORS}")
     label = name or "closure"
-    gen_rows = [g.rows for g in generators]
-    points, act = _row_orbit(gen_rows, modulus.pM, dim * order, label)
+    dtype = exact_dtype(modulus.pM, dim)
+    gens = np.array([g.rows for g in generators], dtype=dtype)
+    points, act = _row_orbit(gens, modulus.pM, dim * order, label)
     base = len(points)
     if base ** dim >= 2 ** 63:
         raise CapExceeded(f"{label}: keys of {dim} ranks in a row orbit of {base} points "
                           f"overflow int64")
-    width, involutions = _window(act)
+    width, involutions = _window(_powers(gens, modulus.pM, order)[0].tolist())
     rank_dtype = next(t for t in (np.uint8, np.uint16, np.uint32) if base <= np.iinfo(t).max + 1)
-    dtype = exact_dtype(modulus.pM, dim)
     act = np.array(act, dtype=rank_dtype)
     table = _key_table(act, base, dim)
     rows = np.empty((order, dim), dtype=rank_dtype)
@@ -557,18 +540,15 @@ def close(
         slab[unset] = col
         if involutions.size:  # x @ g = y gives y @ g = x for an involution g
             right[involutions[:, None], right[involutions, lo:hi]] = np.arange(lo, hi)
-        if width == 1:  # the next level's window is the new level alone
-            win_keys, win_ids = keys[add], ids[add]
-        else:
-            win_keys = np.insert(win_keys, pos[add], keys[add])
-            win_ids = np.insert(win_ids, pos[add], ids[add])
-            if len(starts) % width == 0:  # every width levels, all but the last width leave
-                stay = win_ids >= starts[-width]
-                win_keys, win_ids = win_keys[stay], win_ids[stay]
+        if len(starts) % width == 0:  # every width levels, all but the last width - 1 leave
+            stay = win_ids >= starts[-width]
+            win_keys, win_ids = win_keys[stay], win_ids[stay]
+            pos = win_keys.searchsorted(keys)
+        win_keys = np.insert(win_keys, pos[add], keys[add])
+        win_ids = np.insert(win_ids, pos[add], ids[add])
     if size != order:
         raise InvariantViolation(f"{label} closed to {size} elements, expected {order}")
     if any((np.bincount(row, minlength=order) != 1).any() for row in right):
         raise InvariantViolation("a row of the right Cayley table is not a permutation")
-    return FiniteMatrixGroup(modulus, dim, np.array(gen_rows, dtype=dtype),
-                             np.array(points, dtype=dtype), rows, parent, gen, right, tuple(starts),
-                             generator_factory=generator_factory, name=name)
+    return FiniteMatrixGroup(modulus, dim, gens, np.array(points, dtype=dtype), rows, parent, gen,
+                             right, tuple(starts), generator_factory=generator_factory, name=name)

@@ -261,6 +261,25 @@ def row_action(generators) -> list:
     return perms
 
 
+def perm_order(perm: list) -> int:
+    """Oracle: order of a permutation of range(len(perm)), the lcm of its cycle lengths.
+
+    Applied to ``row_action``, it gives each generator's order: the action
+    is faithful, and it shares no code with ``groups._powers``.
+    """
+    seen = [False] * len(perm)
+    out = 1
+    for start in range(len(perm)):
+        length, x = 0, start
+        while not seen[x]:
+            seen[x] = True
+            x = perm[x]
+            length += 1
+        if length:
+            out = math.lcm(out, length)
+    return out
+
+
 def det_permanent_expansion(rows, pM):
     """Oracle: determinant by signed permutation expansion."""
     l = len(rows)

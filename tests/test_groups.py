@@ -21,9 +21,11 @@ from matrix_helpers import (
     mat_mul,
     minus_identity,
     order,
+    perm_order,
     power,
     prod,
     rank_fixed_space,
+    row_action,
     smith_valuations_raw,
     word,
 )
@@ -204,9 +206,27 @@ def test_close_window_must_cover_every_generator_order(monkeypatch):
     # back; a window of one level misses it and numbers it again
     group = _group("family2a:m=3,s=1,n=3,p=7")
     window = groups._window
-    monkeypatch.setattr(groups, "_window", lambda act: (1, window(act)[1]))
+    monkeypatch.setattr(groups, "_window", lambda orders: (1, window(orders)[1]))
     with pytest.raises(InvariantViolation, match="grew past its order 162"):
         close(generator_matrices(group), order=group.order)
+
+
+@pytest.mark.parametrize("label", [
+    "g12", "g24", "g29", "g31", "family2a:m=3,s=1,n=3,p=7", "family2a:m=6,s=1,n=3,p=7",
+    "family2a:m=100,s=1,n=2,p=101",  # a generator of order 100
+    "sphere:m=6,p=7",
+])
+def test_close_reads_the_generator_orders_of_their_row_action(label, monkeypatch):
+    # the orders close passes to its window, read by _powers from the matrices,
+    # are the lcm of the cycle lengths of each generator's permutation of the
+    # row orbit, built in plain Python
+    group = _group(label)
+    gens = generator_matrices(group)
+    seen = []
+    window = groups._window
+    monkeypatch.setattr(groups, "_window", lambda orders: seen.append(orders) or window(orders))
+    close(gens, order=group.order)
+    assert seen == [[perm_order(perm) for perm in row_action(gens)]]
 
 
 @pytest.mark.parametrize("label", [
@@ -215,6 +235,7 @@ def test_close_window_must_cover_every_generator_order(monkeypatch):
     "family2a:m=6,s=1,n=3,p=7",  # a generator of order 6
     "family2a:m=4,s=1,n=3,p=5",  # a generator of order 4
     "sphere:m=6,p=7",  # every level in the window
+    "family2a:m=10,s=1,n=2,p=11",  # order 200, a window of 10 levels
 ])
 def test_close_matches_plain_breadth_first_search(label):
     group = build(parse_spec(label))
