@@ -156,9 +156,10 @@ class GroupSpec(FrozenRecord):
         """Default precision M0 at which the group is closed.
 
         M0 is above the faithfulness threshold and mostly leaves headroom for
-        trace-averaged ranks: a class of element order d is read once, at
-        the least m >= M0 with p^m > d * l, which also separates its torsion,
-        so a class that M0 misses costs one lift of its representative.  The
+        trace-averaged ranks: the class table is read once, at the least
+        m >= M0 with p^m > d * l for the largest element order d, which also
+        separates every class's torsion, so a table that M0 misses costs one
+        lift of all the class representatives.  The
         values stay fixed because the canonical class representatives and
         the Smith diagonals of the ``classes`` table are read at M0.  Every
         G(m,s,n) spec has an odd p, so its M0 is 3.

@@ -8,9 +8,10 @@ k, all read by the Smith engine from the batches of w - I that
 representatives, or, per element, every element in fixed chunks, a sum that
 does not use the class partition at all;
 ``count_burnside_classes`` decomposes each count as p^(k*rank) times the
-torsion contribution, both read off the complete class records (each
-class is read once, at the least m >= M with p^m > d*l for its element
-order d, where the torsion always separates from the free part);
+torsion contribution, both read off the complete class records (the
+whole table is read at one precision, the least m >= M with p^m > d*l for
+the largest element order d, where every class's torsion separates from
+its free part);
 ``count_formula_general`` replaces the torsion-free bulk with the exponent
 product and only sums corrections over the torsion classes.  Counts are
 arbitrary-precision ints throughout, and every engine hands its sum to
@@ -26,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvariantViolation, NonIntegralCount, PrecisionTooLow
+from .errors import InvariantViolation, NonIntegralCount
 from .groups import FiniteMatrixGroup
 from .linalg import smith_valuations_lanes
 from .modp import int_valuation
@@ -56,14 +57,6 @@ def _report(group: FiniteMatrixGroup, k: int, method: str, total: int, start: fl
     )
 
 
-def _check_precision(group: FiniteMatrixGroup, k: int) -> None:
-    if group.modulus.M < group.modulus.threshold:
-        raise PrecisionTooLow(
-            f"group at {group.modulus} is below the faithfulness threshold "
-            f"M >= {group.modulus.threshold}, cannot count at k={k}"
-        )
-
-
 def count_burnside_full(
     group: FiniteMatrixGroup,
     k: int,
@@ -82,7 +75,6 @@ def count_burnside_full(
     ``per_element`` every element, from the row orbit at k <= M, and lifts
     them by their generator words through ``rows_at`` above it.
     """
-    _check_precision(group, k)
     start = time.perf_counter()
     p = group.modulus.p
     if per_element:
@@ -111,7 +103,6 @@ def torsion_contribution(p: int, torsion_vals: Sequence[int], k: int) -> int:
 
 def count_burnside_classes(group: FiniteMatrixGroup, k: int) -> CountReport:
     """Classwise Burnside count with fixed points split as rank times torsion."""
-    _check_precision(group, k)
     start = time.perf_counter()
     p = group.modulus.p
     breakdown = [
@@ -155,7 +146,6 @@ def count_formula_general(
     (prod(m_i + p^k) + sum over torsion classes of size * p^(k*rank) *
     (t_k - 1)) / |W|, which must agree exactly with the Burnside engines.
     """
-    _check_precision(group, k)
     start = time.perf_counter()
     p = group.modulus.p
     total = math.prod(m + p ** k for m in exps)

@@ -19,7 +19,9 @@ kept as two arrays (parent index as int32, generator index as int8), and
 the group keeps the index at which each BFS level starts, so any set of
 elements can be re-evaluated at a higher precision without re-closing the
 group: ``rows_at`` is the one lift, and ``_powers`` the one routine for
-orders and trace sums.  The closure also keeps its
+orders and trace sums.  The class table is read at one precision, from at
+most one lift of all the class representatives (see
+``FiniteMatrixGroup.conjugacy_classes``).  The closure also keeps its
 right Cayley table, a (g, N) int32 array of element indices, one
 contiguous row per generator; conjugacy classes are read from it by
 integer gathers alone, with no matrix product and no key lookup.  An
@@ -210,20 +212,21 @@ class FiniteMatrixGroup:
         its conjugation permutations.
         Cached after first call.
 
-        Each class is read once, at the least m >= M with p^m > d*l, where d
-        is the order of the representative w.  There the trace average over
-        <w> recovers the integer rank.  The torsion of Coker(w - I) is killed
-        by d: the norm 1 + w + ... + w^(d-1) kills the image of w - I and
-        maps the cokernel into the torsion-free fixed lattice.  So every
-        torsion valuation is at most v_p(d) < m (as d*l >= p^v_p(d)), and the
-        one Smith form of w - I mod p^m is ``rank`` saturated valuations,
-        zeros and exactly the torsion valuations.  Reduced mod p^M it is the
-        Smith form at the group's precision: valuations of M or more read M,
-        saturated.  One ``_powers`` call at M gives every order; the classes
-        that share an m are then read together, by one ``rows_at`` call
-        (which lifts their representatives by their words when m > M), one
-        ``_powers`` call on those rows for the trace sums and one batched
-        Smith elimination.
+        The whole table is read at one precision: the least m >= M with
+        p^m > d*l, where d is the largest order of a representative.  For
+        each representative w, of order d_w <= d, the trace average over <w>
+        there recovers the integer rank.  The torsion of Coker(w - I) is
+        killed by d_w: the norm 1 + w + ... + w^(d_w - 1) kills the image of
+        w - I and maps the cokernel into the torsion-free fixed lattice.  So
+        every torsion valuation is at most v_p(d_w) < m (as d_w*l >=
+        p^v_p(d_w)), and the one Smith form of w - I mod p^m is ``rank``
+        saturated valuations, zeros and exactly the torsion valuations.
+        Reduced mod p^M it is the Smith form at the group's precision:
+        valuations of M or more read M, saturated.  The representatives are
+        gathered once at M, and one ``_powers`` call there gives every order
+        and trace sum; only when m > M are they all lifted by their words,
+        by one ``rows_at`` call, and their trace sums walked again at p^m.
+        One batched Smith elimination then reads every class.
         """
         if self._classes is not None:
             return self._classes
@@ -243,40 +246,35 @@ class FiniteMatrixGroup:
                 raise InvariantViolation(
                     f"class of element {rep} has size {size}, not dividing |W|={self.order}"
                 )
-        orders = _powers(self._points[self._rows[reps]], self.modulus.pM, self.order)[0].tolist()
-        read_at = []
-        for d in orders:
-            m = M
-            while p ** m <= d * l:
-                m += 1
-            read_at.append(m)
-        records = [None] * len(reps)
-        for m in sorted(set(read_at)):
-            sub = [c for c, mc in enumerate(read_at) if mc == m]
-            rows = self.rows_at([reps[c] for c in sub], m)
-            trace_sums = _powers(rows, p ** m, self.order)[1].tolist()
-            smith = smith_valuations_batch(rows - np.eye(l, dtype=rows.dtype), p, m).tolist()
-            for c, trace_sum, vals in zip(sub, trace_sums, smith):
-                rep, d = reps[c], orders[c]
-                rank = _rank_from_trace_sum(trace_sum, d, l, p ** m)
-                if vals.count(m) != rank:
-                    raise InvariantViolation(
-                        f"element {rep} of order {d}: Smith form mod {p}^{m} does not "
-                        f"separate its torsion from its rank-{rank} fixed space"
-                    )
-                torsion_vals = tuple(e for e in vals if 0 < e < m)
-                records[c] = ConjugacyClassRecord(
-                    rep_index=rep,
-                    class_size=sizes[c],
-                    centralizer_order=self.order // sizes[c],
-                    element_order=d,
-                    rank=rank,
-                    smith_vals=tuple(min(e, M) for e in vals),
-                    torsion_vals=torsion_vals,
-                    torsion_order=p ** sum(torsion_vals),
+        rows = self.rows_at(reps, M)
+        orders, trace_sums = _powers(rows, p ** M, self.order)
+        m = M
+        while p ** m <= int(orders.max()) * l:
+            m += 1
+        if m > M:
+            rows = self.rows_at(reps, m)
+            trace_sums = _powers(rows, p ** m, self.order)[1]
+        smith = smith_valuations_batch(rows - np.eye(l, dtype=rows.dtype), p, m).tolist()
+        records = []
+        for rep, size, d, trace_sum, vals in zip(reps, sizes, orders.tolist(),
+                                                 trace_sums.tolist(), smith):
+            rank = _rank_from_trace_sum(trace_sum, d, l, p ** m)
+            if vals.count(m) != rank:
+                raise InvariantViolation(
+                    f"element {rep} of order {d}: Smith form mod {p}^{m} does not "
+                    f"separate its torsion from its rank-{rank} fixed space"
                 )
-        if sum(sizes) != self.order:
-            raise InvariantViolation(f"class sizes do not sum to |W|={self.order}")
+            torsion_vals = tuple(e for e in vals if 0 < e < m)
+            records.append(ConjugacyClassRecord(
+                rep_index=rep,
+                class_size=size,
+                centralizer_order=self.order // size,
+                element_order=d,
+                rank=rank,
+                smith_vals=tuple(min(e, M) for e in vals),
+                torsion_vals=torsion_vals,
+                torsion_order=p ** sum(torsion_vals),
+            ))
         self._classes = records
         return records
 

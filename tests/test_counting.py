@@ -18,6 +18,7 @@ from matrix_helpers import (
     index_of,
     kernel_size,
     minus_identity,
+    orbit_count_reference,
     prod,
     solomon_sum,
 )
@@ -135,6 +136,22 @@ def test_burnside_precision_error():
         count_burnside_full(g, 4)
     with pytest.raises(PrecisionTooLow):
         count_burnside_full(g, 4, per_element=True)
+
+
+def test_faithful_group_closed_at_two_to_the_first_counts():
+    # close proves faithfulness by reaching the order, so a group closed at
+    # 2^1, below Modulus.threshold, counts at every k: S3 permuting the
+    # coordinates has C(2^k + 2, 3) orbits
+    def s3(modulus):
+        return [SquareMatrix.from_rows(rows, modulus)
+                for rows in ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]])]
+
+    g = close(s3(Modulus(2, 1)), order=6, generator_factory=s3)
+    for k, expected in zip((1, 2, 3, 4), (4, 20, 120, 816)):
+        assert orbit_count_reference(g.generators_at(k), 2 ** k) == expected
+        assert count_burnside_classes(g, k).count == expected
+        assert count_burnside_full(g, k).count == expected
+        assert count_burnside_full(g, k, per_element=True).count == expected
 
 
 @pytest.mark.parametrize("name,k", [("g12", 24), ("g24", 35), ("g29", 16), ("g31", 14),

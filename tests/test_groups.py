@@ -450,25 +450,23 @@ def test_one_smith_form_and_at_most_one_lift_per_class(monkeypatch, spec, modulu
         return smith(a, p, M)
 
     def counting_rows_at(self, idx, n):
-        reads.extend(idx)
-        if n > self.modulus.M:
-            lifts.extend(idx)
+        (lifts if n > self.modulus.M else reads).extend(idx)
         return rows_at(self, idx, n)
 
     monkeypatch.setattr(groups, "smith_valuations_batch", counting_smith)
     monkeypatch.setattr(groups.FiniteMatrixGroup, "rows_at", counting_rows_at)
     records = group.conjugacy_classes()
     p, M, l = group.modulus.p, group.modulus.M, group.dim
-    # every class is read, and sits in exactly one Smith row, of one batch
-    # per read precision: the least m >= M with p^m > d*l
-    assert sum(smith_rows) == len(records)
-    assert sorted(reads) == sorted(r.rep_index for r in records)
-    precisions = {next(m for m in range(M, M + 64) if p ** m > r.element_order * l)
-                  for r in records}
-    assert len(smith_rows) == len(precisions)
+    reps = sorted(r.rep_index for r in records)
+    # every class sits in exactly one Smith row, of one batch, and every
+    # representative is read at M once
+    assert smith_rows == [len(records)]
+    assert sorted(reads) == reps
+    # the representatives are lifted at most once each, and all of them
+    # exactly when p^M does not exceed the largest class order times l
     assert len(lifts) == len(set(lifts))
-    # a class is lifted exactly when p^M does not exceed its order times l
-    assert set(lifts) == {r.rep_index for r in records if p ** M <= r.element_order * l}
+    needs_lift = p ** M <= max(r.element_order for r in records) * l
+    assert sorted(lifts) == (reps if needs_lift else [])
     if modulus is not None:
         assert lifts
 

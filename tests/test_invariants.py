@@ -23,7 +23,7 @@ from matrix_helpers import (
     prod,
     solomon_sum,
 )
-from repcount.catalog import GroupSpec, build, exponents, monomial_generators
+from repcount.catalog import GroupSpec, build, exponents, monomial_generators, parse_spec
 from repcount.counting import count_burnside_full, torsion_classes
 from repcount.errors import CapExceeded
 from repcount.formulas import theorem_a
@@ -122,6 +122,26 @@ def test_low_precision_build_resolves_torsion_by_lifting(g24):
                       for r in group.conjugacy_classes())
 
     assert triples(g) == triples(g24)
+
+
+@pytest.mark.parametrize("spec,modulus", [
+    ("g29", Modulus(5, 1)), ("g29", Modulus(5, 2)), ("g31", Modulus(5, 2)),
+    ("family2a:m=4,s=2,n=5,p=5", Modulus(5, 1)), ("family2a:m=3,s=1,n=5,p=7", Modulus(7, 1)),
+])
+def test_low_precision_tables_match_the_default_closure(spec, modulus):
+    # the classes' own least precisions m >= M with p^m > d*l differ, so the
+    # one precision of the table is above some class's own
+    low = build(parse_spec(spec), modulus)
+    p, M, l = modulus.p, modulus.M, low.dim
+    own = {next(m for m in range(M, M + 64) if p ** m > r.element_order * l)
+           for r in low.conjugacy_classes()}
+    assert len(own) >= 2
+
+    def table(group):
+        return sorted((r.class_size, r.element_order, r.rank, r.torsion_vals)
+                      for r in group.conjugacy_classes())
+
+    assert table(low) == table(build(parse_spec(spec)))
 
 
 def test_low_precision_counts_agree(g24):
