@@ -78,17 +78,18 @@ class Exceptional(NamedTuple):
 
     p: int
     order: int
+    rank: int
     exponents: Optional[tuple]
     M0: Optional[int]
     generators: Optional[Callable[[Modulus], list]]
 
 
 EXCEPTIONAL = {
-    "g12": Exceptional(3, 48, (5, 7), 3, _g12_generators),
-    "g24": Exceptional(2, 336, (3, 5, 13), 6, _g24_generators),
-    "g29": Exceptional(5, 7680, (3, 7, 11, 19), 3, _g29_generators),
-    "g31": Exceptional(5, 46080, (7, 11, 19, 23), 3, _g31_generators),
-    "g34": Exceptional(7, 39191040, None, None, None),
+    "g12": Exceptional(3, 48, 2, (5, 7), 3, _g12_generators),
+    "g24": Exceptional(2, 336, 3, (3, 5, 13), 6, _g24_generators),
+    "g29": Exceptional(5, 7680, 4, (3, 7, 11, 19), 3, _g29_generators),
+    "g31": Exceptional(5, 46080, 4, (7, 11, 19, 23), 3, _g31_generators),
+    "g34": Exceptional(7, 39191040, 6, None, None, None),
 }
 
 #: The closed-form names of the exceptional cases, mapped to their kinds.
@@ -145,6 +146,11 @@ class GroupSpec(FrozenRecord):
     @property
     def buildable(self) -> bool:
         return not self.exceptional or EXCEPTIONAL[self.kind].generators is not None
+
+    @property
+    def rank(self) -> int:
+        """l, the dimension of the space W acts on: n for G(m,s,n), 1 for a sphere."""
+        return EXCEPTIONAL[self.kind].rank if self.exceptional else self.n
 
     @property
     def expected_order(self) -> int:

@@ -1,10 +1,13 @@
 """Command-line frontend: build groups, count orbits, cross-check methods.
 
 Exit codes: 0 success, 1 cross-check divergence, 2 invalid spec or parse
-error, 3 cap or precision error, a MemoryError or output that could not be
-written, 4 internal error (any other RepcountError, such as a broken
+error, 3 cap or precision error (among them a k at which a count could
+exceed MAX_COUNT_BITS = 2^19 bits), a MemoryError or output that could not
+be written, 4 internal error (any other RepcountError, such as a broken
 invariant or a non-integral count).  Errors are reported as one JSON object
-on stderr.  With --no-timing, identical flags produce byte-identical output.
+on stderr; on a divergence it names the first divergent k, while stdout
+still carries the whole cross-check.  With --no-timing, identical flags
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -45,40 +48,43 @@ GROUP_METHODS = ("burnside", "classes", "formula", "oracle")
 CLOSED_FORMS = ("theoremA", "theoremB", "theoremC", "domain")
 ALL_METHODS = GROUP_METHODS + CLOSED_FORMS
 
+#: Every accepted count is below 2^MAX_COUNT_BITS.  A count on (Z/p^k)^l is at
+#: most p^(k l), the number of points, which is below 2^(k l bit_length(p)).
+#: At 2^19 bits (about 158,000 digits) a closed form is evaluated and printed
+#: in 0.6-0.7 s (2-vCPU VM); int-to-str is quadratic, so 2^20 bits take 2.0 s.
+MAX_COUNT_BITS = 2 ** 19
 
-class _Config:
+
+class _Job:
+    """One command's one spec, with that spec's group built at most once.
+
+    The caps are checked before the spec is parsed.  Every k is served by the
+    one closure at the group's default precision: counting lifts class
+    representatives (or every element) by their generator words.  ``levels``
+    keeps the oracle's level counts P(1), P(2), ... across k.
+    """
+
     def __init__(self, args):
-        self.closure_cap = getattr(args, "closure_cap", None)
-        self.oracle_cap = getattr(args, "oracle_cap", None)
-        for flag, cap in (("--closure-cap", self.closure_cap), ("--oracle-cap", self.oracle_cap)):
+        for flag, cap in (("--closure-cap", args.closure_cap), ("--oracle-cap", args.oracle_cap)):
             if cap is not None and cap < 1:
                 raise SpecInvalid(f"{flag} must be >= 1, got {cap}")
-        self.fmt = args.format
-        self.timing = not getattr(args, "no_timing", False)
-        self.per_element = getattr(args, "per_element", False)
-        self._groups = {}
-        self._oracle_levels = {}
+        if args.group is None:
+            raise SpecInvalid("no group given: pass --group")
+        self.args = args
+        self.spec = parse_spec(args.group)
+        self.levels = []
+        self._group = None
 
-    def group(self, spec: GroupSpec):
-        """Build (and cache) the group, closed once at its default precision.
-
-        Every k is served by this one closure: counting lifts class
-        representatives (or every element) by their generator words.
-        """
-        label = spec.label()
-        if label not in self._groups:
-            self._groups[label] = catalog.build(spec, cap=self.closure_cap)
-        return self._groups[label]
-
-    def oracle_levels(self, spec: GroupSpec) -> list:
-        """The oracle's level counts P(1), P(2), ... for this group, kept across k."""
-        return self._oracle_levels.setdefault(spec.label(), [])
+    def group(self):
+        if self._group is None:
+            self._group = catalog.build(self.spec, cap=self.args.closure_cap)
+        return self._group
 
 
-def _emit(report: CountReport, cfg: _Config) -> None:
-    if cfg.fmt == "json":
-        print(report.to_json(include_timing=cfg.timing))
-    elif cfg.fmt == "csv":
+def _emit(report: CountReport, args) -> None:
+    if args.format == "json":
+        print(report.to_json(include_timing=not args.no_timing))
+    elif args.format == "csv":
         sys.stdout.write(report.to_csv())
     else:
         sys.stdout.write(report.to_text())
@@ -98,20 +104,32 @@ def _applicable_methods(spec: GroupSpec) -> list:
     return methods
 
 
-def run_count(spec: GroupSpec, k: int, method: str, cfg: _Config) -> CountReport:
+def _check_count_size(p: int, l: int, k: int) -> None:
+    """Refuse every count at k on (Z/p^k)^l before one is formed: see MAX_COUNT_BITS.
+
+    l is the rank.  The bound is read from bit lengths, so p^k is never formed.
+    """
+    bits = k * l * p.bit_length()
+    if bits > MAX_COUNT_BITS:
+        raise SpaceTooLarge(f"counts at k={k} on (Z/{p}^k)^{l} can reach {bits} bits, "
+                            f"above the bound of {MAX_COUNT_BITS}")
+
+
+def run_count(job: _Job, k: int, method: str) -> CountReport:
     """One method's count at k: an engine's report, or a timed value wrapped once.
 
     The group is built and its engines imported before any timing starts.
     """
+    spec = job.spec
     if k < 1:
         raise SpecInvalid(f"k must be >= 1, got {k}")
     if method in ("theoremB", "domain") and spec.exceptional:
         raise SpecInvalid(f"method {method} applies to family2a/sphere specs only")
     if method in GROUP_METHODS:
         from . import counting, oracle
-        group = cfg.group(spec)
+        group = job.group()
     if method == "burnside":
-        return counting.count_burnside_full(group, k, per_element=cfg.per_element)
+        return counting.count_burnside_full(group, k, per_element=job.args.per_element)
     if method == "classes":
         return counting.count_burnside_classes(group, k)
     if method == "formula":
@@ -127,29 +145,20 @@ def run_count(spec: GroupSpec, k: int, method: str, cfg: _Config) -> CountReport
         value = grassmannian.theorem_b(spec.m, spec.s, spec.n, spec.p, k)
     elif method == "domain":
         value, _ = grassmannian.enumerate_distinguished(spec.m, spec.s, spec.n, spec.p, k)
-    elif method == "oracle":
-        cap = oracle.DEFAULT_POINT_CAP if cfg.oracle_cap is None else cfg.oracle_cap
-        value = oracle.orbit_count_bruteforce(group, k, cap=cap, levels=cfg.oracle_levels(spec))
-    else:
-        raise SpecInvalid(f"unknown method {method!r}")
+    else:  # the oracle: argparse admits only ALL_METHODS
+        cap = oracle.DEFAULT_POINT_CAP if job.args.oracle_cap is None else job.args.oracle_cap
+        value = oracle.orbit_count_bruteforce(group, k, cap=cap, levels=job.levels)
     return CountReport(spec.label(), spec.p, k, method, value,
                        elapsed=time.perf_counter() - start)
 
 
 def cmd_count(args) -> int:
-    cfg = _Config(args)
-    if cfg.per_element and args.method != "burnside":
+    if args.per_element and args.method != "burnside":
         raise SpecInvalid(f"--per-element applies to --method burnside, not {args.method}")
-    spec = _spec_from_args(args)
-    report = run_count(spec, args.k, args.method, cfg)
-    _emit(report, cfg)
+    job = _Job(args)
+    _check_count_size(job.spec.p, job.spec.rank, args.k)
+    _emit(run_count(job, args.k, args.method), args)
     return EXIT_OK
-
-
-def _spec_from_args(args) -> GroupSpec:
-    if args.group is None:
-        raise SpecInvalid("no group given: pass --group")
-    return parse_spec(args.group)
 
 
 def _class_table(args, rows, header: str, row: str, footer=None) -> int:
@@ -158,14 +167,13 @@ def _class_table(args, rows, header: str, row: str, footer=None) -> int:
     The text table is ``header``, then ``row`` formatted with each class's
     columns, then ``footer(rows)`` when one is given.
     """
-    cfg = _Config(args)
-    spec = _spec_from_args(args)
-    group = cfg.group(spec)
+    job = _Job(args)
+    spec, group = job.spec, job.group()
     table = rows(group)
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(json.dumps({"group": spec.label(), "p": spec.p, "order": group.order,
                           "classes": table}))
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         print(",".join(table[0]))  # every group has the identity's class
         for cols in table:
             print(",".join(" ".join(map(str, v)) if isinstance(v, tuple) else str(v)
@@ -209,59 +217,50 @@ def cmd_classes(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    cfg = _Config(args)
-    spec = _spec_from_args(args)
+    job = _Job(args)
+    spec = job.spec
     if args.kmax < 1:
         raise SpecInvalid(f"kmax must be >= 1, got {args.kmax}")
+    _check_count_size(spec.p, spec.rank, args.kmax)  # the whole run
     methods = _applicable_methods(spec)
     checks = []
-    passed = True
-    first_divergence = None
     for k in range(1, args.kmax + 1):
         counts = {}
         for method in methods:
             try:
-                counts[method] = run_count(spec, k, method, cfg).count
+                counts[method] = str(run_count(job, k, method).count)
             except SpaceTooLarge:
                 continue  # the method's own bound: too large to run at this k
-        distinct = set(counts.values())
-        ok = len(distinct) <= 1
-        checks.append({"k": k, "counts": {m: str(v) for m, v in counts.items()},
-                       "ok": ok})
-        if not ok and passed:
-            passed = False
-            first_divergence = (k, counts)
+        checks.append({"k": k, "counts": counts, "ok": len(set(counts.values())) <= 1})
+    divergent = next((chk for chk in checks if not chk["ok"]), None)
     payload = {
         "group": spec.label(),
         "kmax": args.kmax,
         "methods": methods,
         "checks": checks,
-        "pass": passed,
+        "pass": divergent is None,
     }
     if not spec.buildable:
         payload["note"] = "no group methods available; integrality of the closed form only"
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(json.dumps(payload))
     else:
         for chk in checks:
             state = "ok" if chk["ok"] else "DIVERGENT"
             counts = "  ".join(f"{m}={v}" for m, v in chk["counts"].items())
             print(f"k={chk['k']}: {counts}  [{state}]")
-        print(f"crosscheck {spec.label()}: {'pass' if passed else 'FAIL'}")
-    if not passed:
-        k, counts = first_divergence
-        print(
-            json.dumps({"error": "Divergence", "message": f"methods disagree at k={k}: "
-                        + ", ".join(f"{m}={v}" for m, v in counts.items())}),
-            file=sys.stderr,
-        )
-        return EXIT_DIVERGENCE
-    return EXIT_OK
+        print(f"crosscheck {spec.label()}: {'pass' if divergent is None else 'FAIL'}")
+    if divergent is None:
+        return EXIT_OK
+    counts = ", ".join(f"{m}={v}" for m, v in divergent["counts"].items())
+    print(json.dumps({"error": "Divergence",
+                      "message": f"methods disagree at k={divergent['k']}: {counts}"}),
+          file=sys.stderr)
+    return EXIT_DIVERGENCE
 
 
 def cmd_snf(args) -> int:
     from .linalg import diagonal, parse_matrix_text, smith_valuations
-    cfg = _Config(args)
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             mat = parse_matrix_text(fh.read())
@@ -271,7 +270,7 @@ def cmd_snf(args) -> int:
     sv = smith_valuations(mat)
     vals = ["saturated" if e == M else e for e in sv]
     diag = diagonal(sv, p, M)
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(json.dumps({"p": p, "M": M, "valuations": vals, "diagonal": list(diag)}))
     else:
         print(f"p={p} M={M}")
@@ -282,14 +281,14 @@ def cmd_snf(args) -> int:
 
 def cmd_formula(args) -> int:
     from . import formulas
-    cfg = _Config(args)
     start = time.perf_counter()
     if args.name:
         if args.p is not None or args.exponents is not None:
             raise SpecInvalid(f"--name {args.name} fixes the polynomial and its prime "
                               "and cannot be combined with --p or --exponents")
-        value = formulas.theorem_c(args.name, args.k)
         spec = parse_spec(args.name)
+        _check_count_size(spec.p, spec.rank, args.k)
+        value = formulas.theorem_c(args.name, args.k)
         label, p = spec.label(), spec.p
     elif args.exponents is not None:
         if args.p is None:
@@ -298,12 +297,13 @@ def cmd_formula(args) -> int:
             exps = [int(tok) for tok in args.exponents.split(",")]
         except ValueError:
             raise SpecInvalid(f"bad exponent list {args.exponents!r}") from None
+        _check_count_size(args.p, len(exps), args.k)
         value = formulas.theorem_a(exps, args.p, args.k)
         label, p = f"exponents:{args.exponents}", args.p
     else:
         raise SpecInvalid("pass --name for a fixed polynomial or --exponents with --p")
     _emit(CountReport(label, p, args.k, "closed-form", value,
-                      elapsed=time.perf_counter() - start), cfg)
+                      elapsed=time.perf_counter() - start), args)
     return EXIT_OK
 
 
@@ -348,6 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact orbit counts of reflection groups acting on (Z/p^k)^l",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.set_defaults(oracle_cap=None, per_element=False)  # read by commands without them
 
     p_count = sub.add_parser("count", help="count orbits with one method")
     _add_group_args(p_count)

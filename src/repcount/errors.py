@@ -58,4 +58,4 @@ class InvariantViolation(RepcountError):
 
 
 class SpaceTooLarge(RepcountError):
-    """A brute-force enumeration would exceed the configured point cap."""
+    """An enumeration would exceed its cap, or a count on (Z/p^k)^l its size bound."""

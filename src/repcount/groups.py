@@ -114,9 +114,6 @@ class FiniteMatrixGroup:
     def order(self) -> int:
         return len(self._rows)
 
-    def __len__(self) -> int:
-        return self.order
-
     # -- precision changes -------------------------------------------------
 
     def generators_at(self, n: int) -> np.ndarray:

@@ -29,6 +29,7 @@ from repcount.catalog import (
     parse_spec,
 )
 from repcount.errors import SpecInvalid
+from repcount.formulas import CLOSED_FORMS
 from repcount.groups import close
 from repcount.linalg import SquareMatrix, diagonal, smith_valuations
 from repcount.modp import Modulus
@@ -225,6 +226,16 @@ def test_shephard_todd_order_identity():
     ]
     for spec in specs:
         assert math.prod(m + 1 for m in exponents(spec)) == spec.expected_order
+
+
+def test_rank_is_the_exponent_count_and_the_closed_form_degree():
+    for kind, poly in CLOSED_FORMS.items():
+        spec = GroupSpec(kind)
+        assert spec.rank == max(e for _, e in poly.terms)
+        if spec.buildable:
+            assert spec.rank == len(exponents(spec)) == build(spec).dim
+    for spec in (GroupSpec("family2a", m=4, s=2, n=3, p=5), GroupSpec("sphere", m=4, p=5)):
+        assert spec.rank == len(exponents(spec)) == build(spec).dim
 
 
 def test_derive_exponents_small_groups():

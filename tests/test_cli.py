@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repcount import catalog, counting, formulas
-from repcount.cli import main
+from repcount.cli import MAX_COUNT_BITS, main
 from repcount.errors import NonIntegralCount
 from repcount.linalg import parse_matrix_text, smith_valuations
 
@@ -122,6 +122,16 @@ def test_oracle_cap_exit_code(capsys):
     assert json.loads(err)["error"] == "SpaceTooLarge"
 
 
+def test_oracle_unit_table_exit_code(capsys):
+    # 1451^3 points are under the cap, but the unit table of 1451^3 entries
+    # is above 2^30
+    code, out, err = run(capsys, "count", "--group", "sphere:m=2,p=1451", "--k", "3",
+                         "--method", "oracle", "--oracle-cap", "4000000000")
+    assert code == 3 and out == ""
+    msg = json.loads(err)
+    assert msg["error"] == "SpaceTooLarge" and msg["message"].startswith("unit table ")
+
+
 def test_closure_cap_exit_code(capsys):
     code, _, err = run(capsys, "count", "--group", "g31", "--k", "1",
                        "--method", "classes", "--closure-cap", "100")
@@ -134,6 +144,7 @@ def test_closure_cap_exit_code(capsys):
     ["count", "--group", "g12", "--k", "1", "--method", "oracle", "--oracle-cap", "-5"],
     ["crosscheck", "--group", "g12", "--kmax", "1", "--closure-cap", "0"],
     ["crosscheck", "--group", "g12", "--kmax", "1", "--oracle-cap", "0"],  # not the oracle dropped
+    ["crosscheck", "--group", "g12", "--kmax", "0"],
 ], ids=" ".join)
 def test_cap_below_one_is_a_spec_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -318,12 +329,16 @@ def test_snf_at_a_huge_precision(tmp_path, capsys, rows, want):
 
 
 def test_snf_parse_error(tmp_path, capsys):
-    for name, text in [("bad.txt", "2 4 2 3\n1 2 3\n4 5 6\n"), ("empty.txt", "5 2 0 0\n")]:
+    for name, text in [("bad.txt", "2 4 2 3\n1 2 3\n4 5 6\n"), ("empty.txt", "5 2 0 0\n"),
+                       ("header.txt", "2 4 2\n1 2\n3 4\n"),
+                       ("missing_row.txt", "2 4 2 2\n1 2\n"),
+                       ("short_row.txt", "2 4 2 2\n1 2\n3\n")]:
         f = tmp_path / name
         f.write_text(text)
         code, _, err = run(capsys, "snf", str(f))
         assert code == 2
         assert json.loads(err)["error"] == "SpecInvalid"
+        assert json.loads(err)["message"].startswith("cannot read matrix: ")
 
 
 def test_count_with_more_digits_than_the_int_str_limit(capsys):
@@ -358,13 +373,19 @@ def test_output_determinism(capsys):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("exponents,p",
-                         [("-1", "5"), ("1,4", "4"), ("1,4", "0"), ("", "5")])
+@pytest.mark.parametrize("exponents,p", [("-1", "5"), ("1,4", "4"), ("1,4", "0"), ("", "5"),
+                                         ("1,4", None), (None, None)])
 def test_formula_exponents_bad_input_is_a_spec_error(capsys, exponents, p):
-    code, _, err = run(capsys, "formula", f"--exponents={exponents}", "--p", p,
-                       "--k", "1")
+    # None leaves the flag out
+    argv = ["formula"] + ([f"--exponents={exponents}"] if exponents is not None else [])
+    argv += (["--p", p] if p is not None else []) + ["--k", "1"]
+    code, _, err = run(capsys, *argv)
     assert code == 2
     assert json.loads(err)["error"] == "SpecInvalid"
+    if p is None:
+        assert json.loads(err)["message"] == ("--exponents requires --p" if exponents else
+                                              "pass --name for a fixed polynomial or "
+                                              "--exponents with --p")
     if p == "0":
         # p = 0 is given, so the fault is that it is not prime
         assert "p=0" in json.loads(err)["message"]
@@ -478,3 +499,53 @@ def test_memory_error_exit_code(capsys, monkeypatch):
                          "--method", "classes")
     assert code == 3 and out == ""
     assert json.loads(err) == {"error": "MemoryError", "message": "Out of memory."}
+
+
+def test_crosscheck_divergence_exits_one(capsys, monkeypatch):
+    # theorem C off by one from k = 2 on: k = 3 diverges too, but the error
+    # names the first divergent k
+    real_theorem_c = formulas.theorem_c
+
+    def off_by_one(group, k):
+        return real_theorem_c(group, k) + (k >= 2)
+
+    monkeypatch.setattr(formulas, "theorem_c", off_by_one)
+    argv = ("crosscheck", "--group", "g12", "--kmax", "3", "--no-timing")
+    error = {"error": "Divergence", "message": "methods disagree at k=2: "
+             "burnside=5, classes=5, formula=5, theoremC=6, oracle=5"}
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["pass"] is False
+    assert [chk["ok"] for chk in payload["checks"]] == [True, False, False]
+    assert err.count("\n") == 1 and json.loads(err) == error
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1].startswith("k=2: ") and lines[1].endswith("  [DIVERGENT]")
+    assert lines[-1] == "crosscheck g12: FAIL"
+    assert err.count("\n") == 1 and json.loads(err) == error
+
+
+@pytest.mark.parametrize("argv", [
+    ["formula", "--name", "x12", "--k", "99999999999"],
+    ["count", "--group", "g12", "--k", "99999999999", "--method", "classes"],
+    # refused as a whole: no method is skipped into a vacuous pass
+    ["crosscheck", "--group", "g12", "--kmax", "99999999999"],
+    ["formula", "--exponents", "1,4", "--p", "11", "--k", "99999999999"],
+    ["count", "--group", "g24", "--k", str(10 ** 400), "--method", "theoremC"],
+], ids=lambda argv: " ".join(argv)[:40])
+def test_count_too_large_to_compute_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv, "--no-timing")
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and json.loads(err)["error"] == "SpaceTooLarge"
+
+
+def test_count_size_bound_edge(capsys):
+    # g24: k l bit_length(p) = 6 k, so k = 87381 is the last k admitted
+    assert 6 * 87381 <= MAX_COUNT_BITS < 6 * 87382
+    code, out, _ = run(capsys, "formula", "--name", "x24", "--k", "87381", "--format", "json",
+                       "--no-timing")
+    assert code == 0 and json.loads(out)["count"] == str(formulas.theorem_c("x24", 87381))
+    code, out, _ = run(capsys, "formula", "--name", "x24", "--k", "87382", "--no-timing")
+    assert code == 3 and out == ""
