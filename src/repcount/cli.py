@@ -59,9 +59,8 @@ class _Job:
     """One command's one spec, with that spec's group built at most once.
 
     The caps are checked before the spec is parsed.  Every k is served by the
-    one closure at the group's default precision: counting lifts class
-    representatives (or every element) by their generator words.  ``levels``
-    keeps the oracle's level counts P(1), P(2), ... across k.
+    one closure at the group's default precision, with no lift per k.
+    ``levels`` keeps the oracle's level counts P(1), P(2), ... across k.
     """
 
     def __init__(self, args):

@@ -2,11 +2,11 @@
 
 All engines count orbits of a finite matrix group W acting on (Z/p^k)^l and
 must agree exactly; they differ in what they sum.  ``count_burnside_full``
-computes fixed-point counts directly from Smith forms of w - I at precision
-k, all read by the Smith engine from the batches of w - I that
-``FiniteMatrixGroup.minus_identity_lanes`` gives at p^k: the class
-representatives, or, per element, every element in fixed chunks, a sum that
-does not use the class partition at all;
+computes fixed-point counts directly from Smith forms of w - I, all read by
+the Smith engine at one precision, p^min(k, v_p(|W|) + 1), whatever k is,
+from the batches of w - I that ``FiniteMatrixGroup.minus_identity_lanes``
+gives there: the class representatives, or, per element, every element in
+fixed chunks, a sum that does not use the class partition at all;
 ``count_burnside_classes`` decomposes each count as p^(k*rank) times the
 torsion contribution, both read off the complete class records (the
 whole table is read at one precision, the least m >= M with p^m > d*l for
@@ -64,19 +64,18 @@ def count_burnside_full(
 ) -> CountReport:
     """Exact orbit count via Burnside: average of |Ker(w - I mod p^k)| over W.
 
-    Fixed-point counts come straight from Smith valuations of w - I at
-    precision k, |Ker| = p^(sum of min(e, k)), all read by the batched Smith
-    engine.  The default evaluates one kernel per conjugacy class (the count
-    is a class function); ``per_element=True`` sums over every single
-    element instead, independently of the class partition.  Either way the
-    batches of w - I are read and eliminated ``BURNSIDE_CHUNK`` elements at
-    a time, so no more than one chunk is alive at once.  Any k is
-    reachable: ``minus_identity_lanes`` gathers the representatives, or for
-    ``per_element`` every element, from the row orbit at k <= M, and lifts
-    them by their generator words through ``rows_at`` above it.
+    Every w - I is read once, by the batched Smith engine at m = min(k,
+    v_p(|W|) + 1).  The torsion of Coker(w - I) is killed by the order of w,
+    which divides |W|, so a valuation below m is exact and one that reads m
+    is free: w fixes p^(sum of the valuations + (k - m) * the number that
+    read m) points.  The default reads one kernel per conjugacy class (the
+    count is a class function); ``per_element=True`` sums over every element
+    instead, independently of the class partition.  Either way
+    ``BURNSIDE_CHUNK`` elements are read and eliminated at a time.
     """
     start = time.perf_counter()
     p = group.modulus.p
+    m = min(k, int_valuation(group.order, p) + 1)
     if per_element:
         idx = np.arange(group.order)
     else:
@@ -84,11 +83,13 @@ def count_burnside_full(
         idx = [rec.rep_index for rec in records]
     exps = []  # element t fixes p^exps[t] points: the kernel of w - I mod p^k
     for lo in range(0, len(idx), BURNSIDE_CHUNK):
-        lanes = group.minus_identity_lanes(idx[lo:lo + BURNSIDE_CHUNK], k)
-        exps.append(smith_valuations_lanes(lanes, p, k).sum(axis=0))
+        lanes = group.minus_identity_lanes(idx[lo:lo + BURNSIDE_CHUNK], m)
+        vals = smith_valuations_lanes(lanes, p, m)
+        exps.append(vals.sum(axis=0) + (k - m) * (vals == m).sum(axis=0))
     exps = np.concatenate(exps)
     if per_element:
-        total = sum(c * p ** e for e, c in enumerate(np.bincount(exps).tolist()))
+        counts = np.bincount(exps)  # up to k*l long: sum only the exponents that occur
+        total = sum(int(counts[e]) * p ** e for e in np.flatnonzero(counts).tolist())
         return _report(group, k, "burnside", total, start)
     breakdown = [(rec.rep_index, rec.class_size, p ** e)
                  for rec, e in zip(records, exps.tolist())]

@@ -17,7 +17,8 @@ import numpy as np
 from repcount.errors import InvariantViolation, PrecisionTooLow
 from repcount.formulas import theorem_c
 from repcount.groups import _powers, _rank_from_trace_sum
-from repcount.linalg import SquareMatrix, exact_dtype, smith_valuations_batch
+from repcount.linalg import (SquareMatrix, exact_dtype, smith_valuations_batch,
+                             smith_valuations_lanes)
 from repcount.modp import invert, is_prime, mth_root_of_unity
 
 
@@ -176,6 +177,23 @@ def kernel_size(a: SquareMatrix, n: int) -> int:
     p = a.modulus.p
     rows = np.array([a.rows], dtype=object) % p ** n
     return p ** int(smith_valuations_batch(rows, p, n).sum())
+
+
+def fixed_points_reference(group, idx, k: int) -> list:
+    """Reference: |Ker(w - I mod p^k)| for the elements ``idx``, read at p^k itself.
+
+    w - I is gathered by ``minus_identity_lanes`` at p^k (lifted by the
+    elements' words above the group's precision) and eliminated at p^k, in
+    chunks of 4096 elements, so each count is p^(sum of the valuations) with
+    no bound on the torsion used: its work grows with k.
+    """
+    p = group.modulus.p
+    idx = np.asarray(idx, dtype=np.intp)
+    out = []
+    for lo in range(0, idx.size, 4096):
+        lanes = group.minus_identity_lanes(idx[lo:lo + 4096], k)
+        out += [p ** e for e in smith_valuations_lanes(lanes, p, k).sum(axis=0).tolist()]
+    return out
 
 
 def generator_matrices(group) -> list:

@@ -5,14 +5,19 @@ must reproduce from the matrix groups alone; censuses pin the exact
 class-size / torsion-order data.
 """
 
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from matrix_helpers import (
+    admissible_tuples,
     class_of,
     element,
+    fixed_points_reference,
     generator_matrices,
     identity,
     index_of,
@@ -22,6 +27,7 @@ from matrix_helpers import (
     prod,
     solomon_sum,
 )
+from repcount import counting
 from repcount.catalog import GroupSpec, build, exponents, generators, parse_spec
 from repcount.counting import (
     BURNSIDE_CHUNK,
@@ -32,11 +38,11 @@ from repcount.counting import (
     torsion_census,
     torsion_classes,
 )
-from repcount.errors import InvariantViolation, PrecisionTooLow
+from repcount.errors import InvariantViolation
 from repcount.formulas import theorem_c
 from repcount.grassmannian import theorem_b
 from repcount.groups import FiniteMatrixGroup, close
-from repcount.linalg import SquareMatrix, diagonal, lane_dtype, smith_valuations
+from repcount.linalg import SquareMatrix, diagonal, smith_valuations, smith_valuations_lanes
 from repcount.modp import Modulus
 
 # Values of the closed forms at k = 1, 2, 3, frozen after independent
@@ -61,8 +67,8 @@ def test_burnside_full_g12(g12):
 
 
 def test_burnside_full_per_element_matches_classwise(g12, g24, g29):
-    # k = M + 1 lifts the whole store by its words; g12 at 3^19 and g29 at
-    # 5^13 are the last int64 precisions, 3^20 and 5^14 the first object ones
+    # every k above m = v_p(|W|) + 1 (2 for g12 and g29, 5 for g24) reads the
+    # same batches at p^m; only the free part's exponent grows with k
     for group, k in [(g12, 2), (g24, 3), (g29, 1),
                      (g12, g12.modulus.M + 1), (g24, g24.modulus.M + 1),
                      (g12, 19), (g12, 20), (g29, 13), (g29, 14)]:
@@ -71,34 +77,41 @@ def test_burnside_full_per_element_matches_classwise(g12, g24, g29):
 
 
 @pytest.mark.parametrize("spec,k,lane", [
-    ("family2a:m=4,s=1,n=4,p=5", 3, np.int16),    # p^k = 125
-    ("family2a:m=4,s=1,n=4,p=17", 2, np.int32),   # 289
-    ("family2a:m=4,s=1,n=4,p=29", 3, np.int32),   # 24389
-    ("family2a:m=4,s=1,n=4,p=37", 3, np.int64),   # 50653
-    ("g31", 2, np.int16),
+    ("g31", 2, np.int16),                                 # p^m = 25
     ("g31", 3, np.int16),
-    ("family2a:m=4,s=1,n=4,p=5", 4, np.int32),    # k > M: lifted by rows_at
+    ("family2a:m=4,s=1,n=4,p=5", 4, np.int16),            # 5, at k > M with no lift
+    ("sphere:m=2,p=1451", 7, np.int32),                   # 1451
+    ("sphere:m=2,p=46349", 3, np.int64),                  # 46349
+    ("family2a:m=3,s=1,n=2,p=4294967311", 2, object),     # 4294967311
 ])
-def test_per_element_burnside_matches_classwise_in_every_lane(request, spec, k, lane):
-    # the elimination runs in the lane p^k picks, on batches gathered from the
-    # row orbit at k <= M and lifted by their words above it
+def test_per_element_burnside_matches_classwise_in_every_lane(request, monkeypatch, spec, k, lane):
+    # the elimination runs in the lane of p^m, m = min(k, v_p(|W|) + 1), not of p^k
     parsed = parse_spec(spec)
     g = request.getfixturevalue(spec) if parsed.exceptional else build(parsed)
-    assert g.minus_identity_lanes([0], k).dtype == lane == lane_dtype(parsed.p ** k)
+    lanes = []
+
+    def recording(b, p, M):
+        lanes.append(b.dtype)
+        return smith_valuations_lanes(b, p, M)
+
+    monkeypatch.setattr(counting, "smith_valuations_lanes", recording)
     if parsed.exceptional:
         want = theorem_c(spec, k)
     else:
-        want = theorem_b(parsed.m, parsed.s, parsed.n, parsed.p, k)
+        want = theorem_b(parsed.m, parsed.s or 1, parsed.n or 1, parsed.p, k)
     assert count_burnside_full(g, k, per_element=True).count == want
+    assert count_burnside_full(g, k).count == want
     assert count_burnside_classes(g, k).count == want
+    assert set(lanes) == {np.dtype(lane)}
 
 
 @pytest.mark.parametrize("spec,k", [("sphere:m=2,p=1451", 7),
                                     ("family2a:m=4,s=2,n=3,p=1297", 3)])
 def test_per_element_burnside_on_object_stores(spec, k):
+    # the row orbit is held in object, and Burnside reduces it to p^m = p
     parsed = parse_spec(spec)
     g = build(parsed)
-    assert g.rows_at(np.arange(g.order), k).dtype == object
+    assert g.rows_at([0], g.modulus.M).dtype == object
     want = theorem_b(parsed.m, parsed.s or 1, parsed.n or 1, parsed.p, k)
     assert count_burnside_full(g, k, per_element=True).count == want
     assert count_burnside_full(g, k).count == want
@@ -128,30 +141,74 @@ def test_per_element_burnside_lifts_one_chunk_at_a_time(g31, monkeypatch):
     assert sum(sizes) == g31.order
 
 
-def test_burnside_precision_error():
-    # without a generator factory nothing can be lifted past the closure's M
+def test_burnside_needs_no_factory_at_any_k():
+    # g12 closed without a generator factory: v_3(48) + 1 = 2 <= M = 3, so
+    # Burnside reads every k from the closure and lifts nothing
     g = close(generators(GroupSpec("g12"), Modulus(3, 3)), order=48, name="g12")
-    assert count_burnside_full(g, 3).count == EXPECTED["g12"][3]
-    with pytest.raises(PrecisionTooLow):
-        count_burnside_full(g, 4)
-    with pytest.raises(PrecisionTooLow):
-        count_burnside_full(g, 4, per_element=True)
+    for k in (4, 40):
+        assert count_burnside_full(g, k).count == theorem_c("g12", k)
+        assert count_burnside_full(g, k, per_element=True).count == theorem_c("g12", k)
+
+
+def _s3(modulus):
+    # S3 permuting the coordinates
+    return [SquareMatrix.from_rows(rows, modulus)
+            for rows in ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]])]
 
 
 def test_faithful_group_closed_at_two_to_the_first_counts():
     # close proves faithfulness by reaching the order, so a group closed at
-    # 2^1, below Modulus.threshold, counts at every k: S3 permuting the
-    # coordinates has C(2^k + 2, 3) orbits
-    def s3(modulus):
-        return [SquareMatrix.from_rows(rows, modulus)
-                for rows in ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]])]
-
-    g = close(s3(Modulus(2, 1)), order=6, generator_factory=s3)
+    # 2^1, below Modulus.threshold, counts at every k: S3 has C(2^k + 2, 3) orbits
+    g = close(_s3(Modulus(2, 1)), order=6, generator_factory=_s3)
     for k, expected in zip((1, 2, 3, 4), (4, 20, 120, 816)):
         assert orbit_count_reference(g.generators_at(k), 2 ** k) == expected
         assert count_burnside_classes(g, k).count == expected
         assert count_burnside_full(g, k).count == expected
         assert count_burnside_full(g, k, per_element=True).count == expected
+
+
+def _assert_burnside_matches_reference(group, k):
+    fixed = fixed_points_reference(group, np.arange(group.order), k)
+    classwise = count_burnside_full(group, k)
+    assert [f for _, _, f in classwise.breakdown] == [fixed[i] for i, _, _ in classwise.breakdown]
+    assert classwise.count * group.order == sum(fixed)
+    assert count_burnside_full(group, k, per_element=True).count == classwise.count
+
+
+@pytest.mark.parametrize("name", ["g12", "g24", "g29", "g31", "s3"])
+def test_burnside_matches_the_full_precision_reference(exceptional_groups, name):
+    # S3 closed at 2^1 reads at m = v_2(6) + 1 = 2 > M, so Burnside lifts its
+    # elements by their words there
+    if name == "s3":
+        group = close(_s3(Modulus(2, 1)), order=6, generator_factory=_s3)
+    else:
+        group = exceptional_groups[name]
+    for k in range(1, 3 * group.modulus.M + 1):
+        _assert_burnside_matches_reference(group, k)
+
+
+MONOMIAL = sorted({
+    f"family2a:m={m},s={s},n={n},p={p}"
+    for cases in admissible_tuples(max_order=2000, max_points=2 ** 11).values()
+    for m, s, n, p, _ in cases
+})
+# p = 5 divides |W|, so Burnside reads these at 5^2 rather than at 5^1
+MODULAR = ["family2a:m=4,s=1,n=5,p=5", "family2a:m=4,s=2,n=5,p=5", "family2a:m=4,s=4,n=5,p=5"]
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial(spec):
+    return build(parse_spec(spec))
+
+
+@example("family2a:m=4,s=2,n=5,p=5", 5)
+@example("family2a:m=4,s=4,n=5,p=5", 9)
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(MONOMIAL) | st.sampled_from(MODULAR), st.integers(1, 9))
+def test_burnside_matches_the_full_precision_reference_on_monomial_groups(spec, k):
+    group = _monomial(spec)
+    assert group.modulus.M == 3  # so k runs over 1..3M
+    _assert_burnside_matches_reference(group, k)
 
 
 @pytest.mark.parametrize("name,k", [("g12", 24), ("g24", 35), ("g29", 16), ("g31", 14),
