@@ -15,13 +15,15 @@ whose row i*l + j holds entry (i, j) of every matrix, in place on full
 l x l blocks.  Its entries sit in the narrowest signed lane that holds what
 a step forms (``lane_dtype``: int16 up to p^M = 181, int32 up to 46341,
 then int64 or object), not in ``exact_dtype``.  Its pivot key is decoded by
-a shift, a mask and small offset tables, valuations are read from an int8
-table while p^M is at most ``VALUATION_TABLE_MAX``, and the row update after
-the last pivot is skipped.  ``smith_valuations_batch`` keeps the (N, l, l)
-interface: ``entry_major`` reduces the batch, transposes it and only then
-narrows it to the lane.  Together they back ``snf``, the one Smith form per
-conjugacy class and every Burnside fixed-point count.  The tests hold them
-to a scalar elimination of one matrix in pure Python, which they keep.
+a shift, a mask and small offset tables.  Valuations are read from a table
+while p^M is at most ``VALUATION_TABLE_MAX`` and by dividing p out above
+it; each pivot's p^e is formed for it alone, so no list of p's powers is
+kept.  The row update after the last pivot is skipped.
+``smith_valuations_batch`` keeps the (N, l, l) interface: ``entry_major``
+reduces the batch, transposes it and only then narrows it to the lane.
+Together they back ``snf``, the one Smith form per conjugacy class and
+every Burnside fixed-point count.  The tests hold them to a scalar
+elimination of one matrix in pure Python, which they keep.
 ``diagonal`` turns valuations into the diagonal p^e, 0 where saturated.
 """
 
@@ -80,18 +82,9 @@ def _mod(x, q: int):
     return x - x // q * q
 
 
-#: Largest p^M whose valuations the engine reads from a table: one int8 per
-#: residue, 64 KB.  Above it each step tests divisibility by p, p^2, ...
+#: Largest p^M whose valuations the engine reads from a table: one key per
+#: residue, at most 128 KB.  Above it each step divides p out of the entries.
 VALUATION_TABLE_MAX = 2 ** 16
-
-
-def _valuation_table(p: int, M: int) -> np.ndarray:
-    """v_p of every residue in [0, p^M) as int8, with 0 reading M."""
-    table = np.zeros(p ** M, dtype=np.int8)
-    for e in range(1, M):
-        table[::p ** e] += 1
-    table[0] = M
-    return table
 
 
 def lane_dtype(pM: int):
@@ -132,16 +125,17 @@ def smith_valuations_lanes(b: np.ndarray, p: int, M: int) -> np.ndarray:
     M standing for saturated; matrix by matrix it equals a scalar
     elimination.  Each step works on every matrix and its full l x l block
     at once.  Every entry gets a key, its valuation times a power of two
-    ``span`` >= l*l plus its position: the valuation is one lookup in an
-    int8 table of v_p over Z/p^M when p^M <= ``VALUATION_TABLE_MAX`` (zero
-    reads M), or divisibility tests by p, p^2, ... above it, which stop at
-    the largest finite valuation present.  The least key per matrix is its
-    pivot, of minimal valuation e; a shift reads e off it, and a mask its
-    position, which small tables turn into the offsets of its row and its
-    column.  Then row elimination only: every row i becomes
-    u*row_i - a_ij*(pivot_row / p^e), where u is the pivot's unit part; p^e
-    divides the whole block, so the quotient is exact, and scaling a row by
-    a unit is invertible over Z/p^M, so no inverse is needed.  The update
+    ``span`` >= l*l plus its position: the valuation is one lookup in a
+    table of v_p over Z/p^M when p^M <= ``VALUATION_TABLE_MAX`` (zero reads
+    M), or above it by dividing p out of the nonzero entries until none
+    divides, which stops at the largest finite valuation present.
+    The least key per matrix is its pivot, of minimal valuation e; a shift
+    reads e off it, and a mask its position, which small tables turn into
+    the offsets of its row and its column.  Then row elimination only:
+    every row i becomes u*row_i - a_ij*(pivot_row / p^e), where u is the
+    pivot's unit part and p^e is formed for that pivot alone; p^e divides
+    the whole block, so the quotient is exact, and scaling a row by a unit
+    is invertible over Z/p^M, so no inverse is needed.  The update
     zeroes the pivot row and column, and zeros read as saturated, so no
     later step picks them before a live entry, and the column operations,
     which would change only the pivot row, are skipped.  After l - 1 pivots
@@ -156,14 +150,12 @@ def smith_valuations_lanes(b: np.ndarray, p: int, M: int) -> np.ndarray:
     # the narrowest dtype that holds every key keeps the pivot search cheap
     kdt = np.min_scalar_type((M + 1) * span - 1)
     position = np.arange(size, dtype=kdt)[:, None]
-    if pM <= VALUATION_TABLE_MAX:
-        table = _valuation_table(p, M).astype(kdt) * span
-        pows = np.array([p ** e for e in range(M + 1)], dtype=b.dtype)
-    else:
-        # p^0, p^1, ... only as far as the divisibility tests reach.  A saturated
-        # pivot's block is all zero, so the last power held divides it as well
-        # as p^M would.
-        table, pows = None, np.ones(1, dtype=b.dtype)
+    table = None
+    if pM <= VALUATION_TABLE_MAX:  # every residue's key part: v_p times span, zero reading M
+        table = np.zeros(pM, dtype=kdt)
+        for e in range(1, M):
+            table[::p ** e] += span
+        table[0] = M * span
     # entry (i, j) of matrix t sits at flat index (i*l + j)*N + t, so row i of a
     # pivot at position i*l + j is at row_at[.] + in_row, column j at col_at[.] + in_col
     lane = np.arange(n)
@@ -178,15 +170,16 @@ def smith_valuations_lanes(b: np.ndarray, p: int, M: int) -> np.ndarray:
         if table is not None:
             key = table.take(b)
         else:
-            live = b != 0
+            # p divides out of the live entries until none is left
+            live, rest = b != 0, b
             vals = np.where(live, 0, M)
-            for v in range(1, M):
-                if v == pows.size:
-                    pows = np.append(pows, pows[-1] * p)
-                live &= _mod(b, pows[v]) == 0
+            for _ in range(1, M):
+                quo = rest // p
+                live &= quo * p == rest
                 if not live.any():
                     break
                 vals += live
+                rest = quo
             key = vals.astype(kdt) * span
         key += position[:len(b)]
         key = np.minimum.reduce(key)
@@ -195,7 +188,7 @@ def smith_valuations_lanes(b: np.ndarray, p: int, M: int) -> np.ndarray:
         if s == dim - 1:
             break
         piv = key & (span - 1)
-        pe = pows.take(np.minimum(e, pows.size - 1))
+        pe = np.power(p, e, dtype=b.dtype)  # p^e <= p^M, which the lane holds
         pivot_row = b.take(row_at.take(piv) + in_row)
         # p^e divides the block, so the quotient is exact; float64 division, faster
         # than integer division, gives it exactly below 2^53, so in every numeric lane

@@ -2,7 +2,8 @@
 
 Everything here is plain integer arithmetic: an element of Z/p^M is its
 canonical representative, an int in [0, p^M), and every function returns
-one.
+one.  Roots of unity are Teichmüller lifts, in closed form; the one search,
+factoring p - 1 for a primitive root, runs under ``FACTOR_STEPS``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 from typing import Sequence
 
 from .errors import (
+    CapExceeded,
     DivisibleByP,
     InvariantViolation,
     NotARoot,
@@ -88,9 +90,17 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
+#: Pollard-Brent steps ``prime_factors`` may take in all.  Rho splits off a prime
+#: q in about sqrt(q) steps: every catalog prime's p - 1 needs a few dozen,
+#: 2^127 - 2 about 2300, and 2 q1 q2 with q1, q2 of 17 digits about 10^8.
+FACTOR_STEPS = 2 ** 18
+
+
 def prime_factors(n: int) -> list:
-    """The distinct primes dividing n >= 1, ascending, by Pollard-Brent rho."""
-    out, stack = set(), [n] if n > 1 else []
+    """The distinct primes dividing n >= 1, ascending, by Pollard-Brent rho.
+
+    Raises CapExceeded once ``FACTOR_STEPS`` steps leave a composite factor."""
+    out, stack, steps = set(), [n] if n > 1 else [], 0
     while stack:
         m = stack.pop()
         if is_prime(m):
@@ -99,12 +109,15 @@ def prime_factors(n: int) -> list:
         for c in itertools.count(1):  # x -> x^2 + c, with Brent's doubling cycle search
             y, r, g = 2, 1, 1
             while g == 1:
+                if steps >= FACTOR_STEPS:
+                    raise CapExceeded(f"factoring {n} took over {FACTOR_STEPS} Pollard-Brent steps")
                 x = y
                 for _ in range(r):
                     y = (y * y + c) % m
                     g = math.gcd(x - y, m)
                     if g != 1:
                         break
+                steps += r
                 r *= 2
             if g != m:
                 stack += [g, m // g]
@@ -195,20 +208,14 @@ def hensel_lift(coeffs: Sequence[int], r0: int, base_level: int, target: Modulus
 
 
 def teichmuller(a: int, target: Modulus) -> int:
-    """The unique (p-1)-th root of unity congruent to a mod p.
+    """The unique (p-1)-th root of unity congruent to a mod p: a^(p^(M-1)) mod p^M.
 
-    Computed by iterating x -> x^p, which contracts to the fixed point.
-    """
-    p, pM = target.p, target.pM
+    The power kills the units = 1 mod p, of order p^(M-1), and fixes the roots
+    of unity, as p^(M-1) = 1 mod p - 1."""
+    p, M = target.p, target.M
     if a % p == 0:
         raise DivisibleByP(f"{a} is divisible by {p}")
-    t = a % pM
-    while True:
-        nxt = pow(t, p, pM)
-        if nxt == t:
-            break
-        t = nxt
-    return t
+    return pow(a, p ** (M - 1), target.pM)
 
 
 def smallest_primitive_root(p: int) -> int:

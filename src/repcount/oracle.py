@@ -10,7 +10,8 @@ on primitive vectors mod p^m (some coordinate a unit).
 mod p, generates a group S of d units: all of them for odd p, <3> of index
 2 for p = 2 and m >= 3.  S commutes with W and acts freely on primitive
 vectors.  A node is the vector of an S-orbit whose first unit coordinate
-lies in T, the least units of the cosets of S.
+lies in T, the least units of the cosets of S: {1}, or {1, 5} when <3> is
+the units = 1 or 3 mod 8.
 *Edges.*  A generator g takes a node c to g c = zeta^a c' for one node c' and
 one a mod d, so a component of the node graph is a W x S-orbit.
 *Holonomy.*  S permutes the W-orbits in a W x S-orbit transitively, so they
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import SpaceTooLarge
 from .groups import FiniteMatrixGroup
 from .linalg import _mod
-from .modp import Modulus, prime_factors, smallest_primitive_root, teichmuller
+from .modp import Modulus, smallest_primitive_root, teichmuller
 
 DEFAULT_POINT_CAP = 2 ** 24
 _CHUNK = 1 << 14
@@ -50,37 +51,30 @@ def orbit_count_bruteforce(group: FiniteMatrixGroup, n: int,
     if len(levels) < n:
         gens = group.generators_at(n)
         zeta = teichmuller(smallest_primitive_root(p), Modulus(p, n)) * (1 + p) % p ** n
-        primes = sorted(set(prime_factors(p - 1)) | {p})
         for m in range(len(levels) + 1, n + 1):
             q = p ** m
-            powers, reps, table = _unit_table(p, m, zeta % q, primes)
+            powers, reps, table = _unit_table(p, m, zeta % q)
             dest, volt = _edges(gens % q, p, q, powers, reps, table)
             levels.append(_component_orbits(dest, volt, powers.size))
     return 1 + sum(levels[:n])
 
 
-def _unit_table(p: int, m: int, zeta: int, primes: list):
+def _unit_table(p: int, m: int, zeta: int):
     """The d powers of zeta (by doubling), T, and ``table[u]`` = t d + a for u = T[t] zeta^a;
-    ``primes`` are the primes dividing the number of units, p^(m-1) (p - 1)."""
+    d, the order of zeta, is phi(p^m), halved for p = 2 and m >= 3 (see *Scalars*)."""
     q = p ** m
-    d = phi = q - q // p
-    for r in primes:
-        while d % r == 0 and pow(zeta, d // r, q) == 1:
-            d //= r
+    phi = q - q // p
+    d = phi // 2 if p == 2 and m >= 3 else phi
     powers = np.empty(d, dtype=np.int32)
     powers[0], s = 1, 1
     while s < d:
         powers[s:2 * s] = _mod(powers[:min(s, d - s)] * np.int64(pow(zeta, s, q)), q)
         s *= 2
     table = np.full(q, -1, dtype=np.int32)
-    reps = [1]
-    table[powers] = np.arange(d, dtype=np.int32)
-    for t in range(1, phi // d):
-        free = table < 0
-        free[::p] = False
-        reps.append(int(np.argmax(free)))
-        table[_mod(powers * np.int64(reps[-1]), q)] = np.arange(t * d, (t + 1) * d, dtype=np.int32)
-    return powers, np.array(reps), table
+    reps = np.array([1, 5] if d < phi else [1])
+    for t, rep in enumerate(reps):
+        table[_mod(powers * np.int64(rep), q)] = np.arange(t * d, (t + 1) * d, dtype=np.int32)
+    return powers, reps, table
 
 
 def _edges(gens: np.ndarray, p: int, q: int, powers, reps, table):

@@ -1,6 +1,17 @@
+import warnings
+
 import pytest
 
 from repcount import build, parse_spec
+
+# On a failing @given test hypothesis imports this module to suggest a patch,
+# and its import raises a DeprecationWarning, which the warnings-as-errors
+# setting would turn into an internal error that aborts the run before the
+# falsifying example is printed.  Imported here once, with that warning
+# ignored, a failing property test reports like any other.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,13 @@
 """CLI surface: subcommands, formats, exit codes, output determinism."""
 
+import hashlib
 import json
+import time
 
 import pytest
 
 from repcount import catalog, counting, formulas
+from repcount.grassmannian import theorem_b
 from repcount.cli import MAX_COUNT_BITS, main
 from repcount.errors import NonIntegralCount
 from repcount.linalg import parse_matrix_text, smith_valuations
@@ -549,3 +552,95 @@ def test_count_size_bound_edge(capsys):
     assert code == 0 and json.loads(out)["count"] == str(formulas.theorem_c("x24", 87381))
     code, out, _ = run(capsys, "formula", "--name", "x24", "--k", "87382", "--no-timing")
     assert code == 3 and out == ""
+
+
+def counts(want):
+    """The run's first line ends with count=want; a callable want is called for its value."""
+    def check(code, out, err, seconds):
+        assert code == 0 and err == ""
+        assert out.splitlines()[0].endswith(f"count={want() if callable(want) else want}")
+    return check
+
+
+def passes(code, out, err, seconds):
+    """A crosscheck in which every method agreed at every k."""
+    assert code == 0 and err == "" and out.endswith(": pass\n")
+
+
+def digest(sha256):
+    """The run's whole stdout has this sha256."""
+    def check(code, out, err, seconds):
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == sha256
+    return check
+
+
+def refused(code, out, err, seconds):
+    """Exit 3 within a second, nothing on stdout and one CapExceeded line on stderr."""
+    assert code == 3 and out == "" and seconds < 1
+    assert err.count("\n") == 1 and json.loads(err)["error"] == "CapExceeded"
+
+
+#: p - 1 = 2 q1 q2 with q1, q2 prime and of 17 digits each: Pollard-Brent rho
+#: would take ~10^8 steps to split q1 q2, so the search for a primitive root
+#: runs past modp.FACTOR_STEPS and every group method refuses the prime.
+UNFACTORED = "sphere:m=2,p=9399065556056301725180829159926783"
+MERSENNE_127 = 2 ** 127 - 1  # p - 1 factors within a few thousand steps
+
+REACH = [
+    # every method, the oracle included, on groups the suite builds nowhere else
+    (["crosscheck", "--group", "g24", "--kmax", "3"], passes),
+    (["crosscheck", "--group", "sphere:m=4,p=5", "--kmax", "3"], passes),
+    # G(6,1,3) lists no twisted reflection and G(4,4,3) no diag(b^s)
+    (["crosscheck", "--group", "family2a:m=6,s=1,n=3,p=7", "--kmax", "2"], passes),
+    (["crosscheck", "--group", "family2a:m=4,s=4,n=3,p=5", "--kmax", "2"], passes),
+    (["formula", "--name", "x31", "--k", "3"], counts(8303)),
+    (["count", "--group", "family2a:m=3,s=1,n=2,p=7", "--k", "2", "--method", "domain"],
+     counts(153)),
+    # the domain method near its table bound: 5^8 = 390,625 points
+    (["count", "--group", "sphere:m=4,p=5", "--k", "8", "--method", "domain"], counts(97657)),
+    # the monomial workload's group with a generator of order 3, at full size
+    (["count", "--group", "family2a:m=3,s=1,n=5,p=7", "--k", "2", "--method", "classes"],
+     counts(lambda: theorem_b(3, 1, 5, 7, 2))),
+    # the widest window the catalog builds: a generator of order 100
+    (["count", "--group", "family2a:m=100,s=1,n=2,p=101", "--k", "2", "--method", "classes"],
+     counts(lambda: theorem_b(100, 1, 2, 101, 2))),
+    # G(4,2,6) at p = 5: 1,474,560 elements closed from 7 reflections; 16 of its 302
+    # classes need 5^4, so its whole table is read there, pinned by the csv's sha256
+    (["count", "--group", "family2a:m=4,s=2,n=6,p=5", "--k", "1", "--method", "classes"],
+     counts(lambda: theorem_b(4, 2, 6, 5, 1))),
+    (["classes", "--group", "family2a:m=4,s=2,n=6,p=5", "--format", "csv"],
+     digest("8ae8fbbd1b01d5f09c8ef920e1834024b8cdef64baecddcdcce8fde68c85b36d")),
+    # oracle reach: 5^12 points, 2.4M scalar classes
+    (["count", "--group", "g29", "--k", "3", "--method", "oracle", "--oracle-cap", "244140625"],
+     counts(lambda: formulas.theorem_c("x29", 3))),
+    (["count", "--group", "g31", "--k", "3", "--method", "oracle", "--oracle-cap", "244140625"],
+     counts(lambda: formulas.theorem_c("x31", 3))),
+    # the oracle at p = 2 past level 2, where the units are not cyclic
+    *[(["count", "--group", "g24", "--k", str(k), "--method", "oracle"],
+       counts(lambda k=k: formulas.theorem_c("x24", k))) for k in range(3, 8)],
+    # Burnside reads every w - I at 5^2 even at the largest k the count-size bound admits
+    (["count", "--group", "g31", "--k", "43690", "--method", "burnside"],
+     counts(lambda: formulas.theorem_c("x31", 43690))),
+    (["count", "--group", "g31", "--k", "43690", "--method", "burnside", "--per-element"],
+     counts(lambda: formulas.theorem_c("x31", 43690))),
+    # a p^m above the int64 lane: the per-element Smith forms run in object
+    (["count", "--group", "sphere:m=2,p=4294967311", "--k", "3", "--method", "burnside",
+      "--per-element"], counts(lambda: theorem_b(2, 1, 1, 4294967311, 3))),
+    # a primitive root found by factoring p - 1 = 2 (2^126 - 1), 12 primes
+    (["count", "--group", f"sphere:m=2,p={MERSENNE_127}", "--k", "1", "--method", "burnside"],
+     counts(lambda: theorem_b(2, 1, 1, MERSENNE_127, 1))),
+    # every method that builds the group refuses the prime; the closed form needs no root
+    (["count", "--group", UNFACTORED, "--k", "1", "--method", "burnside"], refused),
+    (["classes", "--group", UNFACTORED], refused),
+    (["census", "--group", UNFACTORED], refused),
+    (["crosscheck", "--group", UNFACTORED, "--kmax", "1"], refused),
+    (["count", "--group", UNFACTORED, "--k", "1", "--method", "theoremB"],
+     counts(4699532778028150862590414579963392)),
+]
+
+
+@pytest.mark.parametrize("argv,check", REACH, ids=[" ".join(argv) for argv, _ in REACH])
+def test_reach(capsys, argv, check):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--no-timing")
+    check(code, out, err, time.perf_counter() - start)

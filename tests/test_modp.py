@@ -11,7 +11,9 @@ import pytest
 import sympy
 
 from matrix_helpers import smith_valuations_raw
+from repcount import modp
 from repcount.errors import (
+    CapExceeded,
     DivisibleByP,
     NotARoot,
     NotASimpleRoot,
@@ -122,13 +124,19 @@ def test_teichmuller_examples():
         teichmuller(5, Modulus(5, 2))
 
 
-@pytest.mark.parametrize("p,M", [(3, 4), (5, 3), (7, 2), (13, 2)])
+TEICHMULLER_CASES = [(3, 4), (5, 3), (7, 2), (13, 2)]
+TEICHMULLER_CASES += [(p, M) for p in (2, 3, 5, 7, 1451) for M in range(1, 9)
+                      if (p, M) not in TEICHMULLER_CASES]
+
+
+@pytest.mark.parametrize("p,M", TEICHMULLER_CASES)
 def test_teichmuller_is_root_of_unity(p, M):
+    # omega = a mod p and omega^(p-1) = 1 mod p^M fix omega, for integers a above p too
     m = Modulus(p, M)
-    for a in range(1, p):
+    for a in [*range(1, p), 7 * p + 1, p ** 9 - 1]:
         t = teichmuller(a, m)
-        assert t % p == a
-        assert pow(t, p - 1, m.pM) == 1
+        assert 0 <= t < m.pM and t % p == a % p, a
+        assert pow(t, p - 1, m.pM) == 1, a
 
 
 def test_smallest_primitive_root():
@@ -158,6 +166,20 @@ def test_prime_factors_match_sympy():
     cases += [rng.getrandbits(rng.randint(2, 62)) + 1 for _ in range(200)]
     for n in cases:
         assert prime_factors(n) == sorted(sympy.factorint(n)), n
+
+
+def test_factoring_past_the_step_budget_is_refused(monkeypatch):
+    # p - 1 = 2 q1 q2 with q1, q2 prime and of 17 digits: rho needs ~10^8 steps
+    p = 9399065556056301725180829159926783
+    assert is_prime(p) and not is_prime((p - 1) // 2)
+    with pytest.raises(CapExceeded):
+        smallest_primitive_root(p)
+    # 2^127 - 2 splits into 12 primes within the budget (a few thousand steps);
+    # with a budget of 2 steps it is refused
+    assert len(prime_factors(2 ** 127 - 2)) == 12
+    monkeypatch.setattr(modp, "FACTOR_STEPS", 2)
+    with pytest.raises(CapExceeded):
+        prime_factors(2 ** 127 - 2)
 
 
 def test_mth_root_examples():

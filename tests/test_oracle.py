@@ -26,7 +26,7 @@ from repcount.formulas import theorem_c
 from repcount.grassmannian import theorem_b
 from repcount.groups import close
 from repcount.linalg import SquareMatrix
-from repcount.modp import Modulus, prime_factors, smallest_primitive_root, teichmuller
+from repcount.modp import Modulus, smallest_primitive_root, teichmuller
 from repcount.oracle import orbit_count_bruteforce
 
 
@@ -108,9 +108,10 @@ def test_orbit_count_matches_reference_search(case, chunk):
 def test_unit_table(p, m):
     q, phi = p ** m, p ** m - p ** (m - 1)
     zeta = teichmuller(smallest_primitive_root(p), Modulus(p, m)) * (1 + p) % q
-    powers, reps, table = oracle._unit_table(p, m, zeta, sorted(set(prime_factors(p - 1)) | {p}))
+    powers, reps, table = oracle._unit_table(p, m, zeta)
     d = powers.size
-    # zeta generates every unit for odd p; for p = 2 it is 3, of order 2^(m-2) from m = 3 on
+    # zeta generates every unit for odd p; for p = 2 it is 3, of order 2^(m-2) from m = 3 on:
+    # the d powers are distinct and zeta^d = 1, so d is zeta's order
     if p == 2:
         assert zeta == 3 % q
         assert d == (2 ** (m - 2) if m >= 3 else m)
