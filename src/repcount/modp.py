@@ -110,14 +110,14 @@ def prime_factors(n: int) -> list:
             y, r, g = 2, 1, 1
             while g == 1:
                 if steps >= FACTOR_STEPS:
-                    raise CapExceeded(f"factoring {n} took over {FACTOR_STEPS} Pollard-Brent steps")
+                    raise CapExceeded(f"factoring {n} needs over {FACTOR_STEPS} Pollard-Brent steps")
                 x = y
-                for _ in range(r):
+                for _ in range(min(r, FACTOR_STEPS - steps)):
+                    steps += 1
                     y = (y * y + c) % m
                     g = math.gcd(x - y, m)
                     if g != 1:
                         break
-                steps += r
                 r *= 2
             if g != m:
                 stack += [g, m // g]

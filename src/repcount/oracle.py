@@ -50,19 +50,20 @@ def orbit_count_bruteforce(group: FiniteMatrixGroup, n: int,
     levels = [] if levels is None else levels
     if len(levels) < n:
         gens = group.generators_at(n)
-        zeta = teichmuller(smallest_primitive_root(p), Modulus(p, n)) * (1 + p) % p ** n
         for m in range(len(levels) + 1, n + 1):
             q = p ** m
-            powers, reps, table = _unit_table(p, m, zeta % q)
+            powers, reps, table = _unit_table(p, m)
             dest, volt = _edges(gens % q, p, q, powers, reps, table)
             levels.append(_component_orbits(dest, volt, powers.size))
     return 1 + sum(levels[:n])
 
 
-def _unit_table(p: int, m: int, zeta: int):
-    """The d powers of zeta (by doubling), T, and ``table[u]`` = t d + a for u = T[t] zeta^a;
-    d, the order of zeta, is phi(p^m), halved for p = 2 and m >= 3 (see *Scalars*)."""
+def _unit_table(p: int, m: int):
+    """The d powers of zeta mod p^m (by doubling), T, and ``table[u]`` = t d + a for
+    u = T[t] zeta^a; d, the order of zeta, is phi(p^m), halved for p = 2 and m >= 3
+    (see *Scalars*)."""
     q = p ** m
+    zeta = teichmuller(smallest_primitive_root(p), Modulus(p, m)) * (1 + p) % q
     phi = q - q // p
     d = phi // 2 if p == 2 and m >= 3 else phi
     powers = np.empty(d, dtype=np.int32)

@@ -78,11 +78,6 @@ class CountReport(Record):
         self.group, self.p, self.k, self.method = group, p, k, method
         self.count, self.breakdown, self.elapsed = count, breakdown, elapsed
 
-    def _rows(self) -> list:
-        """The breakdown with fixed counts in decimal, each distinct one converted once."""
-        digits = {fixed: str(fixed) for fixed in {fixed for _, _, fixed in self.breakdown}}
-        return [(rep, size, digits[fixed]) for rep, size, fixed in self.breakdown]
-
     def to_json_dict(self, include_timing: bool = True) -> dict:
         out = {
             "group": self.group,
@@ -93,8 +88,8 @@ class CountReport(Record):
         }
         if self.breakdown is not None:
             out["classes"] = [
-                {"rep": rep, "size": size, "fixed": fixed}
-                for rep, size, fixed in self._rows()
+                {"rep": rep, "size": size, "fixed": str(fixed)}
+                for rep, size, fixed in self.breakdown
             ]
         if include_timing and self.elapsed is not None:
             out["elapsed"] = round(self.elapsed, 6)
@@ -108,7 +103,7 @@ class CountReport(Record):
                  f"{self.group},{self.p},{self.k},{self.method},{self.count}"]
         if self.breakdown is not None:
             lines.append("rep,class_size,fixed_points")
-            lines.extend(f"{r},{s},{f}" for r, s, f in self._rows())
+            lines.extend(f"{r},{s},{f}" for r, s, f in self.breakdown)
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
@@ -116,5 +111,5 @@ class CountReport(Record):
         if self.breakdown is None:
             return head + "\n"
         lines = [head, f"{'rep':>8} {'size':>8} {'fixed':>16}"]
-        lines.extend(f"{r:>8} {s:>8} {f:>16}" for r, s, f in self._rows())
+        lines.extend(f"{r:>8} {s:>8} {f:>16}" for r, s, f in self.breakdown)
         return "\n".join(lines) + "\n"

@@ -539,8 +539,10 @@ def test_crosscheck_divergence_exits_one(capsys, monkeypatch):
     ["count", "--group", "g24", "--k", str(10 ** 400), "--method", "theoremC"],
 ], ids=lambda argv: " ".join(argv)[:40])
 def test_count_too_large_to_compute_is_refused(capsys, argv):
+    # refused before any work: without the bound x12 at k = 99999999999 needs ~40 GB
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv, "--no-timing")
-    assert code == 3 and out == ""
+    assert code == 3 and out == "" and time.perf_counter() - start < 1
     assert err.count("\n") == 1 and json.loads(err)["error"] == "SpaceTooLarge"
 
 
@@ -554,11 +556,13 @@ def test_count_size_bound_edge(capsys):
     assert code == 3 and out == ""
 
 
-def counts(want):
-    """The run's first line ends with count=want; a callable want is called for its value."""
+def counts(want, within=None):
+    """The run's first line ends with count=want, and it took under ``within`` seconds if
+    given; a callable want is called for its value."""
     def check(code, out, err, seconds):
         assert code == 0 and err == ""
         assert out.splitlines()[0].endswith(f"count={want() if callable(want) else want}")
+        assert within is None or seconds < within, seconds
     return check
 
 
@@ -618,11 +622,13 @@ REACH = [
     # the oracle at p = 2 past level 2, where the units are not cyclic
     *[(["count", "--group", "g24", "--k", str(k), "--method", "oracle"],
        counts(lambda k=k: formulas.theorem_c("x24", k))) for k in range(3, 8)],
-    # Burnside reads every w - I at 5^2 even at the largest k the count-size bound admits
+    # Burnside reads every w - I at 5^2 even at the largest k the count-size bound admits,
+    # so its work does not grow with k: about 1.5 s on a 2-vCPU VM, where a read at 5^k
+    # had not finished after 30 s
     (["count", "--group", "g31", "--k", "43690", "--method", "burnside"],
-     counts(lambda: formulas.theorem_c("x31", 43690))),
+     counts(lambda: formulas.theorem_c("x31", 43690), within=20)),
     (["count", "--group", "g31", "--k", "43690", "--method", "burnside", "--per-element"],
-     counts(lambda: formulas.theorem_c("x31", 43690))),
+     counts(lambda: formulas.theorem_c("x31", 43690), within=20)),
     # a p^m above the int64 lane: the per-element Smith forms run in object
     (["count", "--group", "sphere:m=2,p=4294967311", "--k", "3", "--method", "burnside",
       "--per-element"], counts(lambda: theorem_b(2, 1, 1, 4294967311, 3))),

@@ -108,7 +108,7 @@ def test_orbit_count_matches_reference_search(case, chunk):
 def test_unit_table(p, m):
     q, phi = p ** m, p ** m - p ** (m - 1)
     zeta = teichmuller(smallest_primitive_root(p), Modulus(p, m)) * (1 + p) % q
-    powers, reps, table = oracle._unit_table(p, m, zeta)
+    powers, reps, table = oracle._unit_table(p, m)
     d = powers.size
     # zeta generates every unit for odd p; for p = 2 it is 3, of order 2^(m-2) from m = 3 on:
     # the d powers are distinct and zeta^d = 1, so d is zeta's order
