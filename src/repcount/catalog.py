@@ -18,7 +18,7 @@ import re
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .errors import InvariantViolation, SpecInvalid
-from .modp import Modulus, hensel_lift, invert, is_prime, mth_root_of_unity, teichmuller
+from .modp import Modulus, hensel_lift, invert, is_prime, mth_root_of_unity
 from .records import FrozenRecord
 
 if TYPE_CHECKING:
@@ -57,7 +57,7 @@ def _g24_generators(modulus: Modulus) -> list:
 
 
 def _g29_generators(modulus: Modulus) -> list:
-    w = teichmuller(2, modulus)  # order-4 unit, = 2 mod 5
+    w = mth_root_of_unity(4, modulus)  # = 2 mod 5
     h = invert(2, modulus)
     return [
         [[h, -h, -h, -h], [-h, h, -h, -h], [-h, -h, h, -h], [-h, -h, -h, h]],
@@ -181,9 +181,10 @@ class GroupSpec(FrozenRecord):
 
 
 def _check_prime_congruence(p: int, m: int) -> None:
+    """p is prime and p = 1 mod m for an m >= 1: the units mod p^k hold one of order m."""
     if not is_prime(p):
         raise SpecInvalid(f"p={p} is not prime")
-    if (p - 1) % m != 0:
+    if m < 1 or (p - 1) % m != 0:
         raise SpecInvalid(f"need p = 1 mod m, got p={p}, m={m}")
 
 

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import math
 from itertools import combinations_with_replacement
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from .catalog import GroupSpec
+from .catalog import GroupSpec, _check_prime_congruence
 from .errors import InvariantViolation, SpaceTooLarge, SpecInvalid
-from .modp import Modulus, is_prime, mth_root_of_unity
+from .modp import Modulus, mth_root_of_unity
 
 #: Bound on the orbit table's points and on the multisets the domain
 #: enumeration walks, both in pure Python.
@@ -61,32 +61,25 @@ class OrbitStructure(NamedTuple):
 
 
 def _validate_scalar_params(m: int, s: int, p: int, k: int) -> None:
-    if not is_prime(p):
-        raise SpecInvalid(f"p={p} is not prime")
-    if m < 1 or (p - 1) % m != 0:
-        raise SpecInvalid(f"need p = 1 mod m, got p={p}, m={m}")
+    _check_prime_congruence(p, m)
     if s < 1 or m % s != 0:
         raise SpecInvalid(f"s={s} must divide m={m}")
     if k < 1:
         raise SpecInvalid(f"k must be >= 1, got {k}")
 
 
-def build_orbits(m: int, s: int, p: int, k: int, root: Optional[int] = None) -> OrbitStructure:
+def build_orbits(m: int, s: int, p: int, k: int) -> OrbitStructure:
     """Full orbit tables of <c> and <c^s> on Z/p^k, with per-orbit minima.
 
-    ``root`` overrides the canonical order-m unit; any unit of exact order m
-    yields the same orbit counts (though different minima).
+    c is ``mth_root_of_unity(m, p^k)``.  The units mod p^k are cyclic for odd
+    p, so every unit of exact order m generates the same <c> and <c^s>: the
+    tables do not depend on which one is chosen.
     """
     _validate_scalar_params(m, s, p, k)
     pk = p ** k
     if pk > MAX_TABLE_POINTS:
         raise SpaceTooLarge(f"orbit table with {pk} points exceeds {MAX_TABLE_POINTS}")
-    if root is None:
-        c = mth_root_of_unity(m, Modulus(p, k))
-    else:
-        c = root % pk
-        if _order_mod(c, pk, m) != m:
-            raise SpecInvalid(f"root {root} does not have exact order {m} mod {p}^{k}")
+    c = mth_root_of_unity(m, Modulus(p, k))
     seen = bytearray(pk)
     zero_orbit = HOrbit(minimum=0, elements=(0,), k_orbit_minima=(0,))
     seen[0] = 1
@@ -116,16 +109,6 @@ def build_orbits(m: int, s: int, p: int, k: int, root: Optional[int] = None) -> 
     return OrbitStructure(p=p, k=k, m=m, s=s, c=c, orbits=(zero_orbit, *nonzero))
 
 
-def _order_mod(c: int, pk: int, bound: int) -> int:
-    acc, n = c % pk, 1
-    while acc != 1:
-        acc = acc * c % pk
-        n += 1
-        if n > bound:
-            return n
-    return n
-
-
 def _validate_family(m: int, s: int, n: int, p: int, k: int) -> None:
     """k >= 1, and (m, s, n, p) names a group: ``GroupSpec`` holds the rule."""
     if k < 1:
@@ -136,7 +119,6 @@ def _validate_family(m: int, s: int, n: int, p: int, k: int) -> None:
 def enumerate_distinguished(
     m: int, s: int, n: int, p: int, k: int,
     materialize: bool = False,
-    root: Optional[int] = None,
 ):
     """Count (and optionally list) the distinguished tuples in (Z/p^k)^n.
 
@@ -155,7 +137,7 @@ def enumerate_distinguished(
     walk = math.comb(nz + n, n)
     if walk > MAX_TABLE_POINTS:
         raise SpaceTooLarge(f"domain enumeration of {walk} multisets exceeds {MAX_TABLE_POINTS}")
-    table = build_orbits(m, s, p, k, root=root)
+    table = build_orbits(m, s, p, k)
     tuples = [] if materialize else None
     count = 0
     for t in range(n):

@@ -2,8 +2,10 @@
 
 Everything here is plain integer arithmetic: an element of Z/p^M is its
 canonical representative, an int in [0, p^M), and every function returns
-one.  Roots of unity are Teichmüller lifts, in closed form; the one search,
-factoring p - 1 for a primitive root, runs under ``FACTOR_STEPS``.
+one.  ``mth_root_of_unity`` chooses every root of unity: 1 and -1 as they
+are, any other order as a power of a Teichmüller lift, in closed form.  The
+one search, factoring p - 1 for that lift's primitive root, runs under
+``FACTOR_STEPS``.
 """
 
 from __future__ import annotations
@@ -228,16 +230,18 @@ def smallest_primitive_root(p: int) -> int:
 
 
 def mth_root_of_unity(m: int, target: Modulus) -> int:
-    """A residue of exact multiplicative order m mod p^M, for m | p-1.
+    """The canonical residue of exact multiplicative order m mod p^M, for m | p-1.
 
-    Derived from the Teichmüller lift of the smallest primitive root, so the
-    choice is deterministic.
+    This is the one place a root of unity is chosen.  Where the order fixes
+    the root, no primitive root is needed: 1 for m = 1, and -1, the only unit
+    of order 2 for odd p, for m = 2.  Any other m takes a power of the
+    Teichmüller lift of the smallest primitive root, so the choice is
+    deterministic.
     """
     p = target.p
     if m < 1 or (p - 1) % m != 0:
         raise OrderUnavailable(f"no element of order {m}: {m} does not divide {p}-1")
-    if m == 1:
-        return 1 % target.pM
+    if m <= 2:
+        return target.pM - 1 if m == 2 else 1
     g = smallest_primitive_root(p)
     return pow(teichmuller(g, target), (p - 1) // m, target.pM)
-

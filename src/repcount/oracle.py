@@ -6,12 +6,12 @@ and reads only ``generators_at(n)``: no closure, classes or Smith form.
 *Levels.*  x -> p x maps (Z/p^(m-1))^l W-equivariantly onto p (Z/p^m)^l, so
 the orbits on (Z/p^n)^l are the zero orbit and, for m = 1..n, the P(m) orbits
 on primitive vectors mod p^m (some coordinate a unit).
-*Scalars.*  zeta = teichmuller(g, p^m) (1 + p), g the least primitive root
-mod p, generates a group S of d units: all of them for odd p, <3> of index
-2 for p = 2 and m >= 3.  S commutes with W and acts freely on primitive
-vectors.  A node is the vector of an S-orbit whose first unit coordinate
-lies in T, the least units of the cosets of S: {1}, or {1, 5} when <3> is
-the units = 1 or 3 mod 8.
+*Scalars.*  zeta = c (1 + p), c the root of unity of order p - 1 mod p^m
+(``mth_root_of_unity``), generates a group S of d units: all of them for
+odd p, <3> of index 2 for p = 2 and m >= 3.  S commutes with W and acts
+freely on primitive vectors.  A node is the vector of an S-orbit whose
+first unit coordinate lies in T, the least units of the cosets of S: {1},
+or {1, 5} when <3> is the units = 1 or 3 mod 8.
 *Edges.*  A generator g takes a node c to g c = zeta^a c' for one node c' and
 one a mod d, so a component of the node graph is a W x S-orbit.
 *Holonomy.*  S permutes the W-orbits in a W x S-orbit transitively, so they
@@ -29,7 +29,7 @@ import numpy as np
 from .errors import SpaceTooLarge
 from .groups import FiniteMatrixGroup
 from .linalg import _mod
-from .modp import Modulus, smallest_primitive_root, teichmuller
+from .modp import Modulus, mth_root_of_unity
 
 DEFAULT_POINT_CAP = 2 ** 24
 _CHUNK = 1 << 14
@@ -63,7 +63,7 @@ def _unit_table(p: int, m: int):
     u = T[t] zeta^a; d, the order of zeta, is phi(p^m), halved for p = 2 and m >= 3
     (see *Scalars*)."""
     q = p ** m
-    zeta = teichmuller(smallest_primitive_root(p), Modulus(p, m)) * (1 + p) % q
+    zeta = mth_root_of_unity(p - 1, Modulus(p, m)) * (1 + p) % q
     phi = q - q // p
     d = phi // 2 if p == 2 and m >= 3 else phi
     powers = np.empty(d, dtype=np.int32)

@@ -34,7 +34,7 @@ from repcount.formulas import CLOSED_FORMS, theorem_a, theorem_c
 from repcount.grassmannian import enumerate_distinguished, theorem_b
 from repcount.groups import close
 from repcount.linalg import SquareMatrix, diagonal, smith_valuations
-from repcount.modp import Modulus, mth_root_of_unity
+from repcount.modp import Modulus
 from repcount.oracle import orbit_count_bruteforce
 
 EXCEPTIONAL_NAMES = ("g12", "g24", "g29", "g31")
@@ -243,21 +243,9 @@ def test_acceptance_11_invariant_suites(exceptional_groups):
         v = SquareMatrix.from_rows(_random_unimodular(l, mod, rng), mod)
         assert smith_valuations(prod(mod, u, mat, v)) == smith_valuations(mat)
         trials += 1
-    # primitive-root independence of the monomial-family count
-    root_cases = 0
-    for m, s, n, p, k in [(3, 1, 2, 7, 1), (3, 3, 3, 7, 1), (4, 2, 2, 5, 2),
-                          (6, 2, 2, 7, 1), (3, 1, 2, 7, 2)]:
-        pk = p ** k
-        assert pk <= 343
-        roots = [c for c in range(1, pk)
-                 if pow(c, m, pk) == 1 and all(pow(c, d, pk) != 1 for d in range(1, m))]
-        assert mth_root_of_unity(m, Modulus(p, k)) in roots
-        counts = {enumerate_distinguished(m, s, n, p, k, root=c)[0] for c in roots}
-        assert len(counts) == 1
-        root_cases += len(roots)
     elapsed = time.perf_counter() - start
     _report(11, f"kernel lifting, Sylow divisibility, {trials} unimodular "
-                f"trials, {root_cases} admissible roots checked in {elapsed:.1f}s")
+                f"trials checked in {elapsed:.1f}s")
 
 
 def _random_unimodular(l, mod, rng):

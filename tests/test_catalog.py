@@ -169,6 +169,13 @@ def test_monomial_entries_are_roots_of_unity():
                     assert pow(x, 3, mod.pM) == 1
 
 
+@pytest.mark.parametrize("m", [0, -2])
+def test_monomial_generators_reject_an_order_below_one(m):
+    # m = 0 used to divide p - 1 by zero, and m = -2 passed as a divisor of 6
+    with pytest.raises(SpecInvalid):
+        monomial_generators(m, 1, 2, Modulus(7, 2))
+
+
 # s = 1, 1 < s < m and s = m, at n = 2..4, two primes each
 MONOMIAL_GRID = [(4, s, n, p) for s in (1, 2, 4) for n in (2, 3, 4) for p in (5, 13)]
 

@@ -566,6 +566,11 @@ def counts(want, within=None):
     return check
 
 
+def succeeds(code, out, err, seconds):
+    """Exit 0 with nothing on stderr."""
+    assert code == 0 and err == "", err
+
+
 def passes(code, out, err, seconds):
     """A crosscheck in which every method agreed at every k."""
     assert code == 0 and err == "" and out.endswith(": pass\n")
@@ -579,15 +584,21 @@ def digest(sha256):
 
 
 def refused(code, out, err, seconds):
-    """Exit 3 within a second, nothing on stdout and one CapExceeded line on stderr."""
+    """Exit 3 within a second, nothing on stdout and one CapExceeded line on stderr,
+    from the factoring budget."""
     assert code == 3 and out == "" and seconds < 1
-    assert err.count("\n") == 1 and json.loads(err)["error"] == "CapExceeded"
+    assert err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "CapExceeded" and "Pollard-Brent" in error["message"]
 
 
-#: p - 1 = 2 q1 q2 with q1, q2 prime and of 17 digits each: Pollard-Brent rho
-#: would take ~10^8 steps to split q1 q2, so the search for a primitive root
-#: runs past modp.FACTOR_STEPS and every group method refuses the prime.
+#: A group of order 2 at a prime with p - 1 = 2 q1 q2, q1 and q2 prime and of 17
+#: digits each: its one root, -1, needs no factoring, so every method builds it.
 UNFACTORED = "sphere:m=2,p=9399065556056301725180829159926783"
+#: p - 1 = 6 q1 q2 with q1 = 10000000000000061 and q2 = 30000000000000101: Pollard-Brent
+#: rho would take ~10^8 steps to split q1 q2, so the search for a primitive root
+#: runs past modp.FACTOR_STEPS and every method that builds the group refuses it.
+OVER_BUDGET = "sphere:m=3,p=1800000000000017040000000000036967"
 MERSENNE_127 = 2 ** 127 - 1  # p - 1 factors within a few thousand steps
 
 REACH = [
@@ -633,15 +644,25 @@ REACH = [
     (["count", "--group", "sphere:m=2,p=4294967311", "--k", "3", "--method", "burnside",
       "--per-element"], counts(lambda: theorem_b(2, 1, 1, 4294967311, 3))),
     # a primitive root found by factoring p - 1 = 2 (2^126 - 1), 12 primes
-    (["count", "--group", f"sphere:m=2,p={MERSENNE_127}", "--k", "1", "--method", "burnside"],
-     counts(lambda: theorem_b(2, 1, 1, MERSENNE_127, 1))),
-    # every method that builds the group refuses the prime; the closed form needs no root
-    (["count", "--group", UNFACTORED, "--k", "1", "--method", "burnside"], refused),
-    (["classes", "--group", UNFACTORED], refused),
-    (["census", "--group", UNFACTORED], refused),
-    (["crosscheck", "--group", UNFACTORED, "--kmax", "1"], refused),
+    (["count", "--group", f"sphere:m=3,p={MERSENNE_127}", "--k", "1", "--method", "burnside"],
+     counts(lambda: theorem_b(3, 1, 1, MERSENNE_127, 1))),
+    # the root of order 2 is -1 at every prime: no factoring, so every method runs
+    (["count", "--group", UNFACTORED, "--k", "1", "--method", "burnside"],
+     counts(4699532778028150862590414579963392)),
+    (["count", "--group", UNFACTORED, "--k", "1", "--method", "classes"],
+     counts(4699532778028150862590414579963392)),
+    (["classes", "--group", UNFACTORED], succeeds),
+    (["census", "--group", UNFACTORED], succeeds),
+    (["crosscheck", "--group", UNFACTORED, "--kmax", "1"], passes),
     (["count", "--group", UNFACTORED, "--k", "1", "--method", "theoremB"],
      counts(4699532778028150862590414579963392)),
+    # every method that builds the group refuses the prime; the closed form needs no root
+    (["count", "--group", OVER_BUDGET, "--k", "1", "--method", "burnside"], refused),
+    (["count", "--group", OVER_BUDGET, "--k", "1", "--method", "classes"], refused),
+    (["census", "--group", OVER_BUDGET], refused),
+    (["crosscheck", "--group", OVER_BUDGET, "--kmax", "1"], refused),
+    (["count", "--group", OVER_BUDGET, "--k", "1", "--method", "theoremB"],
+     counts(600000000000005680000000000012323)),
 ]
 
 

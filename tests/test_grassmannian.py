@@ -19,7 +19,6 @@ from repcount.grassmannian import (
     enumerate_distinguished,
     theorem_b,
 )
-from repcount.modp import Modulus, mth_root_of_unity
 
 # every G(m,s,n) small enough to close the group and enumerate the domain
 ADMISSIBLE = admissible_tuples(max_order=5000, max_points=2 ** 20)
@@ -183,25 +182,6 @@ def test_random_admissible_tuples_four_way(case):
     assert enumerate_distinguished(m, s, n, p, k)[0] == closed
     assert count_burnside_full(g, k).count == closed
     assert count_burnside_full(g, k, per_element=True).count == closed
-
-
-def test_primitive_root_independence():
-    # the orbit count must not depend on which order-m root defines the action
-    for m, s, n, p, k in [(3, 1, 2, 7, 1), (4, 2, 2, 5, 2), (6, 2, 2, 7, 1),
-                          (3, 3, 3, 7, 1)]:
-        pk = p ** k
-        candidates = [
-            c for c in range(1, pk)
-            if pow(c, m, pk) == 1
-            and all(pow(c, d, pk) != 1 for d in range(1, m))
-        ]
-        canonical = mth_root_of_unity(m, Modulus(p, k))
-        assert canonical in candidates
-        counts = {
-            enumerate_distinguished(m, s, n, p, k, root=c)[0] for c in candidates
-        }
-        assert len(counts) == 1
-        assert pk <= 343
 
 
 def test_sphere_theorem_b_matches_theorem_a_form():

@@ -8,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repcount
 from matrix_helpers import (
@@ -25,12 +27,12 @@ from matrix_helpers import (
 )
 from repcount.catalog import GroupSpec, build, exponents, monomial_generators, parse_spec
 from repcount.counting import count_burnside_full, torsion_classes
-from repcount.errors import CapExceeded
+from repcount.errors import CapExceeded, RepcountError
 from repcount.formulas import theorem_a
-from repcount.grassmannian import enumerate_distinguished, theorem_b
+from repcount.grassmannian import build_orbits, enumerate_distinguished, theorem_b
 from repcount.groups import close
 from repcount.linalg import SquareMatrix, diagonal, smith_valuations
-from repcount.modp import Modulus
+from repcount.modp import Modulus, mth_root_of_unity
 
 
 def test_public_names_resolve():
@@ -271,3 +273,26 @@ def test_invariants_are_typed_errors_under_python_O():
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+#: Every builder that takes raw group parameters, at k = 1.
+RAW_BUILDERS = {
+    "monomial_generators": lambda m, s, n, p: monomial_generators(m, s, n, Modulus(p, 1)),
+    "build_orbits": lambda m, s, n, p: build_orbits(m, s, p, 1),
+    "enumerate_distinguished": lambda m, s, n, p: enumerate_distinguished(m, s, n, p, 1),
+    "theorem_b": lambda m, s, n, p: theorem_b(m, s, n, p, 1),
+    "mth_root_of_unity": lambda m, s, n, p: mth_root_of_unity(m, Modulus(p, 1)),
+    "GroupSpec family2a": lambda m, s, n, p: GroupSpec("family2a", m=m, s=s, n=n, p=p),
+    "GroupSpec sphere": lambda m, s, n, p: GroupSpec("sphere", m=m, s=s, n=n, p=p),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(RAW_BUILDERS)), st.integers(-2, 8), st.integers(-2, 8),
+       st.integers(-1, 4), st.sampled_from([2, 3, 5, 7, 13]))
+@example("monomial_generators", 0, 1, 2, 7)  # divided p - 1 by m = 0
+def test_raw_parameters_raise_only_typed_errors(builder, m, s, n, p):
+    try:
+        RAW_BUILDERS[builder](m, s, n, p)
+    except RepcountError:
+        pass

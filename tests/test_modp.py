@@ -203,6 +203,30 @@ def test_mth_root_exact_order(p, M):
         assert next(e for e in range(1, p) if pow(b, e, m.pM) == 1) == d
 
 
+ORDER_TWO_PRIMES = [p for p in range(3, 500) if is_prime(p)] + [1297, 1451, 46337, 46349,
+                                                                4294967311]
+
+
+def test_order_two_root_is_the_primitive_roots_power():
+    # -1 is the only unit of order 2 for odd p, so it is the residue the power of the
+    # primitive root's Teichmüller lift gives: the class tables' bytes rest on this
+    for p in ORDER_TWO_PRIMES:
+        g = smallest_primitive_root(p)
+        for M in range(1, 7):
+            mod = Modulus(p, M)
+            assert mth_root_of_unity(2, mod) == \
+                pow(teichmuller(g, mod), (p - 1) // 2, p ** M), (p, M)
+
+
+def test_roots_of_order_one_and_two_need_no_factoring():
+    p = 9399065556056301725180829159926783  # p - 1 = 2 q1 q2, past the factoring budget
+    mod = Modulus(p, 2)
+    assert mth_root_of_unity(1, mod) == 1
+    assert mth_root_of_unity(2, mod) == p ** 2 - 1
+    with pytest.raises(CapExceeded):
+        mth_root_of_unity(p - 1, mod)
+
+
 
 def test_is_prime_agrees_with_sympy_on_a_range():
     assert [n for n in range(-3, 200_000) if is_prime(n)] == \
