@@ -31,7 +31,11 @@ The closure skips work it already has the answer to: an involution's row
 of the table is its own inverse, so half of it is filled by symmetry, and
 a level's other products are searched only among the keys of the last few
 levels, as many as the largest order of a generator that is not an
-involution (see ``close``).
+involution (see ``close``).  The closure and the partition index nothing
+in two dimensions: every gather and scatter in their loops is a 1-D
+``take`` or ``put`` on a flat view, with the row offsets precomputed
+(j * |P| into the generators' action, j * N into the table), which costs
+a few nanoseconds an element less than numpy's multi-axis fancy indexing.
 """
 
 from __future__ import annotations
@@ -282,7 +286,8 @@ class FiniteMatrixGroup:
         words, one BFS level at a time from the level starts the closure
         kept: element i = element parent[i] @ generator gen[i], so g_j @
         element i is element right[gen[i], left[parent[i]]], where left is
-        the row of g_j being filled.  Undoing right multiplication by g_j
+        the row of g_j being filled, read as one gather of the flat table at
+        gen[i] * N + left[parent[i]].  Undoing right multiplication by g_j
         then turns that row into the conjugation permutation i -> g_j @
         element i @ g_j^-1, so only one left row is alive at a time.
         Every element starts labelled by its own index; each sweep, for
@@ -293,10 +298,18 @@ class FiniteMatrixGroup:
         each label onto itself.  A label is never above its element's index
         and is always a member of its element's class, so labels are then
         constant on classes and each is the least element index in its
-        class.
+        class.  The sweeps stop after the first one that changes no label,
+        and the rule is exact.  Every step of a sweep only lowers labels
+        (label[label[x]] <= label[x], as no label is above its index), so a
+        sweep that leaves the sum of the labels where it was changed no
+        label at any step: label[x] <= label[conj[x]] for every point x and
+        every permutation conj.
+        Along a cycle of conj the labels then never fall and return to
+        where they started, so they are equal, and label o conj = label.
         """
         right, parent, gen, starts = self._right, self._parent, self._gen, self._starts
         g, n = right.shape
+        flat_right = right.reshape(-1)  # element i @ generator j is flat_right[j * n + i]
         index = np.arange(n, dtype=np.int32)
         left = np.empty(n, dtype=np.int32)
         undo = np.empty(n, dtype=np.int32)
@@ -304,19 +317,24 @@ class FiniteMatrixGroup:
         for j in range(g):
             left[0] = right[j, 0]
             for lo, hi in zip(starts[1:], starts[2:]):
-                left[lo:hi] = right[gen[lo:hi], left[parent[lo:hi]]]
-            undo[right[j]] = index
-            perms.append(undo[left])
+                at = np.multiply(gen[lo:hi], n, dtype=np.intp)  # the rows of their generators
+                at += left.take(parent[lo:hi])
+                left[lo:hi] = flat_right.take(at)
+            undo.put(right[j], index)
+            perms.append(undo.take(left))
+        del left, undo  # each take below holds an intp copy of its indices
         label = index.copy()
+        total = label.sum(dtype=np.int64)  # labels only fall: an equal sum moved none
         while True:
             for conj in perms:
-                np.minimum(label, label[conj], out=label)
-            label = label[label]
-            label = label[label]
-            if all(np.array_equal(label[conj], label) for conj in perms):
+                np.minimum(label, label.take(conj), out=label)
+            label = label.take(label)
+            label = label.take(label)
+            total, before = label.sum(dtype=np.int64), total
+            if total == before:
                 break
         first = np.cumsum(label == index, dtype=np.int32) - 1
-        return first[label]
+        return first.take(label)
 
 
 def _powers(w: np.ndarray, pm: int, bound: int):
@@ -409,6 +427,14 @@ def _key_table(act: np.ndarray, base: int, dim: int) -> np.ndarray:
     return weights[:, None, None] * act.astype(np.int64)
 
 
+def _merge(window: np.ndarray, old: np.ndarray, new: np.ndarray, values: np.ndarray):
+    """``window`` spread over the slots ``old`` marks, ``values`` at the indices ``new``."""
+    out = np.empty(old.size, dtype=window.dtype)
+    out[old] = window
+    out.put(new, values)
+    return out
+
+
 def close(
     generators: Sequence[SquareMatrix],
     order: int,
@@ -431,23 +457,29 @@ def close(
     x @ g_j = y is known, y @ g_j = x is filled in as well, and a level
     looks up only the products whose entries are still unset, generator by
     generator in the listed order.  Their keys are sorted and deduplicated,
-    each distinct key keeping the least position at which it occurs, and
-    looked up with one ``searchsorted`` in a window: the sorted keys of the
-    last ``width`` levels.  x @ g lies in the next level or at most
+    each distinct key keeping the least position at which it occurs (one
+    ``np.minimum.at`` over the runs of equal keys), and looked up with one
+    ``searchsorted`` in a window: the sorted keys of the last ``width``
+    levels.  x @ g lies in the next level or at most
     ord(g) - 1 levels back, and for an involution the level back is exactly
     the entries filled by symmetry; so width is 1 for a set of involutions
     and otherwise the largest order of a generator that is not one, as
     ``_powers`` reads the orders.  Every width levels, all but the last
-    width - 1 levels leave the window before the new keys join it by
-    ``np.insert``, so it holds width to 2 * width - 1 levels, at width 1
-    exactly the new level; while width covers every level it is the whole
-    store.
+    width - 1 levels leave the window before the new keys join it, so it
+    holds width to 2 * width - 1 levels, at width 1 exactly the new level;
+    while width covers every level it is the whole store.  The new keys are
+    sorted and none is in the window, so the t-th of them lands at its
+    insertion point plus t: keys and element indices are merged by one mask
+    of the slots the old entries keep, with no ``np.insert`` and its sort.
     The keys not found are numbered in order of first occurrence, the order
     in which a sequential search would meet them: an entry filled by
     symmetry never holds a new element, so skipping it changes no number.
-    Only the new elements' ranks are gathered.  Each BFS level is one
-    contiguous block of elements whose parents all lie in the previous
-    level; its start is kept for ``rows_at`` and ``_partition``.  A key is
+    Only the new elements' ranks are gathered, as one ``take`` of the flat
+    action at j * |P| + the parent's ranks; the keys gather each row of the
+    key table by one column of ranks, and the involutions' entries are
+    filled by one ``put`` into the flat table at j * N + i.  Each BFS level
+    is one contiguous block of elements whose parents all lie in the
+    previous level; its start is kept for ``rows_at`` and ``_partition``.  A key is
     kept only while its level is in the window; nothing is sorted after the
     search.
     The table is generator-major, (g, N), so a level writes, and the
@@ -486,10 +518,13 @@ def close(
     rank_dtype = next(t for t in (np.uint8, np.uint16, np.uint32) if base <= np.iinfo(t).max + 1)
     act = np.array(act, dtype=rank_dtype)
     table = _key_table(act, base, dim)
+    flat_act = act.reshape(-1)  # x @ g_j has rank flat_act[j * |P| + r] where x has rank r
     rows = np.empty((order, dim), dtype=rank_dtype)
     parent = np.empty(order, dtype=np.int32)  # element i = element parent[i] @ generator gen[i]
     gen = np.empty(order, dtype=np.int8)
     right = np.full((len(act), order), -1, dtype=np.int32)  # -1: not yet known
+    flat_right = right.reshape(-1)  # element i @ generator j is flat_right[j * N + i]
+    involution_rows = involutions[:, None] * order
     rows[0] = [points.index(tuple(int(i == j) for j in range(dim))) for i in range(dim)]
     parent[0], gen[0] = -1, -1
     win_keys, win_ids = _row_keys(rows[0], base)[None], np.zeros(1, dtype=np.int32)
@@ -503,44 +538,48 @@ def close(
         todo = unset.ravel().nonzero()[0]  # generator-major: j * n + (i - lo)
         if not todo.size:  # the last level: every product lies in the level before
             continue
-        keys = table[0][:, rows[lo:hi, 0]]
+        keys = table[0].take(rows[lo:hi, 0], axis=1)
         for c in range(1, dim):
-            keys += table[c][:, rows[lo:hi, c]]
-        keys = keys.reshape(-1)[todo]
+            keys += table[c].take(rows[lo:hi, c], axis=1)
+        keys = keys.ravel().take(todo)
         perm = keys.argsort()  # unstable, so ties are resolved by ``first`` below
-        keys = keys[perm]
+        keys = keys.take(perm)
         head = np.empty(keys.size, dtype=bool)  # the first of each run of equal keys
         head[0] = True
         np.not_equal(keys[1:], keys[:-1], out=head[1:])
-        cuts = head.nonzero()[0]
-        first = np.minimum.reduceat(perm, cuts)  # first occurrence of each distinct key
-        keys = keys[cuts]
+        keys = keys[head]
+        run = head.cumsum(dtype=np.int32) - 1  # the distinct key of each sorted product
+        first = np.full(keys.size, perm.size)  # first occurrence of each distinct key
+        np.minimum.at(first, run, perm)
         pos = win_keys.searchsorted(keys)
         at = np.minimum(pos, win_keys.size - 1)
-        known = win_keys[at] == keys
-        add = ~known
+        add = win_keys.take(at) != keys
         fresh = add.nonzero()[0]
-        fresh = fresh[first[fresh].argsort()]  # in order of first occurrence
+        fresh = fresh.take(first.take(fresh).argsort())  # in order of first occurrence
         size = hi + fresh.size
         if size > order:
             raise InvariantViolation(f"{label} grew past its order {order}")
-        ids = win_ids[at]  # right where the key is known
-        ids[fresh] = np.arange(hi, size)
-        j, i = np.divmod(todo[first[fresh]], n)  # the first products with new keys
+        ids = win_ids.take(at)  # right where the key is known
+        ids.put(fresh, np.arange(hi, size))
+        j, i = np.divmod(todo.take(first.take(fresh)), n)  # the first products with new keys
         parent[hi:size] = lo + i
         gen[hi:size] = j
-        rows[hi:size] = act[j[:, None], rows[parent[hi:size]]]
+        rows[hi:size] = flat_act.take((j * base)[:, None] + rows[lo:hi].take(i, axis=0))
         col = np.empty(perm.size, dtype=np.int32)
-        col[perm] = ids[head.cumsum(dtype=np.int32) - 1]
+        col.put(perm, ids.take(run))
         slab[unset] = col
         if involutions.size:  # x @ g = y gives y @ g = x for an involution g
-            right[involutions[:, None], right[involutions, lo:hi]] = np.arange(lo, hi)
+            flat_right.put(involution_rows + right[involutions, lo:hi], np.arange(lo, hi))
         if len(starts) % width == 0:  # every width levels, all but the last width - 1 leave
             stay = win_ids >= starts[-width]
             win_keys, win_ids = win_keys[stay], win_ids[stay]
             pos = win_keys.searchsorted(keys)
-        win_keys = np.insert(win_keys, pos[add], keys[add])
-        win_ids = np.insert(win_ids, pos[add], ids[add])
+        # the new keys are sorted and absent, so the t-th lands at its insertion point + t
+        new = pos[add] + np.arange(fresh.size)
+        old = np.ones(win_keys.size + new.size, dtype=bool)
+        old[new] = False
+        win_keys = _merge(win_keys, old, new, keys[add])
+        win_ids = _merge(win_ids, old, new, ids[add])
     if size != order:
         raise InvariantViolation(f"{label} closed to {size} elements, expected {order}")
     if any((np.bincount(row, minlength=order) != 1).any() for row in right):

@@ -136,6 +136,7 @@ def _group(spec):
 @example("g24")
 @example("g29")
 @example("family2a:m=4,s=2,n=3,p=1297")  # object-dtype points
+@example("family2a:m=3,s=1,n=4,p=7")  # 1944 elements, a window of 3 levels
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from(SMALL_MONOMIAL))
 def test_conjugacy_classes_match_reference_search(spec):
@@ -236,9 +237,20 @@ def test_close_reads_the_generator_orders_of_their_row_action(label, monkeypatch
     "family2a:m=4,s=1,n=3,p=5",  # a generator of order 4
     "sphere:m=6,p=7",  # every level in the window
     "family2a:m=10,s=1,n=2,p=11",  # order 200, a window of 10 levels
+    "family2a:m=3,s=1,n=4,p=7",  # 1944 elements, a window of 3 levels
 ])
 def test_close_matches_plain_breadth_first_search(label):
-    group = build(parse_spec(label))
+    assert_matches_plain_breadth_first_search(build(parse_spec(label)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(SMALL_MONOMIAL))
+def test_close_matches_plain_breadth_first_search_over_small_monomial_groups(spec):
+    assert_matches_plain_breadth_first_search(_group(spec))
+
+
+def assert_matches_plain_breadth_first_search(group):
+    # rows, words, right Cayley table and level starts, against closure_reference
     gens = generator_matrices(group)
     # the row orbit is sorted, holds the basis rows and is closed under every generator
     points = [tuple(x) for x in group._points.tolist()]

@@ -7,6 +7,8 @@ and deepcopy round trips, which must rebuild an equal, valid record.
 
 import copy
 import pickle
+import random
+import sys
 
 import pytest
 
@@ -15,6 +17,7 @@ from repcount.counting import CountReport
 from repcount.errors import InvariantViolation
 from repcount.linalg import SquareMatrix
 from repcount.modp import Modulus
+from repcount.records import PIECE_BITS, STR_BITS, decimal_digits
 
 MOD = Modulus(5, 3)
 SPECS = {
@@ -181,3 +184,60 @@ def test_count_report_bad_breakdown():
     # 4 elements fixing 3 points each sum to 12, not |W| * count = 4 * 2
     with pytest.raises(InvariantViolation, match="breakdown sums to 12, not .* = 8"):
         CountReport("g12", 3, 1, "burnside", 2, breakdown=[(0, 4, 3)])
+
+
+# -- decimal digits -------------------------------------------------------------
+
+
+@pytest.fixture
+def any_number_of_digits():
+    # str of an int longer than 4300 digits raises by default from Python 3.11 on
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_decimal_digits_match_str_around_every_size_boundary(any_number_of_digits):
+    # str below and at STR_BITS, halves down to PIECE_BITS above it: every
+    # bit length next to a boundary of either, all ones, a power of two and
+    # a random number, and their negatives
+    rng = random.Random(0)
+    sizes = {1, 2, 64, 128, PIECE_BITS, 2 * PIECE_BITS + 1, STR_BITS, 2 * STR_BITS, 3 * STR_BITS}
+    for bits in sorted({b + d for b in sizes for d in (-1, 0, 1)} - {0}):
+        for n in ((1 << bits) - 1, 1 << bits, rng.getrandbits(bits) | 1 << (bits - 1)):
+            assert decimal_digits(n) == str(n)
+            assert decimal_digits(-n) == str(-n)
+    for bits in (2 ** 17, 2 ** 19):
+        n = rng.getrandbits(bits)
+        assert decimal_digits(n) == str(n)
+
+
+def test_decimal_digits_of_a_two_to_the_twenty_bit_count():
+    # 10^k - 1, 10^k and 10^k + 1 spell out their digits without str, so
+    # they check the conversion up to 2^20 bits; 10^k = 2^k 5^k ends in k
+    # zero bits, so many of its pieces are 0 and many of 10^k - 1's all ones
+    k = 315653  # 10^k just reaches 2^20 bits
+    ten = 10 ** k
+    assert ten.bit_length() == 2 ** 20 + 1
+    assert decimal_digits(ten - 1) == "9" * k
+    assert decimal_digits(ten) == "1" + "0" * k
+    assert decimal_digits(ten + 1) == "1" + "0" * (k - 1) + "1"
+
+
+def test_count_report_prints_a_long_count_in_full(any_number_of_digits):
+    # every output format carries a count of more than STR_BITS bits whole
+    count = 3 ** 40000
+    report = CountReport("g12", 3, 1, "classes", count, breakdown=[(0, 1, count)])
+    digits = str(count)
+    assert count.bit_length() > STR_BITS and len(digits) == 19085
+    assert report.to_json_dict() == {"group": "g12", "p": 3, "k": 1, "method": "classes",
+                                     "count": digits,
+                                     "classes": [{"rep": 0, "size": 1, "fixed": digits}]}
+    assert report.to_csv().split("\n")[1].endswith("," + digits)
+    assert report.to_text().endswith(f" {digits}\n")
