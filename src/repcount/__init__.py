@@ -3,8 +3,8 @@
 Builds the exceptional groups G12, G24, G29, G31 and the monomial family
 G(m,s,n) from explicit generator matrices, and counts orbits of their
 action on (Z/p^k)^l by several independent methods (full Burnside sums,
-classwise rank/torsion sums, closed forms, fundamental-domain enumeration,
-a brute-force count over scalar classes of points) that must agree exactly.
+classwise rank/torsion sums, closed forms, a brute-force count over scalar
+classes of points) that must agree exactly.
 
 Every name in ``__all__`` is exported lazily (PEP 562): it is imported from
 its submodule on first access, so ``import repcount`` imports neither
@@ -22,7 +22,7 @@ _EXPORTS = {
                  "torsion_census", "torsion_classes"),
     "errors": ("RepcountError",),
     "formulas": ("theorem_a", "theorem_c"),
-    "grassmannian": ("build_orbits", "enumerate_distinguished", "theorem_b"),
+    "grassmannian": ("theorem_b",),
     "groups": ("ConjugacyClassRecord", "FiniteMatrixGroup", "close"),
     "linalg": ("SquareMatrix", "diagonal", "smith_valuations"),
     "modp": ("Modulus", "hensel_lift", "invert", "mth_root_of_unity", "teichmuller"),

@@ -45,7 +45,7 @@ EXIT_INTERNAL = 4
 _CAP_ERRORS = (CapExceeded, PrecisionTooLow, SpaceTooLarge, MemoryError)
 
 GROUP_METHODS = ("burnside", "classes", "formula", "oracle")
-CLOSED_FORMS = ("theoremA", "theoremB", "theoremC", "domain")
+CLOSED_FORMS = ("theoremA", "theoremB", "theoremC")
 ALL_METHODS = GROUP_METHODS + CLOSED_FORMS
 
 #: Every accepted count is below 2^MAX_COUNT_BITS.  A count on (Z/p^k)^l is at
@@ -97,7 +97,7 @@ def _applicable_methods(spec: GroupSpec) -> list:
     if spec.exceptional:
         methods.append("theoremC")
     else:
-        methods.extend(["theoremB", "domain"])
+        methods.append("theoremB")
         if spec.expected_order % spec.p != 0:  # non-modular
             methods.append("theoremA")
     methods.append("oracle")
@@ -123,7 +123,7 @@ def run_count(job: _Job, k: int, method: str) -> CountReport:
     spec = job.spec
     if k < 1:
         raise SpecInvalid(f"k must be >= 1, got {k}")
-    if method in ("theoremB", "domain") and spec.exceptional:
+    if method == "theoremB" and spec.exceptional:
         raise SpecInvalid(f"method {method} applies to family2a/sphere specs only")
     if method in GROUP_METHODS:
         from . import counting, oracle
@@ -143,8 +143,6 @@ def run_count(job: _Job, k: int, method: str) -> CountReport:
         value = formulas.theorem_a(catalog.exponents(spec), spec.p, k)
     elif method == "theoremB":
         value = grassmannian.theorem_b(spec.m, spec.s, spec.n, spec.p, k)
-    elif method == "domain":
-        value, _ = grassmannian.enumerate_distinguished(spec.m, spec.s, spec.n, spec.p, k)
     else:  # the oracle: argparse admits only ALL_METHODS
         cap = oracle.DEFAULT_POINT_CAP if job.args.oracle_cap is None else job.args.oracle_cap
         value = oracle.orbit_count_bruteforce(group, k, cap=cap, levels=job.levels)
@@ -230,7 +228,7 @@ def cmd_crosscheck(args) -> int:
             try:
                 counts[method] = decimal_digits(run_count(job, k, method).count)
             except SpaceTooLarge:
-                continue  # the method's own bound: too large to run at this k
+                continue  # the oracle's point cap or unit table: too large at this k
         checks.append({"k": k, "counts": counts, "ok": len(set(counts.values())) <= 1})
     divergent = next((chk for chk in checks if not chk["ok"]), None)
     payload = {

@@ -19,7 +19,7 @@ from repcount.formulas import theorem_c
 from repcount.groups import _powers, _rank_from_trace_sum
 from repcount.linalg import (SquareMatrix, exact_dtype, smith_valuations_batch,
                              smith_valuations_lanes)
-from repcount.modp import invert, is_prime, mth_root_of_unity
+from repcount.modp import Modulus, invert, is_prime, mth_root_of_unity
 
 
 def rows_of(x):
@@ -482,20 +482,34 @@ def admissible_tuples(max_order: int, max_points: int) -> dict:
     return out
 
 
-def sub_orbit_minima(elements, c: int, s: int, pk: int) -> list:
-    """Sorted minima of the <c^s>-orbits on ``elements``, a <c>-orbit in Z/p^k.
+def distinguished_tuples(m: int, s: int, n: int, p: int, k: int) -> list:
+    """Reference: the fundamental domain of G(m,s,n) on (Z/p^k)^n, materialized.
 
-    Each sub-orbit is walked y -> y c^s mod p^k from its first unseen
-    element until the walk returns.
+    The nonzero residues are walked x, xc, xc^2, ... under c =
+    mth_root_of_unity(m, p^k), from each unseen x in ascending order, so x
+    is its orbit's minimum; the s stride-s slices of a walk are its
+    <c^s>-orbits.  A multiset of t < n orbits, padded with n - t zeros,
+    gives one tuple of orbit minima: a zero absorbs the mod-s constraint.
+    A multiset of n orbits gives one tuple per <c^s>-orbit minimum of its
+    last orbit.
     """
-    cs = pow(c, s, pk)
-    minima, seen = [], set()
-    for e in elements:
-        sub, y = [], e
+    pk = p ** k
+    c = mth_root_of_unity(m, Modulus(p, k))
+    seen, orbits = {0}, []  # (minimum, sorted <c^s>-orbit minima)
+    for x in range(1, pk):
+        if x in seen:
+            continue
+        walk, y = [], x
         while y not in seen:
             seen.add(y)
-            sub.append(y)
-            y = y * cs % pk
-        if sub:
-            minima.append(min(sub))
-    return sorted(minima)
+            walk.append(y)
+            y = y * c % pk
+        orbits.append((x, sorted(min(walk[i::s]) for i in range(s))))
+    tuples = []
+    for t in range(n):
+        for multiset in itertools.combinations_with_replacement(orbits, t):
+            tuples.append((0,) * (n - t) + tuple(o[0] for o in multiset))
+    for multiset in itertools.combinations_with_replacement(orbits, n):
+        prefix = tuple(o[0] for o in multiset[:-1])
+        tuples.extend(prefix + (b,) for b in multiset[-1][1])
+    return tuples

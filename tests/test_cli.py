@@ -82,6 +82,8 @@ def test_duplicate_spec_key_is_a_spec_error(capsys):
     ["census", "--group", "g12", "--oracle-cap", "5"],
     ["classes", "--group", "g12", "--oracle-cap", "5"],
     ["crosscheck", "--group", "g12", "--kmax", "1", "--format", "csv"],
+    # a method that only re-checked theoremB's binomials
+    ["count", "--group", "sphere:m=4,p=5", "--k", "1", "--method", "domain"],
 ])
 def test_knobs_that_change_nothing_are_gone(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -252,7 +254,7 @@ def test_crosscheck_family2a(capsys):
     payload = json.loads(out)
     assert payload["pass"] is True
     counts = payload["checks"][0]["counts"]
-    assert "theoremB" in counts and "domain" in counts and "burnside" in counts
+    assert "theoremB" in counts and "burnside" in counts
     assert len(set(counts.values())) == 1
 
 
@@ -260,11 +262,11 @@ def test_crosscheck_family2a(capsys):
     ("g24", ["burnside", "classes", "formula", "theoremC", "oracle"]),
     # 5 divides |G(4,2,5)|, so theorem A does not apply
     ("family2a:m=4,s=2,n=5,p=5",
-     ["burnside", "classes", "formula", "theoremB", "domain", "oracle"]),
+     ["burnside", "classes", "formula", "theoremB", "oracle"]),
     ("family2a:m=6,s=2,n=3,p=7",
-     ["burnside", "classes", "formula", "theoremB", "domain", "theoremA", "oracle"]),
+     ["burnside", "classes", "formula", "theoremB", "theoremA", "oracle"]),
     ("sphere:m=4,p=5",
-     ["burnside", "classes", "formula", "theoremB", "domain", "theoremA", "oracle"]),
+     ["burnside", "classes", "formula", "theoremB", "theoremA", "oracle"]),
 ])
 def test_crosscheck_methods_per_kind(capsys, spec, methods):
     code, out, _ = run(capsys, "crosscheck", "--group", spec, "--kmax", "1",
@@ -474,22 +476,15 @@ def test_internal_error_exit_code(capsys, monkeypatch):
                                "message": "class sum not divisible by |W|=48"}
 
 
-def test_crosscheck_skips_a_domain_walk_too_large_to_run(capsys):
-    # k = 4 would walk C(161, 5) multisets; k = 3 walks C(36, 5) = 376992
+def test_crosscheck_skips_an_oracle_over_its_cap(capsys):
+    # k = 1 has 5^5 = 3125 points, under the cap; k = 2 has 5^10
     code, out, _ = run(capsys, "crosscheck", "--group", "family2a:m=4,s=2,n=5,p=5",
-                       "--kmax", "4", "--oracle-cap", "4000", "--format", "json",
+                       "--kmax", "2", "--oracle-cap", "4000", "--format", "json",
                        "--no-timing")
     payload = json.loads(out)
     assert code == 0 and payload["pass"]
     counts = [chk["counts"] for chk in payload["checks"]]
-    assert "domain" in counts[2] and "domain" not in counts[3]
-
-
-def test_domain_walk_too_large_exit_code(capsys):
-    code, out, err = run(capsys, "count", "--group", "family2a:m=4,s=2,n=5,p=5",
-                         "--k", "4", "--method", "domain")
-    assert code == 3 and out == ""
-    assert json.loads(err)["error"] == "SpaceTooLarge"
+    assert "oracle" in counts[0] and "oracle" not in counts[1]
 
 
 def test_memory_error_exit_code(capsys, monkeypatch):
@@ -609,10 +604,6 @@ REACH = [
     (["crosscheck", "--group", "family2a:m=6,s=1,n=3,p=7", "--kmax", "2"], passes),
     (["crosscheck", "--group", "family2a:m=4,s=4,n=3,p=5", "--kmax", "2"], passes),
     (["formula", "--name", "x31", "--k", "3"], counts(8303)),
-    (["count", "--group", "family2a:m=3,s=1,n=2,p=7", "--k", "2", "--method", "domain"],
-     counts(153)),
-    # the domain method near its table bound: 5^8 = 390,625 points
-    (["count", "--group", "sphere:m=4,p=5", "--k", "8", "--method", "domain"], counts(97657)),
     # the monomial workload's group with a generator of order 3, at full size
     (["count", "--group", "family2a:m=3,s=1,n=5,p=7", "--k", "2", "--method", "classes"],
      counts(lambda: theorem_b(3, 1, 5, 7, 2))),

@@ -76,7 +76,7 @@ CLOSED_FORM_RUNS = [
     (["count", "--group", "family2a:m=3,s=1,n=2,p=7", "--k", "2", "--method", "theoremA"], 0),
     (["count", "--group", "family2a:m=3,s=1,n=2,p=7", "--k", "2", "--method", "theoremB"], 0),
     (["count", "--group", "g12", "--k", "3", "--method", "theoremC"], 0),
-    (["count", "--group", "sphere:m=4,p=5", "--k", "3", "--method", "domain"], 0),
+    (["count", "--group", "sphere:m=4,p=5", "--k", "3", "--method", "theoremB"], 0),
     (["crosscheck", "--group", "x34", "--kmax", "3"], 0),
     (["--help"], 0),
     (["count", "--group", "g12", "--k", "0"], 2),
