@@ -14,10 +14,9 @@ generator builders import numpy's modules, when they are called.
 from __future__ import annotations
 
 import math
-import re
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
-from .errors import InvariantViolation, SpecInvalid
+from .errors import CapExceeded, InvariantViolation, SpecInvalid
 from .modp import Modulus, hensel_lift, invert, is_prime, mth_root_of_unity
 from .records import FrozenRecord
 
@@ -27,7 +26,7 @@ if TYPE_CHECKING:
 # -- exceptional generators, as integer rows -------------------------------
 
 
-def _g12_generators(modulus: Modulus) -> list:
+def _g12_generators(spec: GroupSpec, modulus: Modulus) -> list:
     # omega is the root of (2x+1)^2 = -2 that is divisible by 3; the square
     # root of -2 is tied to it as 2*omega + 1 so the two constants agree.
     omega = hensel_lift([3, 4, 4], 0, 1, modulus)  # 4x^2 + 4x + 3
@@ -44,7 +43,7 @@ def _g12_generators(modulus: Modulus) -> list:
     ]
 
 
-def _g24_generators(modulus: Modulus) -> list:
+def _g24_generators(spec: GroupSpec, modulus: Modulus) -> list:
     alpha = hensel_lift([2, -1, 1], 3, 3, modulus)  # x^2 - x + 2, root = 3 mod 8
     alpha_bar = (1 - alpha) % modulus.pM
     if alpha_bar % min(8, modulus.pM) != 6 % min(8, modulus.pM):
@@ -56,7 +55,7 @@ def _g24_generators(modulus: Modulus) -> list:
     ]
 
 
-def _g29_generators(modulus: Modulus) -> list:
+def _g29_generators(spec: GroupSpec, modulus: Modulus) -> list:
     w = mth_root_of_unity(4, modulus)  # = 2 mod 5
     h = invert(2, modulus)
     return [
@@ -67,29 +66,84 @@ def _g29_generators(modulus: Modulus) -> list:
     ]
 
 
-def _g31_generators(modulus: Modulus) -> list:
-    return _g29_generators(modulus) + [
+def _g31_generators(spec: GroupSpec, modulus: Modulus) -> list:
+    return _g29_generators(spec, modulus) + [
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]
     ]
 
 
-class Exceptional(NamedTuple):
-    """One exceptional group; with no published matrices it is closed-form only."""
+class Kind(NamedTuple):
+    """One kind of group spec.  Its facts are functions of a spec, read when asked."""
 
-    p: int
-    order: int
-    rank: int
-    exponents: Optional[tuple]
-    M0: Optional[int]
-    generators: Optional[Callable[[Modulus], list]]
+    keys: tuple                # the grammar's keys after "kind:", in label order
+    admit: Callable            # (kind, m, s, n, p) -> them completed, or SpecInvalid
+    M0: Optional[int]          # see GroupSpec.min_modulus_exponent
+    rank: Callable             # spec -> l
+    order: Callable            # spec -> |W|
+    exponents: Callable        # spec -> the sorted exponents, or None
+    rows: Optional[Callable]   # (spec, modulus) -> integer generator rows; None: no build
+    closed_forms: Callable     # spec -> the closed forms that apply, in crosscheck order
 
 
-EXCEPTIONAL = {
-    "g12": Exceptional(3, 48, 2, (5, 7), 3, _g12_generators),
-    "g24": Exceptional(2, 336, 3, (3, 5, 13), 6, _g24_generators),
-    "g29": Exceptional(5, 7680, 4, (3, 7, 11, 19), 3, _g29_generators),
-    "g31": Exceptional(5, 46080, 4, (7, 11, 19, 23), 3, _g31_generators),
-    "g34": Exceptional(7, 39191040, 6, None, None, None),
+def _named(p, order, rank, exps, M0, rows) -> Kind:
+    """The row of an exceptional group: it takes no parameters and lives at p."""
+
+    def admit(kind, m, s, n, q):
+        if (m, s, n) != (None, None, None) or q not in (None, p):
+            raise SpecInvalid(f"{kind} takes no parameters and lives at p={p}")
+        return m, s, n, p
+
+    return Kind((), admit, M0, lambda spec: rank, lambda spec: order, lambda spec: exps,
+                rows, lambda spec: ("theoremC",))
+
+
+def _admit_family2a(kind, m, s, n, p):
+    if m is None or s is None or n is None or p is None:
+        raise SpecInvalid("family2a needs m, s, n, p")
+    if m <= 2:
+        raise SpecInvalid(f"family2a requires m > 2, got m={m}")
+    if s < 1 or m % s != 0:
+        raise SpecInvalid(f"s={s} must divide m={m}")
+    if n < 2:
+        raise SpecInvalid(f"family2a requires n >= 2, got n={n}")
+    if n == 2 and m == s:
+        raise SpecInvalid("family2a excludes m = s when n = 2")
+    _check_prime_congruence(p, m)
+    return m, s, n, p
+
+
+def _admit_sphere(kind, m, s, n, p):
+    if s not in (None, 1) or n not in (None, 1):
+        raise SpecInvalid(f"a sphere is G(m,1,1), got s={s}, n={n}; "
+                          "G(m,s,n) needs n >= 2")
+    if m is None or p is None:
+        raise SpecInvalid("sphere needs m, p")
+    if m < 2:
+        raise SpecInvalid(f"sphere requires m >= 2, got m={m}")
+    _check_prime_congruence(p, m)
+    return m, 1, 1, p
+
+
+#: The facts of G(m,s,n), a sphere G(m,1,1) among them.  p = 1 mod m leaves m
+#: and s prime to p, so p divides |W| = m^n n!/s exactly when p <= n: theorem A
+#: applies when n < p.
+_MONOMIAL = Kind((), None, 3, lambda spec: spec.n,
+                 lambda spec: spec.m ** spec.n * math.factorial(spec.n) // spec.s,
+                 lambda spec: tuple(sorted([i * spec.m - 1 for i in range(1, spec.n)]
+                                           + [spec.n * spec.m // spec.s - 1])),
+                 lambda spec, modulus: [g.rows for g in monomial_generators(
+                     spec.m, spec.s, spec.n, modulus)],
+                 lambda spec: ("theoremB", "theoremA") if spec.n < spec.p else ("theoremB",))
+
+#: Every kind of group spec, by the name the grammar gives it.
+KINDS = {
+    "g12": _named(3, 48, 2, (5, 7), 3, _g12_generators),
+    "g24": _named(2, 336, 3, (3, 5, 13), 6, _g24_generators),
+    "g29": _named(5, 7680, 4, (3, 7, 11, 19), 3, _g29_generators),
+    "g31": _named(5, 46080, 4, (7, 11, 19, 23), 3, _g31_generators),
+    "g34": _named(7, 39191040, 6, None, None, None),
+    "family2a": _MONOMIAL._replace(keys=("m", "s", "n", "p"), admit=_admit_family2a),
+    "sphere": _MONOMIAL._replace(keys=("m", "p"), admit=_admit_sphere),
 }
 
 #: The closed-form names of the exceptional cases, mapped to their kinds.
@@ -97,7 +151,7 @@ ALIASES = {"x12": "g12", "x24": "g24", "x29": "g29", "x31": "g31", "x34": "g34"}
 
 
 class GroupSpec(FrozenRecord):
-    """Which group to build: an exceptional case, a G(m,s,n), or a sphere.
+    """Which group to build: a kind of ``KINDS`` and the parameters its row admits.
 
     A sphere is G(m,1,1): construction sets its s and n to 1.  An exceptional
     kind fixes every parameter, so it takes none but its own prime.
@@ -107,56 +161,26 @@ class GroupSpec(FrozenRecord):
 
     def __init__(self, kind: str, m: Optional[int] = None, s: Optional[int] = None,
                  n: Optional[int] = None, p: Optional[int] = None):
-        if kind in EXCEPTIONAL:
-            home = EXCEPTIONAL[kind].p
-            if (m, s, n) != (None, None, None) or p not in (None, home):
-                raise SpecInvalid(f"{kind} takes no parameters and lives at p={home}")
-            p = home
-        elif kind == "family2a":
-            if m is None or s is None or n is None or p is None:
-                raise SpecInvalid("family2a needs m, s, n, p")
-            if m <= 2:
-                raise SpecInvalid(f"family2a requires m > 2, got m={m}")
-            if s < 1 or m % s != 0:
-                raise SpecInvalid(f"s={s} must divide m={m}")
-            if n < 2:
-                raise SpecInvalid(f"family2a requires n >= 2, got n={n}")
-            if n == 2 and m == s:
-                raise SpecInvalid("family2a excludes m = s when n = 2")
-            _check_prime_congruence(p, m)
-        elif kind == "sphere":
-            if s not in (None, 1) or n not in (None, 1):
-                raise SpecInvalid(f"a sphere is G(m,1,1), got s={s}, n={n}; "
-                                  "G(m,s,n) needs n >= 2")
-            if m is None or p is None:
-                raise SpecInvalid("sphere needs m, p")
-            if m < 2:
-                raise SpecInvalid(f"sphere requires m >= 2, got m={m}")
-            _check_prime_congruence(p, m)
-            s = n = 1
-        else:
+        if kind not in KINDS:
             raise SpecInvalid(f"unknown group kind {kind!r}")
-        self._init(kind, m, s, n, p)
-
-    @property
-    def exceptional(self) -> bool:
-        """True for a kind with a row in ``EXCEPTIONAL``; False for G(m,s,n)."""
-        return self.kind in EXCEPTIONAL
+        self._init(kind, *KINDS[kind].admit(kind, m, s, n, p))
 
     @property
     def buildable(self) -> bool:
-        return not self.exceptional or EXCEPTIONAL[self.kind].generators is not None
+        return KINDS[self.kind].rows is not None
 
     @property
     def rank(self) -> int:
         """l, the dimension of the space W acts on: n for G(m,s,n), 1 for a sphere."""
-        return EXCEPTIONAL[self.kind].rank if self.exceptional else self.n
+        return KINDS[self.kind].rank(self)
 
     @property
     def expected_order(self) -> int:
-        if self.exceptional:
-            return EXCEPTIONAL[self.kind].order
-        return self.m ** self.n * math.factorial(self.n) // self.s
+        return KINDS[self.kind].order(self)
+
+    @property
+    def closed_forms(self) -> tuple:
+        return KINDS[self.kind].closed_forms(self)
 
     def min_modulus_exponent(self) -> int:
         """Default precision M0 at which the group is closed.
@@ -165,19 +189,16 @@ class GroupSpec(FrozenRecord):
         trace-averaged ranks: the class table is read once, at the least
         m >= M0 with p^m > d * l for the largest element order d, which also
         separates every class's torsion, so a table that M0 misses costs one
-        lift of all the class representatives.  The
-        values stay fixed because the canonical class representatives and
-        the Smith diagonals of the ``classes`` table are read at M0.  Every
-        G(m,s,n) spec has an odd p, so its M0 is 3.
+        lift of all the class representatives.  The values stay fixed
+        because the canonical class representatives and the Smith diagonals
+        of the ``classes`` table are read at M0.  Every G(m,s,n) spec has an
+        odd p, so its M0 is 3.
         """
-        return EXCEPTIONAL[self.kind].M0 if self.exceptional else 3
+        return KINDS[self.kind].M0
 
     def label(self) -> str:
-        if self.exceptional:
-            return self.kind
-        if self.kind == "family2a":
-            return f"family2a:m={self.m},s={self.s},n={self.n},p={self.p}"
-        return f"sphere:m={self.m},p={self.p}"
+        params = ",".join(f"{key}={getattr(self, key)}" for key in KINDS[self.kind].keys)
+        return f"{self.kind}:{params}" if params else self.kind
 
 
 def _check_prime_congruence(p: int, m: int) -> None:
@@ -188,27 +209,20 @@ def _check_prime_congruence(p: int, m: int) -> None:
         raise SpecInvalid(f"need p = 1 mod m, got p={p}, m={m}")
 
 
-_SPEC_RE = re.compile(r"^(family2a|sphere):(.*)$")
-
-
 def parse_spec(text: str) -> GroupSpec:
     """Parse the CLI grammar: g12|g24|g29|g31|x34|family2a:m=..,s=..,n=..,p=..|sphere:m=..,p=.."""
     t = text.strip().lower()
-    t = ALIASES.get(t, t)
-    if t in EXCEPTIONAL:
-        return GroupSpec(t)
-    m = _SPEC_RE.match(t)
-    if not m:
+    kind, colon, rest = ALIASES.get(t, t).partition(":")
+    row = KINDS.get(kind)
+    if row is None or bool(colon) != bool(row.keys) or "\n" in rest:
         raise SpecInvalid(f"unrecognized group spec {text!r}")
-    kind, rest = m.group(1), m.group(2)
-    allowed = ("m", "p") if kind == "sphere" else ("m", "s", "n", "p")
     params = {}
-    for item in rest.split(","):
+    for item in rest.split(",") if colon else ():
         if "=" not in item:
             raise SpecInvalid(f"bad parameter {item!r} in {text!r}")
         key, _, val = item.partition("=")
         key = key.strip()
-        if key not in allowed:
+        if key not in row.keys:
             raise SpecInvalid(f"unknown parameter {key!r} in {text!r}")
         if key in params:
             raise SpecInvalid(f"parameter {key!r} given twice in {text!r}")
@@ -261,46 +275,54 @@ def monomial_generators(m: int, s: int, n: int, modulus: Modulus) -> list:
     return [SquareMatrix.from_rows(rows, modulus) for rows in gens]
 
 
-def generators(spec: GroupSpec, modulus: Optional[Modulus] = None) -> list:
-    """The spec's generator matrices mod p^M, at its default precision M0 by default."""
+def _modulus(spec: GroupSpec, modulus: Optional[Modulus]) -> Modulus:
+    """The modulus the spec's generators are read at, checked: p^M0 when None."""
     if not spec.buildable:
         raise SpecInvalid(f"{spec.label()} has no build path (no published matrices)")
     if modulus is None:
         modulus = Modulus(spec.p, spec.min_modulus_exponent())
     if modulus.p != spec.p:
         raise SpecInvalid(f"{spec.label()} lives at p={spec.p}, modulus has p={modulus.p}")
-    if spec.exceptional:
-        from .linalg import SquareMatrix
-        return [SquareMatrix.from_rows(rows, modulus)
-                for rows in EXCEPTIONAL[spec.kind].generators(modulus)]
-    return monomial_generators(spec.m, spec.s, spec.n, modulus)
+    return modulus
+
+
+def generators(spec: GroupSpec, modulus: Optional[Modulus] = None) -> list:
+    """The spec's generator matrices mod p^M, at its default precision M0 by default."""
+    modulus = _modulus(spec, modulus)
+    from .linalg import SquareMatrix
+    return [SquareMatrix.from_rows(rows, modulus) for rows in KINDS[spec.kind].rows(spec, modulus)]
 
 
 def build(spec: GroupSpec, working_modulus: Optional[Modulus] = None,
           cap: Optional[int] = None) -> FiniteMatrixGroup:
     """Close the group for a spec at the given (or default) precision.
 
-    ``close`` checks the spec's expected order against ``cap`` (None:
-    ``groups.DEFAULT_CLOSURE_CAP``) and that the closure reaches it.
+    A rank above ``groups.MAX_GENERATORS`` (a rank-l group needs l or more
+    generators) or an expected order above ``cap`` (None: ``DEFAULT_CLOSURE_CAP``)
+    is refused before any generator is built; ``close`` checks the closure.
     """
-    from .groups import DEFAULT_CLOSURE_CAP, close
+    from .groups import DEFAULT_CLOSURE_CAP, MAX_GENERATORS, close
     if working_modulus is not None and working_modulus.M < working_modulus.threshold:
         raise SpecInvalid(
             f"working precision {working_modulus.M} is below the faithfulness "
             f"threshold {working_modulus.threshold}"
         )
-    return close(generators(spec, working_modulus), spec.expected_order,
-                 cap=DEFAULT_CLOSURE_CAP if cap is None else cap,
+    modulus = _modulus(spec, working_modulus)
+    if spec.rank > MAX_GENERATORS:
+        raise CapExceeded(f"{spec.label()}: rank {spec.rank} needs at least {spec.rank} "
+                          f"generators, above the closure's {MAX_GENERATORS}")
+    order = spec.expected_order
+    cap = DEFAULT_CLOSURE_CAP if cap is None else cap
+    if order > cap:
+        raise CapExceeded(f"group order {order} exceeds closure cap {cap}")
+    return close(generators(spec, modulus), order, cap=cap,
                  generator_factory=lambda mod: generators(spec, mod),
                  name=spec.label())
 
 
 def exponents(spec: GroupSpec) -> tuple:
     """Catalog exponents m_i for a spec, sorted; prod(m_i + 1) is the order."""
-    if spec.exceptional:
-        exps = EXCEPTIONAL[spec.kind].exponents
-        if exps is None:
-            raise SpecInvalid(f"{spec.label()} has no catalog exponents")
-        return exps
-    m, s, n = spec.m, spec.s, spec.n
-    return tuple(sorted([i * m - 1 for i in range(1, n)] + [n * m // s - 1]))
+    exps = KINDS[spec.kind].exponents(spec)
+    if exps is None:
+        raise SpecInvalid(f"{spec.label()} has no catalog exponents")
+    return exps

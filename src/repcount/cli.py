@@ -92,16 +92,8 @@ def _emit(report: CountReport, args) -> None:
 
 def _applicable_methods(spec: GroupSpec) -> list:
     if not spec.buildable:
-        return ["theoremC"]
-    methods = ["burnside", "classes", "formula"]
-    if spec.exceptional:
-        methods.append("theoremC")
-    else:
-        methods.append("theoremB")
-        if spec.expected_order % spec.p != 0:  # non-modular
-            methods.append("theoremA")
-    methods.append("oracle")
-    return methods
+        return list(spec.closed_forms)
+    return ["burnside", "classes", "formula", *spec.closed_forms, "oracle"]
 
 
 def _check_count_size(p: int, l: int, k: int) -> None:
@@ -123,7 +115,7 @@ def run_count(job: _Job, k: int, method: str) -> CountReport:
     spec = job.spec
     if k < 1:
         raise SpecInvalid(f"k must be >= 1, got {k}")
-    if method == "theoremB" and spec.exceptional:
+    if method == "theoremB" and method not in spec.closed_forms:
         raise SpecInvalid(f"method {method} applies to family2a/sphere specs only")
     if method in GROUP_METHODS:
         from . import counting, oracle

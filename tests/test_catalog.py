@@ -20,7 +20,9 @@ from matrix_helpers import (
     prod,
     rank_fixed_space,
 )
+from repcount import catalog
 from repcount.catalog import (
+    KINDS,
     GroupSpec,
     build,
     exponents,
@@ -28,7 +30,7 @@ from repcount.catalog import (
     monomial_generators,
     parse_spec,
 )
-from repcount.errors import SpecInvalid
+from repcount.errors import CapExceeded, SpecInvalid
 from repcount.formulas import CLOSED_FORMS
 from repcount.groups import close
 from repcount.linalg import SquareMatrix, diagonal, smith_valuations
@@ -304,6 +306,50 @@ def test_parse_spec_grammar():
         parse_spec("family2a:m=3")
     with pytest.raises(SpecInvalid):
         parse_spec("family2a:m=three,s=1,n=2,p=7")
+
+
+#: One spec of every kind in ``KINDS``.
+SPEC_OF_EVERY_KIND = [GroupSpec("g12"), GroupSpec("g24"), GroupSpec("g29"), GroupSpec("g31"),
+                      GroupSpec("g34"), GroupSpec("family2a", m=4, s=2, n=3, p=5),
+                      GroupSpec("sphere", m=4, p=5)]
+
+
+def test_every_kind_has_a_spec_here():
+    assert sorted(spec.kind for spec in SPEC_OF_EVERY_KIND) == sorted(KINDS)
+
+
+@pytest.mark.parametrize("spec", SPEC_OF_EVERY_KIND, ids=lambda spec: spec.kind)
+def test_label_parses_back_to_its_spec(spec):
+    assert parse_spec(spec.label()) == spec
+    assert parse_spec(spec.label().upper()) == spec
+
+
+def test_theorem_a_applies_exactly_when_p_does_not_divide_the_order():
+    # the row reads p | |W| off n < p, without forming |W|
+    primes = [p for p in range(3, 60) if all(p % d for d in range(2, p))]
+    modular = set()
+    for m in range(3, 9):
+        for s in (d for d in range(1, m + 1) if m % d == 0):
+            for n in range(2, 9):
+                for p in (p for p in primes if p % m == 1):
+                    if n == 2 and m == s:
+                        continue
+                    spec = GroupSpec("family2a", m=m, s=s, n=n, p=p)
+                    modular.add(spec.expected_order % p == 0)
+                    assert ("theoremA" in spec.closed_forms) == (spec.expected_order % p != 0)
+    assert modular == {True, False}
+    for m, p in ((2, 3), (4, 5), (6, 7), (12, 13)):
+        assert GroupSpec("sphere", m=m, p=p).closed_forms == ("theoremB", "theoremA")
+
+
+@pytest.mark.parametrize("n", [20, 128], ids=["order-over-cap", "rank-over-generators"])
+def test_build_refuses_before_building_generators(monkeypatch, n):
+    def built(*args):
+        raise AssertionError("generators were built")
+
+    monkeypatch.setattr(catalog, "generators", built)
+    with pytest.raises(CapExceeded):
+        build(GroupSpec("family2a", m=3, s=1, n=n, p=7))
 
 
 def test_x34_not_buildable():

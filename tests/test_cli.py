@@ -48,6 +48,12 @@ def test_count_theorem_b(capsys):
     "sphere:m=4,s=3,p=5",            # a sphere takes no s
     "family2a:m=4,s=0,n=2,p=5",
     "sphere:m=0,p=3",
+    "g12:p=3",                       # an exceptional kind takes no parameters,
+    "g12:p=5",
+    "g12:",                          # ... not even an empty list
+    "x34:p=7",                       # an alias names the kind outright
+    "family2a",                      # a kind with keys needs them
+    "weyl:A2,p=3",                   # no such kind
 ])
 def test_inadmissible_group_strings_are_spec_errors(capsys, group):
     code, out, err = run(capsys, "count", "--group", group, "--k", "1", "--method", "theoremB")
@@ -532,6 +538,9 @@ def test_crosscheck_divergence_exits_one(capsys, monkeypatch):
     ["crosscheck", "--group", "g12", "--kmax", "99999999999"],
     ["formula", "--exponents", "1,4", "--p", "11", "--k", "99999999999"],
     ["count", "--group", "g24", "--k", str(10 ** 400), "--method", "theoremC"],
+    # the rank alone refuses these: |W| = 3^n n! is never formed
+    ["count", "--group", "family2a:m=3,s=1,n=1000000,p=7", "--k", "1", "--method", "theoremB"],
+    ["crosscheck", "--group", "family2a:m=3,s=1,n=1000000,p=7", "--kmax", "1"],
 ], ids=lambda argv: " ".join(argv)[:40])
 def test_count_too_large_to_compute_is_refused(capsys, argv):
     # refused before any work: without the bound x12 at k = 99999999999 needs ~40 GB
@@ -539,6 +548,20 @@ def test_count_too_large_to_compute_is_refused(capsys, argv):
     code, out, err = run(capsys, *argv, "--no-timing")
     assert code == 3 and out == "" and time.perf_counter() - start < 1
     assert err.count("\n") == 1 and json.loads(err)["error"] == "SpaceTooLarge"
+
+
+@pytest.mark.parametrize("argv", [
+    # 300 generators of 300 x 300 rows took seconds and hundreds of MB before the
+    # order was compared with the cap
+    ["census", "--group", "family2a:m=3,s=1,n=300,p=7"],
+    # 10^18 entries of generators; refused by its rank, before m^n n! is formed
+    ["classes", "--group", "family2a:m=3,s=1,n=1000000,p=7"],
+], ids=lambda argv: argv[0])
+def test_group_over_the_closure_cap_is_refused_before_its_generators(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--no-timing")
+    assert code == 3 and out == "" and time.perf_counter() - start < 1
+    assert err.count("\n") == 1 and json.loads(err)["error"] == "CapExceeded"
 
 
 def test_count_size_bound_edge(capsys):
