@@ -1,8 +1,8 @@
 """Construction of the supported reflection groups and their exponent data.
 
-Covers the four exceptional groups over their home primes (G12 at p=3, G24
-at p=2, G29 and G31 at p=5), the closed-form-only G34 at p=7, the monomial
-groups G(m,s,n), and the rank-one sphere case G(m,1,1).  The quadratic
+Covers the four exceptional groups over their home primes (G12, G24, G29 and
+G31), the closed-form-only G34, the monomial groups G(m,s,n), and the rank-one
+sphere case G(m,1,1); ``KINDS`` holds each kind's facts.  The quadratic
 constants in the exceptional generator matrices are realized exactly at any
 requested precision via Hensel lifting and Teichmüller representatives, so a
 group's generator words can be re-evaluated at any higher precision;
@@ -83,10 +83,14 @@ class Kind(NamedTuple):
     exponents: Callable        # spec -> the sorted exponents, or None
     rows: Optional[Callable]   # (spec, modulus) -> integer generator rows; None: no build
     closed_forms: Callable     # spec -> the closed forms that apply, in crosscheck order
+    coefficients: Optional[tuple] = None  # theorem C's numerator (over |W|) in q = p^k,
+                                          # highest power first; None: no theorem C
+    capped: Optional[tuple] = None        # (c, e): that numerator adds c * p^min(k, e)
 
 
-def _named(p, order, rank, exps, M0, rows) -> Kind:
-    """The row of an exceptional group: it takes no parameters and lives at p."""
+def _named(p, order, rank, exps, M0, rows, coefficients, capped=None) -> Kind:
+    """The row of an exceptional group: it takes no parameters, lives at p and
+    has theorem C."""
 
     def admit(kind, m, s, n, q):
         if (m, s, n) != (None, None, None) or q not in (None, p):
@@ -94,7 +98,7 @@ def _named(p, order, rank, exps, M0, rows) -> Kind:
         return m, s, n, p
 
     return Kind((), admit, M0, lambda spec: rank, lambda spec: order, lambda spec: exps,
-                rows, lambda spec: ("theoremC",))
+                rows, lambda spec: ("theoremC",), coefficients, capped)
 
 
 def _admit_family2a(kind, m, s, n, p):
@@ -137,17 +141,23 @@ _MONOMIAL = Kind((), None, 3, lambda spec: spec.n,
 
 #: Every kind of group spec, by the name the grammar gives it.
 KINDS = {
-    "g12": _named(3, 48, 2, (5, 7), 3, _g12_generators),
-    "g24": _named(2, 336, 3, (3, 5, 13), 6, _g24_generators),
-    "g29": _named(5, 7680, 4, (3, 7, 11, 19), 3, _g29_generators),
-    "g31": _named(5, 46080, 4, (7, 11, 19, 23), 3, _g31_generators),
-    "g34": _named(7, 39191040, 6, None, None, None),
+    "g12": _named(3, 48, 2, (5, 7), 3, _g12_generators, (1, 12, 51)),
+    "g24": _named(2, 336, 3, (3, 5, 13), 6, _g24_generators, (1, 21, 140, 216), capped=(42, 2)),
+    "g29": _named(5, 7680, 4, (3, 7, 11, 19), 3, _g29_generators, (1, 40, 530, 2720, 5925)),
+    "g31": _named(5, 46080, 4, (7, 11, 19, 23), 3, _g31_generators,
+                  (1, 60, 1270, 11100, 42865)),
+    "g34": _named(7, 39191040, 6, None, None, None,
+                  (1, 126, 6195, 151060, 1904679, 11559534, 31168165)),
     "family2a": _MONOMIAL._replace(keys=("m", "s", "n", "p"), admit=_admit_family2a),
     "sphere": _MONOMIAL._replace(keys=("m", "p"), admit=_admit_sphere),
 }
 
 #: The closed-form names of the exceptional cases, mapped to their kinds.
 ALIASES = {"x12": "g12", "x24": "g24", "x29": "g29", "x31": "g31", "x34": "g34"}
+
+#: Every spec ``parse_spec`` takes, as help text: each kind with its keys, then each alias.
+GRAMMAR = ", ".join([kind + ":" + ",".join(key + "=.." for key in row.keys) if row.keys else kind
+                     for kind, row in KINDS.items()] + list(ALIASES))
 
 
 class GroupSpec(FrozenRecord):
@@ -179,8 +189,14 @@ class GroupSpec(FrozenRecord):
         return KINDS[self.kind].order(self)
 
     @property
-    def closed_forms(self) -> tuple:
-        return KINDS[self.kind].closed_forms(self)
+    def methods(self) -> tuple:
+        """The counting methods that apply, in crosscheck order: the group
+        methods around the row's closed forms, or the closed forms alone when
+        the spec cannot be built."""
+        closed_forms = KINDS[self.kind].closed_forms(self)
+        if not self.buildable:
+            return closed_forms
+        return ("burnside", "classes", "formula", *closed_forms, "oracle")
 
     def min_modulus_exponent(self) -> int:
         """Default precision M0 at which the group is closed.
@@ -210,7 +226,8 @@ def _check_prime_congruence(p: int, m: int) -> None:
 
 
 def parse_spec(text: str) -> GroupSpec:
-    """Parse the CLI grammar: g12|g24|g29|g31|x34|family2a:m=..,s=..,n=..,p=..|sphere:m=..,p=.."""
+    """Parse the CLI grammar, ``GRAMMAR``: a kind of ``KINDS`` or a name of
+    ``ALIASES``, then ``:key=value,...`` over exactly the row's keys."""
     t = text.strip().lower()
     kind, colon, rest = ALIASES.get(t, t).partition(":")
     row = KINDS.get(kind)

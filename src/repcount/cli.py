@@ -25,7 +25,7 @@ import time
 from typing import NoReturn
 
 from . import catalog
-from .catalog import GroupSpec, parse_spec
+from .catalog import ALIASES, GRAMMAR, parse_spec
 from .errors import (
     CapExceeded,
     NonIntegralResult,
@@ -90,12 +90,6 @@ def _emit(report: CountReport, args) -> None:
         sys.stdout.write(report.to_text())
 
 
-def _applicable_methods(spec: GroupSpec) -> list:
-    if not spec.buildable:
-        return list(spec.closed_forms)
-    return ["burnside", "classes", "formula", *spec.closed_forms, "oracle"]
-
-
 def _check_count_size(p: int, l: int, k: int) -> None:
     """Refuse every count at k on (Z/p^k)^l before one is formed: see MAX_COUNT_BITS.
 
@@ -110,13 +104,15 @@ def _check_count_size(p: int, l: int, k: int) -> None:
 def run_count(job: _Job, k: int, method: str) -> CountReport:
     """One method's count at k: an engine's report, or a timed value wrapped once.
 
-    The group is built and its engines imported before any timing starts.
+    A method outside the spec's ``methods`` is refused.  The group is built
+    and its engines imported before any timing starts.
     """
     spec = job.spec
     if k < 1:
         raise SpecInvalid(f"k must be >= 1, got {k}")
-    if method == "theoremB" and method not in spec.closed_forms:
-        raise SpecInvalid(f"method {method} applies to family2a/sphere specs only")
+    if method not in spec.methods:
+        raise SpecInvalid(f"method {method} does not apply to {spec.label()}, "
+                          f"which takes {', '.join(spec.methods)}")
     if method in GROUP_METHODS:
         from . import counting, oracle
         group = job.group()
@@ -212,7 +208,7 @@ def cmd_crosscheck(args) -> int:
     if args.kmax < 1:
         raise SpecInvalid(f"kmax must be >= 1, got {args.kmax}")
     _check_count_size(spec.p, spec.rank, args.kmax)  # the whole run
-    methods = _applicable_methods(spec)
+    methods = spec.methods
     checks = []
     for k in range(1, args.kmax + 1):
         counts = {}
@@ -308,7 +304,7 @@ def _add_oracle_cap(parser) -> None:
 
 
 def _add_group_args(parser) -> None:
-    parser.add_argument("--group", help="g12|g24|g29|g31|x34|family2a:m=..,s=..,n=..,p=..|sphere:m=..,p=..")
+    parser.add_argument("--group", help=GRAMMAR)
     parser.add_argument("--closure-cap", type=int)  # None: the closure's own default
 
 
@@ -373,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_snf.set_defaults(func=cmd_snf)
 
     p_formula = sub.add_parser("formula", help="evaluate a closed form")
-    p_formula.add_argument("--name", help="x12|x24|x29|x31|x34")
+    p_formula.add_argument("--name", help=", ".join(
+        [*(kind for kind, row in catalog.KINDS.items() if row.coefficients), *ALIASES]))
     p_formula.add_argument("--exponents", help="comma-separated exponent list")
     p_formula.add_argument("--p", type=int)
     p_formula.add_argument("--k", type=int, required=True)

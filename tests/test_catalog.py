@@ -31,7 +31,6 @@ from repcount.catalog import (
     parse_spec,
 )
 from repcount.errors import CapExceeded, SpecInvalid
-from repcount.formulas import CLOSED_FORMS
 from repcount.groups import close
 from repcount.linalg import SquareMatrix, diagonal, smith_valuations
 from repcount.modp import Modulus
@@ -238,9 +237,11 @@ def test_shephard_todd_order_identity():
 
 
 def test_rank_is_the_exponent_count_and_the_closed_form_degree():
-    for kind, poly in CLOSED_FORMS.items():
+    for kind, row in KINDS.items():
+        if row.coefficients is None:
+            continue
         spec = GroupSpec(kind)
-        assert spec.rank == max(e for _, e in poly.terms)
+        assert spec.rank == len(row.coefficients) - 1
         if spec.buildable:
             assert spec.rank == len(exponents(spec)) == build(spec).dim
     for spec in (GroupSpec("family2a", m=4, s=2, n=3, p=5), GroupSpec("sphere", m=4, p=5)):
@@ -336,10 +337,11 @@ def test_theorem_a_applies_exactly_when_p_does_not_divide_the_order():
                         continue
                     spec = GroupSpec("family2a", m=m, s=s, n=n, p=p)
                     modular.add(spec.expected_order % p == 0)
-                    assert ("theoremA" in spec.closed_forms) == (spec.expected_order % p != 0)
+                    assert ("theoremA" in spec.methods) == (spec.expected_order % p != 0)
     assert modular == {True, False}
     for m, p in ((2, 3), (4, 5), (6, 7), (12, 13)):
-        assert GroupSpec("sphere", m=m, p=p).closed_forms == ("theoremB", "theoremA")
+        assert GroupSpec("sphere", m=m, p=p).methods == (
+            "burnside", "classes", "formula", "theoremB", "theoremA", "oracle")
 
 
 @pytest.mark.parametrize("n", [20, 128], ids=["order-over-cap", "rank-over-generators"])

@@ -172,18 +172,27 @@ def test_count_builds_higher_precision_on_demand(capsys):
     assert json.loads(out)["count"] == str(theorem_c("x12", 5))
 
 
-def test_formula_only_group_rejects_group_methods(capsys):
-    code, _, err = run(capsys, "count", "--group", "x34", "--k", "1",
-                       "--method", "burnside")
-    assert code == 2
+@pytest.mark.parametrize("group,method", [
+    ("g24", "theoremB"),
+    ("g12", "theoremA"),                        # 3 divides |G12|
+    ("family2a:m=4,s=2,n=5,p=5", "theoremA"),   # 5 divides |G(4,2,5)|
+    ("family2a:m=3,s=1,n=2,p=7", "theoremC"),
+    ("x34", "burnside"),                        # no published matrices
+    ("x34", "oracle"),
+])
+def test_theorem_b_rejected_on_exceptional_spec(capsys, group, method):
+    # every method outside the spec's methods is refused, the same way
+    code, out, err = run(capsys, "count", "--group", group, "--k", "1", "--method", method)
+    assert code == 2 and out == ""
     assert json.loads(err)["error"] == "SpecInvalid"
 
 
-def test_theorem_b_rejected_on_exceptional_spec(capsys):
-    code, _, err = run(capsys, "count", "--group", "g24", "--k", "1",
-                       "--method", "theoremB")
-    assert code == 2
-    assert json.loads(err)["error"] == "SpecInvalid"
+def test_count_help_lists_every_kind_and_alias(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert [name for name in (*catalog.KINDS, *catalog.ALIASES) if name not in out] == []
 
 
 def test_theorem_a_on_modular_data_is_a_spec_error(capsys):
@@ -279,7 +288,7 @@ def test_crosscheck_methods_per_kind(capsys, spec, methods):
                        "--format", "json", "--no-timing")
     assert code == 0
     payload = json.loads(out)
-    assert payload["methods"] == methods
+    assert payload["methods"] == methods == list(catalog.parse_spec(spec).methods)
     assert list(payload["checks"][0]["counts"]) == methods
 
 

@@ -87,7 +87,7 @@ def test_burnside_full_per_element_matches_classwise(g12, g24, g29):
 def test_per_element_burnside_matches_classwise_in_every_lane(request, monkeypatch, spec, k, lane):
     # the elimination runs in the lane of p^m, m = min(k, v_p(|W|) + 1), not of p^k
     parsed = parse_spec(spec)
-    g = request.getfixturevalue(spec) if "theoremC" in parsed.closed_forms else build(parsed)
+    g = request.getfixturevalue(spec) if "theoremC" in parsed.methods else build(parsed)
     lanes = []
 
     def recording(b, p, M):
@@ -95,7 +95,7 @@ def test_per_element_burnside_matches_classwise_in_every_lane(request, monkeypat
         return smith_valuations_lanes(b, p, M)
 
     monkeypatch.setattr(counting, "smith_valuations_lanes", recording)
-    if "theoremC" in parsed.closed_forms:
+    if "theoremC" in parsed.methods:
         want = theorem_c(spec, k)
     else:
         want = theorem_b(parsed.m, parsed.s or 1, parsed.n or 1, parsed.p, k)

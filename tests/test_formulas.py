@@ -1,10 +1,14 @@
-"""Closed-form evaluators: polynomial table, exponent products, piecewise x24."""
+"""Closed-form evaluators: theorem C's polynomials, exponent products, piecewise x24."""
+
+import math
+from functools import reduce
 
 import pytest
 
 from matrix_helpers import x24_piecewise_check, x24_simplified
+from repcount.catalog import KINDS, GroupSpec, parse_spec
 from repcount.errors import NonIntegralResult, SpecInvalid
-from repcount.formulas import CLOSED_FORMS, theorem_a, theorem_c
+from repcount.formulas import theorem_a, theorem_c
 
 
 def test_theorem_c_k1_values():
@@ -16,8 +20,9 @@ def test_theorem_c_k1_values():
 
 
 def test_theorem_c_x34_numerator_factor():
-    # the k=1 numerator is exactly 7 times the denominator
-    assert CLOSED_FORMS["g34"].numerator(1) == 274337280 == 7 * 39191040
+    # the k=1 numerator, the row's coefficients at q = 7, is exactly 7 times |W|
+    numerator = reduce(lambda total, c: total * 7 + c, KINDS["g34"].coefficients)
+    assert numerator == 274337280 == 7 * GroupSpec("g34").expected_order
 
 
 def test_theorem_c_k2_k3():
@@ -65,10 +70,17 @@ def test_theorem_a_rejects_modular_exponents():
 
 
 def test_modular_product_off_by_one_third():
-    from repcount.formulas import theorem_c
-    for k in (1, 2, 3, 4):
-        product_numerator = (5 + 3 ** k) * (7 + 3 ** k)
-        assert 48 * theorem_c("x12", k) - product_numerator == 16
+    # each odd-prime numerator exceeds the plain product prod(q + m_i) by |W|/p,
+    # so at g12 the product misses the count by 16/48 = 1/3
+    for name, p, exps, excess in [("x12", 3, (5, 7), 16),
+                                  ("x29", 5, (3, 7, 11, 19), 1536),
+                                  ("x31", 5, (7, 11, 19, 23), 9216),
+                                  ("x34", 7, (5, 11, 17, 23, 29, 41), 5598720)]:
+        order = parse_spec(name).expected_order
+        assert excess * p == order == math.prod(m + 1 for m in exps)
+        for k in range(1, 6):
+            product_numerator = math.prod(m + p ** k for m in exps)
+            assert order * theorem_c(name, k) - product_numerator == excess, (name, k)
 
 
 def test_x24_simplified_values():
@@ -79,11 +91,3 @@ def test_x24_simplified_values():
 def test_x24_piecewise():
     for k in (1, 2, 3, 4, 5, 9):
         assert x24_piecewise_check(k)
-
-
-def test_formula_denominators():
-    assert CLOSED_FORMS["g12"].denominator == 48
-    assert CLOSED_FORMS["g24"].denominator == 336
-    assert CLOSED_FORMS["g29"].denominator == 7680
-    assert CLOSED_FORMS["g31"].denominator == 46080
-    assert CLOSED_FORMS["g34"].denominator == 39191040
