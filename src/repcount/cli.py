@@ -1,13 +1,15 @@
 """Command-line frontend: build groups, count orbits, cross-check methods.
 
-Exit codes: 0 success, 1 cross-check divergence, 2 invalid spec or parse
-error, 3 cap or precision error (among them a k at which a count could
-exceed MAX_COUNT_BITS = 2^19 bits), a MemoryError or output that could not
-be written, 4 internal error (any other RepcountError, such as a broken
-invariant or a non-integral count).  Errors are reported as one JSON object
-on stderr; on a divergence it names the first divergent k, while stdout
-still carries the whole cross-check.  With --no-timing, identical flags
-produce byte-identical output.
+Exit codes: 0 success, 1 cross-check divergence, 2 invalid spec or usage
+error, 3 a cap, precision or size bound reached, 4 internal error.  A
+RepcountError exits with its class's ``exit_code``: 2 for SpecInvalid; 3 for
+CapExceeded, PrecisionTooLow and SpaceTooLarge (among them a k at which a
+count could exceed records.MAX_COUNT_BITS = 2^19 bits); 4 for every other
+class, such as InvariantViolation.  A MemoryError or output that could not
+be written exits 3 too.  Errors are reported as one JSON object on stderr;
+on a divergence it names the first divergent k, while stdout still carries
+the whole cross-check.  With --no-timing, identical flags produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -26,34 +28,15 @@ from typing import NoReturn
 
 from . import catalog
 from .catalog import ALIASES, GRAMMAR, parse_spec
-from .errors import (
-    CapExceeded,
-    NonIntegralResult,
-    PrecisionTooLow,
-    RepcountError,
-    SpaceTooLarge,
-    SpecInvalid,
-)
-from .records import CountReport, decimal_digits
+from .errors import EXIT_LIMIT, RepcountError, SpaceTooLarge, SpecInvalid
+from .records import CountReport, check_bits, decimal_digits
 
 EXIT_OK = 0
 EXIT_DIVERGENCE = 1
-EXIT_SPEC = 2
-EXIT_CAP = 3
-EXIT_INTERNAL = 4
-
-_CAP_ERRORS = (CapExceeded, PrecisionTooLow, SpaceTooLarge, MemoryError)
 
 GROUP_METHODS = ("burnside", "classes", "formula", "oracle")
 CLOSED_FORMS = ("theoremA", "theoremB", "theoremC")
 ALL_METHODS = GROUP_METHODS + CLOSED_FORMS
-
-#: Every accepted count is below 2^MAX_COUNT_BITS.  A count on (Z/p^k)^l is at
-#: most p^(k l), the number of points, which is below 2^(k l bit_length(p)).
-#: At 2^19 bits (about 158,000 digits) a closed form is evaluated and printed
-#: in about 0.2 s (2-vCPU VM); the digits come from ``records.decimal_digits``,
-#: subquadratic where int-to-str is quadratic.
-MAX_COUNT_BITS = 2 ** 19
 
 
 class _Job:
@@ -91,14 +74,8 @@ def _emit(report: CountReport, args) -> None:
 
 
 def _check_count_size(p: int, l: int, k: int) -> None:
-    """Refuse every count at k on (Z/p^k)^l before one is formed: see MAX_COUNT_BITS.
-
-    l is the rank.  The bound is read from bit lengths, so p^k is never formed.
-    """
-    bits = k * l * p.bit_length()
-    if bits > MAX_COUNT_BITS:
-        raise SpaceTooLarge(f"counts at k={k} on (Z/{p}^k)^{l} can reach {bits} bits, "
-                            f"above the bound of {MAX_COUNT_BITS}")
+    """Refuse every count at k on (Z/p^k)^l, l the rank, before one is formed."""
+    check_bits(k * l * p.bit_length(), f"counts at k={k} on (Z/{p}^k)^{l}")
 
 
 def run_count(job: _Job, k: int, method: str) -> CountReport:
@@ -389,22 +366,17 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a failed write surfaces here, not at exit
         return code
-    except (SpecInvalid, NonIntegralResult) as exc:
-        # a non-integral closed form means the formula does not apply to the
-        # requested data (e.g. the exponent product on modular exponents)
-        _report_error(exc)
-        return EXIT_SPEC
-    except _CAP_ERRORS as exc:
-        _report_error(exc)
-        return EXIT_CAP
     except RepcountError as exc:
         _report_error(exc)
-        return EXIT_INTERNAL
+        return exc.exit_code
+    except MemoryError as exc:
+        _report_error(exc)
+        return EXIT_LIMIT
     except OSError as exc:  # stdout could not be written: a full disk, a closed pipe
         _report_error(exc)
         # the rest of stdout goes to os.devnull, so the flush at exit cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_CAP
+        return EXIT_LIMIT
 
 
 def _report_error(exc: Exception) -> None:
@@ -433,7 +405,7 @@ def entry() -> NoReturn:
         sys.stdout.flush()
     except OSError as exc:
         _report_error(exc)
-        code = EXIT_CAP
+        code = EXIT_LIMIT
     sys.stderr.flush()
     os._exit(code)
 

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvariantViolation, NonIntegralCount
+from .errors import InvariantViolation
 from .groups import FiniteMatrixGroup
 from .linalg import smith_valuations_lanes
 from .modp import int_valuation
@@ -42,10 +42,10 @@ def _report(group: FiniteMatrixGroup, k: int, method: str, total: int, start: fl
             breakdown: Optional[list] = None) -> CountReport:
     """The report of an engine whose sum over W is ``total``, timed from ``start``.
 
-    Raises NonIntegralCount unless |W| divides the sum.
+    Raises InvariantViolation unless |W| divides the sum.
     """
     if total % group.order != 0:
-        raise NonIntegralCount(f"{method} sum {total} not divisible by |W|={group.order}")
+        raise InvariantViolation(f"{method} sum {total} not divisible by |W|={group.order}")
     return CountReport(
         group=group.name or "<anonymous>",
         p=group.modulus.p,
@@ -118,7 +118,9 @@ def count_burnside_classes(group: FiniteMatrixGroup, k: int) -> CountReport:
 def torsion_census(group: FiniteMatrixGroup) -> list:
     """Every class record; those with |A_w| > 1 drive the corrections.
 
-    Postcondition: every |A_w| divides the p-part of |W|.
+    Postconditions: every |A_w| divides the p-part of |W|, and a class with
+    |A_w| > 1 has p | ord(w): for a p'-element w the average of its powers is
+    a p-integral projector onto Fix(w), so Coker(w - I) is free.
     """
     p = group.modulus.p
     p_part = p ** int_valuation(group.order, p)
@@ -128,6 +130,11 @@ def torsion_census(group: FiniteMatrixGroup) -> list:
             raise InvariantViolation(
                 f"|A_w| = {rec.torsion_order} of class at index {rec.rep_index} "
                 f"does not divide the p-part {p_part} of |W|"
+            )
+        if rec.torsion_order > 1 and rec.element_order % p != 0:
+            raise InvariantViolation(
+                f"class at index {rec.rep_index} has |A_w| = {rec.torsion_order} "
+                f"but element order {rec.element_order} prime to p = {p}"
             )
     return list(records)
 

@@ -1,8 +1,15 @@
-"""Exception hierarchy shared by all repcount modules."""
+"""Exception hierarchy shared by all repcount modules.
+
+Each class's ``exit_code`` is what the CLI returns for it: 2 for a spec the
+caller got wrong, 3 for a cap or bound reached, 4 for an internal fault.
+"""
+
+EXIT_LIMIT = 3  # the CLI's code for a MemoryError and unwritable output too
 
 
 class RepcountError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code = 4
 
 
 class NotAUnit(RepcountError):
@@ -31,26 +38,17 @@ class DimensionMismatch(RepcountError):
 
 class PrecisionTooLow(RepcountError):
     """The working precision M is insufficient for the requested operation."""
+    exit_code = EXIT_LIMIT
 
 
 class CapExceeded(RepcountError):
     """A group closure or a search exceeded its configured cap."""
-
-
-class NonIntegralRank(RepcountError):
-    """Trace averaging did not produce an integral fixed-space rank."""
+    exit_code = EXIT_LIMIT
 
 
 class SpecInvalid(RepcountError):
-    """A group specification violates its admissibility constraints."""
-
-
-class NonIntegralCount(RepcountError):
-    """An orbit-count division left a remainder (internal invariant broken)."""
-
-
-class NonIntegralResult(RepcountError):
-    """A closed-form evaluation did not come out integral."""
+    """A group specification or other input violates its admissibility constraints."""
+    exit_code = 2
 
 
 class InvariantViolation(RepcountError):
@@ -59,3 +57,4 @@ class InvariantViolation(RepcountError):
 
 class SpaceTooLarge(RepcountError):
     """An enumeration would exceed its cap, or a count on (Z/p^k)^l its size bound."""
+    exit_code = EXIT_LIMIT

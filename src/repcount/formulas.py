@@ -2,7 +2,7 @@
 
 The polynomials are transcribed verbatim into ``catalog.KINDS``; every
 evaluation asserts exact divisibility by |W|, so a transcription error cannot
-produce a silently wrong integer.
+produce a silently wrong integer: it raises InvariantViolation.
 """
 
 from __future__ import annotations
@@ -11,15 +11,15 @@ import math
 from typing import Iterable
 
 from .catalog import KINDS, parse_spec
-from .errors import NonIntegralResult, SpecInvalid
+from .errors import InvariantViolation, SpecInvalid
 from .modp import is_prime
 
 
 def theorem_a(exponents: Iterable[int], p: int, k: int) -> int:
     """prod (m_i + p^k) / (m_i + 1): the orbit count when p does not divide |W|.
 
-    The quotient is asserted integral; applying this to modular data is the
-    caller's mistake and typically surfaces as NonIntegralResult.
+    The quotient is asserted integral; the exponents are the caller's, so a
+    remainder (modular data, as a rule) raises SpecInvalid.
     """
     if k < 1:
         raise SpecInvalid(f"k must be >= 1, got {k}")
@@ -31,7 +31,7 @@ def theorem_a(exponents: Iterable[int], p: int, k: int) -> int:
     num = math.prod(m + p ** k for m in exps)
     den = math.prod(m + 1 for m in exps)
     if num % den != 0:
-        raise NonIntegralResult(
+        raise SpecInvalid(
             f"product {num} is not divisible by {den}; exponents {exps} are "
             f"not non-modular data at p={p}"
         )
@@ -40,7 +40,10 @@ def theorem_a(exponents: Iterable[int], p: int, k: int) -> int:
 
 def theorem_c(group: str, k: int) -> int:
     """Theorem C for g12, g24, g29, g31 or g34 (or x12 ... x34): its kind's
-    fixed polynomial in ``catalog.KINDS``, at q = p^k, over |W|."""
+    fixed polynomial in ``catalog.KINDS``, at q = p^k, over |W|.
+
+    A remainder means a mistyped row and raises InvariantViolation.
+    """
     if k < 1:
         raise SpecInvalid(f"k must be >= 1, got {k}")
     spec = parse_spec(group)
@@ -55,5 +58,5 @@ def theorem_c(group: str, k: int) -> int:
         num += c * spec.p ** min(k, cap)
     order = spec.expected_order
     if num % order != 0:
-        raise NonIntegralResult(f"numerator {num} at k={k} is not divisible by {order}")
+        raise InvariantViolation(f"numerator {num} at k={k} is not divisible by {order}")
     return num // order

@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, InvariantViolation, NonIntegralRank, PrecisionTooLow
+from .errors import CapExceeded, InvariantViolation, PrecisionTooLow
 from .linalg import (SquareMatrix, _mod, entry_major, exact_dtype, lane_dtype,
                      smith_valuations_batch)
 from .modp import Modulus
@@ -368,7 +368,7 @@ def _rank_from_trace_sum(trace_sum: int, d: int, dim: int, pM: int) -> int:
     # trace_sum is d * rank as an element of Z/p^M; with p^M > d*dim the
     # canonical representative recovers the integer exactly.
     if trace_sum > d * dim or trace_sum % d != 0:
-        raise NonIntegralRank(
+        raise InvariantViolation(
             f"trace sum {trace_sum} has no representative in [0, {d * dim}] divisible by {d}"
         )
     return trace_sum // d

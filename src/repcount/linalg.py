@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .modp import Modulus
-from .records import FrozenRecord
+from .records import FrozenRecord, check_bits
 
 
 class SquareMatrix(FrozenRecord):
@@ -226,7 +226,8 @@ def smith_valuations(a: SquareMatrix) -> tuple:
 def parse_matrix_text(text: str) -> SquareMatrix:
     """Parse the plain-text matrix format: header "p M rows cols", then rows.
 
-    Entries are non-negative integers, reduced mod p^M on ingestion.
+    Entries are non-negative integers, reduced mod p^M on ingestion.  A p^M
+    above ``records.MAX_COUNT_BITS`` bits is refused before it is formed.
     """
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     if not lines:
@@ -241,6 +242,7 @@ def parse_matrix_text(text: str) -> SquareMatrix:
         raise ValueError(f"matrix must be square, got {nrows}x{ncols}")
     if len(lines) - 1 != nrows:
         raise ValueError(f"expected {nrows} rows, found {len(lines) - 1}")
+    check_bits(M * p.bit_length(), f"modulus {p}^{M}")
     modulus = Modulus(p, M)
     rows = []
     for ln in lines[1:]:

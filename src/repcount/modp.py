@@ -48,8 +48,9 @@ def is_prime(n: int) -> bool:
 def _strong_probable_prime(n: int, a: int) -> bool:
     """The Miller-Rabin round of base a on an odd n > a."""
     r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^r with d odd
-    x = pow(a, (n - 1) >> r, n)
-    return x == 1 or any(pow(x, 1 << i, n) == n - 1 for i in range(r))
+    x = pow(a, (n - 1) >> r, n)  # then squared in place: x^(2^i) for i < r
+    squares = itertools.accumulate(range(r - 1), lambda y, _: y * y % n, initial=x)
+    return x == 1 or any(y == n - 1 for y in squares)
 
 
 def _jacobi(a: int, n: int) -> int:

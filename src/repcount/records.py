@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, SpaceTooLarge
 
 
 class Record:
@@ -54,6 +54,21 @@ class FrozenRecord(Record):
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+#: Every accepted count, and every modulus p^M of ``snf``, is below
+#: 2^MAX_COUNT_BITS.  A count on (Z/p^k)^l is at most p^(k l), the number of
+#: points, which is below 2^(k l bit_length(p)).  At 2^19 bits (about 158,000
+#: digits) a closed form is evaluated and printed in about 0.2 s (2-vCPU VM);
+#: the digits come from ``decimal_digits``, subquadratic where int-to-str is
+#: quadratic.
+MAX_COUNT_BITS = 2 ** 19
+
+
+def check_bits(bits: int, what: str) -> None:
+    """Refuse ``what``, of up to ``bits`` bits (read off bit lengths), above MAX_COUNT_BITS."""
+    if bits > MAX_COUNT_BITS:
+        raise SpaceTooLarge(f"{what} can reach {bits} bits, above the bound of {MAX_COUNT_BITS}")
 
 
 #: A count of at most this many bits prints through ``str``; a larger one

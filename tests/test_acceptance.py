@@ -205,7 +205,7 @@ def test_acceptance_09_solomon_identity(exceptional_groups):
 
 def test_acceptance_10_x34_properties():
     for k in range(1, 9):
-        theorem_c("x34", k)  # raises NonIntegralResult on failure
+        theorem_c("x34", k)  # raises InvariantViolation on failure
     assert theorem_c("x34", 1) == 7
     _report(10, "x34 polynomial integral for k=1..8 and equal to 7 at k=1")
 

@@ -6,11 +6,11 @@ import time
 
 import pytest
 
-from repcount import catalog, counting, formulas
+from repcount import catalog, counting, errors, formulas
 from repcount.grassmannian import theorem_b
-from repcount.cli import MAX_COUNT_BITS, main
-from repcount.errors import NonIntegralCount
+from repcount.cli import main
 from repcount.linalg import parse_matrix_text, smith_valuations
+from repcount.records import MAX_COUNT_BITS
 
 
 def run(capsys, *argv):
@@ -196,10 +196,25 @@ def test_count_help_lists_every_kind_and_alias(capsys):
 
 
 def test_theorem_a_on_modular_data_is_a_spec_error(capsys):
+    # the exponents are the caller's: a remainder is their error, not ours
     code, _, err = run(capsys, "formula", "--exponents", "5,7", "--p", "3",
                        "--k", "1")
     assert code == 2
-    assert json.loads(err)["error"] == "NonIntegralResult"
+    assert json.loads(err)["error"] == "SpecInvalid"
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--group", "g12", "--k", "1", "--method", "theoremC"],
+    ["crosscheck", "--group", "g12", "--kmax", "1"],
+], ids=lambda argv: argv[0])
+def test_broken_theorem_c_row_is_an_internal_error(capsys, monkeypatch, argv):
+    # a mistyped coefficient is a fault of the table, not of the caller's spec
+    row = catalog.KINDS["g12"]
+    monkeypatch.setitem(catalog.KINDS, "g12", row._replace(coefficients=(1, 12, 50)))
+    code, out, err = run(capsys, *argv, "--no-timing")
+    assert code == 4 and out == ""
+    assert json.loads(err) == {"error": "InvariantViolation",
+                               "message": "numerator 95 at k=1 is not divisible by 48"}
 
 
 def test_parse_spec_rejects_stray_sphere_params(capsys):
@@ -348,6 +363,25 @@ def test_snf_at_a_huge_precision(tmp_path, capsys, rows, want):
     assert json.loads(out)["valuations"] == [e if e < 200000 else "saturated" for e in want]
 
 
+@pytest.mark.parametrize("M,code", [
+    (262144, 0),      # 2M bits: the largest M admitted at p = 3
+    (262145, 3),
+    (30000000, 3),    # ran for over 20 s before the bound
+])
+def test_snf_bounds_the_modulus_before_forming_it(tmp_path, capsys, M, code):
+    f = tmp_path / "big.txt"
+    f.write_text(f"3 {M} 1 1\n1\n")
+    start = time.perf_counter()
+    got, out, err = run(capsys, "snf", str(f), "--format", "json")
+    assert got == code and time.perf_counter() - start < 1
+    if code == 0:
+        assert json.loads(out) == {"p": 3, "M": M, "valuations": [0], "diagonal": [1]}
+    else:
+        assert out == "" and json.loads(err) == {
+            "error": "SpaceTooLarge",
+            "message": f"modulus 3^{M} can reach {2 * M} bits, above the bound of {MAX_COUNT_BITS}"}
+
+
 def test_snf_parse_error(tmp_path, capsys):
     for name, text in [("bad.txt", "2 4 2 3\n1 2 3\n4 5 6\n"), ("empty.txt", "5 2 0 0\n"),
                        ("header.txt", "2 4 2\n1 2\n3 4\n"),
@@ -479,16 +513,35 @@ def test_precision_ceiling_flag_is_gone(capsys):
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
-    # an internal invariant failure must not read as exit 1 ("divergence")
+    # an internal invariant failure must not read as exit 1 ("divergence"): with
+    # no torsion counted, g12's torsion class of 8 elements adds 8 instead of 24
+    monkeypatch.setattr(counting, "torsion_contribution", lambda p, vals, k: 1)
+    code, out, err = run(capsys, "count", "--group", "g12", "--k", "1",
+                         "--method", "classes")
+    assert code == 4 and out == ""
+    assert json.loads(err) == {"error": "InvariantViolation",
+                               "message": "classes sum 80 not divisible by |W|=48"}
+
+
+EXIT_CODES = {errors.SpecInvalid: 2, errors.CapExceeded: 3, errors.PrecisionTooLow: 3,
+              errors.SpaceTooLarge: 3}  # every other RepcountError: 4
+
+
+@pytest.mark.parametrize("error", [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.RepcountError)
+    and cls is not errors.RepcountError
+], ids=lambda cls: cls.__name__)
+def test_exit_code_belongs_to_the_error_class(capsys, monkeypatch, error):
     def broken(group, k):
-        raise NonIntegralCount(f"class sum not divisible by |W|={group.order}")
+        raise error("the engine failed")
 
     monkeypatch.setattr(counting, "count_burnside_classes", broken)
     code, out, err = run(capsys, "count", "--group", "g12", "--k", "1",
                          "--method", "classes")
-    assert code == 4 and out == ""
-    assert json.loads(err) == {"error": "NonIntegralCount",
-                               "message": "class sum not divisible by |W|=48"}
+    assert code == EXIT_CODES.get(error, 4) and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": error.__name__, "message": "the engine failed"}
 
 
 def test_crosscheck_skips_an_oracle_over_its_cap(capsys):

@@ -29,6 +29,7 @@ from matrix_helpers import (
 )
 from repcount import counting
 from repcount.catalog import GroupSpec, build, exponents, generators, parse_spec
+from repcount.cli import main
 from repcount.counting import (
     BURNSIDE_CHUNK,
     CountReport,
@@ -303,6 +304,35 @@ def test_torsion_census_exact(exceptional_groups):
             for r in rows
         )
         assert got == sorted(expected[name]), name
+
+
+@pytest.mark.parametrize("label,torsion", [
+    ("g12", 1), ("g24", 4), ("g29", 1), ("g31", 1),
+    ("family2a:m=4,s=2,n=5,p=5", 0), ("family2a:m=4,s=4,n=3,p=5", 0),
+    ("family2a:m=3,s=1,n=4,p=7", 0), ("sphere:m=4,p=5", 0),
+])
+def test_torsion_only_on_elements_of_order_divisible_by_p(exceptional_groups, label, torsion):
+    # torsion_census raises unless every class with |A_w| > 1 has p | ord(w)
+    group = exceptional_groups.get(label) or build(parse_spec(label))
+    rows = [rec for rec in torsion_census(group) if rec.torsion_order > 1]
+    assert len(rows) == torsion
+    assert all(rec.element_order % group.modulus.p == 0 for rec in rows)
+
+
+def test_torsion_on_a_p_prime_element_is_an_internal_error(g12, monkeypatch, capsys):
+    # the identity's class (order 1) given torsion Z/3: the invariant must catch it
+    real = FiniteMatrixGroup.conjugacy_classes
+
+    def forged(self):
+        ident, *rest = real(self)
+        return [ident._replace(torsion_vals=(1,), torsion_order=3), *rest]
+
+    monkeypatch.setattr(FiniteMatrixGroup, "conjugacy_classes", forged)
+    with pytest.raises(InvariantViolation, match="element order 1 prime to p = 3"):
+        torsion_census(g12)
+    assert main(["census", "--group", "g12"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "InvariantViolation"
 
 
 def test_census_covers_every_class(g24):

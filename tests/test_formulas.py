@@ -7,7 +7,7 @@ import pytest
 
 from matrix_helpers import x24_piecewise_check, x24_simplified
 from repcount.catalog import KINDS, GroupSpec, parse_spec
-from repcount.errors import NonIntegralResult, SpecInvalid
+from repcount.errors import SpecInvalid
 from repcount.formulas import theorem_a, theorem_c
 
 
@@ -40,7 +40,7 @@ def test_theorem_c_accepts_aliases():
 
 def test_theorem_c_x34_integral_for_small_k():
     for k in range(1, 9):
-        theorem_c("x34", k)  # NonIntegralResult would mean a transcription bug
+        theorem_c("x34", k)  # InvariantViolation would mean a transcription bug
 
 
 def test_theorem_c_rejects_unknown():
@@ -63,9 +63,10 @@ def test_theorem_a_dihedral_example():
 
 def test_theorem_a_rejects_modular_exponents():
     # on the modular pair (5,7) at p=3 the plain product is never integral:
-    # the true count exceeds it by exactly 16/48 = 1/3 for every k
+    # the true count exceeds it by exactly 16/48 = 1/3 for every k; the
+    # exponents are the caller's, so the remainder is a spec error
     for k in (1, 2, 3):
-        with pytest.raises(NonIntegralResult):
+        with pytest.raises(SpecInvalid, match="not non-modular data at p=3"):
             theorem_a([5, 7], 3, k)
 
 

@@ -6,6 +6,7 @@ not depend on the Newton iteration they certify.
 """
 
 import random
+import time
 
 import pytest
 import sympy
@@ -269,6 +270,21 @@ def test_is_prime_at_and_above_the_miller_rabin_bound():
         q = sympy.nextprime(p)
         assert is_prime(p) and is_prime(q) and not is_prime(p * q)
     assert is_prime(2 ** 89 - 1) and is_prime(2 ** 127 - 1) and not is_prime(2 ** 128 + 1)
+
+
+def test_is_prime_agrees_with_sympy_on_proth_numbers():
+    # c 2^e + 1 has n - 1 = c 2^e: the Miller-Rabin round squares e times
+    for c in (1, 3, 5, 7):
+        for e in range(401):
+            n = c * 2 ** e + 1
+            assert is_prime(n) == sympy.isprime(n), (c, e)
+
+
+def test_miller_rabin_squares_in_place():
+    # a fresh power per square made this call quadratic in e = 2000: 21 s
+    start = time.perf_counter()
+    assert not is_prime(3 * 2 ** 2000 + 1)
+    assert time.perf_counter() - start < 1
 
 
 def test_baillie_psw_rounds_cover_each_other():
