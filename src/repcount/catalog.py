@@ -2,7 +2,8 @@
 
 Covers the four exceptional groups over their home primes (G12, G24, G29 and
 G31), the closed-form-only G34, the monomial groups G(m,s,n), and the rank-one
-sphere case G(m,1,1); ``KINDS`` holds each kind's facts.  The quadratic
+sphere case G(m,1,1); ``KINDS`` holds each kind's facts, ``METHODS`` every
+counting method, and ``build`` closes a group at its row's M0.  The quadratic
 constants in the exceptional generator matrices are realized exactly at any
 requested precision via Hensel lifting and Teichmüller representatives, so a
 group's generator words can be re-evaluated at any higher precision;
@@ -152,6 +153,11 @@ KINDS = {
     "sphere": _MONOMIAL._replace(keys=("m", "p"), admit=_admit_sphere),
 }
 
+#: Every counting method, in crosscheck order, and the closed forms among them:
+#: a row's ``closed_forms`` picks from these, a buildable spec adds the rest.
+METHODS = ("burnside", "classes", "formula", "theoremB", "theoremA", "theoremC", "oracle")
+CLOSED_FORMS = ("theoremB", "theoremA", "theoremC")
+
 #: The closed-form names of the exceptional cases, mapped to their kinds.
 ALIASES = {"x12": "g12", "x24": "g24", "x29": "g29", "x31": "g31", "x34": "g34"}
 
@@ -190,18 +196,16 @@ class GroupSpec(FrozenRecord):
 
     @property
     def methods(self) -> tuple:
-        """The counting methods that apply, in crosscheck order: the group
-        methods around the row's closed forms, or the closed forms alone when
-        the spec cannot be built."""
+        """The counting methods that apply, in ``METHODS`` order: the row's
+        closed forms, and every other method when the spec can be built."""
         closed_forms = KINDS[self.kind].closed_forms(self)
-        if not self.buildable:
-            return closed_forms
-        return ("burnside", "classes", "formula", *closed_forms, "oracle")
+        return tuple(method for method in METHODS if method in closed_forms
+                     or (self.buildable and method not in CLOSED_FORMS))
 
     def min_modulus_exponent(self) -> int:
-        """Default precision M0 at which the group is closed.
+        """The precision M0 at which ``build`` closes the group; None: no build path.
 
-        M0 is above the faithfulness threshold and mostly leaves headroom for
+        M0 keeps distinct roots of unity apart and mostly leaves headroom for
         trace-averaged ranks: the class table is read once, at the least
         m >= M0 with p^m > d * l for the largest element order d, which also
         separates every class's torsion, so a table that M0 misses costs one
@@ -292,39 +296,27 @@ def monomial_generators(m: int, s: int, n: int, modulus: Modulus) -> list:
     return [SquareMatrix.from_rows(rows, modulus) for rows in gens]
 
 
-def _modulus(spec: GroupSpec, modulus: Optional[Modulus]) -> Modulus:
-    """The modulus the spec's generators are read at, checked: p^M0 when None."""
+def generators(spec: GroupSpec, modulus: Modulus) -> list:
+    """The spec's generator matrices mod p^M, for a modulus at the spec's prime."""
     if not spec.buildable:
         raise SpecInvalid(f"{spec.label()} has no build path (no published matrices)")
-    if modulus is None:
-        modulus = Modulus(spec.p, spec.min_modulus_exponent())
     if modulus.p != spec.p:
         raise SpecInvalid(f"{spec.label()} lives at p={spec.p}, modulus has p={modulus.p}")
-    return modulus
-
-
-def generators(spec: GroupSpec, modulus: Optional[Modulus] = None) -> list:
-    """The spec's generator matrices mod p^M, at its default precision M0 by default."""
-    modulus = _modulus(spec, modulus)
     from .linalg import SquareMatrix
     return [SquareMatrix.from_rows(rows, modulus) for rows in KINDS[spec.kind].rows(spec, modulus)]
 
 
-def build(spec: GroupSpec, working_modulus: Optional[Modulus] = None,
-          cap: Optional[int] = None) -> FiniteMatrixGroup:
-    """Close the group for a spec at the given (or default) precision.
+def build(spec: GroupSpec, cap: Optional[int] = None) -> FiniteMatrixGroup:
+    """Close the group for a spec at p^M0, its row's precision.
 
-    A rank above ``groups.MAX_GENERATORS`` (a rank-l group needs l or more
-    generators) or an expected order above ``cap`` (None: ``DEFAULT_CLOSURE_CAP``)
-    is refused before any generator is built; ``close`` checks the closure.
+    A spec with no build path is refused first, then a rank above
+    ``groups.MAX_GENERATORS`` (a rank-l group needs l or more generators)
+    or an expected order above ``cap`` (None: ``DEFAULT_CLOSURE_CAP``),
+    all before any generator is built; ``close`` checks the closure.
     """
     from .groups import DEFAULT_CLOSURE_CAP, MAX_GENERATORS, close
-    if working_modulus is not None and working_modulus.M < working_modulus.threshold:
-        raise SpecInvalid(
-            f"working precision {working_modulus.M} is below the faithfulness "
-            f"threshold {working_modulus.threshold}"
-        )
-    modulus = _modulus(spec, working_modulus)
+    if not spec.buildable:  # M0 is None without a build path
+        raise SpecInvalid(f"{spec.label()} has no build path (no published matrices)")
     if spec.rank > MAX_GENERATORS:
         raise CapExceeded(f"{spec.label()}: rank {spec.rank} needs at least {spec.rank} "
                           f"generators, above the closure's {MAX_GENERATORS}")
@@ -332,6 +324,7 @@ def build(spec: GroupSpec, working_modulus: Optional[Modulus] = None,
     cap = DEFAULT_CLOSURE_CAP if cap is None else cap
     if order > cap:
         raise CapExceeded(f"group order {order} exceeds closure cap {cap}")
+    modulus = Modulus(spec.p, spec.min_modulus_exponent())
     return close(generators(spec, modulus), order, cap=cap,
                  generator_factory=lambda mod: generators(spec, mod),
                  name=spec.label())

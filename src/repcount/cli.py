@@ -9,7 +9,8 @@ class, such as InvariantViolation.  A MemoryError or output that could not
 be written exits 3 too.  Errors are reported as one JSON object on stderr;
 on a divergence it names the first divergent k, while stdout still carries
 the whole cross-check.  With --no-timing, identical flags produce
-byte-identical output.
+byte-identical output.  ``--method`` takes ``catalog.METHODS``, and
+``crosscheck`` runs a spec's ``GroupSpec.methods``.
 """
 
 from __future__ import annotations
@@ -33,10 +34,6 @@ from .records import CountReport, check_bits, decimal_digits
 
 EXIT_OK = 0
 EXIT_DIVERGENCE = 1
-
-GROUP_METHODS = ("burnside", "classes", "formula", "oracle")
-CLOSED_FORMS = ("theoremA", "theoremB", "theoremC")
-ALL_METHODS = GROUP_METHODS + CLOSED_FORMS
 
 
 class _Job:
@@ -90,7 +87,7 @@ def run_count(job: _Job, k: int, method: str) -> CountReport:
     if method not in spec.methods:
         raise SpecInvalid(f"method {method} does not apply to {spec.label()}, "
                           f"which takes {', '.join(spec.methods)}")
-    if method in GROUP_METHODS:
+    if method not in catalog.CLOSED_FORMS:
         from . import counting, oracle
         group = job.group()
     if method == "burnside":
@@ -99,7 +96,7 @@ def run_count(job: _Job, k: int, method: str) -> CountReport:
         return counting.count_burnside_classes(group, k)
     if method == "formula":
         return counting.count_formula_general(group, catalog.exponents(spec), k)
-    if method in CLOSED_FORMS:
+    if method in catalog.CLOSED_FORMS:
         from . import formulas, grassmannian  # imported by the closed forms only
     start = time.perf_counter()
     if method == "theoremC":
@@ -108,7 +105,7 @@ def run_count(job: _Job, k: int, method: str) -> CountReport:
         value = formulas.theorem_a(catalog.exponents(spec), spec.p, k)
     elif method == "theoremB":
         value = grassmannian.theorem_b(spec.m, spec.s, spec.n, spec.p, k)
-    else:  # the oracle: argparse admits only ALL_METHODS
+    else:  # the oracle: argparse admits only catalog.METHODS
         cap = oracle.DEFAULT_POINT_CAP if job.args.oracle_cap is None else job.args.oracle_cap
         value = oracle.orbit_count_bruteforce(group, k, cap=cap, levels=job.levels)
     return CountReport(spec.label(), spec.p, k, method, value,
@@ -316,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser("count", help="count orbits with one method")
     _add_group_args(p_count)
     p_count.add_argument("--k", type=int, required=True)
-    p_count.add_argument("--method", choices=ALL_METHODS, default="classes")
+    p_count.add_argument("--method", choices=catalog.METHODS, default="classes")
     p_count.add_argument("--per-element", action="store_true",
                          help="sum the Burnside method over every element")
     _add_output(p_count)

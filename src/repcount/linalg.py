@@ -16,9 +16,10 @@ l x l blocks.  Its entries sit in the narrowest signed lane that holds what
 a step forms (``lane_dtype``: int16 up to p^M = 181, int32 up to 46341,
 then int64 or object), not in ``exact_dtype``.  Its pivot key is decoded by
 a shift, a mask and small offset tables.  Valuations are read from a table
-while p^M is at most ``VALUATION_TABLE_MAX`` and by dividing p out above
-it; each pivot's p^e is formed for it alone, so no list of p's powers is
-kept.  The row update after the last pivot is skipped.
+while p^M is at most ``VALUATION_TABLE_MAX`` and above it by a binary
+descent over p^(2^e), about log2(M) exact divisions of each entry; each
+pivot's p^e is formed for it alone.  The row update after the last pivot
+is skipped.
 ``smith_valuations_batch`` keeps the (N, l, l) interface: ``entry_major``
 reduces the batch, transposes it and only then narrows it to the lane.
 Together they back ``snf``, the one Smith form per conjugacy class and
@@ -83,7 +84,7 @@ def _mod(x, q: int):
 
 
 #: Largest p^M whose valuations the engine reads from a table: one key per
-#: residue, at most 128 KB.  Above it each step divides p out of the entries.
+#: residue, at most 128 KB.  Above it each step finds them by a binary descent.
 VALUATION_TABLE_MAX = 2 ** 16
 
 
@@ -127,8 +128,9 @@ def smith_valuations_lanes(b: np.ndarray, p: int, M: int) -> np.ndarray:
     at once.  Every entry gets a key, its valuation times a power of two
     ``span`` >= l*l plus its position: the valuation is one lookup in a
     table of v_p over Z/p^M when p^M <= ``VALUATION_TABLE_MAX`` (zero reads
-    M), or above it by dividing p out of the nonzero entries until none
-    divides, which stops at the largest finite valuation present.
+    M), or above it by a binary descent: for e from the top bit of M - 1
+    down, an entry is divided by p^(2^e) where that is exact, and the 2^e
+    taken sum to its valuation.
     The least key per matrix is its pivot, of minimal valuation e; a shift
     reads e off it, and a mask its position, which small tables turn into
     the offsets of its row and its column.  Then row elimination only:
@@ -156,6 +158,10 @@ def smith_valuations_lanes(b: np.ndarray, p: int, M: int) -> np.ndarray:
         for e in range(1, M):
             table[::p ** e] += span
         table[0] = M * span
+    else:  # p^(2^e) for 2^e <= M - 1, the largest finite valuation
+        squares = [p]
+        while len(squares) < (M - 1).bit_length():
+            squares.append(squares[-1] ** 2)
     # entry (i, j) of matrix t sits at flat index (i*l + j)*N + t, so row i of a
     # pivot at position i*l + j is at row_at[.] + in_row, column j at col_at[.] + in_col
     lane = np.arange(n)
@@ -170,16 +176,14 @@ def smith_valuations_lanes(b: np.ndarray, p: int, M: int) -> np.ndarray:
         if table is not None:
             key = table.take(b)
         else:
-            # p divides out of the live entries until none is left
-            live, rest = b != 0, b
-            vals = np.where(live, 0, M)
-            for _ in range(1, M):
-                quo = rest // p
-                live &= quo * p == rest
-                if not live.any():
-                    break
-                vals += live
-                rest = quo
+            # a nonzero entry's valuation is below M, so the 2^e taken sum to it
+            vals, rest = np.zeros(b.shape, dtype=np.int64), b
+            for e in reversed(range(len(squares))):
+                quo = rest // squares[e]
+                exact = quo * squares[e] == rest
+                vals[exact] += 1 << e
+                rest = np.where(exact, quo, rest)
+            vals[b == 0] = M
             key = vals.astype(kdt) * span
         key += position[:len(b)]
         key = np.minimum.reduce(key)

@@ -131,7 +131,8 @@ def prime_factors(n: int) -> list:
 class Modulus(FrozenRecord):
     """The ring Z/p^M for a prime p and precision exponent M >= 1.
 
-    Compared and hashed by (p, M); pM = p^M is derived from them.
+    Compared and hashed by (p, M); pM = p^M is derived from them.  A group
+    is closed at its catalog row's M0, the precision ``catalog.build`` uses.
     """
 
     __slots__ = ("p", "M", "pM")
@@ -143,11 +144,6 @@ class Modulus(FrozenRecord):
         if M < 1:
             raise ValueError(f"precision exponent must be >= 1, got {M}")
         self._init(p, M, p ** M)
-
-    @property
-    def threshold(self) -> int:
-        """Precision below which distinct roots of unity can collide: 2 for p=2, else 1."""
-        return 2 if self.p == 2 else 1
 
     def __repr__(self):
         return f"Modulus({self.p}^{self.M})"

@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import pytest
@@ -37,3 +38,17 @@ def g31():
 @pytest.fixture(scope="session")
 def exceptional_groups(g12, g24, g29, g31):
     return {"g12": g12, "g24": g24, "g29": g29, "g31": g31}
+
+
+@pytest.fixture
+def any_number_of_digits():
+    # str of an int longer than 4300 digits raises by default from Python 3.11 on
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -1,6 +1,7 @@
 """Matrix arithmetic for the tests: products, powers, w - I, determinants,
-kernel sizes, scalar Smith forms, orbits and conjugacy classes, and lookups
-of a closed group's elements by index, by rows, by word and by class.
+kernel sizes, scalar Smith forms, orbits and conjugacy classes, lookups
+of a closed group's elements by index, by rows, by word and by class, and
+a spec's group closed at a precision other than its M0.
 
 The package keeps a matrix as rows of canonical ints and multiplies only
 inside its algorithms, so the tests form the matrices they check here.
@@ -14,9 +15,10 @@ import math
 
 import numpy as np
 
+from repcount import catalog
 from repcount.errors import InvariantViolation, PrecisionTooLow
 from repcount.formulas import theorem_c
-from repcount.groups import _powers, _rank_from_trace_sum
+from repcount.groups import _powers, _rank_from_trace_sum, close
 from repcount.linalg import (SquareMatrix, exact_dtype, smith_valuations_batch,
                              smith_valuations_lanes)
 from repcount.modp import Modulus, invert, is_prime, mth_root_of_unity
@@ -194,6 +196,15 @@ def fixed_points_reference(group, idx, k: int) -> list:
         lanes = group.minus_identity_lanes(idx[lo:lo + 4096], k)
         out += [p ** e for e in smith_valuations_lanes(lanes, p, k).sum(axis=0).tolist()]
     return out
+
+
+def close_at(spec, modulus):
+    """The spec's group closed at ``modulus`` rather than at its M0, with the
+    catalog's generators, their factory and the spec's label, as ``catalog.build``
+    closes it."""
+    return close(catalog.generators(spec, modulus), spec.expected_order,
+                 generator_factory=lambda mod: catalog.generators(spec, mod),
+                 name=spec.label())
 
 
 def generator_matrices(group) -> list:

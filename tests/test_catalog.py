@@ -366,8 +366,3 @@ def test_x34_not_buildable():
 def test_build_rejects_wrong_prime():
     with pytest.raises(SpecInvalid):
         generators(GroupSpec("g12"), Modulus(5, 3))
-
-
-def test_build_below_threshold_rejected():
-    with pytest.raises(SpecInvalid):
-        build(GroupSpec("g24"), Modulus(2, 1))

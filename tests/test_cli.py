@@ -1,5 +1,6 @@
 """CLI surface: subcommands, formats, exit codes, output determinism."""
 
+import argparse
 import hashlib
 import json
 import time
@@ -8,7 +9,7 @@ import pytest
 
 from repcount import catalog, counting, errors, formulas
 from repcount.grassmannian import theorem_b
-from repcount.cli import main
+from repcount.cli import build_parser, main
 from repcount.linalg import parse_matrix_text, smith_valuations
 from repcount.records import MAX_COUNT_BITS
 
@@ -317,6 +318,31 @@ def test_crosscheck_x34_formula_only(capsys):
     assert "note" in payload
 
 
+def test_methods_follow_the_catalog_tuple(capsys):
+    # --method takes catalog.METHODS in its order, and every spec's methods
+    # and crosscheck run are that tuple filtered: the closed forms its row
+    # lists, and every other method exactly when the spec can be built
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    method = next(a for a in sub.choices["count"]._actions if a.dest == "method")
+    assert tuple(method.choices) == catalog.METHODS
+    assert set(catalog.CLOSED_FORMS) < set(catalog.METHODS)
+    for label in ("g12", "g24", "g29", "g31", "x34", "sphere:m=4,p=5",
+                  "family2a:m=4,s=2,n=3,p=5", "family2a:m=4,s=2,n=5,p=5"):
+        spec = catalog.parse_spec(label)
+        closed = catalog.KINDS[spec.kind].closed_forms(spec)
+        assert spec.methods == tuple(m for m in catalog.METHODS if m in closed or (
+            spec.buildable and m not in catalog.CLOSED_FORMS))
+    for label in ("g12", "x34", "sphere:m=4,p=5"):
+        code, out, _ = run(capsys, "crosscheck", "--group", label, "--kmax", "1",
+                           "--format", "json", "--no-timing")
+        assert code == 0
+        assert json.loads(out)["methods"] == list(catalog.parse_spec(label).methods)
+    # the methods of G(m,s,n) are read from n and p, never from |W| = m^n n!/s
+    start = time.perf_counter()
+    assert catalog.GroupSpec("family2a", m=4, s=2, n=10 ** 7, p=5).methods[3] == "theoremB"
+    assert time.perf_counter() - start < 1
+
+
 def test_snf_subcommand(tmp_path, capsys):
     f = tmp_path / "mat.txt"
     f.write_text("2 4 3 3\n12 1 0\n0 13 2\n0 0 11\n")
@@ -380,6 +406,17 @@ def test_snf_bounds_the_modulus_before_forming_it(tmp_path, capsys, M, code):
         assert out == "" and json.loads(err) == {
             "error": "SpaceTooLarge",
             "message": f"modulus 3^{M} can reach {2 * M} bits, above the bound of {MAX_COUNT_BITS}"}
+
+
+def test_snf_valuation_near_the_largest_modulus_is_fast(tmp_path, capsys, any_number_of_digits):
+    # above the valuation table an entry's valuation is found by a binary
+    # descent over p^(2^e), not by dividing out one p at a time (about 19 s)
+    f = tmp_path / "deep.txt"
+    f.write_text(f"3 262144 1 1\n{3 ** 262143}\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "snf", str(f), "--format", "json")
+    assert code == 0 and time.perf_counter() - start < 5
+    assert json.loads(out)["valuations"] == [262143]
 
 
 def test_snf_parse_error(tmp_path, capsys):

@@ -159,7 +159,7 @@ def _s3(modulus):
 
 def test_faithful_group_closed_at_two_to_the_first_counts():
     # close proves faithfulness by reaching the order, so a group closed at
-    # 2^1, below Modulus.threshold, counts at every k: S3 has C(2^k + 2, 3) orbits
+    # 2^1, where -1 = 1, counts at every k: S3 has C(2^k + 2, 3) orbits
     g = close(_s3(Modulus(2, 1)), order=6, generator_factory=_s3)
     for k, expected in zip((1, 2, 3, 4), (4, 20, 120, 816)):
         assert orbit_count_reference(g.generators_at(k), 2 ** k) == expected

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from matrix_helpers import (
     admissible_tuples,
     class_of,
+    close_at,
     closure_reference,
     conjugacy_partition_reference,
     element,
@@ -382,8 +383,8 @@ def test_rank_fixed_space_order_must_divide_d():
 
 def test_reduce_modulus_preserves_order():
     # closing at the lowest faithful precision keeps every element distinct
-    assert build(parse_spec("g29"), Modulus(5, 1)).order == 7680
-    assert build(parse_spec("g24"), Modulus(2, 2)).order == 336
+    assert close_at(parse_spec("g29"), Modulus(5, 1)).order == 7680
+    assert close_at(parse_spec("g24"), Modulus(2, 2)).order == 336
 
 
 def test_rows_at_lifts_via_words(g12):
@@ -403,7 +404,7 @@ def test_store_lift_matches_reclosed_store(g12, g24):
     for group in (g12, g24):
         M, N = group.modulus.M, group.order
         n = M + 2
-        high = build(parse_spec(group.name), Modulus(group.modulus.p, n))
+        high = close_at(parse_spec(group.name), Modulus(group.modulus.p, n))
         whole = group.rows_at(np.arange(N), n)
         assert np.array_equal(whole, high.rows_at(np.arange(N), n))
         assert np.array_equal(high.rows_at(np.arange(N), M), group.rows_at(np.arange(N), M))
@@ -452,7 +453,7 @@ def test_object_dtype_store(spec, small):
     ("g12", None), ("g24", None), ("g24", Modulus(2, 2)), ("g29", Modulus(5, 1)),
 ])
 def test_one_smith_form_and_at_most_one_lift_per_class(monkeypatch, spec, modulus):
-    group = build(parse_spec(spec), modulus)
+    group = build(parse_spec(spec)) if modulus is None else close_at(parse_spec(spec), modulus)
     smith_rows, reads, lifts = [], [], []
     smith = groups.smith_valuations_batch
     rows_at = groups.FiniteMatrixGroup.rows_at
@@ -485,7 +486,7 @@ def test_one_smith_form_and_at_most_one_lift_per_class(monkeypatch, spec, modulu
 
 def test_close_without_factory_raises_exactly_when_a_class_needs_a_lift():
     # g24 at 2^3: classes of order d with d*3 >= 8 need m > 3
-    low = build(parse_spec("g24"), Modulus(2, 3))
+    low = close_at(parse_spec("g24"), Modulus(2, 3))
     bare = close(generator_matrices(low), order=low.order)
     with pytest.raises(PrecisionTooLow):
         bare.conjugacy_classes()
@@ -502,7 +503,7 @@ def test_torsion_read_at_precision_derived_from_element_order(exceptional_groups
     # precision v_p(d) + 1 must find the same torsion.  The Smith form at M
     # that the record derives from its one read must equal a direct read at M.
     cases = list(exceptional_groups.values())
-    cases.append(build(parse_spec("g24"), Modulus(2, 2)))
+    cases.append(close_at(parse_spec("g24"), Modulus(2, 2)))
     cases.append(build(parse_spec("family2a:m=4,s=1,n=5,p=5")))
     for group in cases:
         p, M = group.modulus.p, group.modulus.M

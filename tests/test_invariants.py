@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import repcount
 from matrix_helpers import (
     class_of,
+    close_at,
     det_permanent_expansion,
     element,
     fixed_points_bruteforce,
@@ -113,7 +114,7 @@ def test_solomon_identity_monomial_groups():
 
 def test_low_precision_build_resolves_torsion_by_lifting(g24):
     # at 2^2 the |A| = 4 class is not separated by the group's own precision
-    g = build(GroupSpec("g24"), Modulus(2, 2))
+    g = close_at(GroupSpec("g24"), Modulus(2, 2))
     assert g.order == 336
     rows = torsion_classes(g)
     got = sorted((r.class_size, r.torsion_order) for r in rows)
@@ -133,7 +134,7 @@ def test_low_precision_build_resolves_torsion_by_lifting(g24):
 def test_low_precision_tables_match_the_default_closure(spec, modulus):
     # the classes' own least precisions m >= M with p^m > d*l differ, so the
     # one precision of the table is above some class's own
-    low = build(parse_spec(spec), modulus)
+    low = close_at(parse_spec(spec), modulus)
     p, M, l = modulus.p, modulus.M, low.dim
     own = {next(m for m in range(M, M + 64) if p ** m > r.element_order * l)
            for r in low.conjugacy_classes()}
@@ -147,7 +148,7 @@ def test_low_precision_tables_match_the_default_closure(spec, modulus):
 
 
 def test_low_precision_counts_agree(g24):
-    low = build(GroupSpec("g24"), Modulus(2, 2))
+    low = close_at(GroupSpec("g24"), Modulus(2, 2))
     for k in (1, 2):
         assert (count_burnside_full(low, k).count
                 == count_burnside_full(g24, k).count)
@@ -227,7 +228,7 @@ def test_high_precision_build_counts():
     # rebuilding at a precision covering k=4 keeps the engines in agreement
     from repcount.counting import count_burnside_classes
     from repcount.formulas import theorem_c
-    g = build(GroupSpec("g29"), Modulus(5, 4))
+    g = close_at(GroupSpec("g29"), Modulus(5, 4))
     assert g.order == 7680
     assert count_burnside_classes(g, 4).count == theorem_c("x29", 4)
     assert count_burnside_full(g, 4).count == theorem_c("x29", 4)

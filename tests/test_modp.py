@@ -47,12 +47,6 @@ def test_modulus_validation():
         Modulus(3, 0)
 
 
-def test_modulus_threshold():
-    assert Modulus(2, 4).threshold == 2
-    assert Modulus(3, 4).threshold == 1
-    assert Modulus(5, 1).threshold == 1
-
-
 def test_valuation_examples():
     # int_valuation on nonzero ints; a residue's valuation, saturated at 0,
     # is the Smith form of the 1 x 1 matrix

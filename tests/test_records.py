@@ -8,7 +8,6 @@ and deepcopy round trips, which must rebuild an equal, valid record.
 import copy
 import pickle
 import random
-import sys
 
 import pytest
 
@@ -187,20 +186,6 @@ def test_count_report_bad_breakdown():
 
 
 # -- decimal digits -------------------------------------------------------------
-
-
-@pytest.fixture
-def any_number_of_digits():
-    # str of an int longer than 4300 digits raises by default from Python 3.11 on
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def test_decimal_digits_match_str_around_every_size_boundary(any_number_of_digits):

@@ -7,7 +7,7 @@ saturated.  Batches mix zero rows, unit rows and rows scaled by powers of p,
 so pivots of every valuation and fully saturated minors occur.  Dimensions
 reach 8, the largest Weyl rank (E8); the draws and the examples put p^M on
 both sides of ``VALUATION_TABLE_MAX``, so valuations are read from the
-table and from the divisibility tests, and on both sides of every bound of
+table and by the binary descent over p^(2^e), and on both sides of every bound of
 ``lane_dtype``, so the elimination runs in each of its lanes with entries
 at the top of the range.  Entries off [0, p^M) by more than a lane holds
 check that the batch is reduced before it is narrowed.
@@ -78,6 +78,12 @@ LANE_EDGES = {(181, 1): np.int16, (191, 1): np.int32, (2, 7): np.int16, (2, 8): 
 # p^7 > 2^63: object entries, and a pivot whose p-power no int64 can hold
 @example((1451, 8, [[[0, 2 * 1451 ** 7], [1451 ** 7, 3 * 1451 ** 7]], [[0, 0], [0, 0]],
                     [[1, 1451 ** 7], [5, 4]]]))
+# the binary descent above the table: every valuation below M in the int64
+# lane at 2^31, and valuations of many bit patterns below M = 100 in the object lane
+@example((2, 31, [[[2 ** 30, 3 * 2 ** 29], [5 * 2 ** 17, 2 ** 31 - 1]], [[0, 2 ** 30], [2 ** 30, 0]],
+                  [[2 ** 16, 0], [0, 7 * 2 ** 15]]]))
+@example((3, 100, [[[3 ** 99, 2 * 3 ** 63], [5 * 3 ** 64, 0]], [[3 ** 37, 0], [0, 2 * 3 ** 98]],
+                   [[0, 3 ** 96], [3 ** 95, 3 ** 97]]]))
 @example((181, 1, _lane_edge(181, 1)))
 @example((191, 1, _lane_edge(191, 1)))
 @example((2, 7, _lane_edge(2, 7)))
