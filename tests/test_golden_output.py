@@ -4,7 +4,9 @@ Each case is an argv run through ``repcount.cli.main`` with --no-timing,
 and its expected stdout and exit code.  The cases cover the class table of
 every exceptional group and a large-p monomial group, censuses, classwise
 count breakdowns below and above the closure precision M0, a per-element
-Burnside sum, a crosscheck and a spec error.  An intended output change
+Burnside sum, a crosscheck and a spec error, then every distinct job of
+the four ``perfbench`` workloads at seeds 11-13, frozen here as argvs so
+that a change to a job list changes no test.  An intended output change
 regenerates the file with ``PYTHONPATH=src python tests/test_golden_output.py``
 and is listed in CHANGES.md.
 """
