@@ -3,13 +3,14 @@
 Covers the four exceptional groups over their home primes (G12, G24, G29 and
 G31), the closed-form-only G34, the monomial groups G(m,s,n), and the rank-one
 sphere case G(m,1,1); ``KINDS`` holds each kind's facts, ``METHODS`` every
-counting method, and ``build`` closes a group at its row's M0.  The quadratic
+counting method, and ``build`` closes a group at its row's M0, wrapping the
+canonical integer rows of ``generators`` for ``groups.close``.  The quadratic
 constants in the exceptional generator matrices are realized exactly at any
 requested precision via Hensel lifting and Teichmüller representatives, so a
 group's generator words can be re-evaluated at any higher precision;
 fractional entries (1/2, 1/sqrt(-2)) become modular inverses, which is legal
-because 2 is a unit at the relevant odd primes.  Only ``build`` and the
-generator builders import numpy's modules, when they are called.
+because 2 is a unit at the relevant odd primes.  Only ``build`` imports
+numpy's modules, when it is called.
 """
 
 from __future__ import annotations
@@ -136,8 +137,7 @@ _MONOMIAL = Kind((), None, 3, lambda spec: spec.n,
                  lambda spec: spec.m ** spec.n * math.factorial(spec.n) // spec.s,
                  lambda spec: tuple(sorted([i * spec.m - 1 for i in range(1, spec.n)]
                                            + [spec.n * spec.m // spec.s - 1])),
-                 lambda spec, modulus: [g.rows for g in monomial_generators(
-                     spec.m, spec.s, spec.n, modulus)],
+                 lambda spec, modulus: monomial_generators(spec.m, spec.s, spec.n, modulus),
                  lambda spec: ("theoremB", "theoremA") if spec.n < spec.p else ("theoremB",))
 
 #: Every kind of group spec, by the name the grammar gives it.
@@ -255,7 +255,7 @@ def parse_spec(text: str) -> GroupSpec:
 
 
 def monomial_generators(m: int, s: int, n: int, modulus: Modulus) -> list:
-    """The generating reflections of G(m,s,n) over Z/p^M, for s | m with p = 1 mod m.
+    """The generating reflections of G(m,s,n) mod p^M as canonical rows, for s | m, p = 1 mod m.
 
     G(m,s,n) is the group of monomial matrices whose nonzero entries are
     m-th roots of unity and whose determinant is an (m/s)-th root of unity.
@@ -274,36 +274,28 @@ def monomial_generators(m: int, s: int, n: int, modulus: Modulus) -> list:
     _check_prime_congruence(modulus.p, m)
     b = mth_root_of_unity(m, modulus)
 
-    def identity():
-        return [[int(i == j) for j in range(n)] for i in range(n)]
+    def reflection(entries: dict) -> tuple:
+        """The identity's rows with ``entries``, {(i, j): x}, put in."""
+        return tuple(tuple(entries.get((i, j), int(i == j)) for j in range(n)) for i in range(n))
 
-    gens = []
-    for i in range(n - 1):
-        swap = identity()
-        swap[i][i] = swap[i + 1][i + 1] = 0
-        swap[i][i + 1] = swap[i + 1][i] = 1
-        gens.append(swap)
+    gens = [reflection({(i, i): 0, (i, i + 1): 1, (i + 1, i): 1, (i + 1, i + 1): 0})
+            for i in range(n - 1)]
     if s != m:
-        first = identity()
-        first[0][0] = pow(b, s, modulus.pM)
-        gens.append(first)
+        gens.append(reflection({(0, 0): pow(b, s, modulus.pM)}))
     if s != 1:
-        twisted = identity()
-        twisted[0][0] = twisted[1][1] = 0
-        twisted[0][1], twisted[1][0] = invert(b, modulus), b
-        gens.append(twisted)
-    from .linalg import SquareMatrix
-    return [SquareMatrix.from_rows(rows, modulus) for rows in gens]
+        gens.append(reflection({(0, 0): 0, (0, 1): invert(b, modulus), (1, 0): b, (1, 1): 0}))
+    return gens
 
 
 def generators(spec: GroupSpec, modulus: Modulus) -> list:
-    """The spec's generator matrices mod p^M, for a modulus at the spec's prime."""
+    """The spec's generators mod p^M as canonical rows, for a modulus at the spec's prime."""
     if not spec.buildable:
         raise SpecInvalid(f"{spec.label()} has no build path (no published matrices)")
     if modulus.p != spec.p:
         raise SpecInvalid(f"{spec.label()} lives at p={spec.p}, modulus has p={modulus.p}")
-    from .linalg import SquareMatrix
-    return [SquareMatrix.from_rows(rows, modulus) for rows in KINDS[spec.kind].rows(spec, modulus)]
+    pM = modulus.pM
+    return [tuple(tuple(x % pM for x in r) for r in rows)
+            for rows in KINDS[spec.kind].rows(spec, modulus)]
 
 
 def build(spec: GroupSpec, cap: Optional[int] = None) -> FiniteMatrixGroup:
@@ -315,6 +307,7 @@ def build(spec: GroupSpec, cap: Optional[int] = None) -> FiniteMatrixGroup:
     all before any generator is built; ``close`` checks the closure.
     """
     from .groups import DEFAULT_CLOSURE_CAP, MAX_GENERATORS, close
+    from .linalg import SquareMatrix
     if not spec.buildable:  # M0 is None without a build path
         raise SpecInvalid(f"{spec.label()} has no build path (no published matrices)")
     if spec.rank > MAX_GENERATORS:
@@ -325,9 +318,8 @@ def build(spec: GroupSpec, cap: Optional[int] = None) -> FiniteMatrixGroup:
     if order > cap:
         raise CapExceeded(f"group order {order} exceeds closure cap {cap}")
     modulus = Modulus(spec.p, spec.min_modulus_exponent())
-    return close(generators(spec, modulus), order, cap=cap,
-                 generator_factory=lambda mod: generators(spec, mod),
-                 name=spec.label())
+    return close([SquareMatrix(rows, modulus) for rows in generators(spec, modulus)], order,
+                 cap=cap, generator_factory=lambda mod: generators(spec, mod), name=spec.label())
 
 
 def exponents(spec: GroupSpec) -> tuple:

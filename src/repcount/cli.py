@@ -223,11 +223,11 @@ def cmd_snf(args) -> int:
     from .linalg import diagonal, parse_matrix_text, smith_valuations
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
-            mat = parse_matrix_text(fh.read())
+            rows, modulus = parse_matrix_text(fh.read())
     except (OSError, ValueError) as exc:
         raise SpecInvalid(f"cannot read matrix: {exc}") from exc
-    p, M = mat.modulus.p, mat.modulus.M
-    sv = smith_valuations(mat)
+    p, M = modulus.p, modulus.M
+    sv = smith_valuations(rows, p, M)
     vals = ["saturated" if e == M else e for e in sv]
     diag = diagonal(sv, p, M)
     if args.format == "json":

@@ -54,7 +54,7 @@ DEFAULT_CLOSURE_CAP = 10 ** 8
 #: The most generators a closure takes: a generator index is one signed byte.
 MAX_GENERATORS = np.iinfo(np.int8).max
 
-#: Generator matrices at a requested precision, for re-evaluating element words.
+#: Generators as canonical integer rows mod p^n, for re-evaluating element words.
 GeneratorFactory = Callable[[Modulus], list]
 
 
@@ -134,8 +134,7 @@ class FiniteMatrixGroup:
             raise PrecisionTooLow(
                 f"group built at {self.modulus} has no generator factory to reach M={n}"
             )
-        gens = self.generator_factory(Modulus(self.modulus.p, n))
-        return np.array([g.rows for g in gens], dtype=dtype)
+        return np.array(self.generator_factory(Modulus(self.modulus.p, n)), dtype=dtype)
 
     def rows_at(self, idx, n: int) -> np.ndarray:
         """Elements ``idx`` mod p^n, as an (len(idx), l, l) array of dtype exact_dtype(p^n, l).

@@ -2,10 +2,11 @@
 
 A matrix is one value: rows of canonical ints in [0, p^M), kept as a tuple
 of tuples, or as an (N, l, l) numpy batch of them (int64, or object when
-``exact_dtype`` says int64 could overflow).  ``SquareMatrix`` pairs the
-rows with their modulus and does no arithmetic: products are numpy matmul
-on batches, reduced mod p^M by the caller.  Matrices are small (dimension
-<= 8 in every case this package handles), so everything is dense and exact.
+``exact_dtype`` says int64 could overflow).  ``SquareMatrix``, the rows
+with their modulus, is ``groups.close``'s input and nothing else; products
+are numpy matmul on batches, reduced mod p^M by the caller.  Matrices are
+small (dimension <= 8 in every case this package handles), so everything
+is dense and exact.
 
 Smith valuations are plain ints everywhere: the non-decreasing valuations
 of the elementary divisors, with the precision M standing for saturated (a
@@ -221,21 +222,25 @@ def smith_valuations_batch(a, p: int, M: int) -> np.ndarray:
     return smith_valuations_lanes(entry_major(a, p ** M), p, M).T
 
 
-def smith_valuations(a: SquareMatrix) -> tuple:
-    """Smith valuations of a over Z/p^M, non-decreasing, M where saturated."""
-    vals = smith_valuations_batch(np.array([a.rows], dtype=object), a.modulus.p, a.modulus.M)
-    return tuple(vals[0].tolist())
+def smith_valuations(rows, p: int, M: int) -> tuple:
+    """Smith valuations of square integer rows over Z/p^M, non-decreasing, M where saturated."""
+    return tuple(smith_valuations_batch(np.array([rows], dtype=object), p, M)[0].tolist())
 
 
-def parse_matrix_text(text: str) -> SquareMatrix:
+def parse_matrix_text(text: str) -> tuple:
     """Parse the plain-text matrix format: header "p M rows cols", then rows.
 
-    Entries are non-negative integers, reduced mod p^M on ingestion.  A p^M
-    above ``records.MAX_COUNT_BITS`` bits is refused before it is formed.
+    Returns the rows as canonical ints and their ``Modulus``.  Entries are
+    non-negative integers, reduced mod p^M.  A p^M, or a token (whose digits
+    ``int`` reads in quadratic time), of more than ``records.MAX_COUNT_BITS``
+    bits is refused before it is formed.
     """
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty matrix file")
+    # a token of d digits is at least 10^(d - 1), of floor((d - 1) log2 10) + 1 bits
+    digits = max(len(tok.lstrip("0")) for tok in text.split())
+    check_bits(int((digits - 1) * math.log2(10)) + 1, f"a token of {digits} digits")
     header = lines[0].split()
     if len(header) != 4:
         raise ValueError('header must be "p M rows cols"')
@@ -255,5 +260,5 @@ def parse_matrix_text(text: str) -> SquareMatrix:
             raise ValueError(f"row has {len(row)} entries, expected {ncols}")
         if any(x < 0 for x in row):
             raise ValueError("entries must be non-negative")
-        rows.append(row)
-    return SquareMatrix.from_rows(rows, modulus)
+        rows.append(tuple(x % modulus.pM for x in row))
+    return tuple(rows), modulus

@@ -4,8 +4,9 @@ of a closed group's elements by index, by rows, by word and by class, and
 a spec's group closed at a precision other than its M0.
 
 The package keeps a matrix as rows of canonical ints and multiplies only
-inside its algorithms, so the tests form the matrices they check here.
-Factors may be a ``SquareMatrix``, a generator array or plain rows.  A
+inside its algorithms, so the tests form the matrices they check here, as
+tuples of row tuples.  Factors may be a generator array or plain rows.
+``close_rows`` wraps rows as the ``SquareMatrix`` values ``close`` takes.  A
 closed group answers only what the counts read (``rows_at``,
 ``_partition``), so the lookups below are built from those.
 """
@@ -25,24 +26,16 @@ from repcount.modp import Modulus, invert, is_prime, mth_root_of_unity
 
 
 def rows_of(x):
-    if isinstance(x, SquareMatrix):
-        return x.rows
     return x.tolist() if hasattr(x, "tolist") else x
 
 
-def identity(dim: int, modulus) -> SquareMatrix:
-    return SquareMatrix.from_rows(
-        [[1 if i == j else 0 for j in range(dim)] for i in range(dim)], modulus
-    )
+def identity(dim: int) -> tuple:
+    return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
 
 
-def element_rows(group, i: int) -> tuple:
-    """Element i of a closed group at its own precision, as a tuple of row tuples."""
+def element(group, i: int) -> tuple:
+    """Element i of a closed group at its own precision."""
     return tuple(map(tuple, group.rows_at([i], group.modulus.M)[0].tolist()))
-
-
-def element(group, i: int) -> SquareMatrix:
-    return SquareMatrix(element_rows(group, i), group.modulus)
 
 
 def index_of(group) -> dict:
@@ -74,16 +67,16 @@ def mat_mul(a, b, pM: int) -> tuple:
     )
 
 
-def prod(modulus, *factors) -> SquareMatrix:
-    """The product of the factors, left to right, mod p^M."""
-    acc = SquareMatrix.from_rows(rows_of(factors[0]), modulus).rows
+def prod(modulus, *factors) -> tuple:
+    """The product of the factors, left to right, mod p^M; of one factor, its canonical rows."""
+    acc = tuple(tuple(x % modulus.pM for x in row) for row in rows_of(factors[0]))
     for f in factors[1:]:
         acc = mat_mul(acc, rows_of(f), modulus.pM)
-    return SquareMatrix(acc, modulus)
+    return acc
 
 
-def power(x, n: int, modulus) -> SquareMatrix:
-    acc = identity(len(rows_of(x)), modulus)
+def power(x, n: int, modulus) -> tuple:
+    acc = identity(len(rows_of(x)))
     for _ in range(n):
         acc = prod(modulus, acc, x)
     return acc
@@ -91,24 +84,22 @@ def power(x, n: int, modulus) -> SquareMatrix:
 
 def order(x, modulus) -> int:
     """Multiplicative order of an invertible matrix mod p^M."""
-    ident = identity(len(rows_of(x)), modulus)
+    ident = identity(len(rows_of(x)))
     acc, d = prod(modulus, x), 1
     while acc != ident:
         acc, d = prod(modulus, acc, x), d + 1
     return d
 
 
-def inverse(x, modulus) -> SquareMatrix:
+def inverse(x, modulus) -> tuple:
     """x^-1 mod p^M, as x^(d-1) for d the order of x."""
     return power(x, order(x, modulus) - 1, modulus)
 
 
-def minus_identity(x, modulus) -> SquareMatrix:
+def minus_identity(x, modulus) -> tuple:
     """w - I mod p^M."""
-    return SquareMatrix.from_rows(
-        [[v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(rows_of(x))],
-        modulus,
-    )
+    return prod(modulus, [[v - (i == j) for j, v in enumerate(row)]
+                          for i, row in enumerate(rows_of(x))])
 
 
 def smith_valuations_raw(rows, p: int, M: int) -> list:
@@ -168,16 +159,16 @@ def smith_valuations_raw(rows, p: int, M: int) -> list:
     return out
 
 
-def kernel_size(a: SquareMatrix, n: int) -> int:
-    """Exact number of vectors v in (Z/p^n)^l with A v = 0.
+def kernel_size(a, modulus, n: int) -> int:
+    """Exact number of vectors v in (Z/p^n)^l with A v = 0, for rows A mod p^M.
 
     |Ker(A mod p^n)| = prod p^min(e_i, n) over the Smith valuations mod p^n,
     where a saturated valuation reads n.
     """
-    if n > a.modulus.M:
-        raise PrecisionTooLow(f"need precision {n}, matrix has {a.modulus.M}")
-    p = a.modulus.p
-    rows = np.array([a.rows], dtype=object) % p ** n
+    if n > modulus.M:
+        raise PrecisionTooLow(f"need precision {n}, matrix has {modulus.M}")
+    p = modulus.p
+    rows = np.array([rows_of(a)], dtype=object) % p ** n
     return p ** int(smith_valuations_batch(rows, p, n).sum())
 
 
@@ -202,14 +193,19 @@ def close_at(spec, modulus):
     """The spec's group closed at ``modulus`` rather than at its M0, with the
     catalog's generators, their factory and the spec's label, as ``catalog.build``
     closes it."""
-    return close(catalog.generators(spec, modulus), spec.expected_order,
-                 generator_factory=lambda mod: catalog.generators(spec, mod),
-                 name=spec.label())
+    return close_rows(catalog.generators(spec, modulus), modulus, spec.expected_order,
+                      generator_factory=lambda mod: catalog.generators(spec, mod),
+                      name=spec.label())
 
 
-def generator_matrices(group) -> list:
-    """The group's generators as SquareMatrix values, as ``close`` takes them."""
-    return [SquareMatrix.from_rows(g.tolist(), group.modulus) for g in group.generators]
+def close_rows(gens, modulus, order: int, **kwargs):
+    """``close`` on generator rows mod p^M, each wrapped as the ``SquareMatrix`` it takes."""
+    return close([SquareMatrix.from_rows(rows_of(g), modulus) for g in gens], order, **kwargs)
+
+
+def generator_rows(group) -> list:
+    """The group's generators, each a tuple of row tuples."""
+    return [tuple(map(tuple, g)) for g in group.generators.tolist()]
 
 
 def monomial_generators_reference(m: int, s: int, n: int, modulus) -> list:
@@ -229,10 +225,10 @@ def monomial_generators_reference(m: int, s: int, n: int, modulus) -> list:
     gens = [[[int(j == (i + 1 if r == i else i if r == i + 1 else r)) for j in range(n)]
              for r in range(n)] for i in range(n - 1)]
     gens += [[[d[i] if i == j else 0 for j in range(n)] for i in range(n)] for d in diags]
-    return [SquareMatrix.from_rows(rows, modulus) for rows in gens]
+    return [prod(modulus, rows) for rows in gens]
 
 
-def closure_reference(generators):
+def closure_reference(generators, pM: int):
     """Oracle: breadth-first closure over row tuples, in plain Python.
 
     Each level's products are taken generator by generator in the listed
@@ -241,7 +237,6 @@ def closure_reference(generators):
     element's rows, the element and generator whose product it first was
     (-1 for the identity), and the index of element i times generator j.
     """
-    pM = generators[0].modulus.pM
     gens = [rows_of(g) for g in generators]
     dim = len(gens[0])
     rows = [tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))]
@@ -265,7 +260,7 @@ def closure_reference(generators):
     return rows, parent, gen, right
 
 
-def row_action(generators) -> list:
+def row_action(generators, pM: int) -> list:
     """Oracle: each generator as a permutation of the orbit of the basis rows.
 
     The basis rows are moved by x -> x @ g mod p^M, for every generator g,
@@ -274,7 +269,6 @@ def row_action(generators) -> list:
     holds the basis rows, so the action is faithful.  Plain Python, sharing
     no code with ``groups._row_orbit``.
     """
-    pM = generators[0].modulus.pM
     gens = [rows_of(g) for g in generators]
     dim = len(gens[0])
     points = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
@@ -354,34 +348,35 @@ def orbit_count_reference(gens, pn: int) -> int:
     return orbits
 
 
-def fixed_points_bruteforce(w, n: int) -> int:
+def fixed_points_bruteforce(w, p: int, n: int) -> int:
     """Oracle: count v in (Z/p^n)^l with w v = v, by scanning every point.
 
-    ``w`` is a ``SquareMatrix``; its entries are read mod p^n.
+    ``w`` is integer rows; its entries are read mod p^n.
     """
-    pn, l = w.modulus.p ** n, w.dim
+    pn, l = p ** n, len(rows_of(w))
     dtype = np.int32 if l * pn * pn < 2 ** 31 else np.int64
-    diff = (np.array(w.rows, dtype=np.int64) - np.eye(l, dtype=np.int64)) % pn
+    diff = (np.array(rows_of(w), dtype=np.int64) - np.eye(l, dtype=np.int64)) % pn
     points = np.indices((pn,) * l, dtype=dtype).reshape(l, -1)
     moved = sum(diff[:, j, None].astype(dtype) * points[j] for j in range(l))
     return int(np.count_nonzero((moved % pn == 0).all(axis=0)))
 
 
-def rank_fixed_space(w: SquareMatrix, d: int) -> int:
-    """Rank of the fixed sublattice of w, from the trace average over <w>.
+def rank_fixed_space(w, modulus, d: int) -> int:
+    """Rank of the fixed sublattice of w, canonical rows mod p^M, from the
+    trace average over <w>.
 
     The sum of traces of w^j for j = 0..d-1 equals d times the fixed-space
     rank, so the rank is read off the canonical representative.  Requires
     p^M > d*l so that the integer is recoverable, and w^d = I.
     """
-    pM = w.modulus.pM
-    if pM <= d * w.dim:
-        raise PrecisionTooLow(f"need p^M > {d * w.dim}, have {pM}")
-    orders, trace_sums = _powers(np.array([w.rows], dtype=exact_dtype(pM, w.dim)), pM, d)
+    pM, l = modulus.pM, len(rows_of(w))
+    if pM <= d * l:
+        raise PrecisionTooLow(f"need p^M > {d * l}, have {pM}")
+    orders, trace_sums = _powers(np.array([rows_of(w)], dtype=exact_dtype(pM, l)), pM, d)
     order, trace_sum = int(orders[0]), int(trace_sums[0])
     if d % order != 0:
         raise InvariantViolation(f"element order {order} does not divide d={d}")
-    return _rank_from_trace_sum(trace_sum, order, w.dim, pM)
+    return _rank_from_trace_sum(trace_sum, order, l, pM)
 
 
 def solomon_sum(group, k: int) -> int:
@@ -448,7 +443,7 @@ def conjugacy_partition_reference(group):
     pM, n = group.modulus.pM, group.order
     store = group.rows_at(np.arange(n), group.modulus.M)
     index = index_of(group)
-    pairs = [(g, np.array(inverse(g, group.modulus).rows, dtype=store.dtype))
+    pairs = [(g, np.array(inverse(g, group.modulus), dtype=store.dtype))
              for g in group.generators]
     class_of = [-1] * n
     classes = []

@@ -12,8 +12,9 @@ import pytest
 
 from matrix_helpers import (
     class_of,
+    close_rows,
     element,
-    generator_matrices,
+    generator_rows,
     identity,
     index_of,
     kernel_size,
@@ -32,8 +33,7 @@ from repcount.counting import (
 from repcount.errors import SpecInvalid
 from repcount.formulas import theorem_a, theorem_c
 from repcount.grassmannian import theorem_b
-from repcount.groups import close
-from repcount.linalg import SquareMatrix, diagonal, smith_valuations
+from repcount.linalg import diagonal, smith_valuations
 from repcount.modp import Modulus
 from repcount.oracle import orbit_count_bruteforce
 
@@ -86,12 +86,10 @@ def test_acceptance_03_theorem_c_reproduction(exceptional_groups):
 
 def test_acceptance_04_g24_table(g24):
     start = time.perf_counter()
-    a, b, c = generator_matrices(g24)
-    ident = identity(3, g24.modulus)
-    neg = SquareMatrix.from_rows(
-        [[-1 if i == j else 0 for j in range(3)] for i in range(3)], g24.modulus
-    )
+    a, b, c = generator_rows(g24)
+    ident = identity(3)
     mod = g24.modulus
+    neg = prod(mod, [[-1 if i == j else 0 for j in range(3)] for i in range(3)])
     ac, ab = prod(mod, a, c), prod(mod, a, b)
     expected = [
         (ident, (0, 0, 0)), (neg, (2, 2, 2)),
@@ -100,10 +98,10 @@ def test_acceptance_04_g24_table(g24):
         (ab, (1, 1, 0)), (prod(mod, neg, ab), (1, 1, 4)),
     ]
     for x, diag in expected:
-        assert diagonal(smith_valuations(minus_identity(x, mod)), 2, mod.M) == diag
+        assert diagonal(smith_valuations(minus_identity(x, mod), 2, mod.M), 2, mod.M) == diag
     recs = g24.conjugacy_classes()
     classes, index = class_of(g24), index_of(g24)
-    sizes = [recs[classes[index[x.rows]]].class_size
+    sizes = [recs[classes[index[x]]].class_size
              for x in (ident, c, ac, ab)]
     assert sizes == [1, 21, 56, 42]
     elapsed = time.perf_counter() - start
@@ -182,7 +180,8 @@ def test_acceptance_08_theorem_a_property():
                     == count_burnside_full(group, k).count), (m, p, k)
         checked.append(f"sphere({m},{p})")
     from repcount.catalog import monomial_generators
-    g552 = close(monomial_generators(5, 5, 2, Modulus(11, 2)), order=10, name="g(5,5,2)")
+    mod = Modulus(11, 2)
+    g552 = close_rows(monomial_generators(5, 5, 2, mod), mod, order=10, name="g(5,5,2)")
     assert g552.order == 10
     for k in (1, 2):
         assert theorem_a([1, 4], 11, k) == count_burnside_full(g552, k).count
@@ -217,8 +216,8 @@ def test_acceptance_11_invariant_suites(exceptional_groups):
         group = exceptional_groups[name]
         for i in range(group.order):
             diff = minus_identity(element(group, i), group.modulus)
-            if kernel_size(diff, group.modulus.M) > 1:
-                assert kernel_size(diff, 1) > 1
+            if kernel_size(diff, group.modulus, group.modulus.M) > 1:
+                assert kernel_size(diff, group.modulus, 1) > 1
     # p-Sylow divisibility of every torsion order
     for group in exceptional_groups.values():
         p = group.modulus.p
@@ -236,10 +235,9 @@ def test_acceptance_11_invariant_suites(exceptional_groups):
         l = rng.randrange(2, 6)
         mod = Modulus(p, M)
         rows = [[rng.randrange(mod.pM) for _ in range(l)] for _ in range(l)]
-        mat = SquareMatrix.from_rows(rows, mod)
-        u = SquareMatrix.from_rows(_random_unimodular(l, mod, rng), mod)
-        v = SquareMatrix.from_rows(_random_unimodular(l, mod, rng), mod)
-        assert smith_valuations(prod(mod, u, mat, v)) == smith_valuations(mat)
+        u = _random_unimodular(l, mod, rng)
+        v = _random_unimodular(l, mod, rng)
+        assert smith_valuations(prod(mod, u, rows, v), p, M) == smith_valuations(rows, p, M)
         trials += 1
     elapsed = time.perf_counter() - start
     _report(11, f"kernel lifting, Sylow divisibility, {trials} unimodular "

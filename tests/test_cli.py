@@ -383,7 +383,8 @@ def test_snf_at_a_huge_precision(tmp_path, capsys, rows, want):
     # saturated pivot's all-zero block takes any power of p
     f = tmp_path / "huge.txt"
     f.write_text(f"2 200000 2 2\n{rows}\n")
-    assert smith_valuations(parse_matrix_text(f.read_text())) == tuple(want)
+    rows, modulus = parse_matrix_text(f.read_text())
+    assert smith_valuations(rows, modulus.p, modulus.M) == tuple(want)
     code, out, _ = run(capsys, "snf", str(f), "--format", "json")
     assert code == 0
     assert json.loads(out)["valuations"] == [e if e < 200000 else "saturated" for e in want]
@@ -417,6 +418,18 @@ def test_snf_valuation_near_the_largest_modulus_is_fast(tmp_path, capsys, any_nu
     code, out, _ = run(capsys, "snf", str(f), "--format", "json")
     assert code == 0 and time.perf_counter() - start < 5
     assert json.loads(out)["valuations"] == [262143]
+
+
+def test_snf_refuses_an_entry_of_too_many_digits_before_reading_it(tmp_path, capsys,
+                                                                   any_number_of_digits):
+    # int() reads decimal in time quadratic in the digits (1.6M took 15.7 s),
+    # so a token that cannot be below 2^MAX_COUNT_BITS is refused unread
+    f = tmp_path / "long.txt"
+    f.write_text("3 2 1 1\n" + "9" * 2_000_000 + "\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "snf", str(f), "--format", "json")
+    assert code == 3 and time.perf_counter() - start < 2
+    assert out == "" and json.loads(err)["error"] == "SpaceTooLarge"
 
 
 def test_snf_parse_error(tmp_path, capsys):

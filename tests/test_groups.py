@@ -13,10 +13,10 @@ from matrix_helpers import (
     class_of,
     close_at,
     closure_reference,
+    close_rows,
     conjugacy_partition_reference,
     element,
-    element_rows,
-    generator_matrices,
+    generator_rows,
     identity,
     index_of,
     mat_mul,
@@ -33,74 +33,66 @@ from matrix_helpers import (
 from repcount import groups
 from repcount.catalog import build, parse_spec
 from repcount.errors import CapExceeded, InvariantViolation, PrecisionTooLow
-from repcount.groups import close
-from repcount.linalg import SquareMatrix, exact_dtype
+from repcount.linalg import exact_dtype
 from repcount.modp import Modulus, int_valuation
-
-
-def mat(rows, p, M):
-    return SquareMatrix.from_rows(rows, Modulus(p, M))
 
 
 def diff_at(group, i, n):
     """w - I mod p^n for element i, as rows."""
-    return minus_identity(group.rows_at([i], n)[0], Modulus(group.modulus.p, n)).rows
+    return minus_identity(group.rows_at([i], n)[0], Modulus(group.modulus.p, n))
 
 
-def perm_matrices_s3(p, M):
-    m = Modulus(p, M)
-    swap = SquareMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]], m)
-    cyc = SquareMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]], m)
-    return [swap, cyc]
+#: S3 permuting the coordinates: a swap and a 3-cycle
+S3 = [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]]
 
 
 def test_close_trivial():
-    g = close([identity(2, Modulus(5, 2))], order=1)
+    g = close_rows([identity(2)], Modulus(5, 2), order=1)
     assert g.order == 1
 
 
 def test_close_cyclic4():
-    rot = mat([[0, 1], [-1, 0]], 5, 2)
-    g = close([rot], order=4)
+    rot = [[0, 1], [-1, 0]]
+    g = close_rows([rot], Modulus(5, 2), order=4)
     assert g.order == 4
 
 
 def test_close_symmetric3():
-    g = close(perm_matrices_s3(7, 2), order=6)
+    g = close_rows(S3, Modulus(7, 2), order=6)
     assert g.order == 6
 
 
 def test_close_cap():
     with pytest.raises(CapExceeded):
-        close(perm_matrices_s3(7, 2), order=6, cap=3)
+        close_rows(S3, Modulus(7, 2), order=6, cap=3)
 
 
 def test_close_deterministic_order():
-    a = close(perm_matrices_s3(7, 2), order=6)
-    b = close(perm_matrices_s3(7, 2), order=6)
-    assert [element_rows(a, i) for i in range(a.order)] == \
-           [element_rows(b, i) for i in range(b.order)]
+    a = close_rows(S3, Modulus(7, 2), order=6)
+    b = close_rows(S3, Modulus(7, 2), order=6)
+    assert [element(a, i) for i in range(a.order)] == \
+           [element(b, i) for i in range(b.order)]
 
 
 def test_closure_idempotent():
-    g = close(perm_matrices_s3(7, 2), order=6)
-    again = close([element(g, i) for i in range(g.order)], order=g.order)
+    g = close_rows(S3, Modulus(7, 2), order=6)
+    again = close_rows([element(g, i) for i in range(g.order)], g.modulus, order=g.order)
     assert again.order == g.order
-    assert {element_rows(g, i) for i in range(g.order)} == \
-           {element_rows(again, i) for i in range(again.order)}
+    assert {element(g, i) for i in range(g.order)} == \
+           {element(again, i) for i in range(again.order)}
 
 
 def test_words_reconstruct_elements():
-    g = close(perm_matrices_s3(7, 2), order=6)
+    g = close_rows(S3, Modulus(7, 2), order=6)
     for i in range(g.order):
-        acc = identity(3, g.modulus)
+        acc = identity(3)
         for gi in word(g, i):
             acc = prod(g.modulus, acc, g.generators[gi])
-        assert acc.rows == element_rows(g, i)
+        assert acc == element(g, i)
 
 
 def test_conjugacy_classes_s3():
-    g = close(perm_matrices_s3(7, 2), order=6)
+    g = close_rows(S3, Modulus(7, 2), order=6)
     recs = g.conjugacy_classes()
     assert sorted(r.class_size for r in recs) == [1, 2, 3]
     assert sum(r.class_size for r in recs) == 6
@@ -110,7 +102,7 @@ def test_conjugacy_classes_s3():
 
 
 def test_conjugacy_closed_under_generators():
-    g = close(perm_matrices_s3(5, 2), order=6)
+    g = close_rows(S3, Modulus(5, 2), order=6)
     recs = g.conjugacy_classes()
     classes, index = class_of(g), index_of(g)
     for rec in recs:
@@ -118,7 +110,7 @@ def test_conjugacy_closed_under_generators():
         for h in g.generators:
             hinv = power(h, order(h, g.modulus) - 1, g.modulus)
             conj = prod(g.modulus, hinv, element(g, rec.rep_index), h)
-            assert classes[index[conj.rows]] == cid
+            assert classes[index[conj]] == cid
 
 
 SMALL_MONOMIAL = sorted({
@@ -145,7 +137,7 @@ def test_conjugacy_classes_match_reference_search(spec):
     classes, want = conjugacy_partition_reference(group)
     records = group.conjugacy_classes()
     assert [(r.rep_index, r.class_size) for r in records] == \
-           [(min(members, key=functools.partial(element_rows, group)), len(members))
+           [(min(members, key=functools.partial(element, group)), len(members))
             for members in classes]
     got = class_of(group)
     assert got == want
@@ -162,9 +154,9 @@ def test_right_cayley_table(exceptional_groups, name, sample):
     index = index_of(group)
     for i in idx:
         for j, g in enumerate(group.generators):
-            assert right[i, j] == index[prod(group.modulus, element(group, i), g).rows]
+            assert right[i, j] == index[prod(group.modulus, element(group, i), g)]
     # an involution's row is its own inverse: the closure fills half of it by symmetry
-    gens = generator_matrices(group)
+    gens = generator_rows(group)
     involutions = [j for j, g in enumerate(gens) if order(g, group.modulus) == 2]
     assert involutions
     for j in involutions:
@@ -190,17 +182,17 @@ def test_close_rejects_a_table_that_is_not_a_permutation(g24, monkeypatch):
     # products by a generator differ, so the closure stops short of |G24| ...
     _first_row_keys(monkeypatch, 1)
     with pytest.raises(InvariantViolation, match="closed to 57 elements, expected 336"):
-        close(generator_matrices(g24), order=g24.order)
+        close_rows(g24.generators, g24.modulus, order=g24.order)
     # ... and at the 57 it stops at, right multiplication no longer permutes the elements
     with pytest.raises(InvariantViolation, match="not a permutation"):
-        close(generator_matrices(g24), order=57)
+        close_rows(g24.generators, g24.modulus, order=57)
     # halved, they also give a product the key of an element from a level that
     # is no longer searched, so that element is numbered again and the closure
     # grows past |G24|
     monkeypatch.undo()
     _first_row_keys(monkeypatch, 2)
     with pytest.raises(InvariantViolation, match="grew past its order 336"):
-        close(generator_matrices(g24), order=g24.order)
+        close_rows(g24.generators, g24.modulus, order=g24.order)
 
 
 def test_close_window_must_cover_every_generator_order(monkeypatch):
@@ -210,7 +202,7 @@ def test_close_window_must_cover_every_generator_order(monkeypatch):
     window = groups._window
     monkeypatch.setattr(groups, "_window", lambda orders: (1, window(orders)[1]))
     with pytest.raises(InvariantViolation, match="grew past its order 162"):
-        close(generator_matrices(group), order=group.order)
+        close_rows(group.generators, group.modulus, order=group.order)
 
 
 @pytest.mark.parametrize("label", [
@@ -223,12 +215,12 @@ def test_close_reads_the_generator_orders_of_their_row_action(label, monkeypatch
     # are the lcm of the cycle lengths of each generator's permutation of the
     # row orbit, built in plain Python
     group = _group(label)
-    gens = generator_matrices(group)
+    gens = generator_rows(group)
     seen = []
     window = groups._window
     monkeypatch.setattr(groups, "_window", lambda orders: seen.append(orders) or window(orders))
-    close(gens, order=group.order)
-    assert seen == [[perm_order(perm) for perm in row_action(gens)]]
+    close_rows(gens, group.modulus, order=group.order)
+    assert seen == [[perm_order(perm) for perm in row_action(gens, group.modulus.pM)]]
 
 
 @pytest.mark.parametrize("label", [
@@ -252,15 +244,15 @@ def test_close_matches_plain_breadth_first_search_over_small_monomial_groups(spe
 
 def assert_matches_plain_breadth_first_search(group):
     # rows, words, right Cayley table and level starts, against closure_reference
-    gens = generator_matrices(group)
+    gens = generator_rows(group)
     # the row orbit is sorted, holds the basis rows and is closed under every generator
     points = [tuple(x) for x in group._points.tolist()]
     assert points == sorted(set(points))
-    assert set(element_rows(group, 0)) <= set(points)
-    assert {mat_mul([x], g.rows, group.modulus.pM)[0] for x in points for g in gens} \
+    assert set(element(group, 0)) <= set(points)
+    assert {mat_mul([x], g, group.modulus.pM)[0] for x in points for g in gens} \
         <= set(points)
-    rows, parent, gen, right = closure_reference(gens)
-    assert [element_rows(group, i) for i in range(group.order)] == rows
+    rows, parent, gen, right = closure_reference(gens, group.modulus.pM)
+    assert [element(group, i) for i in range(group.order)] == rows
     assert group._parent.tolist() == parent
     assert group._gen.tolist() == gen
     assert group._right.T.tolist() == right
@@ -293,13 +285,13 @@ def test_closed_group_holds_only_its_per_element_arrays(label):
 ], ids=["47", "49"])
 def test_close_rejects_a_wrong_order(g12, order, message):
     with pytest.raises(InvariantViolation, match=message):
-        close(generator_matrices(g12), order=order)
+        close_rows(g12.generators, g12.modulus, order=order)
 
 
 def test_close_checks_the_cap_before_allocating(g12):
     # 10^12 element rows could not be allocated, so CapExceeded comes first
     with pytest.raises(CapExceeded):
-        close(generator_matrices(g12), order=10 ** 12)
+        close_rows(g12.generators, g12.modulus, order=10 ** 12)
 
 
 def test_close_checks_the_generator_count_before_allocating(monkeypatch):
@@ -309,56 +301,54 @@ def test_close_checks_the_generator_count_before_allocating(monkeypatch):
         raise AssertionError("close went past its generator check")
 
     monkeypatch.setattr(groups, "_row_orbit", unreachable)
-    many = [mat([[1]], 5, 1)] * (groups.MAX_GENERATORS + 1)
+    many = [[[1]]] * (groups.MAX_GENERATORS + 1)
     with pytest.raises(CapExceeded, match="128 generators exceed the closure's 127"):
-        close(many, order=10 ** 12, cap=10 ** 13)
+        close_rows(many, Modulus(5, 1), order=10 ** 12, cap=10 ** 13)
 
 
 def test_close_bounds_the_row_orbit_by_the_order(g12):
     # each basis row has at most |W| images, so 24 points cannot belong to a
     # 2-dimensional group of order 4
     with pytest.raises(InvariantViolation, match="row orbit grew past 8 points"):
-        close(generator_matrices(g12), order=4)
+        close_rows(g12.generators, g12.modulus, order=4)
 
 
 def test_close_rejects_keys_that_overflow_int64():
     # b * I_8 for a primitive root b mod 31 moves each basis row through 30
     # multiples, so |P| = 240 and a key of 8 ranks needs 240^8 > 2^63
     b = 3
-    scalar = SquareMatrix.from_rows([[b * (i == j) for j in range(8)] for i in range(8)],
-                                    Modulus(31, 1))
+    scalar = [[b * (i == j) for j in range(8)] for i in range(8)]
     with pytest.raises(CapExceeded, match="240 points"):
-        close([scalar], order=30)
+        close_rows([scalar], Modulus(31, 1), order=30)
 
 
 def test_trivial_group_single_class():
-    g = close([identity(3, Modulus(5, 2))], order=1)
+    g = close_rows([identity(3)], Modulus(5, 2), order=1)
     recs = g.conjugacy_classes()
     assert len(recs) == 1 and recs[0].class_size == 1
     assert recs[0].rank == 3
 
 
 def test_rank_fixed_space_identity():
-    i4 = identity(4, Modulus(5, 3))
-    assert rank_fixed_space(i4, 1) == 4
+    i4 = identity(4)
+    assert rank_fixed_space(i4, Modulus(5, 3), 1) == 4
 
 
 def test_rank_fixed_space_minus_identity():
     m = Modulus(5, 3)
-    neg = SquareMatrix.from_rows([[-1 if i == j else 0 for j in range(4)]
-                                  for i in range(4)], m)
-    assert rank_fixed_space(neg, 2) == 0
+    neg = prod(m, [[-1 if i == j else 0 for j in range(4)] for i in range(4)])
+    assert rank_fixed_space(neg, m, 2) == 0
 
 
 def test_rank_fixed_space_reflection():
-    swap = mat([[0, 1], [1, 0]], 7, 2)
-    assert rank_fixed_space(swap, 2) == 1
+    swap = [[0, 1], [1, 0]]
+    assert rank_fixed_space(swap, Modulus(7, 2), 2) == 1
 
 
 def test_rank_fixed_space_precision_error():
-    swap = mat([[0, 1], [1, 0]], 3, 1)  # p^M = 3 <= d*l = 4
+    swap = [[0, 1], [1, 0]]  # p^M = 3 <= d*l = 4
     with pytest.raises(PrecisionTooLow):
-        rank_fixed_space(swap, 2)
+        rank_fixed_space(swap, Modulus(3, 1), 2)
 
 
 def test_rank_matches_smith_rank(g24):
@@ -373,12 +363,12 @@ def test_rank_matches_smith_rank(g24):
 
 
 def test_rank_fixed_space_order_must_divide_d():
-    cyc = mat([[0, 0, 1], [1, 0, 0], [0, 1, 0]], 7, 2)  # order 3
+    cyc, m = [[0, 0, 1], [1, 0, 0], [0, 1, 0]], Modulus(7, 2)  # order 3
     with pytest.raises(InvariantViolation):
-        rank_fixed_space(cyc, 2)
+        rank_fixed_space(cyc, m, 2)
     with pytest.raises(InvariantViolation):
-        rank_fixed_space(cyc, 4)
-    assert rank_fixed_space(cyc, 6) == 1
+        rank_fixed_space(cyc, m, 4)
+    assert rank_fixed_space(cyc, m, 6) == 1
 
 
 def test_reduce_modulus_preserves_order():
@@ -395,7 +385,7 @@ def test_rows_at_lifts_via_words(g12):
     pM = g12.modulus.pM
     for i, rows in zip(idx, high.tolist()):
         reduced = tuple(tuple(x % pM for x in row) for row in rows)
-        assert reduced == element_rows(g12, i)
+        assert reduced == element(g12, i)
 
 
 def test_store_lift_matches_reclosed_store(g12, g24):
@@ -440,7 +430,7 @@ def test_object_dtype_store(spec, small):
     store = g.rows_at(np.arange(g.order), g.modulus.M)
     assert store.dtype == object
     index = index_of(g)
-    assert all(index[element(g, i).rows] == i for i in range(g.order))
+    assert all(index[element(g, i)] == i for i in range(g.order))
     lifted = g.rows_at(np.arange(g.order), g.modulus.M + 1)
     assert np.array_equal(lifted % g.modulus.pM, store)
     h = build(parse_spec(small))
@@ -487,12 +477,12 @@ def test_one_smith_form_and_at_most_one_lift_per_class(monkeypatch, spec, modulu
 def test_close_without_factory_raises_exactly_when_a_class_needs_a_lift():
     # g24 at 2^3: classes of order d with d*3 >= 8 need m > 3
     low = close_at(parse_spec("g24"), Modulus(2, 3))
-    bare = close(generator_matrices(low), order=low.order)
+    bare = close_rows(low.generators, low.modulus, order=low.order)
     with pytest.raises(PrecisionTooLow):
         bare.conjugacy_classes()
     # at M0 no class needs a lift, so the bare closure classes fine
     g24 = build(parse_spec("g24"))
-    bare = close(generator_matrices(g24), order=g24.order)
+    bare = close_rows(g24.generators, g24.modulus, order=g24.order)
     assert [(r.rank, r.torsion_vals, r.smith_vals) for r in bare.conjugacy_classes()] == \
            [(r.rank, r.torsion_vals, r.smith_vals) for r in g24.conjugacy_classes()]
 

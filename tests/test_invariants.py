@@ -17,8 +17,9 @@ from matrix_helpers import (
     close_at,
     det_permanent_expansion,
     element,
+    close_rows,
     fixed_points_bruteforce,
-    generator_matrices,
+    generator_rows,
     index_of,
     inverse,
     kernel_size,
@@ -31,8 +32,7 @@ from repcount.counting import count_burnside_full, torsion_classes
 from repcount.errors import CapExceeded, RepcountError
 from repcount.formulas import theorem_a
 from repcount.grassmannian import theorem_b
-from repcount.groups import close
-from repcount.linalg import SquareMatrix, diagonal, smith_valuations
+from repcount.linalg import diagonal, smith_valuations
 from repcount.modp import Modulus, mth_root_of_unity
 
 
@@ -54,14 +54,12 @@ def test_g29_order5_smith_diagonal(g29):
 def test_g24_minus_c_kernel_example(g24):
     # diagonal (1,2,0) at n=3 gives kernel 2^0 * 2^1 * 2^3 = 16
     _, _, c = g24.generators
-    neg = SquareMatrix.from_rows(
-        [[-1 if i == j else 0 for j in range(3)] for i in range(3)], g24.modulus
-    )
+    neg = [[-1 if i == j else 0 for j in range(3)] for i in range(3)]
     neg_c = prod(g24.modulus, neg, c)
     diff = minus_identity(neg_c, g24.modulus)
-    assert diagonal(smith_valuations(diff), 2, g24.modulus.M) == (1, 2, 0)
-    assert kernel_size(diff, 3) == 16
-    assert fixed_points_bruteforce(neg_c, 3) == 16
+    assert diagonal(smith_valuations(diff, 2, g24.modulus.M), 2, g24.modulus.M) == (1, 2, 0)
+    assert kernel_size(diff, g24.modulus, 3) == 16
+    assert fixed_points_bruteforce(neg_c, g24.modulus.p, 3) == 16
 
 
 def test_g24_reflection_determinant(g24):
@@ -70,14 +68,12 @@ def test_g24_reflection_determinant(g24):
 
 
 def test_g24_rank_examples(g24):
-    neg = SquareMatrix.from_rows(
-        [[-1 if i == j else 0 for j in range(3)] for i in range(3)], g24.modulus
-    )
+    neg = prod(g24.modulus, [[-1 if i == j else 0 for j in range(3)] for i in range(3)])
     recs = g24.conjugacy_classes()
     classes, index = class_of(g24), index_of(g24)
-    assert recs[classes[index[neg.rows]]].rank == 0
-    c = generator_matrices(g24)[2]
-    assert recs[classes[index[c.rows]]].rank == 2
+    assert recs[classes[index[neg]]].rank == 0
+    c = generator_rows(g24)[2]
+    assert recs[classes[index[c]]].rank == 2
 
 
 def test_record_invariant_all_groups(exceptional_groups):
@@ -98,7 +94,7 @@ def test_class_reps_conjugate_within_class(exceptional_groups):
             cid = classes[rec.rep_index]
             for g, ginv in pairs:
                 conj = prod(group.modulus, ginv, element(group, rec.rep_index), g)
-                assert classes[index[conj.rows]] == cid
+                assert classes[index[conj]] == cid
 
 
 def test_solomon_identity_monomial_groups():
@@ -191,8 +187,8 @@ def test_oracle_kernel_500_samples(exceptional_groups):
         n_samples = min(500, group.order)
         for i in rng.sample(range(group.order), n_samples):
             w = element(group, i)
-            assert fixed_points_bruteforce(w, 1) == \
-                kernel_size(minus_identity(w, group.modulus), 1)
+            assert fixed_points_bruteforce(w, group.modulus.p, 1) == \
+                kernel_size(minus_identity(w, group.modulus), group.modulus, 1)
 
 
 def test_nonmodular_monomial_matches_theorem_a():
@@ -205,7 +201,8 @@ def test_nonmodular_monomial_matches_theorem_a():
 
 def test_closure_cap_on_monomial_group():
     with pytest.raises(CapExceeded):
-        close(monomial_generators(4, 1, 3, Modulus(5, 2)), order=384, cap=50)
+        mod = Modulus(5, 2)
+        close_rows(monomial_generators(4, 1, 3, mod), mod, order=384, cap=50)
 
 
 def test_rank_five_monomial_group():
@@ -239,6 +236,7 @@ from repcount import catalog
 from repcount.counting import CountReport
 from repcount.errors import CapExceeded, InvariantViolation, OrderUnavailable
 from repcount.groups import close
+from repcount.linalg import SquareMatrix
 from repcount.modp import Modulus, smallest_primitive_root
 
 def wrong_order(spec):
@@ -250,8 +248,8 @@ cases = [
     lambda: catalog.build(catalog.parse_spec("g12")),
 ]
 typed = [
-    (CapExceeded, lambda: close(catalog.generators(catalog.parse_spec("g12"), Modulus(3, 3)),
-                                order=48, cap=2)),
+    (CapExceeded, lambda: close([SquareMatrix(g, Modulus(3, 3)) for g in catalog.generators(
+        catalog.parse_spec("g12"), Modulus(3, 3))], order=48, cap=2)),
     (OrderUnavailable, lambda: smallest_primitive_root(1)),
 ]
 catalog.GroupSpec.expected_order = property(wrong_order)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from matrix_helpers import det_permanent_expansion, identity, kernel_size, mat_mul, prod
-from repcount.errors import DimensionMismatch, PrecisionTooLow
+from repcount.errors import DimensionMismatch, PrecisionTooLow, SpaceTooLarge
 from repcount.linalg import (
     SquareMatrix,
     _mod,
@@ -21,10 +21,6 @@ from repcount.linalg import (
     smith_valuations,
 )
 from repcount.modp import Modulus, int_valuation
-
-
-def mat(rows, p, M):
-    return SquareMatrix.from_rows(rows, Modulus(p, M))
 
 
 def kernel_scan(rows, p, n):
@@ -56,50 +52,46 @@ def random_unimodular(l, p, M, rng):
 
 def test_multiply_identity():
     # the tests' own product, which the other checks build their matrices with
-    a = mat([[1, 2], [3, 4]], 5, 2)
-    i2 = identity(2, a.modulus)
-    assert mat_mul(a.rows, i2.rows, a.modulus.pM) == a.rows
-    assert mat_mul(i2.rows, a.rows, a.modulus.pM) == a.rows
+    a, i2 = ((1, 2), (3, 4)), identity(2)
+    assert mat_mul(a, i2, 25) == a
+    assert mat_mul(i2, a, 25) == a
 
 
 def test_multiply_known_product():
-    a = mat([[1, 2], [3, 4]], 7, 2)
-    b = mat([[0, 1], [1, 0]], 7, 2)
-    assert mat_mul(a.rows, b.rows, a.modulus.pM) == ((2, 1), (4, 3))
+    a = [[1, 2], [3, 4]]
+    b = [[0, 1], [1, 0]]
+    assert mat_mul(a, b, 49) == ((2, 1), (4, 3))
 
 
 def test_from_rows_canonical_and_square():
     # residues enter a matrix as canonical representatives mod p^M
-    a = mat([[-1, 9], [5 + 7, 2 * 5]], 3, 2)
+    a = SquareMatrix.from_rows([[-1, 9], [5 + 7, 2 * 5]], Modulus(3, 2))
     assert a.rows == ((8, 0), (3, 1)) and a.dim == 2
     with pytest.raises(DimensionMismatch):
-        mat([[1, 0, 0], [0, 1, 0]], 5, 2)
+        SquareMatrix.from_rows([[1, 0, 0], [0, 1, 0]], Modulus(5, 2))
     with pytest.raises(DimensionMismatch):
-        mat([], 5, 2)
+        SquareMatrix.from_rows([], Modulus(5, 2))
 
 
 def test_smith_zero_matrix():
-    z = mat([[0, 0, 0]] * 3, 3, 4)
-    sv = smith_valuations(z)
+    sv = smith_valuations([[0, 0, 0]] * 3, 3, 4)
     assert sv == (4,) * 3
     assert diagonal(sv, 3, 4) == (0, 0, 0)
 
 
 def test_smith_diagonal_matrix():
-    a = mat([[1, 0, 0], [0, 2, 0], [0, 0, 4]], 2, 3)
-    assert smith_valuations(a) == (0, 1, 2)
-    assert diagonal(smith_valuations(a), 2, 3) == (1, 2, 4)
+    a = [[1, 0, 0], [0, 2, 0], [0, 0, 4]]
+    assert smith_valuations(a, 2, 3) == (0, 1, 2)
+    assert diagonal(smith_valuations(a, 2, 3), 2, 3) == (1, 2, 4)
 
 
 def test_smith_needs_column_ops():
     # [[p, 1], [0, p]] is equivalent to diag(1, p^2).
-    a = mat([[3, 1], [0, 3]], 3, 4)
-    assert smith_valuations(a) == (0, 2)
+    assert smith_valuations([[3, 1], [0, 3]], 3, 4) == (0, 2)
 
 
 def test_smith_identity():
-    a = identity(4, Modulus(5, 2))
-    assert smith_valuations(a) == (0, 0, 0, 0)
+    assert smith_valuations(identity(4), 5, 2) == (0, 0, 0, 0)
 
 
 def test_mod_matches_the_remainder():
@@ -118,24 +110,21 @@ def test_kernel_size_vs_scan(p, l):
     m = Modulus(p, 3)
     for _ in range(25):
         rows = [[rng.randrange(m.pM) for _ in range(l)] for _ in range(l)]
-        a = SquareMatrix.from_rows(rows, m)
         for n in range(1, 4):
             if p ** (n * l) > 5 ** 3 * 125:
                 continue
-            assert kernel_size(a, n) == kernel_scan(a.rows, p, n)
+            assert kernel_size(rows, m, n) == kernel_scan(rows, p, n)
 
 
 def test_kernel_size_trivial_cases():
-    z = mat([[0] * 4 for _ in range(4)], 5, 2)
-    assert kernel_size(z, 1) == 625
-    u = identity(3, Modulus(2, 3))
-    assert kernel_size(u, 3) == 1
+    z = [[0] * 4 for _ in range(4)]
+    assert kernel_size(z, Modulus(5, 2), 1) == 625
+    assert kernel_size(identity(3), Modulus(2, 3), 3) == 1
 
 
 def test_kernel_size_precision_error():
-    a = mat([[1, 0], [0, 1]], 3, 2)
     with pytest.raises(PrecisionTooLow):
-        kernel_size(a, 3)
+        kernel_size([[1, 0], [0, 1]], Modulus(3, 2), 3)
 
 
 def test_smith_valuation_monotone_in_precision():
@@ -143,8 +132,8 @@ def test_smith_valuation_monotone_in_precision():
     for _ in range(40):
         l = rng.randrange(2, 5)
         rows = [[rng.randrange(3 ** 5) for _ in range(l)] for _ in range(l)]
-        low = smith_valuations(mat([[x % 27 for x in r] for r in rows], 3, 3))
-        high = smith_valuations(mat(rows, 3, 5))
+        low = smith_valuations([[x % 27 for x in r] for r in rows], 3, 3)
+        high = smith_valuations(rows, 3, 5)
         for e_low, e_high in zip(low, high):
             if e_low < 3:
                 assert e_low == e_high
@@ -158,10 +147,9 @@ def test_smith_unimodular_invariance(p, M, l):
     m = Modulus(p, M)
     for _ in range(50):
         rows = [[rng.randrange(m.pM) for _ in range(l)] for _ in range(l)]
-        a = SquareMatrix.from_rows(rows, m)
-        u = SquareMatrix.from_rows(random_unimodular(l, p, M, rng), m)
-        v = SquareMatrix.from_rows(random_unimodular(l, p, M, rng), m)
-        assert smith_valuations(prod(m, u, a, v)) == smith_valuations(a)
+        u = random_unimodular(l, p, M, rng)
+        v = random_unimodular(l, p, M, rng)
+        assert smith_valuations(prod(m, u, rows, v), p, M) == smith_valuations(rows, p, M)
 
 
 @pytest.mark.parametrize("p,M,l", [(2, 3, 2), (3, 2, 3), (5, 2, 4)])
@@ -173,7 +161,7 @@ def test_determinant_vs_expansion(p, M, l):
     for _ in range(40):
         rows = [[rng.randrange(m.pM) for _ in range(l)] for _ in range(l)]
         det = det_permanent_expansion(rows, m.pM)
-        vals = smith_valuations(SquareMatrix.from_rows(rows, m))
+        vals = smith_valuations(rows, p, M)
         total = min(sum(vals), M)
         assert total == (M if det == 0 else int_valuation(det, p))
 
@@ -183,17 +171,16 @@ def test_determinant_unit_iff_trivial_kernel():
     m = Modulus(3, 3)
     for _ in range(40):
         rows = [[rng.randrange(m.pM) for _ in range(3)] for _ in range(3)]
-        a = SquareMatrix.from_rows(rows, m)
         unit = det_permanent_expansion(rows, m.pM) % 3 != 0
-        trivial = all(kernel_size(a, n) == 1 for n in range(1, 4))
+        trivial = all(kernel_size(rows, m, n) == 1 for n in range(1, 4))
         assert unit == trivial
 
 
 def test_parse_matrix_text():
     text = "2 4 3 3\n12 1 0\n0 13 2\n0 0 11\n"
-    a = parse_matrix_text(text)
-    assert a.modulus.p == 2 and a.modulus.M == 4
-    assert a.rows == ((12, 1, 0), (0, 13, 2), (0, 0, 11))
+    rows, modulus = parse_matrix_text(text)
+    assert modulus.p == 2 and modulus.M == 4
+    assert rows == ((12, 1, 0), (0, 13, 2), (0, 0, 11))
     with pytest.raises(ValueError):
         parse_matrix_text("2 4 2 3\n1 1 1\n1 1 1\n")
     with pytest.raises(ValueError):
@@ -202,3 +189,14 @@ def test_parse_matrix_text():
         parse_matrix_text("2 4 2 2\n1 -1\n0 1\n")
     with pytest.raises(ValueError):
         parse_matrix_text("5 2 0 0\n")
+
+
+def test_parse_bounds_every_token_by_its_digits(any_number_of_digits):
+    # 2^MAX_COUNT_BITS has 157,827 digits: a token of more is refused before
+    # int() reads it, and leading zeros do not count
+    top = "1" * 157827
+    assert parse_matrix_text(f"3 2 1 1\n{'0' * 10 ** 6}{top}\n")[0] == ((int(top) % 9,),)
+    with pytest.raises(SpaceTooLarge, match="a token of 157828 digits"):
+        parse_matrix_text(f"3 2 1 1\n1{top}\n")
+    with pytest.raises(SpaceTooLarge, match="a token of 157828 digits"):
+        parse_matrix_text(f"3 1{top} 1 1\n1\n")

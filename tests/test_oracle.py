@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from matrix_helpers import (
     admissible_tuples,
+    close_rows,
     element,
     fixed_points_bruteforce,
     identity,
     kernel_size,
     minus_identity,
     orbit_count_reference,
+    prod,
 )
 from repcount import oracle
 from repcount.catalog import build, parse_spec
@@ -24,14 +26,12 @@ from repcount.counting import count_burnside_full
 from repcount.errors import SpaceTooLarge
 from repcount.formulas import theorem_c
 from repcount.grassmannian import theorem_b
-from repcount.groups import close
-from repcount.linalg import SquareMatrix
 from repcount.modp import Modulus, smallest_primitive_root, teichmuller
 from repcount.oracle import orbit_count_bruteforce
 
 
 def test_trivial_group_orbit_count():
-    g = close([identity(3, Modulus(5, 2))], order=1)
+    g = close_rows([identity(3)], Modulus(5, 2), order=1)
     assert orbit_count_bruteforce(g, 1) == 125
     assert orbit_count_bruteforce(g, 2) == 5 ** 6
 
@@ -79,7 +79,7 @@ def _group(key):
     if isinstance(key, str):
         return build(parse_spec(key))
     l, p = key
-    return close([identity(l, Modulus(p, 5))], order=1)
+    return close_rows([identity(l)], Modulus(p, 5), order=1)
 
 
 # Node chunks of the edges hold _CHUNK // (g l) nodes, and the sweeps
@@ -130,7 +130,7 @@ def test_unit_table(p, m):
 
 
 def test_space_too_large(g24):
-    g = close([identity(4, Modulus(5, 4))], order=1)
+    g = close_rows([identity(4)], Modulus(5, 4), order=1)
     with pytest.raises(SpaceTooLarge):
         orbit_count_bruteforce(g, 4, cap=2 ** 20)
     # the cap counts points of (Z/p^k)^l, not the scalar classes the oracle stores
@@ -152,17 +152,14 @@ def test_levels_carry_across_calls(g24):
 
 
 def test_fixed_points_identity():
-    ident = identity(3, Modulus(3, 2))
-    assert fixed_points_bruteforce(ident, 2) == 3 ** 6
+    assert fixed_points_bruteforce(identity(3), 3, 2) == 3 ** 6
 
 
 def test_fixed_points_minus_identity():
     m = Modulus(2, 3)
-    neg = SquareMatrix.from_rows(
-        [[-1 if i == j else 0 for j in range(3)] for i in range(3)], m
-    )
+    neg = prod(m, [[-1 if i == j else 0 for j in range(3)] for i in range(3)])
     # -2v = 0 mod 4 leaves one factor of 2 per coordinate
-    assert fixed_points_bruteforce(neg, 2) == 8
+    assert fixed_points_bruteforce(neg, m.p, 2) == 8
 
 
 def test_fixed_points_order5_element(g29):
@@ -170,7 +167,7 @@ def test_fixed_points_order5_element(g29):
     counts = set()
     for rec in g29.conjugacy_classes():
         if rec.element_order == 5 and rec.torsion_vals:
-            counts.add(fixed_points_bruteforce(element(g29, rec.rep_index), 1))
+            counts.add(fixed_points_bruteforce(element(g29, rec.rep_index), g29.modulus.p, 1))
     assert counts == {5}
 
 
@@ -182,4 +179,5 @@ def test_fixed_points_match_kernel_size(g12, g24, g29):
             w = element(group, i)
             diff = minus_identity(w, group.modulus)
             for n in (1, 2):
-                assert fixed_points_bruteforce(w, n) == kernel_size(diff, n)
+                assert fixed_points_bruteforce(w, group.modulus.p, n) == \
+                    kernel_size(diff, group.modulus, n)

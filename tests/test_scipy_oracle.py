@@ -29,7 +29,7 @@ def weak_components(spec, k: int) -> int:
     digits = points[:, None] // q ** np.arange(l, dtype=np.int64) % q  # (N, l)
     heads = []
     for g in catalog.generators(spec, Modulus(p, k)):
-        image = digits @ np.array(g.rows, dtype=np.int64) % q  # entries below q: no overflow
+        image = digits @ np.array(g, dtype=np.int64) % q  # entries below q: no overflow
         heads.append(image @ q ** np.arange(l, dtype=np.int64))
     n = points.size
     graph = sparse.csr_array((np.ones(n * len(heads), dtype=np.int8),

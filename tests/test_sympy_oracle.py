@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from matrix_helpers import admissible_tuples, generator_matrices, row_action
+from matrix_helpers import admissible_tuples, generator_rows, row_action
 from repcount.catalog import build, parse_spec
 
 SMALL_MONOMIAL = sorted({
@@ -27,7 +27,7 @@ SMALL_MONOMIAL = sorted({
 
 
 def _check_against_sympy(group):
-    perms = row_action(generator_matrices(group))
+    perms = row_action(generator_rows(group), group.modulus.pM)
     sym = PermutationGroup([Permutation(perm) for perm in perms])
     assert sym.order() == group.order
     theirs = Counter((len(c), next(iter(c)).order()) for c in sym.conjugacy_classes())
