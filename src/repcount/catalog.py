@@ -19,7 +19,7 @@ import math
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .errors import CapExceeded, InvariantViolation, SpecInvalid
-from .modp import Modulus, hensel_lift, invert, is_prime, mth_root_of_unity
+from .modp import Modulus, check_prime, hensel_lift, invert, mth_root_of_unity
 from .records import FrozenRecord
 
 if TYPE_CHECKING:
@@ -75,7 +75,8 @@ def _g31_generators(spec: GroupSpec, modulus: Modulus) -> list:
 
 
 class Kind(NamedTuple):
-    """One kind of group spec.  Its facts are functions of a spec, read when asked."""
+    """One kind of group spec.  Its facts are functions of a spec, read when
+    asked, but for the closed forms, which hold at every spec of the kind."""
 
     keys: tuple                # the grammar's keys after "kind:", in label order
     admit: Callable            # (kind, m, s, n, p) -> them completed, or SpecInvalid
@@ -84,7 +85,7 @@ class Kind(NamedTuple):
     order: Callable            # spec -> |W|
     exponents: Callable        # spec -> the sorted exponents, or None
     rows: Optional[Callable]   # (spec, modulus) -> integer generator rows; None: no build
-    closed_forms: Callable     # spec -> the closed forms that apply, in crosscheck order
+    closed_forms: tuple        # the closed forms that apply, in crosscheck order
     coefficients: Optional[tuple] = None  # theorem C's numerator (over |W|) in q = p^k,
                                           # highest power first; None: no theorem C
     capped: Optional[tuple] = None        # (c, e): that numerator adds c * p^min(k, e)
@@ -100,7 +101,7 @@ def _named(p, order, rank, exps, M0, rows, coefficients, capped=None) -> Kind:
         return m, s, n, p
 
     return Kind((), admit, M0, lambda spec: rank, lambda spec: order, lambda spec: exps,
-                rows, lambda spec: ("theoremC",), coefficients, capped)
+                rows, ("theoremC",), coefficients, capped)
 
 
 def _admit_family2a(kind, m, s, n, p):
@@ -130,15 +131,16 @@ def _admit_sphere(kind, m, s, n, p):
     return m, 1, 1, p
 
 
-#: The facts of G(m,s,n), a sphere G(m,1,1) among them.  p = 1 mod m leaves m
-#: and s prime to p, so p divides |W| = m^n n!/s exactly when p <= n: theorem A
-#: applies when n < p.
+#: The facts of G(m,s,n), a sphere G(m,1,1) among them.  Theorem A applies at
+#: every p, p | |W| included: w - I splits by the cycles of the monomial w, and
+#: a cycle whose product of entries is zeta != 1 has cokernel Z_p/(zeta - 1) = 0,
+#: since zeta's order divides m | p - 1, so no Coker(w - I) has torsion.
 _MONOMIAL = Kind((), None, 3, lambda spec: spec.n,
                  lambda spec: spec.m ** spec.n * math.factorial(spec.n) // spec.s,
                  lambda spec: tuple(sorted([i * spec.m - 1 for i in range(1, spec.n)]
                                            + [spec.n * spec.m // spec.s - 1])),
                  lambda spec, modulus: monomial_generators(spec.m, spec.s, spec.n, modulus),
-                 lambda spec: ("theoremB", "theoremA") if spec.n < spec.p else ("theoremB",))
+                 ("theoremB", "theoremA"))
 
 #: Every kind of group spec, by the name the grammar gives it.
 KINDS = {
@@ -198,8 +200,7 @@ class GroupSpec(FrozenRecord):
     def methods(self) -> tuple:
         """The counting methods that apply, in ``METHODS`` order: the row's
         closed forms, and every other method when the spec can be built."""
-        closed_forms = KINDS[self.kind].closed_forms(self)
-        return tuple(method for method in METHODS if method in closed_forms
+        return tuple(method for method in METHODS if method in KINDS[self.kind].closed_forms
                      or (self.buildable and method not in CLOSED_FORMS))
 
     def min_modulus_exponent(self) -> int:
@@ -223,8 +224,7 @@ class GroupSpec(FrozenRecord):
 
 def _check_prime_congruence(p: int, m: int) -> None:
     """p is prime and p = 1 mod m for an m >= 1: the units mod p^k hold one of order m."""
-    if not is_prime(p):
-        raise SpecInvalid(f"p={p} is not prime")
+    check_prime(p)
     if m < 1 or (p - 1) % m != 0:
         raise SpecInvalid(f"need p = 1 mod m, got p={p}, m={m}")
 

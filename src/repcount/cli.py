@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 cross-check divergence, 2 invalid spec or usage
 error, 3 a cap, precision or size bound reached, 4 internal error.  A
 RepcountError exits with its class's ``exit_code``: 2 for SpecInvalid; 3 for
 CapExceeded, PrecisionTooLow and SpaceTooLarge (among them a k at which a
-count could exceed records.MAX_COUNT_BITS = 2^19 bits); 4 for every other
+count could exceed records.MAX_COUNT_BITS = 2^19 bits, and a p of more than
+modp.MAX_PRIME_BITS = 4096 bits, refused untested); 4 for every other
 class, such as InvariantViolation.  A MemoryError or output that could not
 be written exits 3 too.  Errors are reported as one JSON object on stderr;
 on a divergence it names the first divergent k, while stdout still carries
@@ -16,13 +17,15 @@ byte-identical output.  ``--method`` takes ``catalog.METHODS``, and
 from __future__ import annotations
 
 import gc
+import os
 
 if __name__ == "__main__":
     gc.disable()  # for the life of the process: see entry()
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")  # before numpy loads: see entry()
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import NoReturn
@@ -387,7 +390,11 @@ def entry() -> NoReturn:
 
     Both run this module as ``__main__``, so its first lines switch the
     collector off before anything else is imported, and it stays off: no import
-    (numpy's, when a group method runs) and no work starts a collection.
+    (numpy's, when a group method runs) and no work starts a collection.  They
+    also set one BLAS thread, unless the caller's environment names a number:
+    repcount calls no BLAS routine, and the threads OpenBLAS starts when numpy
+    loads cost a numpy job about a fifth of its time.  ``import repcount.cli``
+    changes neither.
     Cyclic garbage is bounded: a ``main`` call leaves a few hundred unreachable
     objects, the parser's cycles.  Once ``main`` returns, stdout and stderr are
     flushed and the process leaves with ``os._exit``, skipping the

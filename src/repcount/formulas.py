@@ -12,19 +12,19 @@ from typing import Iterable
 
 from .catalog import KINDS, parse_spec
 from .errors import InvariantViolation, SpecInvalid
-from .modp import is_prime
+from .modp import check_prime
 
 
 def theorem_a(exponents: Iterable[int], p: int, k: int) -> int:
-    """prod (m_i + p^k) / (m_i + 1): the orbit count when p does not divide |W|.
+    """prod (m_i + p^k) / (m_i + 1): the orbit count of any group with p not
+    dividing |W|, and of every G(m,s,n) at every p (see ``catalog._MONOMIAL``).
 
     The quotient is asserted integral; the exponents are the caller's, so a
     remainder (modular data, as a rule) raises SpecInvalid.
     """
     if k < 1:
         raise SpecInvalid(f"k must be >= 1, got {k}")
-    if not is_prime(p):
-        raise SpecInvalid(f"p={p} is not prime")
+    check_prime(p)
     exps = list(exponents)
     if any(m < 0 for m in exps):
         raise SpecInvalid(f"exponents must be >= 0, got {exps}")

@@ -233,7 +233,8 @@ def parse_matrix_text(text: str) -> tuple:
     Returns the rows as canonical ints and their ``Modulus``.  Entries are
     non-negative integers, reduced mod p^M.  A p^M, or a token (whose digits
     ``int`` reads in quadratic time), of more than ``records.MAX_COUNT_BITS``
-    bits is refused before it is formed.
+    bits is refused before it is formed, and ``Modulus`` refuses a p of more
+    than ``modp.MAX_PRIME_BITS`` bits before testing it.
     """
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     if not lines:

@@ -325,8 +325,9 @@ def test_label_parses_back_to_its_spec(spec):
     assert parse_spec(spec.label().upper()) == spec
 
 
-def test_theorem_a_applies_exactly_when_p_does_not_divide_the_order():
-    # the row reads p | |W| off n < p, without forming |W|
+def test_every_monomial_spec_offers_theorem_a():
+    # no Coker(w - I) of a G(m,s,n) has torsion, so theorem A holds at every
+    # p, a p that divides |W| included
     primes = [p for p in range(3, 60) if all(p % d for d in range(2, p))]
     modular = set()
     for m in range(3, 9):
@@ -337,7 +338,8 @@ def test_theorem_a_applies_exactly_when_p_does_not_divide_the_order():
                         continue
                     spec = GroupSpec("family2a", m=m, s=s, n=n, p=p)
                     modular.add(spec.expected_order % p == 0)
-                    assert ("theoremA" in spec.methods) == (spec.expected_order % p != 0)
+                    assert spec.methods == (
+                        "burnside", "classes", "formula", "theoremB", "theoremA", "oracle")
     assert modular == {True, False}
     for m, p in ((2, 3), (4, 5), (6, 7), (12, 13)):
         assert GroupSpec("sphere", m=m, p=p).methods == (

@@ -176,7 +176,6 @@ def test_count_builds_higher_precision_on_demand(capsys):
 @pytest.mark.parametrize("group,method", [
     ("g24", "theoremB"),
     ("g12", "theoremA"),                        # 3 divides |G12|
-    ("family2a:m=4,s=2,n=5,p=5", "theoremA"),   # 5 divides |G(4,2,5)|
     ("family2a:m=3,s=1,n=2,p=7", "theoremC"),
     ("x34", "burnside"),                        # no published matrices
     ("x34", "oracle"),
@@ -186,6 +185,14 @@ def test_theorem_b_rejected_on_exceptional_spec(capsys, group, method):
     code, out, err = run(capsys, "count", "--group", group, "--k", "1", "--method", method)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "SpecInvalid"
+
+
+def test_theorem_a_counts_on_a_modular_monomial_spec(capsys):
+    # 5 divides |G(4,2,5)|, yet no Coker(w - I) has torsion, so theorem A holds
+    code, out, err = run(capsys, "count", "--group", "family2a:m=4,s=2,n=5,p=5", "--k", "1",
+                         "--method", "theoremA", "--no-timing")
+    assert (code, err) == (0, "")
+    assert out == "family2a:m=4,s=2,n=5,p=5  p=5  k=1  method=theoremA  count=7\n"
 
 
 def test_count_help_lists_every_kind_and_alias(capsys):
@@ -291,9 +298,9 @@ def test_crosscheck_family2a(capsys):
 
 @pytest.mark.parametrize("spec,methods", [
     ("g24", ["burnside", "classes", "formula", "theoremC", "oracle"]),
-    # 5 divides |G(4,2,5)|, so theorem A does not apply
+    # 5 divides |G(4,2,5)|, and theorem A applies all the same
     ("family2a:m=4,s=2,n=5,p=5",
-     ["burnside", "classes", "formula", "theoremB", "oracle"]),
+     ["burnside", "classes", "formula", "theoremB", "theoremA", "oracle"]),
     ("family2a:m=6,s=2,n=3,p=7",
      ["burnside", "classes", "formula", "theoremB", "theoremA", "oracle"]),
     ("sphere:m=4,p=5",
@@ -329,7 +336,7 @@ def test_methods_follow_the_catalog_tuple(capsys):
     for label in ("g12", "g24", "g29", "g31", "x34", "sphere:m=4,p=5",
                   "family2a:m=4,s=2,n=3,p=5", "family2a:m=4,s=2,n=5,p=5"):
         spec = catalog.parse_spec(label)
-        closed = catalog.KINDS[spec.kind].closed_forms(spec)
+        closed = catalog.KINDS[spec.kind].closed_forms
         assert spec.methods == tuple(m for m in catalog.METHODS if m in closed or (
             spec.buildable and m not in catalog.CLOSED_FORMS))
     for label in ("g12", "x34", "sphere:m=4,p=5"):
@@ -337,7 +344,7 @@ def test_methods_follow_the_catalog_tuple(capsys):
                            "--format", "json", "--no-timing")
         assert code == 0
         assert json.loads(out)["methods"] == list(catalog.parse_spec(label).methods)
-    # the methods of G(m,s,n) are read from n and p, never from |W| = m^n n!/s
+    # the methods of G(m,s,n) are the row's tuple, never read from |W| = m^n n!/s
     start = time.perf_counter()
     assert catalog.GroupSpec("family2a", m=4, s=2, n=10 ** 7, p=5).methods[3] == "theoremB"
     assert time.perf_counter() - start < 1
@@ -430,6 +437,31 @@ def test_snf_refuses_an_entry_of_too_many_digits_before_reading_it(tmp_path, cap
     code, out, err = run(capsys, "snf", str(f), "--format", "json")
     assert code == 3 and time.perf_counter() - start < 2
     assert out == "" and json.loads(err)["error"] == "SpaceTooLarge"
+
+
+#: An odd number of 16,000 bits with no prime factor below 43, on which
+#: ``is_prime`` would run its Baillie-PSW rounds: about 10 s.
+BIG_ODD = next(n for n in range(2 ** 15999 + 1, 2 ** 16000, 2)
+               if all(n % q for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)))
+
+
+@pytest.mark.parametrize("command", ["count", "snf", "formula"])
+def test_a_prime_of_too_many_bits_is_refused_before_it_is_tested(tmp_path, capsys, command,
+                                                                 any_number_of_digits):
+    # its one stderr line names the p by its bit length, not by its 4,817 digits
+    f = tmp_path / "big.txt"
+    f.write_text(f"{BIG_ODD} 1 1 1\n1\n")
+    argv = {"count": ["count", "--group", f"sphere:m=2,p={BIG_ODD}", "--k", "1",
+                      "--method", "theoremB"],
+            "snf": ["snf", str(f)],
+            "formula": ["formula", "--exponents", "1", "--p", str(BIG_ODD), "--k", "1"]}
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv[command])
+    assert code == 3 and time.perf_counter() - start < 1
+    assert out == "" and len(err.encode()) < 200
+    assert json.loads(err) == {
+        "error": "SpaceTooLarge",
+        "message": "a p of 16000 bits is above the bound of 4096 bits for a prime"}
 
 
 def test_snf_parse_error(tmp_path, capsys):

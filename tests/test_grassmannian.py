@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matrix_helpers import admissible_tuples, distinguished_tuples
-from repcount.catalog import GroupSpec, build
-from repcount.counting import count_burnside_full
+from repcount.catalog import GroupSpec, build, exponents
+from repcount.counting import count_burnside_classes, count_burnside_full, torsion_census
 from repcount.errors import SpecInvalid
+from repcount.formulas import theorem_a
 from repcount.grassmannian import theorem_b
 
 # every G(m,s,n) small enough to close the group and count on its point space
@@ -111,6 +112,20 @@ def test_random_admissible_tuples_four_way(case):
     closed = theorem_b(m, s, n, p, k)
     assert count_burnside_full(g, k).count == closed
     assert count_burnside_full(g, k, per_element=True).count == closed
+
+
+@pytest.mark.parametrize("s", [1, 2, 4])
+def test_theorem_a_holds_at_a_modular_prime(s):
+    # 5 divides |G(4,s,5)|, yet no Coker(w - I) has torsion (catalog._MONOMIAL
+    # says why), so the class count is theorem A's product at every k
+    spec = GroupSpec("family2a", m=4, s=s, n=5, p=5)
+    assert spec.expected_order % 5 == 0
+    group = build(spec)
+    assert {rec.torsion_order for rec in torsion_census(group)} == {1}
+    for k in (1, 2, 3):
+        counts = {count_burnside_classes(group, k).count, theorem_a(exponents(spec), 5, k),
+                  theorem_b(4, s, 5, 5, k)}
+        assert len(counts) == 1, (s, k, counts)
 
 
 def test_sphere_theorem_b_matches_theorem_a_form():

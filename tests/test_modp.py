@@ -20,9 +20,13 @@ from repcount.errors import (
     NotASimpleRoot,
     NotAUnit,
     OrderUnavailable,
+    SpaceTooLarge,
+    SpecInvalid,
 )
 from repcount.modp import (
+    MAX_PRIME_BITS,
     Modulus,
+    check_prime,
     hensel_lift,
     int_valuation,
     invert,
@@ -39,9 +43,9 @@ from repcount.modp import (
 def test_modulus_validation():
     Modulus(2, 1)
     Modulus(97, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecInvalid):
         Modulus(6, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecInvalid):
         Modulus(1, 2)
     with pytest.raises(ValueError):
         Modulus(3, 0)
@@ -279,6 +283,28 @@ def test_miller_rabin_squares_in_place():
     start = time.perf_counter()
     assert not is_prime(3 * 2 ** 2000 + 1)
     assert time.perf_counter() - start < 1
+
+
+def test_check_prime_bounds_the_bits_before_testing(monkeypatch):
+    check_prime(2 ** 127 - 1)
+    with pytest.raises(SpecInvalid, match=r"^p=9 is not prime$"):
+        check_prime(9)
+    # above 64 bits a p is named by its bit length
+    with pytest.raises(SpecInvalid, match=r"^a p of 65 bits is not prime$"):
+        check_prime(2 ** 64 + 1)
+    with pytest.raises(SpecInvalid, match=rf"^a p of {MAX_PRIME_BITS} bits is not prime$"):
+        check_prime(2 ** MAX_PRIME_BITS - 1)  # at the bound, a p is tested
+
+    def tested(n):
+        raise AssertionError("is_prime ran")
+
+    monkeypatch.setattr(modp, "is_prime", tested)
+    # 2^4253 - 1 is prime, and is_prime takes about 0.4 s on it
+    with pytest.raises(SpaceTooLarge, match=rf"^a p of 4253 bits is above the bound of "
+                                            rf"{MAX_PRIME_BITS} bits for a prime$"):
+        check_prime(2 ** 4253 - 1)
+    with pytest.raises(SpaceTooLarge):
+        Modulus(2 ** 4253 - 1, 1)
 
 
 def test_baillie_psw_rounds_cover_each_other():

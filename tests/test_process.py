@@ -160,6 +160,49 @@ def test_cli_imports_without_the_collector(launch, tmp_path):
     assert report == {"code": 0, "starts": [], "in_main": [False], "frozen": 0, "numpy": True}
 
 
+BLAS_THREADS = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+# The child runs the CLI module as ``python -m`` does, on an array job, and
+# its stand-in for os._exit reports the three BLAS thread variables and the
+# process's thread count once the job is done.
+THREADS_CHILD = f"BLAS_THREADS = {BLAS_THREADS!r}" + """
+import json, os, runpy, sys
+def leave(code):
+    with open("/proc/self/status") as status:
+        threads = next(int(line.split()[1]) for line in status if line.startswith("Threads:"))
+    print(json.dumps({"code": code, "threads": threads, "numpy": "numpy" in sys.modules,
+                      "env": [os.environ.get(name) for name in BLAS_THREADS]}))
+os._exit = leave
+sys.argv = ["repcount", "count", "--group", "g12", "--k", "1", "--method", "classes"]
+runpy.run_module("repcount.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def without_blas_threads(**extra) -> dict:
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    return dict(env, PYTHONPATH=SRC, **extra)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's /proc")
+@pytest.mark.parametrize("given", [None, "2"], ids=["unset", "caller's 2"])
+def test_cli_runs_one_blas_thread_unless_told_otherwise(given):
+    extra = {} if given is None else {"OPENBLAS_NUM_THREADS": given}
+    proc = python("-c", THREADS_CHILD, env=without_blas_threads(**extra))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.decode().splitlines()[-1])
+    assert report["code"] == 0 and report["numpy"]
+    assert report["env"] == [given or "1", "1", "1"]
+    if given is None:
+        assert report["threads"] == 1
+
+
+def test_library_import_leaves_the_environment_alone():
+    proc = python("-c", "import os; before = dict(os.environ); "
+                        "import repcount, repcount.cli; repcount.build; "
+                        "print(dict(os.environ) == before)", env=without_blas_threads())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "True"
+
+
 def test_main_freezes_nothing(capsys):
     before = gc.get_freeze_count()
     assert main(["count", "--group", "g12", "--k", "2", "--method", "oracle", "--no-timing"]) == 0
